@@ -41,15 +41,14 @@
 // with System.CacheStats, tune or disable with System.SetCacheLimits,
 // and bypass per call with AskNoCache.
 //
-// The warm path is additionally compiled: when a plan first lands in
-// the cache it is lowered to a pre-resolved execution artifact
-// (capability pointers, dependency schedule, fingerprint templates —
-// see internal/workflow.CompiledPlan), so repeat servings skip every
-// per-run lookup and re-canonicalization the interpreted engine
-// performs, byte-identically. Compilation shares the plan cache's
-// invalidation exactly; System.SetCompiledPlans(false) forces the
-// interpreted path (A/B benchmarks). Warm state also survives
-// restarts: System.SaveSnapshot writes both caches to a versioned,
+// Every run executes on one engine, whose only input is a compiled
+// plan (capability pointers, dependency schedule, fingerprint
+// templates — see internal/workflow.CompiledPlan). A plan is compiled
+// once, when it first lands in the cache, so repeat servings skip
+// every per-run lookup and re-canonicalization; compilation shares the
+// plan cache's invalidation exactly. Plain, observed, streamed and
+// submitted asks share one memoized engine, and AskNoCache compiles
+// afresh on an uncached one. Warm state also survives restarts: System.SaveSnapshot writes both caches to a versioned,
 // fingerprint-validated document and System.LoadSnapshot restores it
 // into a freshly built equivalent System (see the -snapshot flag on
 // cmd/arachnet, cmd/arachnet-serve and cmd/arachnet-bench).

@@ -61,12 +61,12 @@ func main() {
 		servingOnly = flag.Bool("serving", false, "print only the async serving throughput experiment")
 		cacheOnly   = flag.Bool("cache", false, "print only the memoized serving experiment (cold vs warm latencies + hit ratios)")
 		world       = flag.String("world", "full", "world size for -cache: full|small")
-		jsonPath    = flag.String("json", "", "with -cache, -fleetbench or -wirebench, also write the results as JSON to this path (e.g. BENCH_5.json, BENCH_8.json, BENCH_9.json)")
+		jsonPath    = flag.String("json", "", "with -cache, -fleetbench, -wirebench or -compiledbench, also write the results as JSON to this path (e.g. BENCH_5.json, BENCH_8.json, BENCH_9.json)")
 		seed        = flag.Uint64("seed", 42, "world seed")
 		fleetN      = flag.Int("fleet", 0, "shard the world over N fleet workers for every experiment (0 = inline execution)")
 		fleetBench  = flag.Bool("fleetbench", false, "print only the fleet-scaling experiment (fleet 0/1/4 cold+warm latency and allocations, plus a ≥10x world)")
 		wireBench   = flag.Bool("wirebench", false, "print only the remote-fleet experiment (real HTTP workers on loopback vs the in-process fleet, cold+warm)")
-		compBench   = flag.Bool("compiledbench", false, "print only the compiled-plan experiment (interpreted vs compiled warm path per case, plus snapshot save/load and cold-vs-snapshot restart)")
+		compBench   = flag.Bool("compiledbench", false, "print only the cache-snapshot experiment (snapshot save/load cost and cold-vs-snapshot restart first-ask latency)")
 	)
 	flag.Parse()
 	fleetOpt := func(opts []arachnet.Option) []arachnet.Option {
@@ -636,20 +636,6 @@ func wireExperiment(seed uint64, world, jsonPath string) {
 	}
 }
 
-// compiledCaseResult compares one query's warm serving latency and
-// allocation count between the interpreted and compiled execution
-// paths (same system, same caches, A/B via SetCompiledPlans).
-type compiledCaseResult struct {
-	Case              int     `json:"case"`
-	Query             string  `json:"query"`
-	InterpretedWarmUs float64 `json:"interpreted_warm_us"` // median of the warm rounds
-	CompiledWarmUs    float64 `json:"compiled_warm_us"`    // median of the warm rounds
-	Speedup           float64 `json:"speedup"`
-	InterpretedAllocs uint64  `json:"interpreted_warm_allocs"` // median of the warm rounds
-	CompiledAllocs    uint64  `json:"compiled_warm_allocs"`    // median of the warm rounds
-	AllocRatio        float64 `json:"alloc_ratio"`             // interpreted / compiled
-}
-
 // compiledSnapshotResult measures the persistence path: snapshot size
 // and save/load time, plus the first-ask latency of a fresh process
 // with and without the snapshot.
@@ -664,34 +650,24 @@ type compiledSnapshotResult struct {
 	RestartSpeedup    float64 `json:"restart_speedup"`
 }
 
-// compiledReport is the BENCH_10.json schema: the compiled-plan point
-// of the perf trajectory — zero-reparse warm serving plus persistent
-// cache snapshots (PR 10).
+// compiledReport is the -compiledbench JSON schema: the persistence
+// tier's point of the perf trajectory.
 type compiledReport struct {
-	Benchmark  string                 `json:"benchmark"`
-	PR         int                    `json:"pr"`
-	World      string                 `json:"world"`
-	Seed       uint64                 `json:"seed"`
-	WarmRounds int                    `json:"warm_rounds"`
-	Cases      []compiledCaseResult   `json:"cases"`
-	Snapshot   compiledSnapshotResult `json:"snapshot"`
+	Benchmark string                 `json:"benchmark"`
+	PR        int                    `json:"pr"`
+	World     string                 `json:"world"`
+	Seed      uint64                 `json:"seed"`
+	Snapshot  compiledSnapshotResult `json:"snapshot"`
 }
 
-// compiledExperiment measures what plan compilation buys on the warm
-// path: every case-study query served warm with compiled execution
-// disabled (the interpreted engine walks the workflow AST) and enabled
-// (the cached compiled artifact replays with pooled scratch), on the
-// same system with the same hot caches. It then exercises the
-// persistence tier: save the warm system's snapshot, boot two fresh
-// systems — one cold, one restored from the snapshot — and compare
-// their first-ask latencies.
+// compiledExperiment measures the persistence tier: warm a system on
+// every case-study query (plans, their compiled artifacts and step
+// results all cached), save its snapshot, boot two fresh systems — one
+// cold, one restored from the snapshot — and compare their first-ask
+// latencies.
 func compiledExperiment(seed uint64, world, jsonPath string) {
-	header("Compiled plans (interpreted vs compiled warm path)")
-	const warmRounds = 7
-	rep := compiledReport{
-		Benchmark: "compiled-plans-warm-path", PR: 10,
-		World: world, Seed: seed, WarmRounds: warmRounds,
-	}
+	header("Cache snapshots (save/load, cold vs snapshot restart)")
+	rep := compiledReport{Benchmark: "cache-snapshots", PR: 10, World: world, Seed: seed}
 	opts := []arachnet.Option{arachnet.WithScenario(arachnet.ScenarioConfig{Seed: seed})}
 	switch world {
 	case "full":
@@ -705,48 +681,8 @@ func compiledExperiment(seed uint64, world, jsonPath string) {
 	if err != nil {
 		fatal(err)
 	}
-
-	keys := make([]int, 0, len(queries))
-	for n := range queries {
-		keys = append(keys, n)
-	}
-	sort.Ints(keys)
-
-	// Warm latency+allocs for the current execution mode: median over
-	// the rounds, after two untimed warm-up asks.
-	measureWarm := func(query string) (time.Duration, uint64) {
-		ask(sys, query)
-		ask(sys, query)
-		times := make([]time.Duration, warmRounds)
-		allocs := make([]uint64, warmRounds)
-		for r := range times {
-			times[r], allocs[r] = askAllocs(sys, query)
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		sort.Slice(allocs, func(i, j int) bool { return allocs[i] < allocs[j] })
-		return times[warmRounds/2], allocs[warmRounds/2]
-	}
-
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	fmt.Printf("%-6s %14s %14s %9s %12s %12s %8s\n",
-		"case", "interp warm", "compiled warm", "speedup", "interp alloc", "comp alloc", "ratio")
-	for _, n := range keys {
-		ask(sys, queries[n]) // cold run: populate plan, compiled artifact, step cache
-		sys.SetCompiledPlans(false)
-		iWarm, iAllocs := measureWarm(queries[n])
-		sys.SetCompiledPlans(true)
-		cWarm, cAllocs := measureWarm(queries[n])
-		res := compiledCaseResult{
-			Case: n, Query: queries[n],
-			InterpretedWarmUs: us(iWarm), CompiledWarmUs: us(cWarm),
-			Speedup:           float64(iWarm) / float64(cWarm),
-			InterpretedAllocs: iAllocs, CompiledAllocs: cAllocs,
-			AllocRatio: float64(iAllocs) / float64(cAllocs),
-		}
-		rep.Cases = append(rep.Cases, res)
-		fmt.Printf("CS%-5d %14v %14v %8.1fx %12d %12d %7.1fx\n", n,
-			iWarm.Round(100*time.Nanosecond), cWarm.Round(100*time.Nanosecond),
-			res.Speedup, iAllocs, cAllocs, res.AllocRatio)
+	for _, q := range queries {
+		ask(sys, q)
 	}
 
 	// Persistence: snapshot the warm system, then race a cold boot

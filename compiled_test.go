@@ -1,15 +1,16 @@
 package arachnet_test
 
-// Compiled warm path, end to end: a System serving from compiled
-// plans must be observationally identical to one forced onto the
-// interpreted path — across cold asks, warm replays, scenario
-// injections and curation promotions — and a warm compiled Ask must
-// stay within a small allocation budget. A -race hammer then drives
-// concurrent asks through the compiled path while promotions and
-// scenario injections advance the registry generation and environment
-// epoch underneath.
+// Compiled warm path, end to end: a System serving from its plan and
+// step caches must answer exactly what an identically seeded System
+// computes afresh — across cold asks, warm replays, scenario
+// injections and curation promotions, inline and over a fleet — and
+// warm asks on every serving path must stay within small allocation
+// budgets. A -race hammer then drives concurrent asks through the
+// compiled path while promotions and scenario injections advance the
+// registry generation and environment epoch underneath.
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -18,34 +19,39 @@ import (
 	"arachnet"
 )
 
-// pairedSystems builds two identically seeded small-world systems and
-// forces the second onto the interpreted path.
-func pairedSystems(t *testing.T, seed uint64) (compiled, interpreted *arachnet.System) {
+// pairedSystems builds two identically seeded small-world systems,
+// each with its own fleet of fleetN workers when fleetN > 0. Tests
+// ask the first through its caches and the second with AskNoCache.
+func pairedSystems(t *testing.T, seed uint64, fleetN int) (cached, fresh *arachnet.System) {
 	t.Helper()
 	build := func() *arachnet.System {
-		sys, err := arachnet.New(arachnet.WithSmallWorld(seed))
+		opts := []arachnet.Option{arachnet.WithSmallWorld(seed)}
+		if fleetN > 0 {
+			opts = append(opts, arachnet.WithFleet(fleetN))
+		}
+		sys, err := arachnet.New(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if f := sys.Fleet(); f != nil {
+			t.Cleanup(f.Close)
+		}
 		return sys
 	}
-	compiled, interpreted = build(), build()
-	interpreted.SetCompiledPlans(false)
-	return compiled, interpreted
+	return build(), build()
 }
 
-// TestCompiledMatchesInterpreted is the byte-identity acceptance
-// gate: the same sequence of asks (cold, warm, post-injection, with
-// curation promoting composites along the way) must produce
-// byte-identical reports whether plans are replayed compiled or
-// interpreted.
-func TestCompiledMatchesInterpreted(t *testing.T) {
+// TestCachedMatchesFresh is the cached ≡ fresh contract: the same
+// sequence of asks (cold, warm, post-injection, re-planned after each
+// epoch bump, with curation promoting composites along the way) must
+// produce identical values, outputs and quality checks whether served
+// from the plan and step caches or computed with AskNoCache. Cached
+// flags and provenance legitimately differ and are not compared.
+func TestCachedMatchesFresh(t *testing.T) {
 	const (
 		cs1 = "Identify the impact at a country level due to SeaMeWe-5 cable failure"
 		cs4 = "A sudden increase in latency was observed from European probes to Asian destinations starting three days ago. Determine if a submarine cable failure caused this, and if so, identify the specific cable."
 	)
-	comp, interp := pairedSystems(t, 42)
-
 	type action struct {
 		label  string
 		query  string // "" means inject the scenario instead
@@ -58,37 +64,59 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		{label: "cold cs4 post-injection", query: cs4},
 		{label: "warm cs4", query: cs4},
 		{label: "cs1 replanned after epoch bump", query: cs1},
+		{label: "inject second scenario", inject: 6},
+		{label: "cs4 after second injection", query: cs4},
+		{label: "cs1 after second injection", query: cs1},
 	}
-	for _, a := range script {
-		if a.query == "" {
-			sc := arachnet.ScenarioConfig{Seed: a.inject}
-			if err := comp.Environment().InjectCableFailureScenario(sc); err != nil {
-				t.Fatal(err)
+	for _, fleetN := range []int{0, 4} {
+		t.Run(fmt.Sprintf("fleet=%d", fleetN), func(t *testing.T) {
+			cached, fresh := pairedSystems(t, 42, fleetN)
+			for _, a := range script {
+				if a.query == "" {
+					sc := arachnet.ScenarioConfig{Seed: a.inject}
+					for _, sys := range []*arachnet.System{cached, fresh} {
+						if err := sys.Environment().InjectCableFailureScenario(sc); err != nil {
+							t.Fatal(err)
+						}
+					}
+					continue
+				}
+				repC, err := cached.Ask(ctx, a.query)
+				if err != nil {
+					t.Fatalf("%s (cached): %v", a.label, err)
+				}
+				repF, err := fresh.Ask(ctx, a.query, arachnet.AskNoCache())
+				if err != nil {
+					t.Fatalf("%s (fresh): %v", a.label, err)
+				}
+				jc, jf := answerJSON(t, repC), answerJSON(t, repF)
+				if string(jc) != string(jf) {
+					t.Errorf("%s: cached and fresh answers differ:\ncached: %s\nfresh:  %s", a.label, jc, jf)
+				}
 			}
-			if err := interp.Environment().InjectCableFailureScenario(sc); err != nil {
-				t.Fatal(err)
+			// Both systems walked the same history, so curation must have
+			// promoted identically — the registries stayed in lockstep.
+			if cg, fg := cached.Registry().Generation(), fresh.Registry().Generation(); cg != fg {
+				t.Errorf("registry generations diverged: cached %d, fresh %d", cg, fg)
 			}
-			continue
-		}
-		repC, err := comp.Ask(ctx, a.query)
-		if err != nil {
-			t.Fatalf("%s (compiled): %v", a.label, err)
-		}
-		repI, err := interp.Ask(ctx, a.query)
-		if err != nil {
-			t.Fatalf("%s (interpreted): %v", a.label, err)
-		}
-		jc, ji := normalizedReport(t, repC), normalizedReport(t, repI)
-		if string(jc) != string(ji) {
-			t.Errorf("%s: compiled and interpreted reports differ:\ncompiled:    %s\ninterpreted: %s",
-				a.label, jc, ji)
-		}
+		})
 	}
-	// Both systems walked the same history, so curation must have
-	// promoted identically — the registries stayed in lockstep.
-	if cg, ig := comp.Registry().Generation(), interp.Registry().Generation(); cg != ig {
-		t.Errorf("registry generations diverged: compiled %d, interpreted %d", cg, ig)
+}
+
+// answerJSON renders the parts of a report that must not depend on
+// how it was served: every produced value, the declared outputs and
+// the quality-check outcomes.
+func answerJSON(t *testing.T, rep *arachnet.Report) []byte {
+	t.Helper()
+	data, err := json.Marshal(struct {
+		Values  map[string]any
+		Outputs map[string]any
+		Checks  any
+	}{rep.Result.Values, rep.Result.Outputs, rep.Result.Checks})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return data
 }
 
 // TestCompiledConcurrentHammer drives concurrent asks through the
@@ -155,8 +183,8 @@ func TestCompiledConcurrentHammer(t *testing.T) {
 
 // TestWarmAskAllocCeiling pins the allocation budget of a fully warm
 // compiled Ask: plan compiled and memoized, every step a cache hit.
-// The interpreted path re-validates, re-resolves and re-hashes the
-// whole plan per ask; the compiled path must stay under a budget an
+// Compiling re-validates, re-resolves and re-hashes the whole plan; a
+// warm replay of the cached compiled plan must stay under a budget an
 // order of magnitude below that. The ceiling carries ~2x headroom
 // over the measured cost so it catches regressions, not jitter.
 func TestWarmAskAllocCeiling(t *testing.T) {
@@ -181,17 +209,76 @@ func TestWarmAskAllocCeiling(t *testing.T) {
 	}
 }
 
-// allocsPerAsk measures mean heap allocations per warm Ask. The
-// pipeline runs steps on worker goroutines, so this uses a
+// TestServedAskAllocCeilings pins the warm allocation budgets of the
+// other two serving paths: an Ask carrying a no-op AskObserver, which
+// builds and delivers every stage and step event inline, and
+// Submit+Wait, the path HTTP /v1/ask serves through. Both replay on
+// the same memoized engine as a plain warm Ask. Each ceiling carries
+// ~2x headroom over the measured cost.
+func TestServedAskAllocCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is unreliable under -short (race) runs")
+	}
+	const query = "Identify the impact at a country level due to SeaMeWe-5 cable failure"
+	sys, err := arachnet.New(arachnet.WithSmallWorld(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	nop := arachnet.AskObserver(arachnet.ObserverFunc(func(arachnet.Event) error { return nil }))
+	cases := []struct {
+		name    string
+		ceiling float64
+		op      func() error
+	}{
+		{"observed Ask", 85, func() error {
+			_, err := sys.Ask(ctx, query, arachnet.AskWithoutCuration(), nop)
+			return err
+		}},
+		{"Submit+Wait", 115, func() error {
+			j, err := sys.Submit(ctx, query, arachnet.AskWithoutCuration())
+			if err != nil {
+				return err
+			}
+			_, err = j.Wait(ctx)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		for i := 0; i < 3; i++ { // compile, memoize, warm every step cache
+			if err := c.op(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		avg := allocsPerOp(t, 100, c.op)
+		t.Logf("warm %s: %.0f allocs/op", c.name, avg)
+		if avg > c.ceiling {
+			t.Errorf("warm %s allocates %.0f/op, budget %.0f", c.name, avg, c.ceiling)
+		}
+	}
+}
+
+// allocsPerAsk measures mean heap allocations per warm curation-free
+// Ask.
+func allocsPerAsk(t *testing.T, sys *arachnet.System, query string, runs int) float64 {
+	t.Helper()
+	return allocsPerOp(t, runs, func() error {
+		_, err := sys.Ask(ctx, query, arachnet.AskWithoutCuration())
+		return err
+	})
+}
+
+// allocsPerOp measures mean heap allocations per call of op. The
+// pipeline runs steps (and jobs) on other goroutines, so this uses a
 // whole-process Mallocs delta (like ReadMemStats-based benchmarks)
 // rather than testing.AllocsPerRun's current-goroutine accounting.
-func allocsPerAsk(t *testing.T, sys *arachnet.System, query string, runs int) float64 {
+func allocsPerOp(t *testing.T, runs int, op func() error) float64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if _, err := sys.Ask(ctx, query, arachnet.AskWithoutCuration()); err != nil {
+		if err := op(); err != nil {
 			t.Fatal(err)
 		}
 	}

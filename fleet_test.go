@@ -187,7 +187,8 @@ func TestFleetFullRegistryMatchesInline(t *testing.T) {
 // archive's probes by source country and its Merge replays the
 // coordinator archive's measurement order over the gathered partials.
 // The scattered CS4 forensic report must match inline execution
-// exactly.
+// exactly, and so must no-cache asks before and after a second
+// injection, with no worker cache hit.
 func TestFleetArchiveWindowMatchesInline(t *testing.T) {
 	const seed = 42
 	const query = "A sudden increase in latency was observed from European probes to Asian destinations starting three days ago. Determine if a submarine cable failure caused this, and if so, identify the specific cable."
@@ -247,6 +248,42 @@ func TestFleetArchiveWindowMatchesInline(t *testing.T) {
 	if len(rep0.Result.Steps) != len(rep4.Result.Steps) {
 		t.Errorf("step count differs: inline %d, fleet %d",
 			len(rep0.Result.Steps), len(rep4.Result.Steps))
+	}
+
+	// A no-cache ask must compute afresh on the workers too: before and
+	// after a second scenario injection, no worker may serve a cached
+	// partial and the fleet's values must match inline execution.
+	workerHits := func() (n uint64) {
+		for _, sh := range sys4.Fleet().Stats().Shards {
+			n += sh.CacheHits
+		}
+		return n
+	}
+	hitsBefore := workerHits()
+	for _, inject := range []bool{false, true} {
+		if inject {
+			for _, sys := range []*arachnet.System{sys0, sys4} {
+				if err := sys.Environment().InjectCableFailureScenario(arachnet.ScenarioConfig{Seed: 6}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var vals [2][]byte
+		for i, sys := range []*arachnet.System{sys0, sys4} {
+			rep, err := sys.Ask(ctx, query, arachnet.AskWithoutCuration(), arachnet.AskNoCache())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vals[i], err = json.Marshal(rep.Result.Values); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if string(vals[0]) != string(vals[1]) {
+			t.Errorf("no-cache values differ (second injection %v):\ninline: %s\nfleet:  %s", inject, vals[0], vals[1])
+		}
+	}
+	if hits := workerHits() - hitsBefore; hits != 0 {
+		t.Errorf("no-cache asks served %d worker cache hits", hits)
 	}
 }
 

@@ -171,20 +171,12 @@ type System struct {
 	fleetMu sync.RWMutex
 	fleet   *fleet.Fleet
 
-	// engineSlot caches the last observer-less engine built for the warm
-	// serving path: engines are stateless and safe for concurrent Runs,
-	// so every warm Ask with the same (env fingerprint, fleet,
-	// parallelism) shares one instead of re-assembling options and
-	// closures per call. Calls with observers build their own engine as
-	// before.
+	// engineSlot caches the last memoizing engine: engines are
+	// stateless, safe for concurrent runs and take observers per run,
+	// so every cached run with the same (env fingerprint, fleet,
+	// parallelism) — plain, observed, streamed or submitted — shares
+	// one instead of re-assembling options and closures per call.
 	engineSlot atomic.Pointer[engineSlot]
-
-	// compiledOff disables compiled-plan execution when set (plans still
-	// compile and cache; runs fall back to the interpreted engine). The
-	// zero value — compiled execution on — is the default; the switch
-	// exists for A/B benchmarking and the byte-identity tests. See
-	// SetCompiledPlans.
-	compiledOff atomic.Bool
 }
 
 // engineSlot is one memoized engine and the key it was built under.
@@ -445,42 +437,34 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 	}
 	exCtx, cancelEx := context.WithCancel(ctx)
 	defer cancelEx()
-	f := s.Fleet()
 	var bridge *stepBridge
-	var engine *workflow.Engine
-	switch {
-	case active:
+	var obs workflow.Observer // stays a nil interface when inactive
+	if active {
 		bridge = &stepBridge{em: em, cancel: cancelEx}
-		engineOpts := []workflow.EngineOption{
-			workflow.WithParallelism(cfg.parallelism), workflow.WithObserver(bridge),
-		}
-		if !cfg.noCache {
-			// Facet-scoped cache keys: steps reading only the immutable
-			// world facet keep their fingerprints across scenario
-			// injections, so a standing query's re-run executes only the
-			// scenario-dirty subgraph and replays the rest from cache.
-			engineOpts = append(engineOpts,
-				workflow.WithCache(stepCacheAdapter{s.stepCache}, s.env.Fingerprint()),
-				workflow.WithEnvKeyer(s.facetKeyer))
-		}
-		if f != nil {
-			engineOpts = append(engineOpts, workflow.WithDispatcher(f))
-		}
-		engine = workflow.NewEngine(s.reg, s.env, engineOpts...)
-	case cfg.noCache:
+		obs = bridge
+	}
+	f := s.Fleet()
+	var engine *workflow.Engine
+	if cfg.noCache {
+		// Built per call and uncached: with no step cache the engine
+		// computes no fingerprints, so the fleet's worker caches are
+		// bypassed too and every step executes.
 		engineOpts := []workflow.EngineOption{workflow.WithParallelism(cfg.parallelism)}
 		if f != nil {
 			engineOpts = append(engineOpts, workflow.WithDispatcher(f))
 		}
 		engine = workflow.NewEngine(s.reg, s.env, engineOpts...)
-	default:
+	} else {
 		engine = s.engineFor(cfg.parallelism, f)
 	}
+	if compiled == nil {
+		// Uncached plans, and cached ones whose workflow failed to
+		// compile, compile here; a failure is this stage's error.
+		compiled, err = workflow.Compile(solution.Workflow, s.reg)
+	}
 	var result *workflow.Result
-	if compiled != nil && !s.compiledOff.Load() {
-		result, err = engine.RunCompiled(exCtx, compiled)
-	} else {
-		result, err = engine.Run(exCtx, solution.Workflow)
+	if err == nil {
+		result, err = engine.RunCompiled(exCtx, compiled, obs)
 	}
 	rep.Result = result
 	s.mu.Lock()
@@ -542,11 +526,16 @@ func (s *System) facetKeyer(capb *registry.Capability) string {
 	return s.env.FacetFingerprint(capb.Reads)
 }
 
-// engineFor returns the memoized observer-less engine for the given
-// parallelism and fleet, rebuilding it when the environment
-// fingerprint, fleet, or parallelism changed since the last warm call.
-// Engines are stateless, so concurrent runs may share the cached one;
-// a race here at worst builds one redundant engine.
+// engineFor returns the memoized engine for the given parallelism and
+// fleet, rebuilding it when the environment fingerprint, fleet, or
+// parallelism changed since the last call. Engines are stateless, so
+// concurrent runs may share the cached one; a race here at worst
+// builds one redundant engine.
+//
+// Cache keys are facet-scoped: steps reading only the immutable world
+// facet keep their fingerprints across scenario injections, so a
+// standing query's re-run executes only the scenario-dirty subgraph
+// and replays the rest from cache.
 func (s *System) engineFor(par int, f *fleet.Fleet) *workflow.Engine {
 	fp := s.env.Fingerprint()
 	if sl := s.engineSlot.Load(); sl != nil && sl.envFP == fp && sl.fleet == f && sl.par == par {
@@ -565,16 +554,6 @@ func (s *System) engineFor(par int, f *fleet.Fleet) *workflow.Engine {
 	return eng
 }
 
-// SetCompiledPlans toggles compiled-plan execution (on by default).
-// When off, cached plans still compile and cache their artifacts, but
-// every run takes the interpreted engine path — the A/B seam the
-// byte-identity tests and arachnet-bench's -compiledbench use. Safe
-// to flip concurrently with serving; in-flight runs keep the path
-// they started on.
-func (s *System) SetCompiledPlans(enabled bool) {
-	s.compiledOff.Store(!enabled)
-}
-
 // planEntry is one memoized planning outcome: everything the three
 // planning agents produce for a query against one registry generation
 // and environment, plus the plan compiled from it. Entries are shared
@@ -587,8 +566,8 @@ type planEntry struct {
 	design   *workflowscout.Design
 	solution *solutionweaver.Solution
 	// compiled is the workflow lowered against the registry generation
-	// this entry is keyed by; nil when compilation failed and runs
-	// should take the interpreted path.
+	// this entry is keyed by; nil when compilation failed, in which
+	// case every run recompiles and reports the failure.
 	compiled *workflow.CompiledPlan
 }
 
@@ -760,7 +739,7 @@ func (s *System) plan(ctx context.Context, query string, cfg askConfig, em *emit
 		// shares the plan's invalidation exactly (the key carries the
 		// registry generation and environment fingerprint it resolved
 		// against). A workflow that fails to compile caches with a nil
-		// artifact and keeps taking the interpreted path.
+		// artifact; run recompiles it and fails at StageResult.
 		compiled, _ = workflow.Compile(solution.Workflow, s.reg)
 		pe := &planEntry{
 			query: query, spec: rep.Spec, problem: problem,

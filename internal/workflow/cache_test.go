@@ -265,12 +265,12 @@ func TestCachedStepsNotifyObservers(t *testing.T) {
 	reg := memoRegistry(t, calls)
 	cache := newMapCache()
 	rec := &recordingObserver{}
-	eng := NewEngine(reg, nil, WithCache(cache, "envA"), WithObserver(rec))
+	eng := NewEngine(reg, nil, WithCache(cache, "envA"))
 
-	if _, err := eng.Run(context.Background(), memoWorkflow()); err != nil {
+	if _, err := eng.RunCompiled(context.Background(), mustCompile(t, memoWorkflow(), reg), rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(context.Background(), memoWorkflow()); err != nil {
+	if _, err := eng.RunCompiled(context.Background(), mustCompile(t, memoWorkflow(), reg), rec); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.started) != 4 || len(rec.finished) != 4 {

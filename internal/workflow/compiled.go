@@ -1,11 +1,11 @@
 package workflow
 
-// Plan compilation: the zero-reparse warm path. A cached plan used to
-// be replayed by handing its Workflow back to Engine.Run, which
-// re-validated the DAG, re-resolved every capability, re-derived the
-// dependency graph, and re-hashed every step fingerprint on every
-// warm Ask. Compile does all of that exactly once, when the plan
-// enters the cache, and RunCompiled walks the precomputed schedule:
+// Plan compilation and the engine's scheduler. Compile validates a
+// workflow, resolves every capability, derives the dependency graph
+// and prepares every step fingerprint once; RunCompiled walks the
+// precomputed schedule. Engine.Run is the two in sequence, and a
+// caller that replays one plan (core's plan cache) compiles it once
+// and calls RunCompiled on every replay:
 //
 //   - capability pointers are resolved at compile time (the registry
 //     is immutable per generation, and plan caches key on the
@@ -25,10 +25,6 @@ package workflow
 //     depend on timings are preformatted, so a fully cached replay
 //     allocates near-nothing. (Result, Values, Outputs and StepStats
 //     escape to the caller and are never pooled.)
-//
-// RunCompiled is observationally identical to Run — same scheduling
-// order, same provenance bytes, same cache keys, same error shapes —
-// which the byte-identity tests enforce.
 
 import (
 	"context"
@@ -111,9 +107,12 @@ type fpSeg struct {
 	upstream int
 }
 
-// fpField appends length-prefixed parts exactly as
-// Engine.fingerprints does — the two must stay byte-identical, since
-// step caches (local and per-worker) key on the resulting digests.
+// fpField appends length-prefixed parts to a fingerprint preimage.
+// Each part is length-prefixed so parts containing any byte sequence
+// (literals come from arbitrary user queries) can never forge a field
+// boundary and collide two distinct input sets. The preimage layout is
+// the key format of the local step cache, the worker caches and cache
+// snapshots, so it must not change; a golden-digest test pins it.
 func fpField(b []byte, parts ...string) []byte {
 	for _, p := range parts {
 		b = strconv.AppendInt(b, int64(len(p)), 10)
@@ -190,10 +189,9 @@ func Compile(w *Workflow, reg *registry.Registry) (*CompiledPlan, error) {
 			}
 		}
 
-		// Fingerprint template. The conditions for "not memoizable"
-		// mirror Engine.fingerprints exactly: impure capability,
-		// non-canonicalizable literal, or a non-memoizable upstream —
-		// all decidable at compile time.
+		// Fingerprint template. A step is not memoizable when its
+		// capability is impure, a literal has no canonical form, or an
+		// upstream is not memoizable — all decidable at compile time.
 		if !capb.Pure {
 			continue
 		}
@@ -238,9 +236,6 @@ func Compile(w *Workflow, reg *registry.Registry) (*CompiledPlan, error) {
 	}
 	return cp, nil
 }
-
-// Workflow returns the plan's source workflow.
-func (cp *CompiledPlan) Workflow() *Workflow { return cp.w }
 
 // fingerprintsFor resolves the per-step cache keys against the
 // engine's environment by substituting only the env-key suffix (and
@@ -292,6 +287,13 @@ func (cp *CompiledPlan) fingerprintsFor(e *Engine) []string {
 	return fps
 }
 
+// stepDone is a completed step reported back to the scheduler.
+type stepDone struct {
+	idx  int
+	stat StepStat
+	out  map[string]any
+}
+
 // runScratch is the pooled per-run scheduler state: the working
 // indegree copy and the ready queue. Nothing in it escapes a run.
 type runScratch struct {
@@ -301,13 +303,13 @@ type runScratch struct {
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
-// RunCompiled executes a compiled plan. It is Run minus everything
-// Compile already did: no validation, no registry lookups, no graph
-// derivation, no preimage assembly — just the scheduler loop over the
-// precomputed schedule, with pooled scratch. Semantics (scheduling
-// order, provenance, cache keys, dispatch offers, error shapes) are
-// identical to Run(ctx, cp.Workflow()) and enforced by tests.
-func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, error) {
+// RunCompiled executes a compiled plan, reporting each step to obs
+// (nil means no observer). Ready steps (all Ref dependencies
+// satisfied) execute concurrently up to the engine's parallelism. A
+// step error stops new steps from launching, waits for in-flight ones,
+// and is returned as a *StepError; cancellation of ctx aborts the run
+// the same way with the context's error. Quality checks never abort.
+func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, obs Observer) (*Result, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("workflow: nil compiled plan")
 	}
@@ -336,9 +338,17 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 		Provenance: make([]string, 0, n+len(w.Checks)),
 	}
 
+	// Fingerprints exist only for an engine with a cache: an uncached
+	// run neither reads nor writes any cache, its dispatcher's worker
+	// caches included.
 	var fps []string
-	if (e.cache != nil || e.dispatcher != nil) && cp.memoizable {
+	if e.cache != nil && cp.memoizable {
 		fps = cp.fingerprintsFor(e)
+	}
+	finished := func(stat StepStat) {
+		if obs != nil {
+			obs.StepFinished(stat)
+		}
 	}
 
 	// The done channel is allocated lazily: a fully cached replay
@@ -360,7 +370,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 			if firstErr == nil {
 				firstErr = &StepError{Step: s.ID, Capability: s.Capability, Err: d.stat.Err}
 			}
-			e.stepFinished(d.stat)
+			finished(d.stat)
 			return
 		}
 		var contractErr error
@@ -378,19 +388,19 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 			}
 			notify := d.stat
 			notify.Err = contractErr
-			e.stepFinished(notify)
+			finished(notify)
 			return
 		}
 		if d.stat.Cached {
 			res.Provenance = append(res.Provenance, cs.cachedProv)
 		} else {
-			if e.cache != nil && fps != nil && fps[d.idx] != "" {
+			if fps != nil && fps[d.idx] != "" {
 				e.cache.Put(fps[d.idx], d.out)
 			}
 			res.Provenance = append(res.Provenance,
 				fmt.Sprintf("step %s (%s): ok in %v", s.ID, s.Capability, d.stat.Duration.Round(time.Microsecond)))
 		}
-		e.stepFinished(d.stat)
+		finished(d.stat)
 		for _, j := range cp.dependents[d.idx] {
 			indegree[j]--
 			if indegree[j] == 0 {
@@ -403,14 +413,13 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 		cs := &cp.steps[i]
 		s := cs.step
 		capb := cs.capb
-		for _, o := range e.observers {
-			o.StepStarted(s.ID, s.Capability)
+		if obs != nil {
+			obs.StepStarted(s.ID, s.Capability)
 		}
-		if e.cache != nil && fps != nil && fps[i] != "" {
+		if fps != nil && fps[i] != "" {
 			if out, ok := e.cache.Get(fps[i]); ok {
 				settle(stepDone{
 					idx:  i,
-					capb: capb,
 					stat: StepStat{ID: s.ID, Capability: s.Capability, Cached: true},
 					out:  out,
 				})
@@ -428,14 +437,18 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 		if done == nil {
 			done = make(chan stepDone)
 		}
-		if e.dispatcher != nil && cs.dispatchable {
-			fp := ""
-			if fps != nil {
-				fp = fps[i]
-			}
-			go func() {
-				start := time.Now()
+		dispatch := e.dispatcher != nil && cs.dispatchable
+		fp := ""
+		if fps != nil {
+			fp = fps[i]
+		}
+		go func() {
+			start := time.Now()
+			if dispatch {
 				out, handled, err := func() (out map[string]any, handled bool, err error) {
+					// Dispatch shares the panic containment of local
+					// capability calls: a broken merge or transport must
+					// fail the step, not the process.
 					defer func() {
 						if r := recover(); r != nil {
 							handled, err = true, fmt.Errorf("dispatch panicked: %v", r)
@@ -446,30 +459,17 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 				if handled {
 					done <- stepDone{
 						idx:  i,
-						capb: capb,
 						stat: StepStat{ID: s.ID, Capability: s.Capability, Duration: time.Since(start), Err: err, Remote: true},
 						out:  out,
 					}
 					return
 				}
-				call := &registry.Call{In: in, Out: map[string]any{}, Env: e.env, Ctx: ctx}
-				err = e.safeCall(capb, call)
-				done <- stepDone{
-					idx:  i,
-					capb: capb,
-					stat: StepStat{ID: s.ID, Capability: s.Capability, Duration: time.Since(start), Err: err},
-					out:  call.Out,
-				}
-			}()
-			return
-		}
-		go func() {
+			}
+			// Not dispatchable, or declined: run the capability here.
 			call := &registry.Call{In: in, Out: map[string]any{}, Env: e.env, Ctx: ctx}
-			start := time.Now()
 			err := e.safeCall(capb, call)
 			done <- stepDone{
 				idx:  i,
-				capb: capb,
 				stat: StepStat{ID: s.ID, Capability: s.Capability, Duration: time.Since(start), Err: err},
 				out:  call.Out,
 			}
@@ -510,8 +510,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 		if !ok {
 			status = "FAIL"
 		}
-		// Plain concatenation (one allocation) in place of Sprintf's
-		// boxing; the bytes match Run's formatting exactly.
+		// Plain concatenation: one allocation, no Sprintf boxing.
 		res.Provenance = append(res.Provenance,
 			"check "+chk.Name+" ["+string(chk.Kind)+"]: "+status+" "+note)
 	}

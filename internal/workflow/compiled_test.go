@@ -1,121 +1,41 @@
 package workflow
 
-// Compiled-plan contract: RunCompiled is observationally identical to
-// Run — same outputs, values, step stats, provenance bytes and error
-// shapes — and its precompiled fingerprint templates resolve to the
-// exact digests Engine.fingerprints derives, so the two paths share
-// step caches in both directions. The alloc test pins the point of
-// the whole exercise: a fully cached compiled replay stays within a
-// small constant allocation budget.
+// Compiled-plan contract: fingerprints resolve to a fixed key format,
+// separate environments that share one plan, and a fully cached
+// replay stays within a small constant allocation budget.
 
 import (
 	"context"
-	"regexp"
-	"strings"
+	"encoding/hex"
 	"sync/atomic"
 	"testing"
 
 	"arachnet/internal/registry"
 )
 
-var provDuration = regexp.MustCompile(`in [0-9][^ ]*$`)
-
-// maskProvenance zeroes the variable duration suffix of "ok in 12µs"
-// lines so interpreted and compiled provenance compare byte-equal.
-func maskProvenance(lines []string) []string {
-	out := make([]string, len(lines))
-	for i, l := range lines {
-		out[i] = provDuration.ReplaceAllString(l, "in 0s")
-	}
-	return out
-}
-
-// assertSameResult compares everything deterministic about two
-// results (durations masked).
-func assertSameResult(t *testing.T, a, b *Result) {
-	t.Helper()
-	if len(a.Values) != len(b.Values) {
-		t.Fatalf("values len %d vs %d", len(a.Values), len(b.Values))
-	}
-	for k, v := range a.Values {
-		if bv, ok := b.Values[k]; !ok || bv != v {
-			t.Errorf("value %s: %v vs %v", k, v, bv)
-		}
-	}
-	if len(a.Outputs) != len(b.Outputs) {
-		t.Fatalf("outputs len %d vs %d", len(a.Outputs), len(b.Outputs))
-	}
-	for k, v := range a.Outputs {
-		if b.Outputs[k] != v {
-			t.Errorf("output %s: %v vs %v", k, v, b.Outputs[k])
-		}
-	}
-	if len(a.Steps) != len(b.Steps) {
-		t.Fatalf("steps len %d vs %d", len(a.Steps), len(b.Steps))
-	}
-	for i := range a.Steps {
-		as, bs := a.Steps[i], b.Steps[i]
-		if as.ID != bs.ID || as.Capability != bs.Capability || as.Cached != bs.Cached || as.Remote != bs.Remote {
-			t.Errorf("step %d: %+v vs %+v", i, as, bs)
-		}
-	}
-	if len(a.Checks) != len(b.Checks) {
-		t.Fatalf("checks len %d vs %d", len(a.Checks), len(b.Checks))
-	}
-	for i := range a.Checks {
-		if a.Checks[i] != b.Checks[i] {
-			t.Errorf("check %d: %+v vs %+v", i, a.Checks[i], b.Checks[i])
-		}
-	}
-	ap, bp := maskProvenance(a.Provenance), maskProvenance(b.Provenance)
-	if strings.Join(ap, "\n") != strings.Join(bp, "\n") {
-		t.Errorf("provenance differs:\n%s\n----\n%s", strings.Join(ap, "\n"), strings.Join(bp, "\n"))
-	}
-}
-
-func TestCompiledMatchesRun(t *testing.T) {
-	reg := buildTestRegistry(t)
-	w := pipeline()
-	w.Checks = []QualityCheck{
-		{Name: "n-positive", Kind: CheckSanity, Ref: "dbl.n",
-			Assert: func(v any) (bool, string) { return v.(int) > 0, "n must be positive" }},
-		{Name: "n-small", Kind: CheckConsistency, Ref: "dbl.n",
-			Assert: func(v any) (bool, string) { return v.(int) < 10, "n must be < 10" }},
-	}
-	eng := NewEngine(reg, nil)
-	interp, err := eng.Run(context.Background(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := Compile(w, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := eng.RunCompiled(context.Background(), cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, interp, comp)
-	if comp.Outputs["text"] != "value=42" {
-		t.Errorf("output = %v", comp.Outputs["text"])
-	}
-}
-
-func TestCompiledFingerprintParity(t *testing.T) {
-	calls := map[string]*atomic.Int64{}
-	reg := memoRegistry(t, calls)
+// TestFingerprintGolden pins the step-fingerprint key format. The local
+// step cache, the fleet's worker caches and cache snapshots all key on
+// these digests, so a change to the preimage layout would turn every
+// saved snapshot cold and make workers miss; the expected hex is the
+// digest the format has always produced. Non-memoizable steps (an
+// impure source and its downstream) resolve to "".
+func TestFingerprintGolden(t *testing.T) {
+	reg := memoRegistry(t, map[string]*atomic.Int64{})
 	keyer := func(capb *registry.Capability) string {
 		if capb.Name == "memo.double" {
 			return "facet:double"
 		}
-		return "" // fall back to the engine envFP
+		return "" // fall back to the engine's environment fingerprint
 	}
-
 	cases := []struct {
 		label string
 		wf    *Workflow
+		want  []string
 	}{
-		{"pure chain", memoWorkflow()},
+		{"pure chain", memoWorkflow(), []string{
+			"8a525d810c259f90071a211b1fbcaa359224231469c2cb1e2b9e5f8f35137987",
+			"5e86e9eacbfbefd7dcf91d9989460c101ba74a4d5f00eaac9db9a071be0357b5",
+		}},
 		{"impure upstream", &Workflow{
 			Name: "impure-chain",
 			Steps: []Step{
@@ -123,7 +43,7 @@ func TestCompiledFingerprintParity(t *testing.T) {
 				{ID: "d", Capability: "memo.double", Inputs: map[string]Binding{"n": Ref("i", "n")}},
 			},
 			Outputs: map[string]string{"out": "d.n"},
-		}},
+		}, []string{"", ""}},
 	}
 	for _, tc := range cases {
 		eng := NewEngine(reg, nil, WithCache(newMapCache(), "env-parity"), WithEnvKeyer(keyer))
@@ -131,120 +51,16 @@ func TestCompiledFingerprintParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
-		want := eng.fingerprints(tc.wf, cp.index)
 		got := cp.fingerprintsFor(eng)
-		if len(want) != len(got) {
-			t.Fatalf("%s: fp len %d vs %d", tc.label, len(want), len(got))
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: %d fingerprints, want %d", tc.label, len(got), len(tc.want))
 		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Errorf("%s: step %d fingerprint diverges (interpreted %x vs compiled %x)",
-					tc.label, i, want[i], got[i])
+		for i, want := range tc.want {
+			if h := hex.EncodeToString([]byte(got[i])); h != want {
+				t.Errorf("%s: step %d fingerprint %s, want %s", tc.label, i, h, want)
 			}
 		}
 	}
-}
-
-func TestCompiledCacheInterop(t *testing.T) {
-	ctx := context.Background()
-	// Interpreted run populates the cache; compiled replay must hit it.
-	{
-		calls := map[string]*atomic.Int64{}
-		reg := memoRegistry(t, calls)
-		eng := NewEngine(reg, nil, WithCache(newMapCache(), "envA"))
-		if _, err := eng.Run(ctx, memoWorkflow()); err != nil {
-			t.Fatal(err)
-		}
-		cp, err := Compile(memoWorkflow(), reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.RunCompiled(ctx, cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Outputs["out"] != 43 {
-			t.Fatalf("compiled output = %v", res.Outputs["out"])
-		}
-		for _, name := range []string{"memo.double", "memo.add"} {
-			if n := calls[name].Load(); n != 1 {
-				t.Errorf("%s executed %d times; compiled replay missed the interpreted cache", name, n)
-			}
-		}
-		for _, st := range res.Steps {
-			if !st.Cached {
-				t.Errorf("compiled step %s not served from interpreted cache", st.ID)
-			}
-		}
-	}
-	// Compiled run populates the cache; interpreted replay must hit it.
-	{
-		calls := map[string]*atomic.Int64{}
-		reg := memoRegistry(t, calls)
-		eng := NewEngine(reg, nil, WithCache(newMapCache(), "envA"))
-		cp, err := Compile(memoWorkflow(), reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.RunCompiled(ctx, cp); err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(ctx, memoWorkflow())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range []string{"memo.double", "memo.add"} {
-			if n := calls[name].Load(); n != 1 {
-				t.Errorf("%s executed %d times; interpreted replay missed the compiled cache", name, n)
-			}
-		}
-		for _, st := range res.Steps {
-			if !st.Cached {
-				t.Errorf("interpreted step %s not served from compiled cache", st.ID)
-			}
-		}
-	}
-}
-
-func TestCompiledErrorShapes(t *testing.T) {
-	reg := buildTestRegistry(t)
-	eng := NewEngine(reg, nil)
-	ctx := context.Background()
-
-	cases := []struct {
-		label string
-		wf    *Workflow
-	}{
-		{"step failure", &Workflow{Name: "failing", Steps: []Step{{ID: "f", Capability: "test.fail"}}}},
-		{"contract violation", &Workflow{Name: "bad", Steps: []Step{{ID: "b", Capability: "test.badimpl"}}}},
-	}
-	for _, tc := range cases {
-		_, interpErr := eng.Run(ctx, tc.wf)
-		cp, err := Compile(tc.wf, reg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
-		}
-		_, compErr := eng.RunCompiled(ctx, cp)
-		if interpErr == nil || compErr == nil {
-			t.Fatalf("%s: want errors, got %v / %v", tc.label, interpErr, compErr)
-		}
-		if interpErr.Error() != compErr.Error() {
-			t.Errorf("%s: error text diverges:\n  interpreted: %v\n  compiled:    %v",
-				tc.label, interpErr, compErr)
-		}
-		var se *StepError
-		if !asStepError(compErr, &se) {
-			t.Errorf("%s: compiled error is not a *StepError: %T", tc.label, compErr)
-		}
-	}
-}
-
-func asStepError(err error, target **StepError) bool {
-	se, ok := err.(*StepError)
-	if ok {
-		*target = se
-	}
-	return ok
 }
 
 func TestCompiledEnvFingerprintSeparation(t *testing.T) {
@@ -259,12 +75,12 @@ func TestCompiledEnvFingerprintSeparation(t *testing.T) {
 	engA := NewEngine(reg, nil, WithCache(cache, "envA"))
 	engB := NewEngine(reg, nil, WithCache(cache, "envB"))
 
-	if _, err := engA.RunCompiled(ctx, cp); err != nil {
+	if _, err := engA.RunCompiled(ctx, cp, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Different environment, shared plan and cache: must execute again,
 	// not hit envA's entries.
-	if _, err := engB.RunCompiled(ctx, cp); err != nil {
+	if _, err := engB.RunCompiled(ctx, cp, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := calls["memo.double"].Load(); n != 2 {
@@ -272,7 +88,7 @@ func TestCompiledEnvFingerprintSeparation(t *testing.T) {
 	}
 	// Back to envA: the memoized vector was displaced by envB, but the
 	// recomputed digests must still hit envA's cache entries.
-	res, err := engA.RunCompiled(ctx, cp)
+	res, err := engA.RunCompiled(ctx, cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +119,11 @@ func TestCompiledWarmReplayAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := eng.RunCompiled(ctx, cp); err != nil {
+	if _, err := eng.RunCompiled(ctx, cp, nil); err != nil {
 		t.Fatal(err) // populates the cache; replays below are fully warm
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if _, err := eng.RunCompiled(ctx, cp); err != nil {
+		if _, err := eng.RunCompiled(ctx, cp, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -260,8 +260,8 @@ func TestObserverSeesEveryStep(t *testing.T) {
 	var g gauge
 	reg := slowRegistry(t, &g, time.Millisecond)
 	obs := &recordingObserver{}
-	eng := NewEngine(reg, nil, WithParallelism(2), WithObserver(obs))
-	if _, err := eng.Run(context.Background(), diamond()); err != nil {
+	eng := NewEngine(reg, nil, WithParallelism(2))
+	if _, err := eng.RunCompiled(context.Background(), mustCompile(t, diamond(), reg), obs); err != nil {
 		t.Fatal(err)
 	}
 	if len(obs.started) != 3 || len(obs.finished) != 3 {
@@ -280,7 +280,7 @@ func TestObserverSeesFailure(t *testing.T) {
 	reg := buildTestRegistry(t)
 	obs := &recordingObserver{}
 	w := &Workflow{Name: "failing", Steps: []Step{{ID: "f", Capability: "test.fail"}}}
-	_, err := NewEngine(reg, nil, WithObserver(obs)).Run(context.Background(), w)
+	_, err := NewEngine(reg, nil).RunCompiled(context.Background(), mustCompile(t, w, reg), obs)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -300,7 +300,7 @@ func TestObserverSeesContractViolation(t *testing.T) {
 	})
 	obs := &recordingObserver{}
 	w := &Workflow{Name: "hollow", Steps: []Step{{ID: "h", Capability: "t.hollow"}}}
-	_, err := NewEngine(r, nil, WithObserver(obs)).Run(context.Background(), w)
+	_, err := NewEngine(r, nil).RunCompiled(context.Background(), mustCompile(t, w, r), obs)
 	var se *StepError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %T, want *StepError", err)
@@ -321,12 +321,14 @@ func TestObserverCancelAbortsRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	obs := &recordingObserver{}
-	eng := NewEngine(reg, nil, WithParallelism(1),
-		WithObserver(obs),
-		WithObserver(funcObserver{onFinished: func(stat StepStat) {
+	eng := NewEngine(reg, nil, WithParallelism(1))
+	_, err := eng.RunCompiled(ctx, mustCompile(t, diamond(), reg), funcObserver{
+		onStarted: obs.StepStarted,
+		onFinished: func(stat StepStat) {
+			obs.StepFinished(stat)
 			cancel()
-		}}))
-	_, err := eng.Run(ctx, diamond())
+		},
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -337,6 +339,17 @@ func TestObserverCancelAbortsRun(t *testing.T) {
 			t.Error("dependent step started after observer cancellation")
 		}
 	}
+}
+
+// mustCompile compiles w against reg for tests that run with an
+// observer, which RunCompiled takes per run.
+func mustCompile(t *testing.T, w *Workflow, reg *registry.Registry) *CompiledPlan {
+	t.Helper()
+	cp, err := Compile(w, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
 }
 
 // funcObserver adapts closures for single-purpose observer tests.
