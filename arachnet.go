@@ -23,7 +23,8 @@
 //   - AskStream(ctx, query, ...AskOption) returns <-chan Event
 //     immediately; consume events until the channel closes after Done.
 //   - Submit(ctx, query, ...AskOption) enqueues an async Job on a
-//     bounded queue served by a worker pool; track it with Job.Events
+//     bounded queue; the job runs on its own goroutine once a
+//     Scheduler grants it a run slot. Track it with Job.Events
 //     (replayable), Job.Wait, Job.Cancel and sys.Jobs.
 //
 // Per-call options (AskExpert, AskObserver, AskWithoutCuration,
@@ -67,8 +68,11 @@
 // For serving over the network, cmd/arachnet-serve exposes the same
 // pipeline as a multi-tenant HTTP/JSON + SSE service (package
 // internal/serve): each tenant gets its own registry view and cache
-// quotas, and all tenants compete for one worker pool through a shared
-// weighted-fair Scheduler (System.SetScheduler).
+// quotas, and all tenants compete for one set of run slots through a
+// shared weighted-fair Scheduler (System.SetScheduler). An attached
+// System's Asks take a slot too and run on their caller's goroutine,
+// so synchronous asks, jobs and standing-query re-runs share one
+// admission control without every ask becoming a job.
 //
 // Quickstart:
 //
@@ -182,8 +186,9 @@ type (
 	FleetWireStats = fleet.WireStats
 	// JobSummary is a serialization-friendly snapshot of one Job.
 	JobSummary = core.JobSummary
-	// Scheduler is a weighted-fair job queue plus its worker pool;
-	// share one across Systems via System.SetScheduler for
+	// Scheduler is a weighted-fair admission queue that grants a fixed
+	// number of run slots to asks and jobs, which run on their own
+	// goroutines; share one across Systems via System.SetScheduler for
 	// multi-tenant serving (see internal/serve and cmd/arachnet-serve
 	// for the HTTP tier built on it).
 	Scheduler = core.Scheduler
@@ -249,9 +254,10 @@ const (
 )
 
 // NewScheduler builds a shared weighted-fair scheduler with the given
-// worker-pool size and global queue depth (non-positive values mean
-// GOMAXPROCS workers and depth 128). Attach Systems to it with
-// System.SetScheduler(sched, class) before their first Submit.
+// number of run slots (how many runs may go at once) and global queue
+// depth (non-positive values mean GOMAXPROCS slots and depth 128).
+// Attach Systems to it with System.SetScheduler(sched, class) before
+// their first Submit.
 func NewScheduler(workers, depth int) *Scheduler { return core.NewScheduler(workers, depth) }
 
 // Default cache bounds applied by New; see System.SetCacheLimits. A
@@ -320,13 +326,17 @@ const (
 
 // Async serving errors.
 var (
-	// ErrJobQueueFull is returned by Submit when the bounded job queue
-	// has no room.
+	// ErrJobQueueFull is returned by Submit, and by Ask on a System
+	// attached to a shared Scheduler, when the bounded queue has no
+	// room.
 	ErrJobQueueFull = core.ErrJobQueueFull
-	// ErrJobsStarted is returned by SetJobLimits after the first
-	// Submit has started the worker pool.
+	// ErrJobsStarted is returned by SetJobLimits and SetScheduler once
+	// the System's job scheduler is fixed: after the first Submit, or
+	// after a SetScheduler.
 	ErrJobsStarted = core.ErrJobsStarted
-	// ErrJobsClosed is returned by Submit after System.Close.
+	// ErrJobsClosed is returned by Submit — and by Ask on a System
+	// attached to a shared Scheduler — after System.Close or
+	// Scheduler.Close.
 	ErrJobsClosed = core.ErrJobsClosed
 )
 

@@ -59,7 +59,7 @@ func main() {
 		world        = flag.String("world", "full", "world size: full|small")
 		seed         = flag.Uint64("seed", 42, "world seed")
 		scenario     = flag.Bool("scenario", false, "inject a cable-failure measurement scenario (enables cascade/forensic queries)")
-		workers      = flag.Int("workers", 0, "scheduler worker pool size (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "scheduler run slots: how many asks, jobs and subscription re-runs may run at once across all tenants (0 = GOMAXPROCS)")
 		depth        = flag.Int("depth", 0, "global job queue depth (0 = default 128)")
 		timeout      = flag.Duration("timeout", 2*time.Minute, "default per-request pipeline timeout (0 = unbounded)")
 		maxTimeout   = flag.Duration("max-timeout", 10*time.Minute, "cap on client-requested timeouts (0 = uncapped)")

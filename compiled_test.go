@@ -210,11 +210,13 @@ func TestWarmAskAllocCeiling(t *testing.T) {
 }
 
 // TestServedAskAllocCeilings pins the warm allocation budgets of the
-// other two serving paths: an Ask carrying a no-op AskObserver, which
-// builds and delivers every stage and step event inline, and
-// Submit+Wait, the path HTTP /v1/ask serves through. Both replay on
-// the same memoized engine as a plain warm Ask. Each ceiling carries
-// ~2x headroom over the measured cost.
+// other serving paths: an Ask carrying a no-op AskObserver, which
+// builds and delivers every stage and step event inline; an Ask on a
+// System attached to a shared Scheduler, which takes a run slot around
+// the pipeline — the path HTTP /v1/ask serves through; and
+// Submit+Wait, the path of HTTP POST /v1/jobs. All replay on the same
+// memoized engine as a plain warm Ask. Each ceiling carries ~2x
+// headroom over the measured cost.
 func TestServedAskAllocCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is unreliable under -short (race) runs")
@@ -225,6 +227,14 @@ func TestServedAskAllocCeilings(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
+	admitted, err := arachnet.New(arachnet.WithSmallWorld(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(admitted.Close)
+	if err := admitted.SetScheduler(arachnet.NewScheduler(0, 0), "tenant"); err != nil {
+		t.Fatal(err)
+	}
 	nop := arachnet.AskObserver(arachnet.ObserverFunc(func(arachnet.Event) error { return nil }))
 	cases := []struct {
 		name    string
@@ -233,6 +243,10 @@ func TestServedAskAllocCeilings(t *testing.T) {
 	}{
 		{"observed Ask", 85, func() error {
 			_, err := sys.Ask(ctx, query, arachnet.AskWithoutCuration(), nop)
+			return err
+		}},
+		{"scheduler-attached Ask", 45, func() error {
+			_, err := admitted.Ask(ctx, query, arachnet.AskWithoutCuration())
 			return err
 		}},
 		{"Submit+Wait", 115, func() error {

@@ -1,9 +1,10 @@
 // Streaming and async serving: the same pipeline consumed two ways.
 // First AskStream turns one query into a live feed of typed events —
 // stages, steps, promotions — ending with Done. Then the job queue
-// turns the System into a server: Submit returns immediately, jobs run
-// on a worker pool, and each one is watched (Events), awaited (Wait)
-// or cancelled (Cancel) independently.
+// turns the System into a server: Submit returns immediately, each job
+// runs on its own goroutine once the scheduler grants it a run slot,
+// and each one is watched (Events), awaited (Wait) or cancelled
+// (Cancel) independently.
 package main
 
 import (
@@ -48,8 +49,8 @@ func main() {
 	}
 
 	// 2. Many queries, asynchronously: Submit never blocks on the
-	// pipeline; the worker pool drains the queue while we do other
-	// work, then each Wait collects one result.
+	// pipeline; the jobs run as slots free while we do other work,
+	// then each Wait collects one result.
 	fmt.Println("\n── async job queue ──")
 	queries := []string{
 		"Identify the impact of severe earthquakes and hurricanes globally assuming a 10% infra failure probability",

@@ -9,14 +9,17 @@ import (
 
 // Async serving errors (see jobs.go).
 var (
-	// ErrJobQueueFull is returned by Submit when the bounded job queue
-	// has no room; callers should shed load or retry later.
+	// ErrJobQueueFull is returned by Submit, and by Ask on a System
+	// attached to a shared Scheduler, when the bounded queue has no
+	// room; callers should shed load or retry later.
 	ErrJobQueueFull = errors.New("arachnet: job queue full")
-	// ErrJobsStarted is returned by SetJobLimits after the worker pool
-	// has already started (first Submit wins).
+	// ErrJobsStarted is returned by SetJobLimits and SetScheduler once
+	// the System's job scheduler is fixed (the first Submit, or a
+	// SetScheduler, wins).
 	ErrJobsStarted = errors.New("arachnet: job workers already started")
-	// ErrJobsClosed is returned by Submit after Close shut the job
-	// subsystem down.
+	// ErrJobsClosed is returned by Submit — and by Ask on a System
+	// attached to a shared Scheduler — once Close shut the job
+	// subsystem down or the Scheduler was closed.
 	ErrJobsClosed = errors.New("arachnet: job subsystem closed")
 )
 

@@ -1,12 +1,13 @@
 // Async serving: a bounded-queue job subsystem that turns one System
-// into a long-lived server. Submit enqueues a query and returns a Job
-// immediately; a lazily-started worker pool (owned by a Scheduler, see
-// scheduler.go) drains the queue through the same event-emitting
+// into a long-lived server. Submit admits a query to a Scheduler (see
+// scheduler.go) and returns a Job immediately; the job's own goroutine
+// waits for a run slot and then drives the same event-emitting
 // pipeline that backs Ask and AskStream. Jobs are tracked (Jobs),
 // observable (Events), awaitable (Wait) and cancellable (Cancel) —
 // queued or mid-run. By default each System gets a private single-class
-// scheduler (plain bounded FIFO); SetScheduler attaches a shared
-// weighted-fair one instead, the seam the multi-tenant HTTP tier uses.
+// scheduler for its jobs (plain bounded FIFO); SetScheduler attaches a
+// shared weighted-fair one instead, the seam the multi-tenant HTTP tier
+// uses, and then synchronous Asks take their slots from it too.
 package core
 
 import (
@@ -21,9 +22,9 @@ import (
 type JobState string
 
 const (
-	// JobQueued: accepted, waiting for a worker.
+	// JobQueued: accepted, waiting for a run slot.
 	JobQueued JobState = "queued"
-	// JobRunning: a worker is executing the pipeline.
+	// JobRunning: the job holds a slot and is executing the pipeline.
 	JobRunning JobState = "running"
 	// JobDone: finished — successfully or with an error (see Wait).
 	JobDone JobState = "done"
@@ -35,13 +36,17 @@ const (
 func (st JobState) terminal() bool { return st == JobDone || st == JobCancelled }
 
 const (
-	// defaultJobQueueDepth bounds how many jobs may wait for a worker
-	// before Submit starts refusing with ErrJobQueueFull.
+	// defaultJobQueueDepth bounds how many runs may wait for a slot
+	// before admission starts refusing with ErrJobQueueFull.
 	defaultJobQueueDepth = 128
 	// maxRetainedJobs bounds how many finished jobs Jobs() remembers;
 	// older finished jobs are pruned so a long-lived server's job
 	// table stays flat. In-flight jobs are never pruned.
 	maxRetainedJobs = 1024
+	// jobSlack delays pruning until the table overshoots
+	// maxRetainedJobs by this much, so the in-place trim runs once per
+	// jobSlack submissions instead of on every one.
+	jobSlack = 128
 )
 
 // Job is one asynchronously-served query. All methods are safe for
@@ -50,12 +55,12 @@ type Job struct {
 	id    uint64
 	query string
 	opts  []AskOption
-	// sys is the System that submitted the job: scheduler workers run
-	// each job on its own System, so a shared pool serves many isolated
-	// registries and caches. class is the scheduling class the System
-	// was attached under (empty for a private scheduler).
-	sys   *System
+	// class is the scheduling class the System was attached under
+	// (empty for a private scheduler); claim is the job's place in the
+	// scheduler's queue, then its run slot.
 	class string
+	sched *Scheduler
+	claim *claim
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -140,16 +145,16 @@ func (j *Job) Wait(ctx context.Context) (*Report, error) {
 	}
 }
 
-// Cancel stops the job: a queued job completes immediately with
-// context.Canceled and never runs; a running job has its pipeline
-// cancelled mid-flight. Cancel is idempotent and a no-op on finished
-// jobs.
+// Cancel stops the job: a queued job leaves the scheduler's queue and
+// completes immediately with context.Canceled, never running; a running
+// job has its pipeline cancelled mid-flight. Cancel is idempotent and a
+// no-op on finished jobs.
 func (j *Job) Cancel() {
 	j.mu.Lock()
 	if j.state == JobQueued {
+		j.sched.abandon(j.claim)
 		j.cancelled = true
-		j.events = append(j.events, j.jobDoneEvent())
-		j.finishLocked(nil, context.Canceled)
+		j.finishQueuedLocked(context.Canceled)
 		j.mu.Unlock()
 		j.cancel()
 		return
@@ -235,13 +240,7 @@ func (j *Job) record(ev Event) {
 	j.mu.Unlock()
 }
 
-// finish moves the job to its terminal state.
-func (j *Job) finish(rep *Report, err error) {
-	j.mu.Lock()
-	j.finishLocked(rep, err)
-	j.mu.Unlock()
-}
-
+// finishLocked moves the job to its terminal state.
 func (j *Job) finishLocked(rep *Report, err error) {
 	if j.state.terminal() {
 		return
@@ -279,12 +278,12 @@ type jobTable struct {
 	jobs    []*Job
 }
 
-// SetJobLimits configures the private async serving pool: workers is
-// the number of concurrent pipeline runs, depth the bound of the
-// waiting queue. Non-positive values keep the defaults (GOMAXPROCS
-// workers, depth 128). It must be called before the first Submit (and
-// is mutually exclusive with SetScheduler — a shared scheduler brings
-// its own pool); afterwards it fails with ErrJobsStarted.
+// SetJobLimits configures the private job scheduler: workers is the
+// number of concurrent pipeline runs, depth the bound of the waiting
+// queue. Non-positive values keep the defaults (GOMAXPROCS runs, depth
+// 128). It must be called before the first Submit (and is mutually
+// exclusive with SetScheduler — a shared scheduler brings its own
+// slots); afterwards it fails with ErrJobsStarted.
 func (s *System) SetJobLimits(workers, depth int) error {
 	s.jobs.mu.Lock()
 	defer s.jobs.mu.Unlock()
@@ -297,12 +296,13 @@ func (s *System) SetJobLimits(workers, depth int) error {
 }
 
 // SetScheduler attaches the System to a shared Scheduler under the
-// given scheduling class: subsequent Submits compete for the shared
-// worker pool according to the class's weight and bounds, while the
-// System keeps its own registry, caches and job table — the isolation
-// seam the multi-tenant serving tier builds on. It must be called
-// before the first Submit; afterwards (or after a previous attach) it
-// fails with ErrJobsStarted.
+// given scheduling class: subsequent Submits, Asks (and so AskBatches)
+// and subscription re-runs compete for the shared run slots according
+// to the class's weight and bounds, while the System keeps its own
+// registry, caches and job table — the isolation seam the multi-tenant
+// serving tier builds on. It must be called before the first Submit;
+// afterwards (or after a previous attach) it fails with
+// ErrJobsStarted.
 func (s *System) SetScheduler(sc *Scheduler, class string) error {
 	if sc == nil {
 		return fmt.Errorf("core: nil scheduler")
@@ -318,12 +318,12 @@ func (s *System) SetScheduler(sc *Scheduler, class string) error {
 }
 
 // Submit enqueues a query for asynchronous execution and returns its
-// Job immediately. The first Submit starts the worker pool. If the
-// bounded queue (global depth, or the System's class bound on a shared
-// scheduler) is full, Submit fails fast with ErrJobQueueFull rather
-// than blocking the caller — shed load or retry later. Cancelling ctx
-// cancels the job, queued or running; per-call AskOptions apply when
-// the job runs.
+// Job immediately; the job runs on its own goroutine once the
+// scheduler grants it a slot. If the bounded queue (global depth, or
+// the System's class bound on a shared scheduler) is full, Submit fails
+// fast with ErrJobQueueFull rather than blocking the caller — shed load
+// or retry later. Cancelling ctx cancels the job, queued or running;
+// per-call AskOptions apply when the job runs.
 func (s *System) Submit(ctx context.Context, query string, opts ...AskOption) (*Job, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -332,7 +332,6 @@ func (s *System) Submit(ctx context.Context, query string, opts ...AskOption) (*
 	j := &Job{
 		query:  query,
 		opts:   opts,
-		sys:    s,
 		ctx:    jctx,
 		cancel: cancel,
 		state:  JobQueued,
@@ -347,17 +346,19 @@ func (s *System) Submit(ctx context.Context, query string, opts ...AskOption) (*
 		return nil, ErrJobsClosed
 	}
 	s.ensureSchedulerLocked()
-	j.class = s.jobs.class
-	if err := s.jobs.sched.enqueue(j); err != nil {
+	cl, err := s.jobs.sched.admit(s.jobs.class)
+	if err != nil {
 		s.jobs.mu.Unlock()
 		cancel()
 		return nil, err
 	}
+	j.class, j.sched, j.claim = s.jobs.class, s.jobs.sched, cl
 	s.jobs.nextID++
 	j.id = s.jobs.nextID
 	s.jobs.jobs = append(s.jobs.jobs, j)
 	s.pruneJobsLocked()
 	s.jobs.mu.Unlock()
+	go s.serveJob(j)
 	return j, nil
 }
 
@@ -366,12 +367,13 @@ func (s *System) Submit(ctx context.Context, query string, opts ...AskOption) (*
 // or running — complete normally (use Cancel to abort them), and every
 // live subscription is closed (its streams end with a terminal
 // SubscriptionClosed event). A private scheduler is closed with the
-// System (its workers exit once the queue drains); a shared scheduler
-// attached with SetScheduler is left running for its other Systems.
-// Close is idempotent, safe to call concurrently with Submit (the
+// System; a shared scheduler attached with SetScheduler is left
+// running for its other Systems, but this System's Asks (and so its
+// AskBatches) now fail with ErrJobsClosed as Submit does. Close is
+// idempotent, safe to call concurrently with Submit and Ask (the
 // shutdown path races them by design), waits only for subscription
-// loops (not in-flight jobs), and leaves the blocking surfaces (Ask,
-// AskStream, AskBatch) untouched.
+// loops (not in-flight jobs or asks), and leaves AskStream and the
+// Asks of a System without a shared scheduler untouched.
 func (s *System) Close() {
 	s.jobs.mu.Lock()
 	if s.jobs.closed {
@@ -389,13 +391,41 @@ func (s *System) Close() {
 }
 
 // Jobs returns a snapshot of tracked jobs in submission order: every
-// queued and running job, plus up to maxRetainedJobs finished ones.
+// queued and running job, plus the most recent finished ones — at
+// least maxRetainedJobs of them, at most jobSlack more.
 func (s *System) Jobs() []*Job {
 	s.jobs.mu.Lock()
 	defer s.jobs.mu.Unlock()
 	out := make([]*Job, len(s.jobs.jobs))
 	copy(out, s.jobs.jobs)
 	return out
+}
+
+// takeSlot admits a synchronous run on the shared scheduler the
+// System is attached to and waits for its slot. It fails as Submit
+// does — ErrJobQueueFull, or ErrJobsClosed after Close — or with ctx's
+// error if ctx ends while the run is queued. A System without
+// SetScheduler runs unadmitted: takeSlot returns a nil claim.
+func (s *System) takeSlot(ctx context.Context) (*Scheduler, *claim, error) {
+	s.jobs.mu.Lock()
+	sc := s.jobs.sched
+	if sc == nil || s.jobs.private {
+		s.jobs.mu.Unlock()
+		return nil, nil, nil
+	}
+	if s.jobs.closed {
+		s.jobs.mu.Unlock()
+		return nil, nil, ErrJobsClosed
+	}
+	cl, err := sc.admit(s.jobs.class)
+	s.jobs.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := sc.wait(ctx, cl); err != nil {
+		return nil, nil, err
+	}
+	return sc, cl, nil
 }
 
 // ensureSchedulerLocked creates the System's private scheduler on
@@ -409,16 +439,18 @@ func (s *System) ensureSchedulerLocked() {
 	s.jobs.private = true
 }
 
-// pruneJobsLocked drops the oldest finished jobs beyond the retention
-// bound and releases their contexts. In-flight jobs always survive:
-// their combined count is bounded by queue depth + workers, which is
-// far below maxRetainedJobs under the defaults.
+// pruneJobsLocked drops the oldest finished jobs once the table
+// overshoots the retention bound by jobSlack, trimming it back to
+// maxRetainedJobs in place and releasing the pruned jobs' contexts.
+// In-flight jobs always survive: their combined count is bounded by
+// queue depth + run slots, which is far below maxRetainedJobs under
+// the defaults.
 func (s *System) pruneJobsLocked() {
-	excess := len(s.jobs.jobs) - maxRetainedJobs
-	if excess <= 0 {
+	if len(s.jobs.jobs) <= maxRetainedJobs+jobSlack {
 		return
 	}
-	kept := make([]*Job, 0, len(s.jobs.jobs)-excess)
+	excess := len(s.jobs.jobs) - maxRetainedJobs
+	kept := s.jobs.jobs[:0]
 	for _, j := range s.jobs.jobs {
 		if excess > 0 && j.State().terminal() {
 			j.cancel()
@@ -427,15 +459,27 @@ func (s *System) pruneJobsLocked() {
 		}
 		kept = append(kept, j)
 	}
+	clear(s.jobs.jobs[len(kept):])
 	s.jobs.jobs = kept
 }
 
-// serveJob runs one dequeued job through the shared event-emitting
-// pipeline with the job's event log as the sink. Scheduler workers
-// call it on the job's own System.
+// serveJob is a submitted job's goroutine: it waits for the job's run
+// slot, then drives the shared event-emitting pipeline on the job's
+// own System with the job's event log as the sink.
 func (s *System) serveJob(j *Job) {
+	if err := j.sched.wait(j.ctx, j.claim); err != nil {
+		// The context ended while the job was queued; wait gave up
+		// its claim. Job.Cancel may already have finished the job.
+		j.mu.Lock()
+		if j.state == JobQueued {
+			j.finishQueuedLocked(err)
+		}
+		j.mu.Unlock()
+		j.cancel()
+		return
+	}
 	j.mu.Lock()
-	if j.state != JobQueued { // cancelled while waiting
+	if j.state != JobQueued { // cancelled as it was granted; Cancel freed the slot
 		j.mu.Unlock()
 		return
 	}
@@ -446,7 +490,13 @@ func (s *System) serveJob(j *Job) {
 	em := &emitter{query: j.query, observers: cfg.observers, sink: j.record}
 	rep, err := s.run(j.ctx, j.query, cfg, em)
 	em.emit(&Done{Report: rep, Err: err})
-	j.finish(rep, err)
+	// Free the slot before the job turns terminal, so it is free by
+	// the time Wait returns; doing both under the job's lock keeps a
+	// returned Drain from observing the job still running.
+	j.mu.Lock()
+	j.sched.release(j.claim)
+	j.finishLocked(rep, err)
+	j.mu.Unlock()
 	// Release the job's context now that the run is over: this
 	// unchains it from the Submit parent (no accumulation under a
 	// long-lived server ctx) and starts the grace clock for any
@@ -454,10 +504,12 @@ func (s *System) serveJob(j *Job) {
 	j.cancel()
 }
 
-// jobDoneEvent synthesizes the terminal event for jobs cancelled while
-// queued, so Events subscribers of a never-run job still observe Done.
-func (j *Job) jobDoneEvent() *Done {
-	ev := &Done{Err: context.Canceled}
+// finishQueuedLocked ends a job that never ran with err, recording a
+// synthesized terminal event so Events subscribers of a never-run job
+// still observe Done.
+func (j *Job) finishQueuedLocked(err error) {
+	ev := &Done{Err: err}
 	ev.Query, ev.Time = j.query, time.Now()
-	return ev
+	j.events = append(j.events, ev)
+	j.finishLocked(nil, err)
 }

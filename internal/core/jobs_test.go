@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -223,6 +224,67 @@ func TestSubmitQueueFull(t *testing.T) {
 		if _, err := j.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+func TestJobTableRetention(t *testing.T) {
+	// Past the retention bound the table trims its oldest finished jobs
+	// in batches: an in-flight job survives however old it is, the
+	// table keeps submission order, and it never grows beyond
+	// maxRetainedJobs+jobSlack.
+	env := testEnv(t, false)
+	sys, err := NewSystem(env, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetJobLimits(2, 8); err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	closeGate := sync.OnceFunc(func() { close(gate) })
+	defer closeGate()
+	hold := AskObserver(ObserverFunc(func(Event) error {
+		<-gate
+		return nil
+	}))
+	pinned, err := sys.Submit(ctx, queryCS1, hold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitState(t, pinned, JobRunning)
+	const n = maxRetainedJobs + jobSlack // with the pinned job, one past the bound
+	var last *Job
+	for i := 0; i < n; i++ {
+		j, err := sys.Submit(ctx, queryCS1, AskWithoutCuration())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(sys.Jobs()); got > maxRetainedJobs+jobSlack {
+			t.Fatalf("job table holds %d jobs, bound %d", got, maxRetainedJobs+jobSlack)
+		}
+		last = j
+	}
+	jobs := sys.Jobs()
+	if len(jobs) != maxRetainedJobs {
+		t.Errorf("after the trim the table holds %d jobs, want %d", len(jobs), maxRetainedJobs)
+	}
+	if jobs[0] != pinned {
+		t.Errorf("oldest tracked job is %d, want the in-flight job %d", jobs[0].ID(), pinned.ID())
+	}
+	if jobs[len(jobs)-1] != last {
+		t.Errorf("newest tracked job is %d, want %d", jobs[len(jobs)-1].ID(), last.ID())
+	}
+	for i := 1; i < len(jobs); i++ {
+		if jobs[i].ID() <= jobs[i-1].ID() {
+			t.Fatalf("job table out of submission order at %d: %d after %d", i, jobs[i].ID(), jobs[i-1].ID())
+		}
+	}
+	closeGate()
+	if _, err := pinned.Wait(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,28 +1,33 @@
-// Job scheduling: the fairness seam between Submit and the worker
-// pool. A Scheduler owns the bounded queue and the workers that drain
-// it; every System routes its async jobs through one. A System that
-// never calls SetScheduler gets a private single-class scheduler whose
+// Job scheduling: the fairness seam every admission-controlled run
+// passes. A Scheduler owns a bounded queue of claims and a fixed number
+// of run slots; it grants slots to callers rather than running work
+// itself, so each run executes on the goroutine that asked for it —
+// a synchronous Ask on its caller's, a submitted Job on the one
+// goroutine Submit starts for it. A System that never calls
+// SetScheduler gets a private single-class scheduler for its jobs whose
 // behavior is exactly the historical FIFO queue, while a serving tier
 // can share one Scheduler across many Systems (one per tenant) to get
-// weighted-fair dequeue, per-class concurrency caps and per-class
+// weighted-fair grants, per-class concurrency caps and per-class
 // admission control — the multi-tenant story the HTTP tier builds on.
 //
 // Fairness is stride scheduling: each class carries a virtual "pass";
-// dequeue picks the runnable class with the lowest pass and advances it
-// by stride/weight, so over time classes receive worker bandwidth
-// proportional to their weights regardless of how bursty their arrival
-// patterns are. A class at its MaxRunning cap simply stops being
-// runnable — its pass freezes, so it loses no credit while capped.
+// a freed slot goes to the runnable class with the lowest pass, which
+// then advances by stride/weight, so over time classes receive run
+// slots in proportion to their weights regardless of how bursty their
+// arrival patterns are. A class at its MaxRunning cap simply stops
+// being runnable — its pass freezes, so it loses no credit while
+// capped.
 package core
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 )
 
-// strideScale is the numerator of a class's per-dequeue pass advance
+// strideScale is the numerator of a class's per-grant pass advance
 // (stride = strideScale / weight). Any large constant works; a power of
 // two keeps float64 arithmetic exact for small weights.
 const strideScale = 1 << 16
@@ -30,15 +35,15 @@ const strideScale = 1 << 16
 // ClassConfig bounds and weights one scheduling class (in the serving
 // tier: one tenant).
 type ClassConfig struct {
-	// Weight is the class's share of dequeue bandwidth relative to the
-	// other classes (default 1; non-positive values mean 1).
+	// Weight is the class's share of run slots relative to the other
+	// classes (default 1; non-positive values mean 1).
 	Weight int `json:"weight,omitempty"`
-	// MaxQueued bounds how many jobs of this class may wait for a
-	// worker; beyond it Submit sheds with ErrJobQueueFull. Zero means
+	// MaxQueued bounds how many runs of this class may wait for a
+	// slot; beyond it admission sheds with ErrJobQueueFull. Zero means
 	// bounded only by the scheduler's global depth.
 	MaxQueued int `json:"max_queued,omitempty"`
-	// MaxRunning caps how many jobs of this class run concurrently.
-	// Zero means bounded only by the worker pool.
+	// MaxRunning caps how many runs of this class go at once. Zero
+	// means bounded only by the scheduler's slots.
 	MaxRunning int `json:"max_running,omitempty"`
 }
 
@@ -65,12 +70,33 @@ type ClassStats struct {
 type QueueStats struct {
 	Queued  int `json:"queued"`
 	Running int `json:"running"`
+	// Workers is the number of run slots: how many runs may go at once.
 	Workers int `json:"workers"`
 	Depth   int `json:"depth"`
-	// Shed counts jobs refused for any reason (global depth or a
+	// Shed counts runs refused for any reason (global depth or a
 	// per-class bound) since construction.
 	Shed    int64                 `json:"shed"`
 	Classes map[string]ClassStats `json:"classes,omitempty"`
+}
+
+// claimState is where a claim is in its life; every transition happens
+// under Scheduler.mu.
+type claimState uint8
+
+const (
+	claimQueued  claimState = iota // waiting in its class FIFO
+	claimGranted                   // holds a run slot
+	claimSettled                   // withdrawn from the queue, or its slot released
+)
+
+// claim is one caller's request for a run slot.
+type claim struct {
+	class *schedClass
+	state claimState
+	// ready is made by a waiter that finds the claim still queued and
+	// closed on grant, so a claim granted at admission never allocates
+	// it.
+	ready chan struct{}
 }
 
 // schedClass is one class's queue state. The fifo is a slice with a
@@ -78,7 +104,7 @@ type QueueStats struct {
 type schedClass struct {
 	name    string
 	cfg     ClassConfig
-	fifo    []*Job
+	fifo    []*claim
 	head    int
 	pass    float64
 	running int
@@ -88,38 +114,47 @@ type schedClass struct {
 
 func (c *schedClass) queued() int { return len(c.fifo) - c.head }
 
-func (c *schedClass) push(j *Job) { c.fifo = append(c.fifo, j) }
+func (c *schedClass) push(cl *claim) { c.fifo = append(c.fifo, cl) }
 
-func (c *schedClass) pop() *Job {
-	j := c.fifo[c.head]
+func (c *schedClass) pop() *claim {
+	cl := c.fifo[c.head]
 	c.fifo[c.head] = nil
 	c.head++
 	if c.head > 64 && c.head*2 >= len(c.fifo) {
 		c.fifo = append(c.fifo[:0], c.fifo[c.head:]...)
 		c.head = 0
 	}
-	return j
+	return cl
 }
 
-// runnable reports whether the class has a job a worker may take now.
+// remove takes a queued claim out of the FIFO, keeping the others in
+// arrival order.
+func (c *schedClass) remove(cl *claim) {
+	if i := slices.Index(c.fifo[c.head:], cl); i >= 0 {
+		c.fifo = slices.Delete(c.fifo, c.head+i, c.head+i+1)
+	}
+}
+
+// runnable reports whether the class has a claim that may take a slot
+// now.
 func (c *schedClass) runnable() bool {
 	return c.queued() > 0 && (c.cfg.MaxRunning <= 0 || c.running < c.cfg.MaxRunning)
 }
 
-// Scheduler is a weighted-fair job queue plus the worker pool that
-// drains it. All methods are safe for concurrent use. The worker pool
-// starts lazily on the first enqueued job and exits after Close once
-// the queue is empty; already-accepted jobs always run (cancel them
-// individually to abort). One Scheduler may be shared by many Systems
-// via System.SetScheduler — each job runs on the System that submitted
-// it, so tenants keep their own registries and caches while competing
-// for one pool.
+// Scheduler is a weighted-fair admission queue over a fixed number of
+// run slots. All methods are safe for concurrent use. A caller admits a
+// claim, waits for its grant, runs on its own goroutine and releases
+// the slot; a freed slot goes to the next claim in stride order. After
+// Close, admission fails but already-admitted claims are still granted
+// as slots free (cancel a run individually to abort it). One Scheduler
+// may be shared by many Systems via System.SetScheduler — each run
+// executes on the System that admitted it, so tenants keep their own
+// registries and caches while competing for one set of slots.
 type Scheduler struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    *sync.Cond // signals Drain when queued+running falls
 	workers int
 	depth   int
-	started bool
 	closed  bool
 	classes map[string]*schedClass
 	queued  int
@@ -128,9 +163,9 @@ type Scheduler struct {
 	shed    int64
 }
 
-// NewScheduler builds a scheduler with the given worker-pool size and
-// global queue depth. Non-positive values take the defaults (GOMAXPROCS
-// workers, depth 128).
+// NewScheduler builds a scheduler with the given number of run slots
+// (workers: how many runs may go at once) and global queue depth.
+// Non-positive values take the defaults (GOMAXPROCS slots, depth 128).
 func NewScheduler(workers, depth int) *Scheduler {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -151,7 +186,7 @@ func (sc *Scheduler) SetClass(name string, cfg ClassConfig) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.classLocked(name).cfg = cfg
-	sc.cond.Broadcast()
+	sc.grantLocked()
 }
 
 func (sc *Scheduler) classLocked(name string) *schedClass {
@@ -163,58 +198,57 @@ func (sc *Scheduler) classLocked(name string) *schedClass {
 	return c
 }
 
-// enqueue admits one job or sheds it. Shedding is ErrJobQueueFull for
-// both the global depth and a per-class MaxQueued bound; a closed
-// scheduler refuses with ErrJobsClosed.
-func (sc *Scheduler) enqueue(j *Job) error {
+// admit queues a claim for a run slot under class, granting it at once
+// if a slot is free and stride order picks it, or sheds it. Shedding is
+// ErrJobQueueFull for both the global depth and a per-class MaxQueued
+// bound; a closed scheduler refuses with ErrJobsClosed.
+func (sc *Scheduler) admit(class string) (*claim, error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if sc.closed {
-		return ErrJobsClosed
+		return nil, ErrJobsClosed
 	}
 	if sc.queued >= sc.depth {
 		sc.shed++
-		return fmt.Errorf("%w (depth %d)", ErrJobQueueFull, sc.depth)
+		return nil, fmt.Errorf("%w (depth %d)", ErrJobQueueFull, sc.depth)
 	}
-	c := sc.classLocked(j.class)
+	c := sc.classLocked(class)
 	if c.cfg.MaxQueued > 0 && c.queued() >= c.cfg.MaxQueued {
 		c.shed++
 		sc.shed++
-		return fmt.Errorf("%w (class %q at %d queued)", ErrJobQueueFull, j.class, c.queued())
+		return nil, fmt.Errorf("%w (class %q at %d queued)", ErrJobQueueFull, class, c.queued())
 	}
 	// A class that was idle re-joins at the current virtual time so it
 	// cannot burn banked credit to starve the others.
 	if c.queued() == 0 && c.pass < sc.vtime {
 		c.pass = sc.vtime
 	}
-	c.push(j)
+	cl := &claim{class: c}
+	c.push(cl)
 	sc.queued++
-	sc.ensureStartedLocked()
-	sc.cond.Signal()
-	return nil
+	sc.grantLocked()
+	return cl, nil
 }
 
-// next blocks until a job is runnable (returning it) or the scheduler
-// is closed and drained (returning false).
-func (sc *Scheduler) next() (*Job, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	for {
-		if c := sc.pickLocked(); c != nil {
-			j := c.pop()
-			sc.queued--
-			c.running++
-			sc.running++
-			if c.pass > sc.vtime {
-				sc.vtime = c.pass
-			}
-			c.pass += strideScale / float64(c.cfg.weight())
-			return j, true
+// grantLocked hands free slots to queued claims in stride order.
+func (sc *Scheduler) grantLocked() {
+	for sc.queued > 0 && sc.running < sc.workers {
+		c := sc.pickLocked()
+		if c == nil {
+			return
 		}
-		if sc.closed && sc.queued == 0 {
-			return nil, false
+		cl := c.pop()
+		sc.queued--
+		c.running++
+		sc.running++
+		if c.pass > sc.vtime {
+			sc.vtime = c.pass
 		}
-		sc.cond.Wait()
+		c.pass += strideScale / float64(c.cfg.weight())
+		cl.state = claimGranted
+		if cl.ready != nil {
+			close(cl.ready)
+		}
 	}
 }
 
@@ -233,59 +267,81 @@ func (sc *Scheduler) pickLocked() *schedClass {
 	return best
 }
 
-// release returns a finished job's concurrency slot and wakes workers
-// capped on the class as well as Drain waiters.
-func (sc *Scheduler) release(j *Job) {
+// wait blocks until the claim holds a slot (nil) or ctx ends first, in
+// which case the claim gives up its place — or a slot granted in the
+// meantime — and wait returns ctx's error.
+func (sc *Scheduler) wait(ctx context.Context, cl *claim) error {
 	sc.mu.Lock()
-	if c, ok := sc.classes[j.class]; ok {
-		c.running--
-		c.served++
+	switch cl.state {
+	case claimGranted:
+		sc.mu.Unlock()
+		return nil
+	case claimSettled:
+		sc.mu.Unlock()
+		return context.Canceled
 	}
-	sc.running--
-	sc.cond.Broadcast()
+	if cl.ready == nil {
+		cl.ready = make(chan struct{})
+	}
+	ready := cl.ready
+	sc.mu.Unlock()
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	select {
+	case <-ready:
+		return nil
+	case <-ctx.Done():
+		sc.abandon(cl)
+		return ctx.Err()
+	}
+}
+
+// abandon settles a claim its caller will not run: a queued claim
+// leaves the queue, a granted one frees its slot for the next claim.
+// Abandoning a settled claim is a no-op.
+func (sc *Scheduler) abandon(cl *claim) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	switch cl.state {
+	case claimQueued:
+		cl.class.remove(cl)
+		sc.queued--
+		cl.state = claimSettled
+		sc.cond.Broadcast()
+	case claimGranted:
+		sc.releaseLocked(cl)
+	}
+}
+
+// release returns a granted claim's slot after its run and grants the
+// next claim.
+func (sc *Scheduler) release(cl *claim) {
+	sc.mu.Lock()
+	sc.releaseLocked(cl)
 	sc.mu.Unlock()
 }
 
-// ensureStartedLocked launches the worker pool once.
-func (sc *Scheduler) ensureStartedLocked() {
-	if sc.started {
-		return
-	}
-	sc.started = true
-	for i := 0; i < sc.workers; i++ {
-		go sc.worker()
-	}
-}
-
-// worker drains the scheduler until it is closed and empty. Each job
-// runs on the System that submitted it, so a shared pool serves many
-// isolated Systems.
-func (sc *Scheduler) worker() {
-	for {
-		j, ok := sc.next()
-		if !ok {
-			return
-		}
-		j.sys.serveJob(j)
-		sc.release(j)
-	}
-}
-
-// Close stops admission: subsequent enqueues fail with ErrJobsClosed
-// and workers exit once the queue drains. Already-accepted jobs —
-// queued or running — complete normally. Close is idempotent and
-// returns without waiting; pair it with Drain for a graceful stop.
-func (sc *Scheduler) Close() {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.closed {
-		return
-	}
-	sc.closed = true
+func (sc *Scheduler) releaseLocked(cl *claim) {
+	cl.state = claimSettled
+	cl.class.running--
+	cl.class.served++
+	sc.running--
+	sc.grantLocked()
 	sc.cond.Broadcast()
 }
 
-// Drain blocks until no job is queued or running, or ctx is done. It
+// Close stops admission: subsequent claims fail with ErrJobsClosed.
+// Already-admitted claims — queued or running — are still granted and
+// complete normally. Close is idempotent and returns without waiting;
+// pair it with Drain for a graceful stop.
+func (sc *Scheduler) Close() {
+	sc.mu.Lock()
+	sc.closed = true
+	sc.mu.Unlock()
+}
+
+// Drain blocks until no run is queued or running, or ctx is done. It
 // does not itself stop admission — close the submitting Systems (or the
 // Scheduler) first, then Drain, for the shutdown sequence a server
 // wants: refuse new work, finish accepted work, exit.

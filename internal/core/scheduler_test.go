@@ -24,8 +24,8 @@ func schedSystem(t testing.TB, sched *Scheduler, class string, gate <-chan struc
 }
 
 // doneRecorder returns an AskOption that appends tag to order when the
-// run's terminal Done event fires. With a single worker, completion
-// order is dequeue order.
+// run's terminal Done event fires. With a single slot, completion order
+// is grant order.
 func doneRecorder(mu *sync.Mutex, order *[]string, tag string) AskOption {
 	return AskObserver(ObserverFunc(func(ev Event) error {
 		if _, ok := ev.(*Done); ok {
@@ -37,62 +37,97 @@ func doneRecorder(mu *sync.Mutex, order *[]string, tag string) AskOption {
 	}))
 }
 
+// awaitQueued polls until class has n runs waiting for a slot.
+func awaitQueued(t testing.TB, sched *Scheduler, class string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if sched.Stats().Classes[class].Queued == n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("class %q never reached %d queued (now %d)", class, n, sched.Stats().Classes[class].Queued)
+}
+
 func TestSchedulerWeightedFairOrder(t *testing.T) {
-	// One worker, two classes at weight 2:1. A plug job pins the worker
+	// One slot, two classes at weight 2:1. A plug job pins the slot
 	// while a backlog accumulates in both classes; once released, stride
-	// scheduling must interleave dequeues 2:1. Weights of 1 and 2 keep
+	// scheduling must interleave grants 2:1. Weights of 1 and 2 keep
 	// every pass value an exact float, so the order is fully
-	// deterministic (ties break by class name).
-	gate := make(chan struct{})
-	sched := NewScheduler(1, 32)
-	sched.SetClass("a", ClassConfig{Weight: 2})
-	sched.SetClass("b", ClassConfig{Weight: 1})
-	sysA := schedSystem(t, sched, "a", gate)
-	sysB := schedSystem(t, sched, "b", gate)
+	// deterministic (ties break by class name). Class b's backlog is
+	// either submitted jobs or synchronous Asks, each waiting on its own
+	// goroutine: both take their slots from the same queue.
+	for _, tc := range []struct {
+		name  string
+		syncB bool
+	}{{"submitted", false}, {"synchronous", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			sched := NewScheduler(1, 32)
+			sched.SetClass("a", ClassConfig{Weight: 2})
+			sched.SetClass("b", ClassConfig{Weight: 1})
+			sysA := schedSystem(t, sched, "a", gate)
+			sysB := schedSystem(t, sched, "b", gate)
 
-	plug, err := sysA.Submit(ctx, queryCS1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitState(t, plug, JobRunning)
+			plug, err := sysA.Submit(ctx, queryCS1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			awaitState(t, plug, JobRunning)
 
-	var mu sync.Mutex
-	var order []string
-	var jobs []*Job
-	for i := 0; i < 6; i++ {
-		j, err := sysA.Submit(ctx, queryCS1, doneRecorder(&mu, &order, "a"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-	for i := 0; i < 3; i++ {
-		j, err := sysB.Submit(ctx, queryCS1, doneRecorder(&mu, &order, "b"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-	close(gate)
-	if _, err := plug.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		if _, err := j.Wait(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mu.Lock()
-	got := strings.Join(order, "")
-	mu.Unlock()
-	// After the plug advanced a's pass by one stride, b starts behind
-	// and the 2:1 cadence repeats exactly.
-	if want := "baabaabaa"; got != want {
-		t.Errorf("dequeue order = %q, want %q", got, want)
-	}
-	st := sched.Stats()
-	if st.Classes["a"].Served != 7 || st.Classes["b"].Served != 3 {
-		t.Errorf("served a=%d b=%d, want 7/3", st.Classes["a"].Served, st.Classes["b"].Served)
+			var mu sync.Mutex
+			var order []string
+			var jobs []*Job
+			for i := 0; i < 6; i++ {
+				j, err := sysA.Submit(ctx, queryCS1, doneRecorder(&mu, &order, "a"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs = append(jobs, j)
+			}
+			var asks sync.WaitGroup
+			for i := 0; i < 3; i++ {
+				if !tc.syncB {
+					j, err := sysB.Submit(ctx, queryCS1, doneRecorder(&mu, &order, "b"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					jobs = append(jobs, j)
+					continue
+				}
+				asks.Add(1)
+				go func() {
+					defer asks.Done()
+					if _, err := sysB.Ask(ctx, queryCS1, doneRecorder(&mu, &order, "b")); err != nil {
+						t.Error(err)
+					}
+				}()
+				awaitQueued(t, sched, "b", i+1)
+			}
+			close(gate)
+			if _, err := plug.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range jobs {
+				if _, err := j.Wait(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			asks.Wait()
+			mu.Lock()
+			got := strings.Join(order, "")
+			mu.Unlock()
+			// After the plug advanced a's pass by one stride, b starts
+			// behind and the 2:1 cadence repeats exactly.
+			if want := "baabaabaa"; got != want {
+				t.Errorf("grant order = %q, want %q", got, want)
+			}
+			st := sched.Stats()
+			if st.Classes["a"].Served != 7 || st.Classes["b"].Served != 3 {
+				t.Errorf("served a=%d b=%d, want 7/3", st.Classes["a"].Served, st.Classes["b"].Served)
+			}
+		})
 	}
 }
 
@@ -139,33 +174,162 @@ func TestSchedulerMaxRunningCap(t *testing.T) {
 }
 
 func TestSchedulerPerClassQueueBound(t *testing.T) {
-	gate := make(chan struct{})
-	defer close(gate)
-	sched := NewScheduler(1, 32)
-	sched.SetClass("small", ClassConfig{MaxQueued: 1})
-	small := schedSystem(t, sched, "small", gate)
-	other := schedSystem(t, sched, "other", gate)
+	// With the single slot pinned, class "small" may queue one job.
+	// When that waiter is cancelled instead, it must give its place
+	// back: nothing stays queued and the next Submit is admitted in
+	// its stead.
+	for _, tc := range []struct {
+		name         string
+		cancelWaiter bool
+	}{{"waiter kept", false}, {"waiter cancelled", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			defer close(gate)
+			sched := NewScheduler(1, 32)
+			sched.SetClass("small", ClassConfig{MaxQueued: 1})
+			small := schedSystem(t, sched, "small", gate)
+			other := schedSystem(t, sched, "other", gate)
 
-	plug, err := small.Submit(ctx, queryCS1)
+			plug, err := small.Submit(ctx, queryCS1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			awaitState(t, plug, JobRunning)
+			waiter, err := small.Submit(ctx, queryCS1)
+			if err != nil {
+				t.Fatalf("first waiter within MaxQueued refused: %v", err)
+			}
+			if tc.cancelWaiter {
+				waiter.Cancel()
+				if _, err := waiter.Wait(ctx); !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled waiter: err = %v, want context.Canceled", err)
+				}
+				if st := sched.Stats(); st.Queued != 0 {
+					t.Fatalf("queued = %d after the waiter was cancelled, want 0", st.Queued)
+				}
+				if _, err := small.Submit(ctx, queryCS1); err != nil {
+					t.Fatalf("Submit after cancelling the queued waiter: %v", err)
+				}
+			}
+			if _, err := small.Submit(ctx, queryCS1); !errors.Is(err, ErrJobQueueFull) {
+				t.Fatalf("err = %v, want ErrJobQueueFull past the class bound", err)
+			}
+			// The bound is per class: the other class still has the whole
+			// global depth available.
+			if _, err := other.Submit(ctx, queryCS1); err != nil {
+				t.Fatalf("other class refused by small's bound: %v", err)
+			}
+			st := sched.Stats()
+			if st.Shed != 1 || st.Classes["small"].Shed != 1 || st.Classes["other"].Shed != 0 {
+				t.Errorf("shed global=%d small=%d other=%d, want 1/1/0",
+					st.Shed, st.Classes["small"].Shed, st.Classes["other"].Shed)
+			}
+		})
+	}
+}
+
+func TestSchedulerSyncAskCancelledWhileQueued(t *testing.T) {
+	// A synchronous Ask waiting for the only slot gives its place back
+	// when its context ends: it returns context.Canceled, nothing stays
+	// queued, and a following Drain returns once the plug finishes.
+	gate := make(chan struct{})
+	sched := NewScheduler(1, 8)
+	sys := schedSystem(t, sched, "t", gate)
+
+	plug, err := sys.Submit(ctx, queryCS1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	awaitState(t, plug, JobRunning)
-	if _, err := small.Submit(ctx, queryCS1); err != nil {
-		t.Fatalf("first waiter within MaxQueued refused: %v", err)
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := sys.Ask(actx, queryCS1)
+		errc <- err
+	}()
+	awaitQueued(t, sched, "t", 1)
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("queued Ask: err = %v, want context.Canceled", err)
 	}
-	if _, err := small.Submit(ctx, queryCS1); !errors.Is(err, ErrJobQueueFull) {
-		t.Fatalf("err = %v, want ErrJobQueueFull past the class bound", err)
+	if st := sched.Stats(); st.Queued != 0 {
+		t.Errorf("queued = %d after the waiting Ask was cancelled, want 0", st.Queued)
 	}
-	// The bound is per class: the other class still has the whole
-	// global depth available.
-	if _, err := other.Submit(ctx, queryCS1); err != nil {
-		t.Fatalf("other class refused by small's bound: %v", err)
+
+	close(gate)
+	dctx, dcancel := context.WithTimeout(ctx, 30*time.Second)
+	defer dcancel()
+	if err := sched.Drain(dctx); err != nil {
+		t.Fatalf("Drain: %v", err)
 	}
-	st := sched.Stats()
-	if st.Shed != 1 || st.Classes["small"].Shed != 1 || st.Classes["other"].Shed != 0 {
-		t.Errorf("shed global=%d small=%d other=%d, want 1/1/0",
-			st.Shed, st.Classes["small"].Shed, st.Classes["other"].Shed)
+	if _, err := plug.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSchedulerConcurrentAdmission(t *testing.T) {
+	// Synchronous Asks, submitted jobs and cancellations race for two
+	// slots from several goroutines; every run either completes, is
+	// shed or is cancelled, and the scheduler ends empty. Run with
+	// -race.
+	open := make(chan struct{})
+	close(open)
+	sched := NewScheduler(2, 4)
+	sched.SetClass("a", ClassConfig{Weight: 2, MaxRunning: 1})
+	sysA := schedSystem(t, sched, "a", open)
+	sysB := schedSystem(t, sched, "b", open)
+	tolerated := func(err error) bool {
+		return err == nil || errors.Is(err, ErrJobQueueFull) ||
+			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		sys := sysA
+		if g%2 == 1 {
+			sys = sysB
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				switch i % 3 {
+				case 0:
+					if _, err := sys.Ask(ctx, queryCS1); !tolerated(err) {
+						t.Errorf("Ask: %v", err)
+					}
+				case 1:
+					actx, cancel := context.WithTimeout(ctx, time.Duration(i)*50*time.Microsecond)
+					if _, err := sys.Ask(actx, queryCS1); !tolerated(err) {
+						t.Errorf("Ask with deadline: %v", err)
+					}
+					cancel()
+				case 2:
+					j, err := sys.Submit(ctx, queryCS1)
+					if err != nil {
+						if !tolerated(err) {
+							t.Errorf("Submit: %v", err)
+						}
+						continue
+					}
+					if g < 2 {
+						j.Cancel()
+					}
+					if _, err := j.Wait(ctx); !tolerated(err) {
+						t.Errorf("job: %v", err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	if err := sched.Drain(dctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if st := sched.Stats(); st.Queued != 0 || st.Running != 0 {
+		t.Errorf("post-drain stats queued=%d running=%d", st.Queued, st.Running)
 	}
 }
 

@@ -149,8 +149,8 @@ type System struct {
 	// (guarded by mu); a pass with nothing new is skipped.
 	curatedThrough int
 
-	// jobs is the async serving subsystem (see jobs.go); its worker
-	// pool starts lazily on the first Submit.
+	// jobs is the async serving subsystem (see jobs.go) and the
+	// scheduler admission-controlled runs take their slots from.
 	jobs jobTable
 
 	// subs indexes live standing queries (see subscribe.go).
@@ -331,7 +331,22 @@ type Report struct {
 // backs AskStream and Submit — observers registered with AskObserver
 // (including expert review) fire inline; no channel or goroutine is
 // involved, so a plain Ask pays no event-delivery overhead.
+//
+// On a System attached to a shared Scheduler (SetScheduler), Ask first
+// takes a run slot under the System's class and runs on the calling
+// goroutine while it holds it, so synchronous callers compete under
+// the same admission control and weighted-fair order as submitted
+// jobs. Admission fails as Submit does — ErrJobQueueFull when the
+// queue is full, ErrJobsClosed after Close — and an Ask whose ctx ends
+// while it waits returns ctx's error; all three return a nil Report.
 func (s *System) Ask(ctx context.Context, query string, opts ...AskOption) (*Report, error) {
+	sc, cl, err := s.takeSlot(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if cl != nil {
+		defer sc.release(cl)
+	}
 	cfg := newAskConfig(opts)
 	em := &emitter{query: query, observers: cfg.observers}
 	rep, err := s.run(ctx, query, cfg, em)
@@ -401,7 +416,7 @@ func (s *System) AskStream(ctx context.Context, query string, opts ...AskOption)
 }
 
 // run is the single pipeline implementation behind Ask, AskStream and
-// the job workers. It emits events through em as stages and steps
+// submitted jobs. It emits events through em as stages and steps
 // progress; an observer veto (non-nil error from emit) aborts the run
 // as a *PipelineError at the vetoed stage. The terminal Done event is
 // emitted by the caller, which knows how the run is being served.
@@ -759,7 +774,9 @@ func (s *System) plan(ctx context.Context, query string, cfg askConfig, em *emit
 // shares the same *Report, so observers fire once per distinct query.
 // Reports align with queries by index; failed queries leave their
 // partial report in place and their *PipelineError joined into the
-// returned error.
+// returned error. On a System attached to a shared Scheduler each run
+// takes a slot as any Ask does, so a shed query's error is
+// ErrJobQueueFull.
 func (s *System) AskBatch(ctx context.Context, queries []string, opts ...AskOption) ([]*Report, error) {
 	// Fast path: zero work means zero workers, channels and
 	// allocations beyond the empty (non-nil) result slice.

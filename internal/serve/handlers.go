@@ -146,8 +146,9 @@ func decodeAsk(w http.ResponseWriter, r *http.Request) (askRequest, bool) {
 	return req, true
 }
 
-// submitError maps Submit failures to HTTP. Shed load answers 429 with
-// a Retry-After hint so well-behaved clients back off.
+// submitError maps admission failures (Submit, or Ask on the shared
+// scheduler) to HTTP. Shed load answers 429 with a Retry-After hint so
+// well-behaved clients back off.
 func submitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, core.ErrJobQueueFull):
@@ -169,10 +170,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleAsk serves a synchronous query. It still routes through Submit
-// so synchronous callers compete under the same admission control and
-// weighted-fair scheduling as streaming ones; the handler just waits.
-// Client disconnect cancels the job via the request context.
+// handleAsk serves a synchronous query on the request's goroutine.
+// The tenant System's Ask takes a slot on the shared scheduler, so
+// synchronous callers compete under the same admission control and
+// weighted-fair order as submitted jobs without becoming jobs
+// themselves. Client disconnect cancels the run, queued or mid-flight,
+// through the request context.
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenant(w, r)
 	if !ok {
@@ -182,15 +185,14 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j, err := t.sys.Submit(r.Context(), req.Query, s.askOptions(req)...)
-	if err != nil {
-		submitError(w, err)
+	rep, err := t.sys.Ask(r.Context(), req.Query, s.askOptions(req)...)
+	if r.Context().Err() != nil {
+		// Client gone; the run was cancelled through its context and
+		// nobody is left to read a response.
 		return
 	}
-	rep, err := j.Wait(r.Context())
-	if r.Context().Err() != nil {
-		// Client gone; the job was cancelled through its context and
-		// nobody is left to read a response.
+	if errors.Is(err, core.ErrJobQueueFull) || errors.Is(err, core.ErrJobsClosed) {
+		submitError(w, err)
 		return
 	}
 	if err != nil {
@@ -304,7 +306,9 @@ type tenantStats struct {
 	Registry   int             `json:"registry_size"`
 	Generation uint64          `json:"registry_generation"`
 	Promotions int             `json:"promotions"`
-	Jobs       int             `json:"jobs_tracked"`
+	// Jobs counts tracked POST /v1/jobs submissions; a /v1/ask leaves
+	// no job record.
+	Jobs int `json:"jobs_tracked"`
 }
 
 // handleStats reports queue and cache state. An authenticated (or

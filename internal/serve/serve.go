@@ -20,12 +20,16 @@
 //     another's working set.
 //   - All tenants share one weighted-fair core.Scheduler: per-tenant
 //     weights, queue bounds and concurrency caps give admission
-//     control and fair dequeue instead of FIFO plus global shedding.
-//     Shed requests surface as HTTP 429 with Retry-After.
+//     control and fair grants of run slots instead of FIFO plus global
+//     shedding. Synchronous asks run on their request goroutine while
+//     they hold a slot; jobs and subscription re-runs take theirs from
+//     the same queue. Shed requests surface as HTTP 429 with
+//     Retry-After.
 //
-// Endpoints (see handlers.go): POST /v1/ask (synchronous), POST
-// /v1/jobs + GET /v1/jobs/{id}/events (SSE streaming, replayable),
-// DELETE /v1/jobs/{id} (cancel), GET /v1/jobs, GET /v1/jobs/{id},
+// Endpoints (see handlers.go): POST /v1/ask (synchronous; leaves no
+// job record), POST /v1/jobs + GET /v1/jobs/{id}/events (SSE
+// streaming, replayable), DELETE /v1/jobs/{id} (cancel), GET /v1/jobs
+// (POST /v1/jobs submissions only), GET /v1/jobs/{id},
 // GET /v1/stats, GET /healthz; and for continuous monitoring (see
 // subscriptions.go): POST/GET /v1/subscriptions, GET
 // /v1/subscriptions/{id}, GET /v1/subscriptions/{id}/events (SSE
@@ -54,13 +58,14 @@ type TenantConfig struct {
 	// Token, when set, must be presented as "Authorization: Bearer
 	// <token>" on every request for this tenant.
 	Token string `json:"token,omitempty"`
-	// Weight is the tenant's share of worker bandwidth (default 1).
+	// Weight is the tenant's share of run slots (default 1).
 	Weight int `json:"weight,omitempty"`
 	// MaxRunning caps the tenant's concurrent pipeline runs (0 =
-	// bounded only by the worker pool).
+	// bounded only by Config.Workers).
 	MaxRunning int `json:"max_running,omitempty"`
-	// MaxQueued bounds the tenant's waiting jobs; beyond it requests
-	// are shed with 429 (0 = bounded only by the global queue depth).
+	// MaxQueued bounds the tenant's runs waiting for a slot — asks,
+	// jobs and subscription re-runs alike; beyond it requests are shed
+	// with 429 (0 = bounded only by the global queue depth).
 	MaxQueued int `json:"max_queued,omitempty"`
 	// Cache quotas; zero means the library default for that bound.
 	PlanCacheEntries int   `json:"plan_cache_entries,omitempty"`
@@ -81,8 +86,10 @@ type Config struct {
 	// BaseRegistry is the catalog template tenant views are built from
 	// (Clone/Subset per tenant); nil means the builtin catalog.
 	BaseRegistry *registry.Registry
-	// Workers and QueueDepth size the shared scheduler (defaults:
-	// GOMAXPROCS workers, depth 128).
+	// Workers is the shared scheduler's number of run slots: how many
+	// asks, jobs and subscription re-runs may run at once across all
+	// tenants. QueueDepth bounds how many may wait for a slot
+	// (defaults: GOMAXPROCS slots, depth 128).
 	Workers    int
 	QueueDepth int
 	// DefaultTimeout bounds each served call's pipeline time when the
@@ -264,12 +271,13 @@ func (s *Server) Scheduler() *core.Scheduler { return s.sched }
 // Tenant returns a tenant by name, or nil.
 func (s *Server) Tenant(name string) *Tenant { return s.tenants[name] }
 
-// Shutdown drains the serving tier: new submissions are refused (every
-// tenant System is closed), accepted jobs — queued or running — finish,
-// and the worker pool stops. If ctx expires first, the remaining
-// detached jobs are cancelled and ctx's error returned; synchronous
-// asks are tied to their request contexts and die with their
-// connections. Shutdown is idempotent.
+// Shutdown drains the serving tier: new asks and submissions are
+// refused (every tenant System is closed), and accepted runs — queued
+// or holding a slot, asks and jobs alike — finish before the scheduler
+// closes. If ctx expires first, the remaining detached jobs are
+// cancelled and ctx's error returned; synchronous asks are tied to
+// their request contexts and die with their connections. Shutdown is
+// idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.closed.Swap(true) {
 		return nil
@@ -288,7 +296,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}()
 	if err != nil {
-		// Past the deadline: abort detached jobs so workers come home.
+		// Past the deadline: abort detached jobs so their slots free.
 		s.cancelJobs()
 		drainCtx, cancel := context.WithTimeout(context.Background(), subsecond(ctx))
 		_ = s.sched.Drain(drainCtx)

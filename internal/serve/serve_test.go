@@ -215,6 +215,91 @@ func TestHealthzAndAskRoundtrip(t *testing.T) {
 	}
 }
 
+func TestAskCreatesNoJob(t *testing.T) {
+	// A synchronous ask takes a scheduler slot but leaves no job record:
+	// its response carries no job ID, so nothing could address one.
+	_, ts := startServer(t, Config{Env: testEnv(t)})
+	resp := postJSON(t, ts.URL+"/v1/ask", map[string]any{"query": queryCS1})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ask = %d", resp.StatusCode)
+	}
+
+	var list struct {
+		Jobs []core.JobSummary `json:"jobs"`
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeBody(t, resp, &list)
+	if len(list.Jobs) != 0 {
+		t.Errorf("job list after /v1/ask = %+v, want empty", list.Jobs)
+	}
+	var stats statsResponse
+	resp, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeBody(t, resp, &stats)
+	if n := stats.Tenants["default"].Jobs; n != 0 {
+		t.Errorf("jobs_tracked = %d, want 0", n)
+	}
+	if served := stats.Queue.Classes["default"].Served; served != 1 {
+		t.Errorf("scheduler served = %d, want 1 (the ask's slot)", served)
+	}
+}
+
+func TestAskDisconnectWhileQueued(t *testing.T) {
+	// An ask waiting for the only slot gives its place back when its
+	// client disconnects, so the tenant's queue bound frees at once.
+	gate := make(chan struct{})
+	defer close(gate)
+	srv, ts := startServer(t, Config{
+		Env:          testEnv(t),
+		BaseRegistry: gatedRegistry(t, gate),
+		Workers:      1,
+		Tenants:      []TenantConfig{{Name: "t", MaxQueued: 1}},
+	})
+	resp := postJSON(t, ts.URL+"/v1/jobs", map[string]any{"query": queryCS1})
+	var plug core.JobSummary
+	decodeBody(t, resp, &plug)
+	awaitJobState(t, srv.Tenant("t"), plug.ID, core.JobRunning)
+
+	cctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(cctx, http.MethodPost, ts.URL+"/v1/ask",
+		strings.NewReader(fmt.Sprintf(`{"query":%q}`, queryCS1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	awaitQueued := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.Scheduler().Stats().Queued != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("queued never reached %d", want)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	awaitQueued(1)
+	cancel()
+	<-done
+	awaitQueued(0)
+	resp = postJSON(t, ts.URL+"/v1/jobs", map[string]any{"query": queryCS1})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("submit after the queued ask disconnected = %d, want 202", resp.StatusCode)
+	}
+}
+
 func keysOf(m map[string]json.RawMessage) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -561,6 +646,11 @@ func TestShutdownDrainsInFlightJobs(t *testing.T) {
 	resp = postJSON(t, ts.URL+"/v1/jobs", map[string]any{"query": queryCS1})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit during drain = %d, want 503", resp.StatusCode)
+	}
+	resp.Body.Close()
+	resp = postJSON(t, ts.URL+"/v1/ask", map[string]any{"query": queryCS1})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("ask during drain = %d, want 503", resp.StatusCode)
 	}
 	resp.Body.Close()
 
