@@ -26,8 +26,17 @@ type codegen struct {
 	b   strings.Builder
 }
 
-func (g *codegen) line(format string, args ...any) {
-	fmt.Fprintf(&g.b, format+"\n", args...)
+// line writes s verbatim as one line; the Python it emits uses % as
+// its own formatting operator.
+func (g *codegen) line(s string) {
+	g.b.WriteString(s)
+	g.b.WriteByte('\n')
+}
+
+// linef writes one line formatted by fmt.
+func (g *codegen) linef(format string, args ...any) {
+	fmt.Fprintf(&g.b, format, args...)
+	g.b.WriteByte('\n')
 }
 
 func (g *codegen) blank() { g.b.WriteByte('\n') }
@@ -195,8 +204,8 @@ func (g *codegen) header() {
 	g.line(`#!/usr/bin/env python3`)
 	g.line(`"""Measurement workflow generated by ArachNet SolutionWeaver.`)
 	g.blank()
-	g.line(`Query: %s`, g.wf.Query)
-	g.line(`Plan:  %d steps, %d embedded quality checks.`, len(g.wf.Steps), len(g.wf.Checks))
+	g.linef(`Query: %s`, g.wf.Query)
+	g.linef(`Plan:  %d steps, %d embedded quality checks.`, len(g.wf.Steps), len(g.wf.Checks))
 	g.line(`"""`)
 	g.blank()
 }
@@ -206,7 +215,7 @@ func (g *codegen) imports() {
 	g.line(`import sys`)
 	g.line(`import json`)
 	for _, fw := range fws {
-		g.line(`from measurement_registry import %s`, sanitizeIdent(fw))
+		g.linef(`from measurement_registry import %s`, sanitizeIdent(fw))
 	}
 	g.blank()
 	g.blank()
@@ -222,12 +231,12 @@ func (g *codegen) stepFunction(s workflow.Step) {
 	for _, p := range params {
 		names = append(names, sanitizeIdent(p.name))
 	}
-	g.line(`def step_%s(%s):`, s.ID, strings.Join(names, ", "))
-	g.line(`    """%s`, cap.Description)
+	g.linef(`def step_%s(%s):`, s.ID, strings.Join(names, ", "))
+	g.linef(`    """%s`, cap.Description)
 	g.blank()
-	g.line(`    Capability: %s (framework: %s)`, cap.Name, cap.Framework)
+	g.linef(`    Capability: %s (framework: %s)`, cap.Name, cap.Framework)
 	for _, con := range cap.Constraints {
-		g.line(`    Constraint: %s`, con)
+		g.linef(`    Constraint: %s`, con)
 	}
 	g.line(`    """`)
 	// Input validation mirrors the typed ports.
@@ -236,23 +245,23 @@ func (g *codegen) stepFunction(s workflow.Step) {
 		if !ok {
 			continue
 		}
-		g.line(`    if %s is None:`, sanitizeIdent(p.name))
-		g.line(`        raise ValueError("step %s: input %s (%s) is required")`, s.ID, p.name, port.Type)
+		g.linef(`    if %s is None:`, sanitizeIdent(p.name))
+		g.linef(`        raise ValueError("step %s: input %s (%s) is required")`, s.ID, p.name, port.Type)
 	}
 	// Format translation notes for reference bindings (the paper's
 	// "translation layer" between heterogeneous tools).
 	for _, p := range params {
 		if p.ref != "" {
-			g.line(`    # format: consumes %s produced upstream (%s)`, p.ref, portType(cap, p.name))
+			g.linef(`    # format: consumes %s produced upstream (%s)`, p.ref, portType(cap, p.name))
 		}
 	}
 	fw := sanitizeIdent(cap.Framework)
 	verb := capVerb(cap.Name)
-	g.line(`    result = %s.%s(%s)`, fw, verb, strings.Join(names, ", "))
+	g.linef(`    result = %s.%s(%s)`, fw, verb, strings.Join(names, ", "))
 	g.line(`    if result is None:`)
-	g.line(`        raise RuntimeError("step %s: %s returned no data")`, s.ID, cap.Name)
+	g.linef(`        raise RuntimeError("step %s: %s returned no data")`, s.ID, cap.Name)
 	for _, out := range cap.Outputs {
-		g.line(`    # produces: %s (%s)`, out.Name, out.Type)
+		g.linef(`    # produces: %s (%s)`, out.Name, out.Type)
 	}
 	g.line(`    return result`)
 	g.blank()
@@ -267,7 +276,7 @@ func (g *codegen) checkFunctions() {
 	g.line(`    """Embedded QA: consistency, sanity and uncertainty checks."""`)
 	g.line(`    findings = []`)
 	for _, chk := range g.wf.Checks {
-		g.line(`    findings.append(check(%q, kind=%q, value=artifacts[%q]))`, chk.Name, string(chk.Kind), chk.Ref)
+		g.linef(`    findings.append(check(%q, kind=%q, value=artifacts[%q]))`, chk.Name, string(chk.Kind), chk.Ref)
 	}
 	g.line(`    return findings`)
 	g.blank()
@@ -291,9 +300,9 @@ func (g *codegen) mainFunction() {
 		if err != nil {
 			continue
 		}
-		g.line(`    out = step_%s(%s)`, s.ID, strings.Join(args, ", "))
+		g.linef(`    out = step_%s(%s)`, s.ID, strings.Join(args, ", "))
 		for _, outPort := range cap.Outputs {
-			g.line(`    artifacts["%s.%s"] = out`, s.ID, outPort.Name)
+			g.linef(`    artifacts["%s.%s"] = out`, s.ID, outPort.Name)
 		}
 	}
 	if len(g.wf.Checks) > 0 {
@@ -306,7 +315,7 @@ func (g *codegen) mainFunction() {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		g.line(`    print(json.dumps({"output": %q, "value": render(artifacts[%q])}))`, n, g.wf.Outputs[n])
+		g.linef(`    print(json.dumps({"output": %q, "value": render(artifacts[%q])}))`, n, g.wf.Outputs[n])
 	}
 	g.blank()
 	g.blank()

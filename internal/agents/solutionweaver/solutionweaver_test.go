@@ -168,6 +168,7 @@ func TestGeneratedCodeStructure(t *testing.T) {
 		"Constraint: needs a cross-layer map",
 		"def run_quality_checks(artifacts):",
 		"def render_impact_table(report):",
+		`rows.append("failed links: %d" % report.failed_links)`,
 		"def main():",
 		`if __name__ == "__main__":`,
 	} {

@@ -498,6 +498,12 @@ func TestGeneratedLoCShape(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		loc[name] = rep.Solution.LoC
+		// fmt's error verbs mark Python % formatting run through fmt.
+		for i, line := range strings.Split(rep.Solution.Code, "\n") {
+			if strings.Contains(line, "%!") {
+				t.Errorf("%s: code line %d is corrupt: %s", name, i+1, line)
+			}
+		}
 	}
 	if !(loc["cs3"] > loc["cs1"] && loc["cs3"] > loc["cs2"]) {
 		t.Errorf("CS3 (%d) should exceed CS1 (%d) and CS2 (%d)", loc["cs3"], loc["cs1"], loc["cs2"])

@@ -97,6 +97,20 @@ type Catalog struct {
 	cables    []Cable
 	byID      map[CableID]*Cable
 	byCountry map[string][]CableID
+	// names holds the NormalizeName forms of each cable, index-aligned
+	// with cables, so name matching normalizes only the text it is given.
+	names []cableNames
+}
+
+// cableNames are the normalized forms a cable is recognized by: its
+// name, its ID, and its short name without a parenthetical ("AAE-1" for
+// "AAE-1 (Asia-Africa-Europe 1)"), which is empty when there is none.
+type cableNames struct {
+	name, id, short string
+}
+
+func containsNonEmpty(s, sub string) bool {
+	return sub != "" && strings.Contains(s, sub)
 }
 
 // lp builds a landing point at a country's hub with an offset, giving
@@ -317,6 +331,7 @@ func BuildCatalog() *Catalog {
 		cables:    cables,
 		byID:      make(map[CableID]*Cable, len(cables)),
 		byCountry: make(map[string][]CableID),
+		names:     make([]cableNames, len(cables)),
 	}
 	sort.Slice(cat.cables, func(i, j int) bool { return cat.cables[i].ID < cat.cables[j].ID })
 	for i := range cat.cables {
@@ -324,6 +339,11 @@ func BuildCatalog() *Catalog {
 		cat.byID[c.ID] = c
 		for _, cc := range c.Countries() {
 			cat.byCountry[cc] = append(cat.byCountry[cc], c.ID)
+		}
+		n := &cat.names[i]
+		n.name, n.id = NormalizeName(c.Name), NormalizeName(string(c.ID))
+		if j := strings.IndexByte(c.Name, '('); j > 0 {
+			n.short = NormalizeName(c.Name[:j])
 		}
 	}
 	return cat
@@ -351,26 +371,43 @@ func (cat *Catalog) ByID(id CableID) (Cable, bool) {
 // ByName resolves a cable by (case-insensitive) name or ID. It also
 // accepts common short forms such as "SeaMeWe-5" vs "seamewe-5".
 func (cat *Catalog) ByName(name string) (Cable, bool) {
-	norm := normalizeCableName(name)
-	for i := range cat.cables {
-		c := &cat.cables[i]
-		if normalizeCableName(string(c.ID)) == norm || normalizeCableName(c.Name) == norm {
-			return *c, true
+	norm := NormalizeName(name)
+	for i, n := range cat.names {
+		if n.id == norm || n.name == norm {
+			return cat.cables[i], true
 		}
 	}
 	// Substring match on the canonical name as a fallback.
-	for i := range cat.cables {
-		c := &cat.cables[i]
-		if strings.Contains(normalizeCableName(c.Name), norm) && norm != "" {
-			return *c, true
+	for i, n := range cat.names {
+		if containsNonEmpty(n.name, norm) {
+			return cat.cables[i], true
 		}
 	}
 	return Cable{}, false
 }
 
-func normalizeCableName(s string) string {
+// Mentioned returns, in ID order, the cables whose name, ID or short
+// name (the name without its parenthetical) occurs in norm, a text
+// already passed through NormalizeName. It returns nil when none does.
+// The cables' forms are normalized once, by BuildCatalog.
+func (cat *Catalog) Mentioned(norm string) []CableID {
+	var out []CableID
+	for i, n := range cat.names {
+		if containsNonEmpty(norm, n.name) || containsNonEmpty(norm, n.id) || containsNonEmpty(norm, n.short) {
+			out = append(out, cat.cables[i].ID)
+		}
+	}
+	return out
+}
+
+// NormalizeName lowercases s and keeps only the ASCII letters and
+// digits of the result, so "SeaMeWe-5", "seamewe 5" and "SEAMEWE5"
+// compare equal. Cable names, IDs and query texts are matched in this
+// form.
+func NormalizeName(s string) string {
 	s = strings.ToLower(s)
 	var b strings.Builder
+	b.Grow(len(s))
 	for _, r := range s {
 		if (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9') {
 			b.WriteRune(r)

@@ -201,8 +201,15 @@ func (m *CrossLayerMap) MappedLinks() []netsim.LinkID {
 }
 
 // Coverage returns the fraction of submarine links that were mapped.
+// It counts the world's submarine links in place: it runs on every plan
+// miss, through the environment's data summary.
 func (m *CrossLayerMap) Coverage(w *netsim.World) float64 {
-	total := len(w.SubmarineLinks())
+	total := 0
+	for i := range w.IPLinks {
+		if w.IPLinks[i].Kind == netsim.LinkSubmarine {
+			total++
+		}
+	}
 	if total == 0 {
 		return 0
 	}

@@ -8,6 +8,12 @@
 // decomposition. The rules encode how measurement experts read queries
 // ("at a country level" fixes the aggregation grain; "caused" demands
 // causation; "assuming X% failure" sets the scenario probability).
+//
+// Parse runs on every plan-cache miss, so it rebuilds nothing that does
+// not depend on the text: cable names are normalized once, by
+// nautilus.BuildCatalog, and the lowercased country names once, at
+// package init. Each regular expression runs only when the text holds
+// the literal it cannot match without ("%", "probability", "ago").
 package nlq
 
 import (
@@ -58,6 +64,9 @@ type Spec struct {
 	WantsIdentification bool
 }
 
+// Each regular expression needs a literal ("%", "probability", "ago")
+// that its caller looks for first: without it the expression cannot
+// match, and skipping it saves a scan of the whole text.
 var (
 	percentRe = regexp.MustCompile(`(\d+(?:\.\d+)?)\s*%`)
 	probRe    = regexp.MustCompile(`probability\s+(?:of\s+)?(\d+(?:\.\d+)?)`)
@@ -134,44 +143,13 @@ func containsAny(q string, subs ...string) bool {
 	return false
 }
 
-// extractCables matches catalog cable names against the query using the
-// catalog's own normalization, longest names first so "SeaMeWe-5" is
-// not shadowed by a hypothetical "SeaMeWe".
+// extractCables matches catalog cable names against the query in the
+// catalog's own normalization.
 func extractCables(q string, cat *nautilus.Catalog) []nautilus.CableID {
 	if cat == nil {
 		return nil
 	}
-	norm := normalize(q)
-	var out []nautilus.CableID
-	seen := map[nautilus.CableID]bool{}
-	for _, c := range cat.Cables() {
-		for _, alias := range []string{c.Name, string(c.ID)} {
-			na := normalize(alias)
-			if na != "" && strings.Contains(norm, na) && !seen[c.ID] {
-				seen[c.ID] = true
-				out = append(out, c.ID)
-			}
-		}
-		// Short form without the parenthetical, e.g. "AAE-1 (Asia-…)".
-		if i := strings.IndexByte(c.Name, '('); i > 0 {
-			na := normalize(c.Name[:i])
-			if na != "" && strings.Contains(norm, na) && !seen[c.ID] {
-				seen[c.ID] = true
-				out = append(out, c.ID)
-			}
-		}
-	}
-	return out
-}
-
-func normalize(s string) string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(s) {
-		if (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9') {
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
+	return cat.Mentioned(nautilus.NormalizeName(q))
 }
 
 func extractRegions(q string) []geo.Region {
@@ -193,12 +171,24 @@ func extractRegions(q string) []geo.Region {
 	return out
 }
 
+// countryNames pairs every country's ISO code with its lowercased name,
+// in code order.
+var countryNames = func() []countryName {
+	cs := geo.Countries()
+	out := make([]countryName, len(cs))
+	for i, c := range cs {
+		out[i] = countryName{code: c.Code, name: strings.ToLower(c.Name)}
+	}
+	return out
+}()
+
+type countryName struct{ code, name string }
+
 func extractCountries(q string) []string {
 	var out []string
-	for _, c := range geo.Countries() {
-		name := strings.ToLower(c.Name)
-		if strings.Contains(q, name) {
-			out = append(out, c.Code)
+	for _, c := range countryNames {
+		if strings.Contains(q, c.name) {
+			out = append(out, c.code)
 		}
 	}
 	return out
@@ -216,10 +206,15 @@ func extractDisasters(q string) []string {
 }
 
 func extractProbability(q string) float64 {
-	if m := percentRe.FindStringSubmatch(q); m != nil {
-		if v, err := strconv.ParseFloat(m[1], 64); err == nil && v >= 0 && v <= 100 {
-			return v / 100
+	if strings.Contains(q, "%") {
+		if m := percentRe.FindStringSubmatch(q); m != nil {
+			if v, err := strconv.ParseFloat(m[1], 64); err == nil && v >= 0 && v <= 100 {
+				return v / 100
+			}
 		}
+	}
+	if !strings.Contains(q, "probability") {
+		return 0
 	}
 	if m := probRe.FindStringSubmatch(q); m != nil {
 		if v, err := strconv.ParseFloat(m[1], 64); err == nil {
@@ -235,6 +230,9 @@ func extractProbability(q string) float64 {
 }
 
 func extractWindow(q string) TimeWindow {
+	if !strings.Contains(q, "ago") {
+		return TimeWindow{}
+	}
 	m := daysRe.FindStringSubmatch(q)
 	if m == nil {
 		return TimeWindow{}

@@ -195,10 +195,41 @@ func TestMetricsExtraction(t *testing.T) {
 	}
 }
 
+// caseStudies are the four case-study queries by name.
+var caseStudies = []struct{ name, query string }{
+	{"cs1", queryCS1}, {"cs2", queryCS2}, {"cs3", queryCS3}, {"cs4", queryCS4},
+}
+
+// TestParseAllocs pins Parse's allocation budget, paid on every
+// plan-cache miss: only what the text itself needs (its lowered and
+// normalized forms, the Spec's slices, the submatches of a guarded
+// regular expression). The ceiling leaves about three times the
+// largest case study's count.
+func TestParseAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is unreliable under -short (race) runs")
+	}
+	c := nautilus.BuildCatalog()
+	const ceiling = 30
+	for _, cs := range caseStudies {
+		avg := testing.AllocsPerRun(200, func() { Parse(cs.query, c) })
+		t.Logf("%s: %.1f allocs/op", cs.name, avg)
+		if avg > ceiling {
+			t.Errorf("Parse(%s) allocates %.1f/op, budget %d", cs.name, avg, ceiling)
+		}
+	}
+}
+
+var sinkSpec Spec
+
 func BenchmarkParse(b *testing.B) {
 	c := nautilus.BuildCatalog()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Parse(queryCS4, c)
+	for _, cs := range caseStudies {
+		b.Run(cs.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sinkSpec = Parse(cs.query, c)
+			}
+		})
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -182,6 +183,11 @@ var ErrNotFound = errors.New("registry: capability not found")
 type Registry struct {
 	mu   sync.RWMutex
 	caps map[string]*Capability
+	// producers indexes caps by output type, each list in ascending
+	// (cost, name) order. A list is replaced, never modified, once
+	// stored, so Clone shares the lists and Producing copies one
+	// outside the lock.
+	producers map[DataType][]*Capability
 	// gen counts successful registrations. Downstream caches key on it
 	// so a curation promotion invalidates anything planned against the
 	// smaller catalog.
@@ -194,7 +200,7 @@ type Registry struct {
 
 // New returns an empty registry.
 func New() *Registry {
-	return &Registry{caps: make(map[string]*Capability)}
+	return &Registry{caps: make(map[string]*Capability), producers: make(map[DataType][]*Capability)}
 }
 
 // Register validates and adds a capability. Registration fails on
@@ -238,6 +244,7 @@ func (r *Registry) Register(c Capability) error {
 	}
 	cc := c
 	r.caps[c.Name] = &cc
+	r.indexProducer(&cc)
 	r.gen++
 	for _, ch := range r.watchers {
 		select {
@@ -354,21 +361,38 @@ func (r *Registry) ByTag(tag string) []*Capability {
 }
 
 // Producing returns capabilities with an output of the given type,
-// sorted by ascending cost then name — the order WorkflowScout explores.
+// sorted by ascending cost then name — the order WorkflowScout explores
+// — or nil when none has one. It reads a per-type index that Register
+// keeps in that order, and returns a fresh slice the caller may sort or
+// append to.
 func (r *Registry) Producing(t DataType) []*Capability {
-	var out []*Capability
-	for _, c := range r.All() {
-		if c.Produces(t) {
-			out = append(out, c)
+	r.mu.RLock()
+	list := r.producers[t]
+	r.mu.RUnlock()
+	return append([]*Capability(nil), list...)
+}
+
+// indexProducer adds c to the producer list of each type it outputs,
+// once per type, keeping (cost, name) order. It stores a new list
+// rather than inserting into the old one, which a Clone may share.
+// The caller holds r.mu for writing or owns r exclusively.
+func (r *Registry) indexProducer(c *Capability) {
+	for i, p := range c.Outputs {
+		if slices.ContainsFunc(c.Outputs[:i], func(q Port) bool { return q.Type == p.Type }) {
+			continue
 		}
+		old := r.producers[p.Type]
+		at := sort.Search(len(old), func(j int) bool {
+			if old[j].Cost != c.Cost {
+				return c.Cost < old[j].Cost
+			}
+			return c.Name < old[j].Name
+		})
+		list := make([]*Capability, 0, len(old)+1)
+		list = append(list, old[:at]...)
+		list = append(list, c)
+		r.producers[p.Type] = append(list, old[at:]...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cost != out[j].Cost {
-			return out[i].Cost < out[j].Cost
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }
 
 // Frameworks lists the distinct frameworks present, sorted.
@@ -408,6 +432,7 @@ func (r *Registry) Subset(names ...string) (*Registry, error) {
 			return nil, fmt.Errorf("registry: capability %q already registered", c.Name)
 		}
 		sub.caps[c.Name] = c
+		sub.indexProducer(c)
 		sub.gen++
 	}
 	return sub, nil
@@ -427,6 +452,9 @@ func (r *Registry) Clone() *Registry {
 	defer r.mu.RUnlock()
 	for _, c := range r.caps {
 		out.caps[c.Name] = c
+	}
+	for t, list := range r.producers {
+		out.producers[t] = list
 	}
 	out.gen = r.gen
 	return out

@@ -115,7 +115,12 @@ func TestQueries(t *testing.T) {
 	c.Framework = "fw1"
 	c.Outputs = []Port{{Name: "out", Type: TCableList}}
 	c.Tags = []string{"cable", "mapping"}
-	for _, cap := range []Capability{a, b, c} {
+	// d ties a on cost and has two outputs of one type.
+	d := validCap("fw2.d")
+	d.Framework = "fw2"
+	d.Cost = 5
+	d.Outputs = []Port{{Name: "out", Type: TImpact}, {Name: "alt", Type: TImpact}}
+	for _, cap := range []Capability{a, b, c, d} {
 		if err := r.Register(cap); err != nil {
 			t.Fatal(err)
 		}
@@ -128,20 +133,41 @@ func TestQueries(t *testing.T) {
 		t.Errorf("ByTag(mapping) wrong")
 	}
 	prod := r.Producing(TImpact)
-	if len(prod) != 2 {
+	if len(prod) != 3 {
 		t.Fatalf("Producing(TImpact) = %d", len(prod))
 	}
 	// Sorted by cost: fw2.b (1) before fw1.a (5).
 	if prod[0].Name != "fw2.b" {
 		t.Errorf("Producing not cost-sorted: %s first", prod[0].Name)
 	}
+	// Equal costs fall back to name order; fw2.d is listed once.
+	if prod[1].Name != "fw1.a" || prod[2].Name != "fw2.d" {
+		t.Errorf("Producing(TImpact) = %s, %s, %s; want fw2.b, fw1.a, fw2.d", prod[0].Name, prod[1].Name, prod[2].Name)
+	}
+	// The result is the caller's own slice.
+	prod[0] = nil
+	if r.Producing(TImpact)[0] == nil {
+		t.Error("Producing returned the registry's index")
+	}
+	if got := r.Producing(TBool); got != nil {
+		t.Errorf("Producing(TBool) = %v, want nil", got)
+	}
 	fws := r.Frameworks()
 	if len(fws) != 2 || fws[0] != "fw1" || fws[1] != "fw2" {
 		t.Errorf("Frameworks = %v", fws)
 	}
-	if r.Size() != 3 {
+	if r.Size() != 4 {
 		t.Errorf("Size = %d", r.Size())
 	}
+}
+
+// producerNames lists Producing(t) by name.
+func producerNames(r *Registry, t DataType) string {
+	var names []string
+	for _, c := range r.Producing(t) {
+		names = append(names, c.Name)
+	}
+	return strings.Join(names, ",")
 }
 
 func TestSubset(t *testing.T) {
@@ -157,6 +183,9 @@ func TestSubset(t *testing.T) {
 	}
 	if sub.Size() != 2 || !sub.Has("t.a") || sub.Has("t.b") {
 		t.Error("subset wrong")
+	}
+	if got := producerNames(sub, TImpact); got != "t.a,t.c" {
+		t.Errorf("subset Producing(TImpact) = %s, want t.a,t.c", got)
 	}
 	if _, err := r.Subset("t.zzz"); err == nil {
 		t.Error("unknown subset member must error")
@@ -178,6 +207,12 @@ func TestClone(t *testing.T) {
 	}
 	if r.Has("t.b") {
 		t.Error("clone shares map with original")
+	}
+	if got := producerNames(c, TImpact); got != "t.a,t.b" {
+		t.Errorf("clone Producing(TImpact) = %s, want t.a,t.b", got)
+	}
+	if got := producerNames(r, TImpact); got != "t.a" {
+		t.Errorf("source Producing(TImpact) = %s after the clone registered, want t.a", got)
 	}
 }
 
