@@ -1,7 +1,9 @@
 // Command arachnet-bench regenerates the paper's evaluation artifacts:
 // the four case studies (agent vs expert comparison), the generated-LoC
 // table, the adaptive-exploration ablation, and the registry-evolution
-// experiment. Its output is the source for EXPERIMENTS.md.
+// experiment, printed as text tables. Its -serving, -cache,
+// -fleetbench, -wirebench and -compiledbench modes measure the serving
+// paths instead; -json writes those results as a BENCH file.
 //
 // Usage:
 //

@@ -124,7 +124,7 @@ func answerJSON(t *testing.T, rep *arachnet.Report) []byte {
 // composites and scenario injections advance the environment epoch —
 // the -race job's compiled workout. Cross-epoch results are not
 // comparable; the test asserts every ask succeeds and the caches stay
-// coherent.
+// coherent, and that a quiet system serves plan-cache hits afterwards.
 func TestCompiledConcurrentHammer(t *testing.T) {
 	sys, err := arachnet.New(arachnet.WithSmallWorld(42), arachnet.WithFleet(4))
 	if err != nil {
@@ -174,6 +174,14 @@ func TestCompiledConcurrentHammer(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+	// Promotions and injections can make every hammer ask miss. With
+	// nothing mutating any more, a query asked twice without curation
+	// hits on the second ask by construction.
+	for i := 0; i < 2; i++ {
+		if _, err := sys.Ask(ctx, queries[0], arachnet.AskWithoutCuration()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := sys.CacheStats()
 	if st.Plan.Hits == 0 {

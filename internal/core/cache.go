@@ -122,6 +122,19 @@ func (c *lruCache) Get(key string) (any, bool) {
 	return v, true
 }
 
+// Contains reports whether key is cached without counting a hit or a
+// miss and without refreshing its recency.
+func (c *lruCache) Contains(key string) bool {
+	if c.maxEntries.Load() <= 0 {
+		return false
+	}
+	s := c.shard(key)
+	s.mu.Lock()
+	_, ok := s.table[key]
+	s.mu.Unlock()
+	return ok
+}
+
 // Put stores (or refreshes) key with an estimated size, evicting the
 // least recently used entries of the shard until the bounds hold.
 func (c *lruCache) Put(key string, val any, size int64) {

@@ -318,6 +318,27 @@ type Report struct {
 	// Promotions performed by the curator after this run.
 	Promotions []registrycurator.Promotion `json:"promotions,omitempty"`
 	Elapsed    time.Duration               `json:"elapsed,omitempty"`
+
+	// memo is the replayed plan entry's memo slot; see ReplayMemo.
+	memo *atomic.Pointer[[]byte]
+}
+
+// ReplayMemo returns the memo slot of the plan-cache entry rep
+// replayed, or nil. The slot is returned only when the run replayed a
+// cached plan, every step was served from the step cache without error
+// and the run succeeded, and the run executed on the engine built for
+// the environment fingerprint the entry is keyed by. Under those
+// conditions everything a run derives from its plan and step outputs —
+// intent, strategy, code, the all-cached step list, quality score and
+// outputs — depends only on the entry, so an encoding of those parts
+// stored in the slot is valid for every later replay that gets the same
+// slot. The slot lives and dies with the entry; concurrent first fills
+// must store identical bytes.
+func ReplayMemo(rep *Report) *atomic.Pointer[[]byte] {
+	if rep == nil {
+		return nil
+	}
+	return rep.memo
 }
 
 // Ask runs the full four-agent pipeline on a natural-language query:
@@ -434,10 +455,11 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 	rep = &Report{Query: query}
 	defer func() { rep.Elapsed = time.Since(start) }()
 
-	solution, compiled, err := s.plan(ctx, query, cfg, em, rep)
+	pe, hit, err := s.plan(ctx, query, cfg, em, rep)
 	if err != nil {
 		return rep, err
 	}
+	solution, compiled := pe.solution, pe.compiled
 
 	// Execution over the parallel DAG engine. The step bridge surfaces
 	// per-step events; a veto there cancels the run mid-workflow. An
@@ -459,7 +481,10 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 		obs = bridge
 	}
 	f := s.Fleet()
-	var engine *workflow.Engine
+	var (
+		engine   *workflow.Engine
+		engineFP string // the fingerprint a memoizing engine was built for
+	)
 	if cfg.noCache {
 		// Built per call and uncached: with no step cache the engine
 		// computes no fingerprints, so the fleet's worker caches are
@@ -470,7 +495,7 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 		}
 		engine = workflow.NewEngine(s.reg, s.env, engineOpts...)
 	} else {
-		engine = s.engineFor(cfg.parallelism, f)
+		engine, engineFP = s.engineFor(cfg.parallelism, f)
 	}
 	if compiled == nil {
 		// Uncached plans, and cached ones whose workflow failed to
@@ -531,7 +556,24 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 			}
 		}
 	}
+	// The plan and the engine each read the environment fingerprint, so
+	// a scenario injection can land between them; the memo is handed out
+	// only when both saw the same one.
+	if hit && engineFP == pe.envFP && allCached(result) {
+		rep.memo = &pe.memo
+	}
 	return rep, nil
+}
+
+// allCached reports whether every step of a run was served from the
+// step cache without error.
+func allCached(res *workflow.Result) bool {
+	for i := range res.Steps {
+		if !res.Steps[i].Cached || res.Steps[i].Err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // facetKeyer is the engine env-keyer closure shared by every engine
@@ -542,19 +584,19 @@ func (s *System) facetKeyer(capb *registry.Capability) string {
 }
 
 // engineFor returns the memoized engine for the given parallelism and
-// fleet, rebuilding it when the environment fingerprint, fleet, or
-// parallelism changed since the last call. Engines are stateless, so
-// concurrent runs may share the cached one; a race here at worst
-// builds one redundant engine.
+// fleet, and the environment fingerprint it was built for, rebuilding
+// it when the fingerprint, fleet, or parallelism changed since the
+// last call. Engines are stateless, so concurrent runs may share the
+// cached one; a race here at worst builds one redundant engine.
 //
 // Cache keys are facet-scoped: steps reading only the immutable world
 // facet keep their fingerprints across scenario injections, so a
 // standing query's re-run executes only the scenario-dirty subgraph
 // and replays the rest from cache.
-func (s *System) engineFor(par int, f *fleet.Fleet) *workflow.Engine {
+func (s *System) engineFor(par int, f *fleet.Fleet) (*workflow.Engine, string) {
 	fp := s.env.Fingerprint()
 	if sl := s.engineSlot.Load(); sl != nil && sl.envFP == fp && sl.fleet == f && sl.par == par {
-		return sl.eng
+		return sl.eng, fp
 	}
 	engineOpts := []workflow.EngineOption{
 		workflow.WithParallelism(par),
@@ -566,7 +608,7 @@ func (s *System) engineFor(par int, f *fleet.Fleet) *workflow.Engine {
 	}
 	eng := workflow.NewEngine(s.reg, s.env, engineOpts...)
 	s.engineSlot.Store(&engineSlot{envFP: fp, fleet: f, par: par, eng: eng})
-	return eng
+	return eng, fp
 }
 
 // planEntry is one memoized planning outcome: everything the three
@@ -584,6 +626,12 @@ type planEntry struct {
 	// this entry is keyed by; nil when compilation failed, in which
 	// case every run recompiles and reports the failure.
 	compiled *workflow.CompiledPlan
+	// envFP is the environment fingerprint the entry is keyed by.
+	envFP string
+	// memo holds bytes a serving tier derived from a fully cached
+	// replay of this entry (see ReplayMemo). The plan cache is bounded
+	// by entries only, so it carries no size charge.
+	memo atomic.Pointer[[]byte]
 }
 
 // planKeyPool recycles the byte buffers plan keys are assembled in, so
@@ -635,16 +683,18 @@ func bytesKey(b []byte) string {
 // events either way, so observers and expert review behave identically
 // on hits and misses; cached replays mark their StageCompleted events
 // Cached. A veto or failure surfaces as a *PipelineError at the
-// corresponding stage. Alongside the solution it returns the compiled
-// plan when one exists (cache-enabled calls whose workflow compiled).
-func (s *System) plan(ctx context.Context, query string, cfg askConfig, em *emitter, rep *Report) (*solutionweaver.Solution, *workflow.CompiledPlan, error) {
-	key := ""
+// corresponding stage. It returns the plan as an entry and whether it
+// came from the plan cache; a fresh entry has a compiled plan only for
+// cache-enabled calls whose workflow compiled.
+func (s *System) plan(ctx context.Context, query string, cfg askConfig, em *emitter, rep *Report) (*planEntry, bool, error) {
+	key, envFP := "", ""
 	if !cfg.noCache {
 		// The key is assembled in a pooled buffer and probed through a
 		// no-copy string view; it is materialized as a real string only
 		// on a miss, for Put. A warm hit allocates nothing here.
+		envFP = s.env.Fingerprint()
 		kb := planKeyPool.Get().(*[]byte)
-		buf := appendPlanKey((*kb)[:0], query, s.reg.Generation(), s.env.Fingerprint())
+		buf := appendPlanKey((*kb)[:0], query, s.reg.Generation(), envFP)
 		v, ok := s.planCache.Get(bytesKey(buf))
 		if !ok {
 			key = string(buf)
@@ -658,12 +708,12 @@ func (s *System) plan(ctx context.Context, query string, cfg askConfig, em *emit
 				// per-stage replay below exists only to give observers
 				// the same event sequence a fresh run produces.
 				if err := ctx.Err(); err != nil {
-					return nil, nil, pipelineErr(StageProblem, query, err)
+					return nil, false, pipelineErr(StageProblem, query, err)
 				}
 				rep.Spec, rep.Problem = pe.spec, pe.problem
 				rep.Design = pe.design
 				rep.Solution = pe.solution
-				return pe.solution, pe.compiled, nil
+				return pe, true, nil
 			}
 			// Fill rep stage by stage, just before each StageCompleted,
 			// so a veto or cancellation mid-replay leaves the same
@@ -678,26 +728,26 @@ func (s *System) plan(ctx context.Context, query string, cfg askConfig, em *emit
 				{StageSolution, pe.solution, func() { rep.Solution = pe.solution }},
 			} {
 				if err := ctx.Err(); err != nil {
-					return nil, nil, pipelineErr(st.stage, query, err)
+					return nil, false, pipelineErr(st.stage, query, err)
 				}
 				if err := em.emit(&StageStarted{Stage: st.stage}); err != nil {
-					return nil, nil, pipelineErr(st.stage, query, err)
+					return nil, false, pipelineErr(st.stage, query, err)
 				}
 				st.fill()
 				if err := em.emit(&StageCompleted{Stage: st.stage, Artifact: st.artifact, Cached: true}); err != nil {
-					return nil, nil, pipelineErr(st.stage, query, err)
+					return nil, false, pipelineErr(st.stage, query, err)
 				}
 			}
-			return pe.solution, pe.compiled, nil
+			return pe, true, nil
 		}
 	}
 
 	// Language analysis + problem decomposition (QueryMind).
 	if err := ctx.Err(); err != nil {
-		return nil, nil, pipelineErr(StageProblem, query, err)
+		return nil, false, pipelineErr(StageProblem, query, err)
 	}
 	if err := em.emit(&StageStarted{Stage: StageProblem}); err != nil {
-		return nil, nil, pipelineErr(StageProblem, query, err)
+		return nil, false, pipelineErr(StageProblem, query, err)
 	}
 	rep.Spec = nlq.Parse(query, s.env.Catalog)
 	data := s.env.Data()
@@ -709,74 +759,75 @@ func (s *System) plan(ctx context.Context, query string, cfg askConfig, em *emit
 		WindowDays:       data.WindowDays,
 	})
 	if err != nil {
-		return nil, nil, pipelineErr(StageProblem, query, err)
+		return nil, false, pipelineErr(StageProblem, query, err)
 	}
 	rep.Problem = problem
 	if err := em.emit(&StageCompleted{Stage: StageProblem, Artifact: problem}); err != nil {
-		return nil, nil, pipelineErr(StageProblem, query, err)
+		return nil, false, pipelineErr(StageProblem, query, err)
 	}
 
 	// Solution space exploration (WorkflowScout).
 	if err := ctx.Err(); err != nil {
-		return nil, nil, pipelineErr(StageDesign, query, err)
+		return nil, false, pipelineErr(StageDesign, query, err)
 	}
 	if err := em.emit(&StageStarted{Stage: StageDesign}); err != nil {
-		return nil, nil, pipelineErr(StageDesign, query, err)
+		return nil, false, pipelineErr(StageDesign, query, err)
 	}
 	design, err := s.scout.Design(problem, s.reg)
 	if err != nil {
-		return nil, nil, pipelineErr(StageDesign, query, err)
+		return nil, false, pipelineErr(StageDesign, query, err)
 	}
 	rep.Design = design
 	if err := em.emit(&StageCompleted{Stage: StageDesign, Artifact: design}); err != nil {
-		return nil, nil, pipelineErr(StageDesign, query, err)
+		return nil, false, pipelineErr(StageDesign, query, err)
 	}
 
 	// Implementation (SolutionWeaver).
 	if err := ctx.Err(); err != nil {
-		return nil, nil, pipelineErr(StageSolution, query, err)
+		return nil, false, pipelineErr(StageSolution, query, err)
 	}
 	if err := em.emit(&StageStarted{Stage: StageSolution}); err != nil {
-		return nil, nil, pipelineErr(StageSolution, query, err)
+		return nil, false, pipelineErr(StageSolution, query, err)
 	}
 	solution, err := s.weaver.Weave(design.Chosen, s.reg)
 	if err != nil {
-		return nil, nil, pipelineErr(StageSolution, query, err)
+		return nil, false, pipelineErr(StageSolution, query, err)
 	}
 	rep.Solution = solution
 	if err := em.emit(&StageCompleted{Stage: StageSolution, Artifact: solution}); err != nil {
-		return nil, nil, pipelineErr(StageSolution, query, err)
+		return nil, false, pipelineErr(StageSolution, query, err)
 	}
 
-	var compiled *workflow.CompiledPlan
+	pe := &planEntry{
+		query: query, spec: rep.Spec, problem: problem,
+		design: design, solution: solution, envFP: envFP,
+	}
 	if key != "" {
 		// Lower the fresh plan while it enters the cache: compilation
 		// shares the plan's invalidation exactly (the key carries the
 		// registry generation and environment fingerprint it resolved
 		// against). A workflow that fails to compile caches with a nil
 		// artifact; run recompiles it and fails at StageResult.
-		compiled, _ = workflow.Compile(solution.Workflow, s.reg)
-		pe := &planEntry{
-			query: query, spec: rep.Spec, problem: problem,
-			design: design, solution: solution, compiled: compiled,
-		}
+		pe.compiled, _ = workflow.Compile(solution.Workflow, s.reg)
 		// Plans are metadata-sized; charge a token amount so a byte
 		// bound, if ever set, stays meaningful.
 		s.planCache.Put(key, pe, int64(len(query))+int64(len(solution.Code))+512)
 	}
-	return solution, compiled, nil
+	return pe, false, nil
 }
 
-// AskBatch serves many queries from one System, fanning out over a
-// bounded worker pool (AskParallelism sets the bound). Duplicate
-// queries within one batch are deduplicated (singleflight): each
-// distinct query runs the pipeline once and every duplicate index
-// shares the same *Report, so observers fire once per distinct query.
-// Reports align with queries by index; failed queries leave their
-// partial report in place and their *PipelineError joined into the
-// returned error. On a System attached to a shared Scheduler each run
-// takes a slot as any Ask does, so a shed query's error is
-// ErrJobQueueFull.
+// AskBatch serves many queries from one System. Duplicate queries
+// within one batch are deduplicated (singleflight): each distinct query
+// runs the pipeline once and every duplicate index shares the same
+// *Report, so observers fire once per distinct query. Distinct queries
+// whose plan is already cached run first, one after another on the
+// caller — a warm replay costs less than a hand-off, so a warm batch
+// starts no goroutines — and the plan-cache misses then fan out over a
+// bounded worker pool (AskParallelism sets the bound). Reports align
+// with queries by index; failed queries leave their partial report in
+// place and their *PipelineError joined into the returned error. On a
+// System attached to a shared Scheduler each run takes a slot as any
+// Ask does, so a shed query's error is ErrJobQueueFull.
 func (s *System) AskBatch(ctx context.Context, queries []string, opts ...AskOption) ([]*Report, error) {
 	// Fast path: zero work means zero workers, channels and
 	// allocations beyond the empty (non-nil) result slice.
@@ -787,51 +838,52 @@ func (s *System) AskBatch(ctx context.Context, queries []string, opts ...AskOpti
 
 	// Singleflight: collapse identical queries to one pipeline run.
 	// Reports are read-only after a run, so duplicate indices can alias
-	// the same *Report safely.
+	// the same *Report safely. The plan-cache probe does not count, so
+	// each hit shows once in CacheStats, when its Ask replays it.
 	firstIdx := make(map[string]int, len(queries))
-	var distinct []int
+	hits := make([]int, 0, len(queries))
+	var misses []int
 	for i, q := range queries {
-		if _, dup := firstIdx[q]; !dup {
-			firstIdx[q] = i
-			distinct = append(distinct, i)
+		if _, dup := firstIdx[q]; dup {
+			continue
+		}
+		firstIdx[q] = i
+		if !cfg.noCache && s.planCached(q) {
+			hits = append(hits, i)
+		} else {
+			misses = append(misses, i)
 		}
 	}
 
-	workers := cfg.parallelism
-	if workers > len(distinct) {
-		workers = len(distinct)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Divide the concurrency budget between the pool and each run's
-	// step parallelism, so AskParallelism(n) bounds total concurrency
-	// instead of compounding to n².
-	perCall := cfg.parallelism / workers
-	if perCall < 1 {
-		perCall = 1
-	}
-	callOpts := append(append([]AskOption{}, opts...), AskParallelism(perCall))
-
 	reports := make([]*Report, len(queries))
 	errs := make([]error, len(queries))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				reports[i], errs[i] = s.Ask(ctx, queries[i], callOpts...)
-			}
-		}()
+	for _, i := range hits {
+		reports[i], errs[i] = s.Ask(ctx, queries[i], opts...)
 	}
-	for _, i := range distinct {
-		next <- i
+	if len(misses) > 0 {
+		workers := min(cfg.parallelism, len(misses))
+		// Divide the concurrency budget between the pool and each run's
+		// step parallelism, so AskParallelism(n) bounds total
+		// concurrency instead of compounding to n².
+		perCall := max(cfg.parallelism/workers, 1)
+		callOpts := append(append([]AskOption{}, opts...), AskParallelism(perCall))
+		next := make(chan int, len(misses))
+		for _, i := range misses {
+			next <- i
+		}
+		close(next)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					reports[i], errs[i] = s.Ask(ctx, queries[i], callOpts...)
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	close(next)
-	wg.Wait()
 	for i, q := range queries {
 		if first := firstIdx[q]; first != i {
 			// Duplicates share the run's Report; its error is already
@@ -840,6 +892,18 @@ func (s *System) AskBatch(ctx context.Context, queries []string, opts ...AskOpti
 		}
 	}
 	return reports, errors.Join(errs...)
+}
+
+// planCached reports whether query's plan is cached under the current
+// registry generation and environment fingerprint, without counting
+// the probe or refreshing the entry's recency.
+func (s *System) planCached(query string) bool {
+	kb := planKeyPool.Get().(*[]byte)
+	buf := appendPlanKey((*kb)[:0], query, s.reg.Generation(), s.env.Fingerprint())
+	ok := s.planCache.Contains(bytesKey(buf))
+	*kb = buf[:0]
+	planKeyPool.Put(kb)
+	return ok
 }
 
 // curate snapshots the observation history and runs one serialized

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"arachnet/internal/core"
@@ -49,8 +50,7 @@ type askRequest struct {
 }
 
 type errorResponse struct {
-	Error  string      `json:"error"`
-	Report *reportJSON `json:"report,omitempty"`
+	Error string `json:"error"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -59,6 +59,47 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
+}
+
+// summaryBufs recycles the buffers /v1/ask bodies are built in;
+// buffers grown past maxPooledSummary are left to the collector.
+var summaryBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 16<<10)
+	return &b
+}}
+
+const maxPooledSummary = 256 << 10
+
+// writeSummary answers a /v1/ask with rep's summary: 200 and the
+// summary itself when err is nil, 422 and {"error":...,"report":...}
+// otherwise. The body is built in a pooled buffer and written in one
+// Write with its Content-Length.
+func writeSummary(w http.ResponseWriter, rep *core.Report, err error) {
+	bp := summaryBufs.Get().(*[]byte)
+	b := (*bp)[:0]
+	status := http.StatusOK
+	if err == nil {
+		b = appendSummary(b, rep)
+	} else {
+		status = http.StatusUnprocessableEntity
+		b = append(b, `{"error":`...)
+		b = appendString(b, err.Error())
+		if rep != nil {
+			b = append(b, `,"report":`...)
+			b = appendSummary(b, rep)
+			b = b[:len(b)-1] // the summary's newline
+		}
+		b = append(b, "}\n"...)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(status)
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledSummary {
+		*bp = b[:0]
+		summaryBufs.Put(bp)
+	}
 }
 
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -195,18 +236,11 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		submitError(w, err)
 		return
 	}
-	if err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
-			Error:  err.Error(),
-			Report: summarizeReport(rep),
-		})
-		return
-	}
-	if req.Full {
+	if err == nil && req.Full {
 		writeJSON(w, http.StatusOK, rep)
 		return
 	}
-	writeJSON(w, http.StatusOK, summarizeReport(rep))
+	writeSummary(w, rep, err)
 }
 
 // handleSubmit enqueues an asynchronous job. The job is parented on
@@ -261,7 +295,7 @@ func (s *Server) findJob(w http.ResponseWriter, r *http.Request, t *Tenant) (*co
 
 type jobResponse struct {
 	core.JobSummary
-	Report *reportJSON `json:"report,omitempty"`
+	Report json.RawMessage `json:"report,omitempty"`
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
@@ -276,7 +310,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	resp := jobResponse{JobSummary: j.Summary()}
 	if resp.State == core.JobDone || resp.State == core.JobCancelled {
 		if rep, err := j.Wait(r.Context()); err == nil || rep != nil {
-			resp.Report = summarizeReport(rep)
+			resp.Report = summaryRaw(rep)
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -22,18 +22,18 @@ import (
 // populated per type and omitted otherwise. Stage artifacts are not
 // serialized — the terminal done frame carries the report summary.
 type eventJSON struct {
-	Type       string      `json:"type"`
-	Seq        int         `json:"seq"`
-	Time       time.Time   `json:"time"`
-	Stage      string      `json:"stage,omitempty"`
-	Step       string      `json:"step,omitempty"`
-	Capability string      `json:"capability,omitempty"`
-	DurationUS int64       `json:"duration_us,omitempty"`
-	Cached     bool        `json:"cached,omitempty"`
-	Promotion  string      `json:"promotion,omitempty"`
-	Support    int         `json:"support,omitempty"`
-	Error      string      `json:"error,omitempty"`
-	Report     *reportJSON `json:"report,omitempty"`
+	Type       string          `json:"type"`
+	Seq        int             `json:"seq"`
+	Time       time.Time       `json:"time"`
+	Stage      string          `json:"stage,omitempty"`
+	Step       string          `json:"step,omitempty"`
+	Capability string          `json:"capability,omitempty"`
+	DurationUS int64           `json:"duration_us,omitempty"`
+	Cached     bool            `json:"cached,omitempty"`
+	Promotion  string          `json:"promotion,omitempty"`
+	Support    int             `json:"support,omitempty"`
+	Error      string          `json:"error,omitempty"`
+	Report     json.RawMessage `json:"report,omitempty"`
 }
 
 // encodeEvent maps one typed pipeline event to its wire form.
@@ -63,7 +63,7 @@ func encodeEvent(ev core.Event) eventJSON {
 		out.Seq, out.Time = ev.Seq, ev.Time
 	case *core.Done:
 		out.Type = "done"
-		out.Report = summarizeReport(ev.Report)
+		out.Report = summaryRaw(ev.Report)
 		if ev.Err != nil {
 			out.Error = ev.Err.Error()
 		}

@@ -148,7 +148,7 @@ type subEventJSON struct {
 	StepsCached int                 `json:"steps_cached,omitempty"`
 	Reason      string              `json:"reason,omitempty"`
 	Error       string              `json:"error,omitempty"`
-	Report      *reportJSON         `json:"report,omitempty"`
+	Report      json.RawMessage     `json:"report,omitempty"`
 }
 
 // encodeSubEvent maps one typed subscription event to its wire form.
@@ -160,7 +160,7 @@ func encodeSubEvent(ev core.SubEvent) subEventJSON {
 	switch ev := ev.(type) {
 	case *core.SubscriptionStarted:
 		out.Type = "subscription_started"
-		out.Report = summarizeReport(ev.Report)
+		out.Report = summaryRaw(ev.Report)
 		if ev.Err != nil {
 			out.Error = ev.Err.Error()
 		}
