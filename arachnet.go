@@ -424,10 +424,11 @@ func WithFleet(n int) Option {
 // distributed execution behind the same fleet seam. Workers must have
 // been started with the same -world/-seed derivation and
 // -shards=len(addrs); the registration handshake verifies it and
-// rejects mismatched workers. Every shard keeps an in-process twin
-// worker: a dead, slow or rejected remote fails over to it, so
-// results are byte-identical to WithFleet(len(addrs)) regardless of
-// which workers are reachable. Mutually exclusive with WithFleet.
+// rejects mismatched workers. A dead, slow or rejected remote fails
+// over to running its shard's requests on the coordinator, which owns
+// the whole world, so results are byte-identical to
+// WithFleet(len(addrs)) regardless of which workers are reachable.
+// Mutually exclusive with WithFleet.
 func WithRemoteFleet(addrs ...string) Option {
 	return func(o *options) { o.fleetRemote = addrs }
 }
@@ -464,7 +465,7 @@ func New(opts ...Option) (*System, error) {
 		}
 		sys.SetFleet(f)
 	case len(o.fleetRemote) > 0:
-		f, err := fleetwire.NewFleet(env.World, o.fleetRemote, fleetwire.Config{})
+		f, err := fleetwire.NewFleet(env.World, o.fleetRemote)
 		if err != nil {
 			return nil, fmt.Errorf("arachnet: %w", err)
 		}

@@ -16,16 +16,16 @@
 // The coordinator registers against each worker before routing work
 // to it; a worker whose shard fingerprint or capability-catalog
 // generation disagrees (wrong seed, world size, shard count or binary
-// version) is rejected and its shard served in-process instead.
-// SIGINT/SIGTERM shuts the worker down gracefully; the coordinator
-// fails the shard over to its in-process twin, so in-flight asks
-// complete either way.
+// version) is rejected and its shard's requests run on the
+// coordinator instead. SIGINT/SIGTERM shuts the worker down
+// gracefully; the coordinator then runs the shard's requests itself,
+// so in-flight asks complete either way.
 //
 // Pass -scenario when the coordinator injects the cable-failure
 // scenario: scenario-reading capabilities (e.g. the traceroute
 // archive-window scatter) then execute on the worker's own identical
-// scenario copy. Without it such requests are refused and served by
-// the coordinator's in-process fallback — correct, just not remote.
+// scenario copy. Without it such requests are refused and run on the
+// coordinator — correct, just not remote.
 package main
 
 import (

@@ -12,15 +12,9 @@ package core
 import (
 	"container/list"
 	"hash/maphash"
-	"net/netip"
 	"reflect"
 	"sync"
 	"sync/atomic"
-	"unsafe"
-
-	"arachnet/internal/nautilus"
-	"arachnet/internal/netsim"
-	"arachnet/internal/xaminer"
 )
 
 // cacheShards is the shard count; keys are distributed by hash. A
@@ -269,101 +263,14 @@ func (a stepCacheAdapter) Put(key string, outputs map[string]any) {
 }
 
 // estimateSize approximates the in-memory footprint of a value for the
-// cache's byte accounting. The common step-output shapes (address
-// sets, link sets, geo tables, impact reports, and the output maps
-// wrapping them) take a reflection-free fast path; anything else falls
-// back to a bounded reflective walk that samples long collections, so
-// the estimate is cheap and order-of-magnitude right rather than
-// exact.
+// cache's byte accounting: a bounded reflective walk that samples long
+// collections, so the estimate is cheap and order-of-magnitude right
+// rather than exact. It covers any output type, since capabilities
+// registered beside the builtin catalog may output any Go value. Depth
+// 5 leaves each value of a step output map three levels of its own,
+// after one for the map and one for the value's interface slot.
 func estimateSize(v any) int64 {
-	if s, ok := sizeHint(v); ok {
-		return s
-	}
-	return estimateValue(reflect.ValueOf(v), 4)
-}
-
-// Element sizes for the hinted types. Computed once from the real
-// layouts so the hints track the reflective estimates as types evolve.
-var (
-	hintAddrSize    = int64(unsafe.Sizeof(netip.Addr{}))
-	hintLinkIDSize  = int64(unsafe.Sizeof(netsim.LinkID(0)))
-	hintGeoRowSize  = int64(unsafe.Sizeof(GeoRow{}))
-	hintImpactSize  = int64(unsafe.Sizeof(xaminer.ImpactReport{}))
-	hintCountrySize = int64(unsafe.Sizeof(xaminer.CountryImpact{}))
-)
-
-// sliceHeader/stringHeader/mapOverhead approximate container costs the
-// element sizes above don't cover.
-const (
-	hintSliceHeader = 24
-	hintStringSize  = 16 // header; content added per value
-	hintMapOverhead = 48
-	hintMapEntry    = 16 // bucket slot bookkeeping per entry
-)
-
-// sizeHint returns a reflection-free footprint estimate for the value
-// shapes the step cache actually stores (see the builtin catalog's
-// outputs), or ok=false to fall back to the reflective estimator. The
-// hints intentionally mirror estimateValue's accounting — header plus
-// indirect payload — so mixing hinted and reflected values inside one
-// output map stays consistent.
-func sizeHint(v any) (int64, bool) {
-	switch x := v.(type) {
-	case nil:
-		return 8, true
-	case bool, int, int64, float64, netsim.LinkID:
-		return 8, true
-	case netip.Addr:
-		return hintAddrSize, true
-	case string:
-		return hintStringSize + int64(len(x)), true
-	case nautilus.CableID:
-		return hintStringSize + int64(len(x)), true
-	case []netip.Addr:
-		return hintSliceHeader + int64(len(x))*hintAddrSize, true
-	case []netsim.LinkID:
-		return hintSliceHeader + int64(len(x))*hintLinkIDSize, true
-	case []string:
-		s := int64(hintSliceHeader)
-		for _, e := range x {
-			s += hintStringSize + int64(len(e))
-		}
-		return s, true
-	case []nautilus.CableID:
-		s := int64(hintSliceHeader)
-		for _, e := range x {
-			s += hintStringSize + int64(len(e))
-		}
-		return s, true
-	case []GeoRow:
-		s := hintSliceHeader + int64(len(x))*hintGeoRowSize
-		for _, r := range x {
-			s += int64(len(r.Country))
-		}
-		return s, true
-	case *xaminer.ImpactReport:
-		if x == nil {
-			return 8, true
-		}
-		s := 8 + hintImpactSize + int64(len(x.Scenario))
-		s += int64(len(x.Countries)) * hintCountrySize
-		for _, c := range x.Countries {
-			s += int64(len(c.Country))
-		}
-		return s, true
-	case map[string]any:
-		s := int64(hintMapOverhead)
-		for k, val := range x {
-			s += hintMapEntry + hintStringSize + int64(len(k))
-			if hv, ok := sizeHint(val); ok {
-				s += hv
-			} else {
-				s += estimateValue(reflect.ValueOf(val), 3)
-			}
-		}
-		return s, true
-	}
-	return 0, false
+	return estimateValue(reflect.ValueOf(v), 5)
 }
 
 // estimateItems bounds how many collection elements are inspected;

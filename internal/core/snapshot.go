@@ -2,18 +2,17 @@ package core
 
 // Persistent cache snapshots: SaveSnapshot serializes a System's warm
 // state — the queries whose plans are cached plus every step-cache
-// entry the wire codec can represent — and LoadSnapshot restores it
+// entry the port-value table can represent — and LoadSnapshot restores it
 // into a freshly built System, so a restarted server answers its
 // first repeated query as a cache hit instead of re-executing the
 // workflow.
 //
 // What is persisted, and how:
 //
-//   - Step results are encoded with the fleetwire codec's tagged value
-//     envelopes (the same closed tag↔type registry the worker wire
-//     uses), keyed by the raw step fingerprint. Entries holding values
-//     outside the codec's registry are skipped — they simply re-execute
-//     once after restart.
+//   - Step results are encoded as port-value envelopes (portvalue.go;
+//     the same closed tag↔type table the worker wire uses), keyed by
+//     the raw step fingerprint. Entries holding values outside the
+//     table are skipped — they simply re-execute once after restart.
 //   - Plans are persisted as their query text, not their artifacts
 //     (planning output holds unserializable state — quality-check
 //     closures, capability handles). LoadSnapshot re-plans each query
@@ -28,12 +27,6 @@ package core
 // corruption — and on success *adopts* the saved identity counters so
 // the persisted step fingerprints resolve (see
 // Environment.adoptFingerprint).
-//
-// The value codec itself lives in internal/fleetwire, which imports
-// core; the dependency therefore runs through an injection seam
-// (SetSnapshotValueCodec, called from fleetwire's init), and
-// SaveSnapshot/LoadSnapshot fail with a clear error in binaries that
-// somehow link core without fleetwire.
 
 import (
 	"context"
@@ -52,23 +45,6 @@ import (
 // snapshotVersion is bumped whenever the snapshot layout changes;
 // loaders reject other versions.
 const snapshotVersion = 1
-
-// Snapshot value codec, injected by internal/fleetwire (see package
-// comment). Registration happens in an init, before any System exists.
-var (
-	snapEncodeValues func(map[string]any) (json.RawMessage, error)
-	snapDecodeValues func(json.RawMessage) (map[string]any, error)
-)
-
-// SetSnapshotValueCodec installs the tagged-envelope codec snapshots
-// encode step outputs with. Called once from internal/fleetwire's
-// init; later calls overwrite (tests).
-func SetSnapshotValueCodec(
-	enc func(map[string]any) (json.RawMessage, error),
-	dec func(json.RawMessage) (map[string]any, error),
-) {
-	snapEncodeValues, snapDecodeValues = enc, dec
-}
 
 // snapshotFile is the on-disk layout (JSON, one object).
 type snapshotFile struct {
@@ -93,10 +69,10 @@ type snapshotFile struct {
 	// Queries are the plan-cache contents, re-planned at load.
 	Queries []string `json:"queries,omitempty"`
 	// Steps are the step-cache contents: base64 raw fingerprint →
-	// tagged-envelope output map.
+	// port-value output map.
 	Steps []snapshotStep `json:"steps,omitempty"`
-	// SkippedSteps counts cache entries the codec could not represent
-	// (informational).
+	// SkippedSteps counts cache entries the port-value table could not
+	// represent (informational).
 	SkippedSteps int `json:"skipped_steps,omitempty"`
 }
 
@@ -153,15 +129,12 @@ func (e *Environment) scenarioDigest() string {
 
 // SaveSnapshot writes the System's warm cache state to w: a versioned,
 // fingerprint-stamped JSON document holding the plan cache as query
-// text and the step cache as codec-encoded output maps. Entries whose
-// values the wire codec cannot represent are skipped (counted in the
-// header), never mis-encoded. Intended at drain time — concurrent
+// text and the step cache as port-value output maps. Entries whose
+// values the port-value table cannot represent are skipped (counted in
+// the header), never mis-encoded. Intended at drain time — concurrent
 // serving is safe (each cache is walked under its shard locks) but the
 // snapshot then reflects an instant somewhere during the walk.
 func (s *System) SaveSnapshot(w io.Writer) error {
-	if snapEncodeValues == nil {
-		return fmt.Errorf("core: snapshot value codec not installed (link arachnet/internal/fleetwire)")
-	}
 	f := snapshotFile{
 		Version:      snapshotVersion,
 		SavedAt:      time.Now().UTC(),
@@ -188,13 +161,17 @@ func (s *System) SaveSnapshot(w io.Writer) error {
 			f.SkippedSteps++
 			continue
 		}
-		raw, err := snapEncodeValues(out)
+		pv, err := EncodePortValues(out)
 		if err != nil {
-			// A value outside the codec's closed registry: cheap to
+			// A value outside the closed port-value table: cheap to
 			// recompute after restart, dangerous to guess an encoding
 			// for.
 			f.SkippedSteps++
 			continue
+		}
+		raw, err := json.Marshal(pv)
+		if err != nil {
+			return err
 		}
 		f.Steps = append(f.Steps, snapshotStep{
 			Key: base64.StdEncoding.EncodeToString([]byte(ent.key)),
@@ -211,15 +188,14 @@ func (s *System) SaveSnapshot(w io.Writer) error {
 // setup: same world content (config and seed), same registry
 // generation and size, same injected scenario — any mismatch is
 // rejected with an error and the System is left untouched, because
-// serving another world's cached results would be silently wrong. On
+// serving another world's cached results would be silently wrong (so
+// is a step key that does not decode; a step output that does not
+// decode is skipped). On
 // success the environment adopts the saved fingerprint identity (the
 // persisted step keys embed it), step entries are inserted, and each
 // saved query is re-planned to warm the plan cache and its compiled
 // artifacts. Intended at boot, before serving traffic.
 func (s *System) LoadSnapshot(r io.Reader) error {
-	if snapDecodeValues == nil {
-		return fmt.Errorf("core: snapshot value codec not installed (link arachnet/internal/fleetwire)")
-	}
 	var f snapshotFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
 		return fmt.Errorf("core: snapshot decode: %w", err)
@@ -239,23 +215,37 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 	if got := s.env.scenarioDigest(); f.Scenario != got {
 		return fmt.Errorf("core: snapshot scenario mismatch (snapshot %.12q, this environment %.12q)", f.Scenario, got)
 	}
-	// Adopt the saved fingerprint identity before touching either
-	// cache so inserted step keys and re-planned plan keys both
-	// resolve under it.
-	s.env.adoptFingerprint(f.EnvID, f.EnvEpoch)
+	// Decode every step before touching the environment or either
+	// cache: a rejected load must leave the System as it was.
+	type step struct {
+		key string
+		out map[string]any
+	}
+	steps := make([]step, 0, len(f.Steps))
 	for _, st := range f.Steps {
 		key, err := base64.StdEncoding.DecodeString(st.Key)
 		if err != nil {
 			return fmt.Errorf("core: snapshot step key: %w", err)
 		}
-		out, err := snapDecodeValues(st.Out)
-		if err != nil {
-			// A tag this build doesn't know (snapshot from a newer
-			// binary): skip the entry rather than fail the boot — it
-			// re-executes once.
+		var pv map[string]PortValue
+		if err := json.Unmarshal(st.Out, &pv); err != nil {
 			continue
 		}
-		s.stepCache.Put(string(key), out, estimateSize(out))
+		out, err := DecodePortValues(pv)
+		if err != nil {
+			// A tag this build doesn't know (snapshot from a newer
+			// binary) or a value that cannot be an output: skip the
+			// entry rather than fail the boot — it re-executes once.
+			continue
+		}
+		steps = append(steps, step{key: string(key), out: out})
+	}
+	// Adopt the saved fingerprint identity before touching either
+	// cache so inserted step keys and re-planned plan keys both
+	// resolve under it.
+	s.env.adoptFingerprint(f.EnvID, f.EnvEpoch)
+	for _, st := range steps {
+		s.stepCache.Put(st.key, st.out, estimateSize(st.out))
 	}
 	// Re-plan the saved queries. The planning agents are deterministic
 	// and cheap relative to execution; a query that no longer plans

@@ -28,13 +28,14 @@
 // # Transport seam
 //
 // Workers are reached exclusively through the Transport interface.
-// The in-process implementation (NewLocalTransport) delivers requests
-// over per-worker channels to goroutine pools in the same address
-// space; a future gRPC transport implements the same three methods
-// against remote processes, each holding its own shard and registry
-// replica, without touching the dispatcher or the engine. Requests
-// carry the capability name for exactly that reason — the in-process
-// capability pointer is a fast path, not part of the contract.
+// The in-process implementation (NewLocalTransport, which New builds)
+// delivers requests over per-worker channels to goroutine pools in the
+// same address space; internal/fleetwire's HTTP transport implements
+// the same three methods against remote processes, each holding its
+// own shard and registry replica, and NewOver builds a Fleet over it
+// without touching the dispatcher or the engine. Requests carry the
+// capability name for exactly that reason — the in-process capability
+// pointer is a fast path, not part of the contract.
 package fleet
 
 import (
@@ -69,27 +70,27 @@ type Scatter struct {
 	Merge func(p *netsim.Partition, env any, orig map[string]any, parts map[int]map[string]any) (map[string]any, error)
 }
 
-// Config sizes a Fleet.
+// Config sizes an in-process Fleet.
 type Config struct {
 	// Workers is the number of shards/workers (>= 1).
 	Workers int
-	// WorkerParallelism bounds concurrent requests per worker
-	// (default 2).
-	WorkerParallelism int
-	// CacheEntries bounds each worker's local step cache (default
-	// 512; 0 uses the default, negative disables worker caching).
-	CacheEntries int
-	// WrapTransport, if set, wraps the in-process transport —
-	// the seam for instrumentation and alternative transports.
-	WrapTransport func(Transport) Transport
 }
+
+// In-process worker sizing: concurrent requests per worker, and the
+// entries of each worker's local step cache.
+const (
+	workerParallelism  = 2
+	workerCacheEntries = 512
+)
 
 // Fleet is a sharded worker pool implementing workflow.Dispatcher
 // over a partitioned world.
 type Fleet struct {
 	part      *netsim.Partition
-	workers   []*Worker
 	transport Transport
+	// workers are the in-process workers New started (nil for NewOver),
+	// reported by Stats.
+	workers []*Worker
 
 	mu       sync.RWMutex
 	scatters map[string]Scatter
@@ -102,31 +103,29 @@ type Fleet struct {
 }
 
 // New partitions the world into cfg.Workers shards and starts one
-// worker per shard.
+// in-process worker per shard.
 func New(w *netsim.World, cfg Config) (*Fleet, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("fleet: %d workers < 1", cfg.Workers)
-	}
-	if cfg.WorkerParallelism < 1 {
-		cfg.WorkerParallelism = 2
-	}
-	if cfg.CacheEntries == 0 {
-		cfg.CacheEntries = 512
 	}
 	part, err := netsim.PartitionWorld(w, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{part: part, scatters: map[string]Scatter{}}
-	f.workers = make([]*Worker, cfg.Workers)
-	for i := range f.workers {
-		f.workers[i] = newWorker(i, part.Shards[i], cfg.CacheEntries)
+	workers := make([]*Worker, cfg.Workers)
+	for i := range workers {
+		workers[i] = NewWorker(i, part.Shards[i], workerCacheEntries)
 	}
-	f.transport = NewLocalTransport(f.workers, cfg.WorkerParallelism)
-	if cfg.WrapTransport != nil {
-		f.transport = cfg.WrapTransport(f.transport)
-	}
+	f := NewOver(part, NewLocalTransport(workers, workerParallelism))
+	f.workers = workers
 	return f, nil
+}
+
+// NewOver builds a Fleet that reaches shard i of part as worker i of
+// t. It starts no workers of its own; t must reach one per shard, and
+// the Fleet owns t from here on (Close closes it).
+func NewOver(part *netsim.Partition, t Transport) *Fleet {
+	return &Fleet{part: part, transport: t, scatters: map[string]Scatter{}}
 }
 
 // SetScatter registers (or replaces) the scatter spec for a
@@ -142,7 +141,7 @@ func (f *Fleet) SetScatter(capability string, s Scatter) {
 func (f *Fleet) Partition() *netsim.Partition { return f.part }
 
 // Workers returns the shard/worker count.
-func (f *Fleet) Workers() int { return len(f.workers) }
+func (f *Fleet) Workers() int { return len(f.part.Shards) }
 
 // DispatchStep implements workflow.Dispatcher: split the input by
 // shard ownership, fan sub-requests out over the transport, and
@@ -163,7 +162,7 @@ func (f *Fleet) DispatchStep(ctx context.Context, capb *registry.Capability, in 
 
 	shards := make([]int, 0, len(parts))
 	for s := range parts {
-		if s < 0 || s >= len(f.workers) {
+		if s < 0 || s >= f.Workers() {
 			f.declined.Add(1)
 			return nil, false, nil
 		}
@@ -228,7 +227,9 @@ func workerKey(fingerprint string, shard int) string {
 	return fmt.Sprintf("%s|%d", fingerprint, shard)
 }
 
-// ShardStats describes one worker's shard inventory and counters.
+// ShardStats describes one worker's shard inventory and counters. A
+// fleet over a network transport reports inventory only; its workers
+// count executions at their own stats endpoint.
 type ShardStats struct {
 	Worker       int    `json:"worker"`
 	Countries    int    `json:"countries"`
@@ -254,8 +255,8 @@ type WireStats struct {
 	Rejected   int `json:"rejected"`
 	// Requests counts requests answered over the wire; Retries counts
 	// re-sent attempts after transient failures; Failovers counts
-	// requests that fell back to the in-process worker after the
-	// remote was unusable or exhausted its retries.
+	// requests the coordinator ran itself after the remote was
+	// unusable or exhausted its retries.
 	Requests  uint64 `json:"requests"`
 	Retries   uint64 `json:"retries"`
 	Failovers uint64 `json:"failovers"`
@@ -287,14 +288,18 @@ type Stats struct {
 // Stats snapshots dispatch counters and per-worker shard inventory.
 func (f *Fleet) Stats() Stats {
 	st := Stats{
-		Workers:    len(f.workers),
+		Workers:    f.Workers(),
 		Scattered:  f.scattered.Load(),
 		ShardLocal: f.shardLocal.Load(),
 		Declined:   f.declined.Load(),
-		Shards:     make([]ShardStats, len(f.workers)),
+		Shards:     make([]ShardStats, f.Workers()),
 	}
-	for i, w := range f.workers {
-		st.Shards[i] = w.stats()
+	for i, sh := range f.part.Shards {
+		if f.workers != nil {
+			st.Shards[i] = f.workers[i].Stats()
+		} else {
+			st.Shards[i] = shardInventory(i, sh)
+		}
 	}
 	if ws, ok := f.transport.(WireStatser); ok {
 		w := ws.WireStats()

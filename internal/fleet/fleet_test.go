@@ -227,17 +227,16 @@ func (c *countingTransport) Send(ctx context.Context, worker int, req Request) (
 
 func TestTransportSeam(t *testing.T) {
 	w := testWorld(t)
-	var ct *countingTransport
-	f, err := New(w, Config{
-		Workers: 3,
-		WrapTransport: func(inner Transport) Transport {
-			ct = &countingTransport{Transport: inner}
-			return ct
-		},
-	})
+	part, err := netsim.PartitionWorld(w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	workers := make([]*Worker, len(part.Shards))
+	for i, sh := range part.Shards {
+		workers[i] = NewWorker(i, sh, 0)
+	}
+	ct := &countingTransport{Transport: NewLocalTransport(workers, 1)}
+	f := NewOver(part, ct)
 	defer f.Close()
 	capb := countLinksCap(w)
 	f.SetScatter(capb.Name, countLinksScatter())

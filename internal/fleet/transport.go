@@ -51,8 +51,9 @@ type Response struct {
 // Transport moves Requests to workers. Implementations must be safe
 // for concurrent Send calls; Send must honor ctx cancellation. This
 // is the multi-process seam: NewLocalTransport runs workers in this
-// address space, and a network transport (gRPC) slots in behind the
-// same interface without dispatcher changes.
+// address space, and internal/fleetwire's HTTP transport reaches
+// worker processes behind the same interface (see NewOver) without
+// dispatcher changes.
 type Transport interface {
 	// Send executes req on the given worker and returns its response.
 	Send(ctx context.Context, worker int, req Request) (Response, error)

@@ -32,16 +32,11 @@ type workerEntry struct {
 	out map[string]any
 }
 
-// NewWorker builds a standalone worker over one shard with a local
-// step cache of cacheEntries results (<= 0 disables caching). The
-// in-process fleet builds its workers itself; this constructor is for
-// remote worker processes (cmd/arachnet-worker) that own a single
-// shard behind a network transport.
+// NewWorker builds a worker over one shard with a local step cache of
+// cacheEntries results (<= 0 disables caching). New builds one per
+// shard of an in-process fleet; a remote worker process
+// (cmd/arachnet-worker) owns a single one behind a network transport.
 func NewWorker(index int, shard netsim.Shard, cacheEntries int) *Worker {
-	return newWorker(index, shard, cacheEntries)
-}
-
-func newWorker(index int, shard netsim.Shard, cacheEntries int) *Worker {
 	w := &Worker{index: index, shard: shard, cacheCap: cacheEntries}
 	if cacheEntries > 0 {
 		w.cacheOrder = list.New()
@@ -57,11 +52,7 @@ func (w *Worker) Index() int { return w.index }
 func (w *Worker) Shard() netsim.Shard { return w.shard }
 
 // Execute runs one request: serve from the local cache when keyed,
-// otherwise invoke the capability and remember the partial result.
-// The capability pointer must already be resolved (req.Capability);
-// transports that received the request over a wire resolve req.Cap
-// against their own registry first. Panics are contained and returned
-// as errors.
+// otherwise Call the capability and remember the partial result.
 func (w *Worker) Execute(ctx context.Context, req Request) (Response, error) {
 	if req.Key != "" {
 		if out, ok := w.cacheGet(req.Key); ok {
@@ -69,27 +60,40 @@ func (w *Worker) Execute(ctx context.Context, req Request) (Response, error) {
 			return Response{Out: out, CacheHit: true}, nil
 		}
 	}
-	capb := req.Capability
-	if capb == nil {
-		return Response{}, fmt.Errorf("worker %d: capability %q not resolvable", w.index, req.Cap)
-	}
-	call := &registry.Call{In: req.In, Out: map[string]any{}, Env: req.Env, Ctx: ctx}
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("worker %d: capability %q panicked: %v", w.index, req.Cap, r)
-			}
-		}()
-		return capb.Impl(call)
-	}()
+	out, err := Call(ctx, req)
 	if err != nil {
 		return Response{}, err
 	}
 	w.executed.Add(1)
 	if req.Key != "" {
-		w.cachePut(req.Key, call.Out)
+		w.cachePut(req.Key, out)
 	}
-	return Response{Out: call.Out}, nil
+	return Response{Out: out}, nil
+}
+
+// Call runs req's capability once, uncached, and returns its output
+// map. The capability pointer must already be resolved
+// (req.Capability); transports that received the request over a wire
+// resolve req.Cap against their own registry first. Panics are
+// contained and returned as errors.
+func Call(ctx context.Context, req Request) (map[string]any, error) {
+	capb := req.Capability
+	if capb == nil {
+		return nil, fmt.Errorf("capability %q not resolvable", req.Cap)
+	}
+	call := &registry.Call{In: req.In, Out: map[string]any{}, Env: req.Env, Ctx: ctx}
+	err := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("capability %q panicked: %v", req.Cap, r)
+			}
+		}()
+		return capb.Impl(call)
+	}()
+	if err != nil {
+		return nil, err
+	}
+	return call.Out, nil
 }
 
 func (w *Worker) cacheGet(key string) (map[string]any, bool) {
@@ -126,22 +130,26 @@ func (w *Worker) cachePut(key string, out map[string]any) {
 }
 
 // Stats snapshots the worker's shard inventory and counters.
-func (w *Worker) Stats() ShardStats { return w.stats() }
-
-func (w *Worker) stats() ShardStats {
+func (w *Worker) Stats() ShardStats {
 	w.cacheMu.Lock()
 	entries := 0
 	if w.cacheOrder != nil {
 		entries = w.cacheOrder.Len()
 	}
 	w.cacheMu.Unlock()
+	st := shardInventory(w.index, w.shard)
+	st.Executed = w.executed.Load()
+	st.CacheHits = w.cacheHits.Load()
+	st.CacheEntries = entries
+	return st
+}
+
+// shardInventory is the counter-free ShardStats of shard index.
+func shardInventory(index int, shard netsim.Shard) ShardStats {
 	return ShardStats{
-		Worker:       w.index,
-		Countries:    len(w.shard.Countries),
-		Routers:      w.shard.Routers,
-		Links:        w.shard.Links,
-		Executed:     w.executed.Load(),
-		CacheHits:    w.cacheHits.Load(),
-		CacheEntries: entries,
+		Worker:    index,
+		Countries: len(shard.Countries),
+		Routers:   shard.Routers,
+		Links:     shard.Links,
 	}
 }

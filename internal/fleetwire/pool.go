@@ -1,37 +1,36 @@
 // Package fleetwire puts a real wire under the fleet's Transport
-// seam: an HTTP/JSON transport whose typed codec round-trips step
-// input and output values between OS processes, so the same
-// scatter-gather plans the in-process fleet runs (internal/fleet)
+// seam: an HTTP/JSON transport that carries step input and output
+// values between OS processes as core's port-value envelopes, so the
+// same scatter-gather plans the in-process fleet runs (internal/fleet)
 // execute against remote worker processes (cmd/arachnet-worker) —
 // DIMES-style scale-out with reports byte-identical to in-process and
 // inline execution.
 //
 // # Topology
 //
-// A coordinator builds its fleet as usual (fleet.New partitions the
-// world, starts in-process workers) and wraps the transport with a
-// Pool via fleet.Config.WrapTransport. The Pool maps shard i to the
-// i-th remote address; shards beyond the address list stay on their
-// in-process worker. Each remote is a cmd/arachnet-worker process
-// that derived the same world from the same -world/-seed/-shards
-// flags, so shard contents agree by construction — and the
-// registration handshake (netsim.Partition.ShardFingerprint plus the
-// builtin-catalog registry generation) proves it before any request
-// is routed there.
+// A coordinator partitions its world into one shard per remote address
+// and builds its fleet over a Pool (NewFleet); it starts no in-process
+// workers. The Pool maps shard i to the i-th remote address. Each
+// remote is a cmd/arachnet-worker process that derived the same world
+// from the same -world/-seed/-shards flags, so shard contents agree by
+// construction — and the registration handshake
+// (netsim.Partition.ShardFingerprint plus the builtin-catalog registry
+// generation) proves it before any request is routed there.
 //
 // # Failure semantics
 //
-// Correctness never depends on a remote. Every Send falls back to the
-// in-process worker — which owns the identical shard — when the
-// remote is unregistered, rejected, unhealthy, or exhausts its
-// retries; the fallback result is exactly what the remote would have
-// produced, so a killed worker degrades an ask, never fails it.
-// Typed worker refusals (unknown capability, undecodable input) fail
-// over immediately without retrying; transport errors retry up to
-// Config.Retries times under Config.RequestTimeout each. A background
-// loop health-checks remotes every Config.HealthInterval, re-registers
-// the unhealthy, and permanently rejects handshake mismatches. All of
-// it is counted in fleet.WireStats, surfaced through Fleet.Stats,
+// Correctness never depends on a remote. Every Send falls back to
+// running the request on the coordinator — the same capability call a
+// worker makes, uncached — when the remote is unregistered, rejected,
+// unhealthy, or exhausts its retries. The coordinator owns the whole
+// world, so the fallback result is exactly what the remote would have
+// produced, and a killed worker degrades an ask, never fails it.
+// Typed worker refusals (unknown capability, undecodable input or
+// output) fail over immediately without retrying; transport errors are
+// re-sent once, each attempt bounded by a 15 s timeout. A background
+// loop health-checks remotes every 2 s, re-registers the unhealthy,
+// and permanently rejects handshake mismatches. All of it is counted
+// in fleet.WireStats, surfaced through Fleet.Stats,
 // core.CacheStats.Fleet and /v1/stats.
 package fleetwire
 
@@ -52,62 +51,33 @@ import (
 	"arachnet/internal/netsim"
 )
 
-// NewFleet builds a fleet of len(addrs) workers whose transport
-// routes each shard to the remote worker at the matching address,
-// with in-process failover (see Pool). cfg.World is taken from world
-// and cfg.RegistryGeneration defaults to the builtin catalog's — the
-// one arachnet-worker serves.
-func NewFleet(world *netsim.World, addrs []string, cfg Config) (*fleet.Fleet, error) {
+// Pool timing: each execute, registration and health attempt is
+// bounded by requestTimeout; a transiently failed execute is re-sent
+// maxRetries times before failing over; the health loop runs every
+// healthInterval.
+const (
+	requestTimeout = 15 * time.Second
+	maxRetries     = 1
+	healthInterval = 2 * time.Second
+)
+
+// NewFleet builds a fleet over the remote workers at addrs (host:port
+// or a full http URL): shard i of world's len(addrs)-way partition is
+// served by addrs[i], with failover to the coordinator (see Pool).
+// Workers must serve the builtin catalog, as arachnet-worker does.
+func NewFleet(world *netsim.World, addrs []string) (*fleet.Fleet, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("fleetwire: no remote worker addresses")
 	}
-	cfg.World = world
-	if cfg.RegistryGeneration == 0 {
-		cfg.RegistryGeneration = core.BuiltinRegistry().Generation()
-	}
-	var poolErr error
-	f, err := fleet.New(world, fleet.Config{
-		Workers: len(addrs),
-		WrapTransport: func(inner fleet.Transport) fleet.Transport {
-			p, err := NewPool(inner, addrs, cfg)
-			if err != nil {
-				poolErr = err
-				return inner
-			}
-			return p
-		},
-	})
+	part, err := netsim.PartitionWorld(world, len(addrs))
 	if err != nil {
 		return nil, err
 	}
-	if poolErr != nil {
-		f.Close()
-		return nil, poolErr
+	p, err := newPool(part, addrs)
+	if err != nil {
+		return nil, err
 	}
-	return f, nil
-}
-
-// Config tunes a Pool.
-type Config struct {
-	// World is the coordinator's generated world; the Pool re-derives
-	// the partition from it to compute per-shard handshake
-	// fingerprints. Required.
-	World *netsim.World
-	// RegistryGeneration is the builtin-catalog generation the workers
-	// must be serving (core.BuiltinRegistry().Generation() of the
-	// coordinator's binary); a worker built from a different catalog
-	// version is rejected at registration.
-	RegistryGeneration uint64
-	// RequestTimeout bounds each execute attempt (default 15s).
-	RequestTimeout time.Duration
-	// Retries is how many times a transiently-failed request is
-	// re-sent before failing over (default 1).
-	Retries int
-	// HealthInterval paces the background health/re-registration loop
-	// (default 2s; negative disables the loop).
-	HealthInterval time.Duration
-	// Client overrides the HTTP client (tests).
-	Client *http.Client
+	return fleet.NewOver(part, p), nil
 }
 
 // Remote registration states.
@@ -120,7 +90,8 @@ const (
 
 type remote struct {
 	index int
-	base  string // http://host:port
+	base  string    // http://host:port
+	hs    handshake // the coordinator's expectation of this worker
 
 	mu    sync.Mutex
 	state int
@@ -142,14 +113,10 @@ func (r *remote) setState(s int) {
 }
 
 // Pool is the coordinator side of the wire: a fleet.Transport that
-// routes shard requests to registered remote workers and falls back
-// to the wrapped in-process transport on any trouble.
+// routes shard requests to registered remote workers and runs a
+// request on the coordinator on any trouble.
 type Pool struct {
-	inner   fleet.Transport
-	cfg     Config
-	client  *http.Client
-	remotes []*remote // remotes[i] serves shard i; nil entries stay local
-	fps     []string  // per-shard handshake fingerprints
+	remotes []*remote // remotes[i] serves shard i
 
 	done      chan struct{}
 	wg        sync.WaitGroup
@@ -163,92 +130,45 @@ type Pool struct {
 	bytesReceived  atomic.Uint64
 }
 
-// NewPool wraps inner with remote routing: addrs[i] (host:port or a
-// full http URL) serves shard i. len(addrs) may be less than the
-// worker count — uncovered shards stay in-process — but not more.
-// Registration of every remote is attempted immediately; failures are
-// left to the health loop, so a Pool over dead workers still
-// constructs (and serves everything via inner).
-func NewPool(inner fleet.Transport, addrs []string, cfg Config) (*Pool, error) {
-	if cfg.World == nil {
-		return nil, fmt.Errorf("fleetwire: pool config needs the coordinator's world")
-	}
-	n := inner.Workers()
-	if len(addrs) > n {
-		return nil, fmt.Errorf("fleetwire: %d remote addresses for %d shards", len(addrs), n)
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 15 * time.Second
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	} else if cfg.Retries == 0 {
-		cfg.Retries = 1
-	}
-	if cfg.HealthInterval == 0 {
-		cfg.HealthInterval = 2 * time.Second
-	}
-	part, err := netsim.PartitionWorld(cfg.World, n)
-	if err != nil {
-		return nil, err
-	}
-	p := &Pool{
-		inner:   inner,
-		cfg:     cfg,
-		client:  cfg.Client,
-		remotes: make([]*remote, n),
-		fps:     make([]string, n),
-		done:    make(chan struct{}),
-	}
-	if p.client == nil {
-		p.client = &http.Client{}
-	}
-	for i := range p.fps {
+// newPool routes shard i of part to addrs[i]. Registration of every
+// remote is attempted immediately; failures are left to the health
+// loop, so a Pool over dead workers still constructs (and serves
+// everything on the coordinator).
+func newPool(part *netsim.Partition, addrs []string) (*Pool, error) {
+	gen := core.BuiltinRegistry().Generation()
+	p := &Pool{remotes: make([]*remote, len(addrs)), done: make(chan struct{})}
+	for i, addr := range addrs {
 		fp, err := part.ShardFingerprint(i)
 		if err != nil {
 			return nil, err
 		}
-		p.fps[i] = fp
-	}
-	for i, addr := range addrs {
 		base := addr
 		if !strings.Contains(base, "://") {
 			base = "http://" + base
 		}
-		p.remotes[i] = &remote{index: i, base: strings.TrimRight(base, "/")}
+		p.remotes[i] = &remote{
+			index: i,
+			base:  strings.TrimRight(base, "/"),
+			hs:    handshake{Index: i, Shards: len(addrs), ShardFingerprint: fp, RegistryGeneration: gen},
+		}
 	}
 	// First registration pass, bounded per remote; workers that are
 	// not up yet are picked up by the health loop.
 	for _, r := range p.remotes {
-		if r != nil {
-			p.register(r)
-		}
+		p.register(r)
 	}
-	if cfg.HealthInterval > 0 {
-		p.wg.Add(1)
-		go p.healthLoop()
-	}
+	p.wg.Add(1)
+	go p.healthLoop()
 	return p, nil
-}
-
-// handshakeFor builds the coordinator's expectation for shard i.
-func (p *Pool) handshakeFor(i int) handshake {
-	return handshake{
-		Index:              i,
-		Shards:             len(p.remotes),
-		ShardFingerprint:   p.fps[i],
-		RegistryGeneration: p.cfg.RegistryGeneration,
-	}
 }
 
 // register performs the /v1/register handshake. A mismatch rejects
 // the remote permanently; transport failure leaves it for the health
 // loop; success marks it healthy.
 func (p *Pool) register(r *remote) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 	defer cancel()
-	want := p.handshakeFor(r.index)
-	body, err := json.Marshal(want)
+	body, err := json.Marshal(r.hs)
 	if err != nil {
 		return
 	}
@@ -264,7 +184,7 @@ func (p *Pool) register(r *remote) {
 		return
 	}
 	var got handshake
-	if status != http.StatusOK || json.Unmarshal(respBody, &got) != nil || !want.matches(got) {
+	if status != http.StatusOK || json.Unmarshal(respBody, &got) != nil || !r.hs.matches(got) {
 		// A worker that answers the endpoint but not the contract is
 		// as unusable as a mismatch.
 		r.mu.Lock()
@@ -279,7 +199,7 @@ func (p *Pool) register(r *remote) {
 // never-registered ones until Close.
 func (p *Pool) healthLoop() {
 	defer p.wg.Done()
-	tick := time.NewTicker(p.cfg.HealthInterval)
+	tick := time.NewTicker(healthInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -288,9 +208,6 @@ func (p *Pool) healthLoop() {
 		case <-tick.C:
 		}
 		for _, r := range p.remotes {
-			if r == nil {
-				continue
-			}
 			switch r.getState() {
 			case remoteHealthy:
 				if !p.healthy(r) {
@@ -306,13 +223,13 @@ func (p *Pool) healthLoop() {
 
 // healthy probes GET /healthz.
 func (p *Pool) healthy(r *remote) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/healthz", nil)
 	if err != nil {
 		return false
 	}
-	resp, err := p.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false
 	}
@@ -329,7 +246,7 @@ func (p *Pool) post(ctx context.Context, url string, body []byte) (int, []byte, 
 		return 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -344,43 +261,31 @@ func (p *Pool) post(ctx context.Context, url string, body []byte) (int, []byte, 
 }
 
 // Send implements fleet.Transport: encode, route to the shard's
-// remote with retry, and fail over to the in-process worker whenever
-// the remote cannot answer. The fallback owns the identical shard, so
-// the result is the same either way.
+// remote with retry, and fail over to the coordinator whenever the
+// remote cannot answer. The coordinator owns the whole world, so the
+// result is the same either way.
 func (p *Pool) Send(ctx context.Context, worker int, req fleet.Request) (fleet.Response, error) {
 	select {
 	case <-p.done:
 		return fleet.Response{}, fleet.ErrTransportClosed
 	default:
 	}
-	var r *remote
-	if worker >= 0 && worker < len(p.remotes) {
-		r = p.remotes[worker]
-	}
-	if r == nil {
-		// No remote configured for this shard: plain in-process
-		// execution, not a failover.
-		return p.inner.Send(ctx, worker, req)
-	}
+	r := p.remotes[worker]
 	if r.getState() != remoteHealthy {
-		p.failovers.Add(1)
-		return p.inner.Send(ctx, worker, req)
+		return p.failover(ctx, req)
 	}
-	in, err := encodeMap(req.In)
+	in, err := core.EncodePortValues(req.In)
 	if err != nil {
 		// Un-encodable inputs are a coordinator-side condition; the
-		// in-process worker takes the request by reference.
-		p.failovers.Add(1)
-		return p.inner.Send(ctx, worker, req)
+		// coordinator takes the request by reference.
+		return p.failover(ctx, req)
 	}
 	body, err := json.Marshal(executeRequest{Cap: req.Cap, Key: req.Key, In: in})
 	if err != nil {
-		p.failovers.Add(1)
-		return p.inner.Send(ctx, worker, req)
+		return p.failover(ctx, req)
 	}
 
-	attempts := p.cfg.Retries + 1
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			p.retries.Add(1)
 		}
@@ -399,17 +304,24 @@ func (p *Pool) Send(ctx context.Context, worker int, req fleet.Request) (fleet.R
 	}
 	// Retries exhausted (or the worker refused): the remote is not
 	// serving this shard right now. Mark it for the health loop and
-	// degrade to the in-process worker.
+	// degrade to the coordinator.
 	r.setState(remoteUnhealthy)
+	return p.failover(ctx, req)
+}
+
+// failover runs req on the coordinator: the capability call a worker
+// makes (fleet.Call), without the worker's cache.
+func (p *Pool) failover(ctx context.Context, req fleet.Request) (fleet.Response, error) {
 	p.failovers.Add(1)
-	return p.inner.Send(ctx, worker, req)
+	out, err := fleet.Call(ctx, req)
+	return fleet.Response{Out: out}, err
 }
 
 // sendOnce performs one execute attempt. retryable reports whether
 // the failure was transport-level (worth re-sending) as opposed to a
 // typed refusal by a live worker.
 func (p *Pool) sendOnce(ctx context.Context, r *remote, body []byte) (fleet.Response, bool, error) {
-	actx, cancel := context.WithTimeout(ctx, p.cfg.RequestTimeout)
+	actx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	status, respBody, err := p.post(actx, r.base+"/v1/execute", body)
 	if err != nil {
@@ -430,7 +342,7 @@ func (p *Pool) sendOnce(ctx context.Context, r *remote, body []byte) (fleet.Resp
 	if err := json.Unmarshal(respBody, &wr); err != nil {
 		return fleet.Response{}, true, fmt.Errorf("fleetwire: worker %d: decode response: %w", r.index, err)
 	}
-	out, err := decodeMap(wr.Out)
+	out, err := core.DecodePortValues(wr.Out)
 	if err != nil {
 		return fleet.Response{}, false, err
 	}
@@ -438,17 +350,15 @@ func (p *Pool) sendOnce(ctx context.Context, r *remote, body []byte) (fleet.Resp
 }
 
 // Workers implements fleet.Transport.
-func (p *Pool) Workers() int { return p.inner.Workers() }
+func (p *Pool) Workers() int { return len(p.remotes) }
 
-// Close stops the health loop and closes the in-process transport.
+// Close stops the health loop.
 func (p *Pool) Close() error {
-	var err error
 	p.closeOnce.Do(func() {
 		close(p.done)
 		p.wg.Wait()
-		err = p.inner.Close()
 	})
-	return err
+	return nil
 }
 
 // WireStats implements fleet.WireStatser.
@@ -461,11 +371,8 @@ func (p *Pool) WireStats() fleet.WireStats {
 		BytesSent:      p.bytesSent.Load(),
 		BytesReceived:  p.bytesReceived.Load(),
 	}
+	st.Remotes = len(p.remotes)
 	for _, r := range p.remotes {
-		if r == nil {
-			continue
-		}
-		st.Remotes++
 		switch r.getState() {
 		case remoteHealthy:
 			st.Registered++

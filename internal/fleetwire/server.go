@@ -116,7 +116,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeUnknownCapability, "capability %q not in worker registry", req.Cap)
 		return
 	}
-	in, err := decodeMap(req.In)
+	in, err := core.DecodePortValues(req.In)
 	if err != nil {
 		writeError(w, CodeBadInput, "capability %q: %v", req.Cap, err)
 		return
@@ -132,7 +132,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeExecutionFailed, "%v", err)
 		return
 	}
-	out, err := encodeMap(resp.Out)
+	out, err := core.EncodePortValues(resp.Out)
 	if err != nil {
 		writeError(w, CodeUnencodableOutput, "capability %q: %v", req.Cap, err)
 		return

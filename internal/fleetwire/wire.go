@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+
+	"arachnet/internal/core"
 )
 
 // Wire error codes. A worker answers every failure with a typed
@@ -16,13 +18,14 @@ const (
 	// CodeUnknownCapability: Cap did not resolve against the worker's
 	// registry replica.
 	CodeUnknownCapability = "unknown_capability"
-	// CodeBadInput: an input value failed to decode.
+	// CodeBadInput: an input value failed to decode (see
+	// core.DecodePortValues).
 	CodeBadInput = "bad_input"
 	// CodeExecutionFailed: the capability ran and returned an error
 	// (or panicked; panics are contained by the worker).
 	CodeExecutionFailed = "execution_failed"
-	// CodeUnencodableOutput: the capability produced a value the codec
-	// cannot put on the wire.
+	// CodeUnencodableOutput: the capability produced a value the
+	// port-value table cannot put on the wire.
 	CodeUnencodableOutput = "unencodable_output"
 	// CodeHandshakeMismatch: registration was refused because the
 	// worker's shard fingerprint or registry generation disagrees with
@@ -57,17 +60,18 @@ func httpStatus(code string) int {
 // executeRequest is the wire form of a fleet.Request: exactly the
 // fields the transport contract says cross a process boundary (see
 // fleet.Request's serialization-boundary doc). Capability and Env
-// deliberately have no wire representation.
+// deliberately have no wire representation. Values travel as core's
+// port-value envelopes.
 type executeRequest struct {
-	Cap string               `json:"cap"`
-	Key string               `json:"key,omitempty"`
-	In  map[string]wireValue `json:"in"`
+	Cap string                    `json:"cap"`
+	Key string                    `json:"key,omitempty"`
+	In  map[string]core.PortValue `json:"in"`
 }
 
 // executeResponse is the wire form of a fleet.Response.
 type executeResponse struct {
-	Out      map[string]wireValue `json:"out"`
-	CacheHit bool                 `json:"cache_hit,omitempty"`
+	Out      map[string]core.PortValue `json:"out"`
+	CacheHit bool                      `json:"cache_hit,omitempty"`
 }
 
 // handshake identifies one side's shard and catalog version. The

@@ -211,7 +211,7 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		switch {
 		case len(cfg.FleetRemote) > 0:
-			f, err := fleetwire.NewFleet(cfg.Env.World, cfg.FleetRemote, fleetwire.Config{})
+			f, err := fleetwire.NewFleet(cfg.Env.World, cfg.FleetRemote)
 			if err != nil {
 				return nil, fmt.Errorf("serve: tenant %q remote fleet: %w", tc.Name, err)
 			}

@@ -3,15 +3,18 @@ package arachnet_test
 // Remote fleet e2e: the HTTP wire under the fleet transport must be
 // invisible in the results. A scattered ask served by real worker
 // servers on loopback must be byte-identical to the in-process fleet;
-// killing a worker mid-run must degrade the ask to its in-process
-// twin (failover counter ticks), never fail it; and a worker whose
-// handshake disagrees must be rejected at registration while asks
-// keep succeeding.
+// killing a worker mid-run, or a worker answering a value no
+// capability can take, must degrade the ask to running the shard on
+// the coordinator (failover counter ticks), never fail it; and a
+// worker whose handshake disagrees must be rejected at registration
+// while asks keep succeeding.
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"arachnet"
@@ -120,9 +123,9 @@ func TestRemoteFleetByteIdentical(t *testing.T) {
 }
 
 // TestRemoteFleetFailover kills one worker between asks: the next ask
-// must complete — served by the dead shard's in-process twin — with
-// the failover counter ticking and outputs still identical to inline
-// execution.
+// must complete — the dead shard's requests run on the coordinator —
+// with the failover counter ticking and outputs still identical to
+// inline execution.
 func TestRemoteFleetFailover(t *testing.T) {
 	const seed = 42
 	const query = "Identify the impact at a country level due to SeaMeWe-4 cable failure"
@@ -199,5 +202,64 @@ func TestRemoteFleetHandshakeMismatch(t *testing.T) {
 	outI, _ := json.Marshal(repInline.Result.Outputs)
 	if string(outR) != string(outI) {
 		t.Errorf("rejected-worker outputs differ from inline:\nremote: %s\ninline: %s", outR, outI)
+	}
+}
+
+// TestRemoteFleetNullOutputFailsOver points a one-shard coordinator at
+// a worker that passes registration but answers every execute request
+// with a null impact report. The coordinator must refuse the value and
+// fail over, so the full-registry CS1 ask (which scatters
+// xaminer.impact_from_links) still answers exactly as inline.
+func TestRemoteFleetNullOutputFailsOver(t *testing.T) {
+	const seed, query = 42, "Identify the impact at a country level due to SeaMeWe-5 cable failure"
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/register", func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(w, r.Body) // echo the coordinator's expectation
+	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = io.WriteString(w, "ok\n")
+	})
+	mux.HandleFunc("POST /v1/execute", func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = io.WriteString(w, `{"out":{"report":{"type":"*xaminer.ImpactReport","value":null}}}`)
+	})
+	fake := httptest.NewServer(mux)
+	t.Cleanup(fake.Close)
+
+	build := func(opts ...arachnet.Option) *arachnet.System {
+		sys, err := arachnet.New(append(opts, arachnet.WithSmallWorld(seed))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := sys.Fleet(); f != nil {
+			t.Cleanup(f.Close)
+		}
+		return sys
+	}
+	remoteSys := build(arachnet.WithRemoteFleet(fake.Listener.Addr().String()))
+	if w := wireStats(t, remoteSys); w.Registered != 1 {
+		t.Fatalf("fake worker should register: %+v", w)
+	}
+	rep, err := remoteSys.Ask(ctx, query, arachnet.AskWithoutCuration())
+	if err != nil {
+		t.Fatalf("ask over a worker answering null: %v", err)
+	}
+	if w := wireStats(t, remoteSys); w.Failovers == 0 {
+		t.Fatalf("null output was accepted instead of failing over: %+v", w)
+	}
+
+	repInline, err := build().Ask(ctx, query, arachnet.AskWithoutCuration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	outR, err := json.Marshal(rep.Result.Outputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outI, err := json.Marshal(repInline.Result.Outputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(outR) != string(outI) {
+		t.Errorf("failover outputs differ from inline:\nfailover: %s\ninline:   %s", outR, outI)
 	}
 }

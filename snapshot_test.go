@@ -9,6 +9,7 @@ package arachnet_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -90,14 +91,27 @@ func TestSnapshotRejectsMismatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The donor's snapshot with its last step key no longer base64.
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	steps := doc["steps"].([]any)
+	steps[len(steps)-1].(map[string]any)["key"] = "not base64!"
+	badKey, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		label string
 		build func(t *testing.T) *arachnet.System
 		want  string // substring of the rejection error
+		snap  []byte // nil loads the donor's snapshot
 	}{
 		{"different seed", func(t *testing.T) *arachnet.System {
 			return warmSystem(t, 43)
-		}, "world"},
+		}, "world", nil},
 		{"trimmed registry", func(t *testing.T) *arachnet.System {
 			sub, err := arachnet.BuiltinRegistry().Subset(arachnet.CS1RegistryNames()...)
 			if err != nil {
@@ -112,18 +126,25 @@ func TestSnapshotRejectsMismatches(t *testing.T) {
 				t.Fatal(err)
 			}
 			return sys
-		}, "registry"},
+		}, "registry", nil},
 		{"no scenario", func(t *testing.T) *arachnet.System {
 			sys, err := arachnet.New(arachnet.WithSmallWorld(42))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return sys
-		}, "scenario"},
+		}, "scenario", nil},
+		{"corrupt step key", func(t *testing.T) *arachnet.System {
+			return warmSystem(t, 42)
+		}, "step key", badKey},
 	}
 	for _, tc := range cases {
 		sys := tc.build(t)
-		err := sys.LoadSnapshot(bytes.NewReader(buf.Bytes()))
+		snap := tc.snap
+		if snap == nil {
+			snap = buf.Bytes()
+		}
+		err := sys.LoadSnapshot(bytes.NewReader(snap))
 		if err == nil {
 			t.Errorf("%s: snapshot accepted, want rejection", tc.label)
 			continue
@@ -141,6 +162,47 @@ func TestSnapshotRejectsMismatches(t *testing.T) {
 			if st.Cached {
 				t.Errorf("%s: step %s cached after rejected load — state leaked", tc.label, st.ID)
 			}
+		}
+	}
+}
+
+// TestSnapshotSkipsNoStep: every step output of the four case studies
+// on the full registry, and of CS1 on the CS1 registry, has a
+// port-value type, so a snapshot persists every cached step.
+func TestSnapshotSkipsNoStep(t *testing.T) {
+	sub, err := arachnet.BuiltinRegistry().Subset(arachnet.CS1RegistryNames()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs1, err := arachnet.New(
+		arachnet.WithSmallWorld(42),
+		arachnet.WithScenario(arachnet.ScenarioConfig{Seed: 5}),
+		arachnet.WithRegistry(sub),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs1.Ask(ctx, caseQueries[0], arachnet.AskWithoutCuration()); err != nil {
+		t.Fatal(err)
+	}
+	for label, sys := range map[string]*arachnet.System{
+		"four case studies, full registry": warmSystem(t, 42, caseQueries...),
+		"CS1, CS1 registry":                cs1,
+	} {
+		var buf bytes.Buffer
+		if err := sys.SaveSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var f struct {
+			Steps   []json.RawMessage `json:"steps"`
+			Skipped int               `json:"skipped_steps"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+			t.Fatal(err)
+		}
+		cached := sys.CacheStats().Step.Entries
+		if f.Skipped != 0 || len(f.Steps) != cached || cached == 0 {
+			t.Errorf("%s: snapshot holds %d steps and skipped %d, of %d cached", label, len(f.Steps), f.Skipped, cached)
 		}
 	}
 }
