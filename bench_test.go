@@ -1,7 +1,7 @@
 package arachnet_test
 
 // Benchmarks regenerating the paper's evaluation artifacts, one per
-// table/figure (see DESIGN.md §3 for the experiment index):
+// table/figure:
 //
 //	F1   BenchmarkPipeline            — the four-agent pipeline end to end
 //	CS1  BenchmarkCaseStudy1          — expert-replication cable impact
@@ -11,8 +11,9 @@ package arachnet_test
 //	A1   BenchmarkRegistryCompactness — planning over compact vs bloated registries
 //	A3   BenchmarkCuratorMining       — pattern mining + promotion
 //
-// Benchmarks run on the small world so they are stable and fast; the
-// full-world numbers are produced by cmd/arachnet-bench.
+// The benchmarks after them time the serving paths. All run on the
+// small world so they are stable and fast; the full-world numbers are
+// produced by cmd/arachnet-bench.
 
 import (
 	"fmt"
@@ -240,6 +241,28 @@ func BenchmarkAskColdCache(b *testing.B) {
 		sys.SetCacheLimits(arachnet.DefaultPlanCacheEntries,
 			arachnet.DefaultStepCacheEntries, arachnet.DefaultStepCacheBytes)
 		if _, err := sys.Ask(ctx, benchQueries[1], arachnet.AskWithoutCuration()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAskPlanMiss measures a question the plan cache has not
+// seen whose steps the step cache holds — the shape of servebench's
+// novel workload: the plan cache is disabled, the four case studies
+// rotate, and every step replays from the warm step cache, so the
+// time is parsing, planning, the code listing and Compile.
+func BenchmarkAskPlanMiss(b *testing.B) {
+	sys := benchSystem(b, true)
+	sys.SetCacheLimits(0, arachnet.DefaultStepCacheEntries, arachnet.DefaultStepCacheBytes)
+	for n := 1; n <= len(benchQueries); n++ {
+		if _, err := sys.Ask(ctx, benchQueries[n], arachnet.AskWithoutCuration()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Ask(ctx, benchQueries[1+i%len(benchQueries)], arachnet.AskWithoutCuration()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -280,6 +280,47 @@ func TestServedAskAllocCeilings(t *testing.T) {
 	}
 }
 
+// TestPlanMissAllocCeiling pins the allocation budget of an Ask that
+// misses the plan cache while the step cache serves every step: what
+// a question never asked before costs once its steps are warm — the
+// parse, the three planning agents, Compile and a fully cached run.
+// With the plan cache disabled every ask plans afresh. Averaged over
+// the four case studies it measures about 290 allocs; the ceiling
+// carries ~45% headroom yet stays far below the ~610 that rendering
+// the listing through fmt and cloning planner state per attempt cost.
+func TestPlanMissAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is unreliable under -short (race) runs")
+	}
+	sys, err := arachnet.New(arachnet.WithSmallWorld(42), arachnet.WithScenario(arachnet.ScenarioConfig{Seed: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetCacheLimits(0, arachnet.DefaultStepCacheEntries, arachnet.DefaultStepCacheBytes)
+	ask := func() error {
+		for _, q := range benchQueries {
+			if _, err := sys.Ask(ctx, q, arachnet.AskWithoutCuration()); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i := 0; i < 2; i++ { // warm every step cache
+		if err := ask(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := allocsPerOp(t, 25, ask) / float64(len(benchQueries))
+	t.Logf("plan-miss Ask over warm steps: %.0f allocs/op", avg)
+	if st := sys.CacheStats(); st.Plan.Hits != 0 {
+		t.Fatalf("%d plan-cache hits; every ask must miss", st.Plan.Hits)
+	}
+	const ceiling = 420
+	if avg > ceiling {
+		t.Errorf("plan-miss Ask allocates %.0f/op, budget %d", avg, ceiling)
+	}
+}
+
 // allocsPerAsk measures mean heap allocations per warm curation-free
 // Ask.
 func allocsPerAsk(t *testing.T, sys *arachnet.System, query string, runs int) float64 {

@@ -2,8 +2,10 @@ package solutionweaver
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 
 	"arachnet/internal/registry"
 	"arachnet/internal/workflow"
@@ -14,65 +16,77 @@ import (
 // generates executable Python code that users run"). The listing is a
 // faithful transliteration of the executable DAG: one function per
 // step with input validation and format translation, quality-check
-// functions, and a main() that wires the dataflow.
+// functions, and a main() that wires the dataflow. It is appended into
+// one pooled buffer; the returned string is its only allocation that
+// outlives the call.
 func generateCode(wf *workflow.Workflow, reg *registry.Registry) string {
-	g := &codegen{wf: wf, reg: reg}
-	return g.render()
-}
-
-type codegen struct {
-	wf  *workflow.Workflow
-	reg *registry.Registry
-	b   strings.Builder
-}
-
-// line writes s verbatim as one line; the Python it emits uses % as
-// its own formatting operator.
-func (g *codegen) line(s string) {
-	g.b.WriteString(s)
-	g.b.WriteByte('\n')
-}
-
-// linef writes one line formatted by fmt.
-func (g *codegen) linef(format string, args ...any) {
-	fmt.Fprintf(&g.b, format, args...)
-	g.b.WriteByte('\n')
-}
-
-func (g *codegen) blank() { g.b.WriteByte('\n') }
-
-func (g *codegen) render() string {
+	bp := codeBufPool.Get().(*[]byte)
+	g := codegen{wf: wf, reg: reg, b: (*bp)[:0], caps: make([]*registry.Capability, len(wf.Steps))}
+	for i := range wf.Steps {
+		g.caps[i], _ = reg.Get(wf.Steps[i].Capability) // nil leaves the step out of the listing
+	}
 	g.header()
 	g.imports()
-	for _, s := range g.wf.Steps {
-		g.stepFunction(s)
+	for i := range wf.Steps {
+		g.stepFunction(&wf.Steps[i], g.caps[i])
 	}
 	g.checkFunctions()
 	g.renderers()
 	g.mainFunction()
-	return g.b.String()
+	code := string(g.b)
+	*bp = g.b[:0]
+	codeBufPool.Put(bp)
+	return code
 }
 
-// outputTypes resolves the data types of the workflow's declared
-// outputs.
-func (g *codegen) outputTypes() map[registry.DataType]bool {
-	types := map[registry.DataType]bool{}
-	produced := map[string]registry.DataType{}
-	for _, s := range g.wf.Steps {
-		cap, err := g.reg.Get(s.Capability)
-		if err != nil {
-			continue
-		}
-		for _, out := range cap.Outputs {
-			produced[s.ID+"."+out.Name] = out.Type
-		}
+// codeBufPool's 8 KiB buffers hold each case study's listing (4–8 kB).
+var codeBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
+
+type codegen struct {
+	wf    *workflow.Workflow
+	reg   *registry.Registry
+	caps  []*registry.Capability // per step; nil when the registry lacks it
+	b     []byte
+	names []string // scratch for sorted map keys
+}
+
+// str appends its parts verbatim; the Python they form uses % as its
+// own formatting operator.
+func (g *codegen) str(parts ...string) {
+	for _, p := range parts {
+		g.b = append(g.b, p...)
 	}
+}
+
+func (g *codegen) ident(s string) { g.b = appendIdent(g.b, s) }
+
+// quoted appends prefix verbatim, then s as a quoted string literal.
+func (g *codegen) quoted(prefix, s string) { g.b = strconv.AppendQuote(append(g.b, prefix...), s) }
+
+// sortedKeys returns the keys of m in order, in g's scratch slice.
+func sortedKeys[V any](g *codegen, m map[string]V) []string {
+	g.names = g.names[:0]
+	for k := range m {
+		g.names = append(g.names, k)
+	}
+	slices.Sort(g.names)
+	return g.names
+}
+
+// outputs reports whether one of the workflow's declared outputs has
+// type t.
+func (g *codegen) outputs(t registry.DataType) bool {
 	for _, ref := range g.wf.Outputs {
-		if t, ok := produced[ref]; ok {
-			types[t] = true
+		id, port := workflow.RefStepID(ref), workflow.RefPort(ref)
+		for i := range g.wf.Steps {
+			if g.wf.Steps[i].ID == id && g.caps[i] != nil {
+				if p, ok := g.caps[i].OutputPort(port); ok && p.Type == t {
+					return true
+				}
+			}
 		}
 	}
-	return types
+	return false
 }
 
 // renderers emits result-presentation code per output type. Richer
@@ -80,329 +94,318 @@ func (g *codegen) outputTypes() map[registry.DataType]bool {
 // forensic verdicts, layered timelines for cascades — which is exactly
 // why the paper's harder case studies generate longer programs.
 func (g *codegen) renderers() {
-	types := g.outputTypes()
-	g.line(`def render(value):`)
-	g.line(`    """Dispatch to the type-appropriate renderer."""`)
-	g.line(`    for probe, fn in RENDERERS:`)
-	g.line(`        if probe(value):`)
-	g.line(`            return fn(value)`)
-	g.line(`    return repr(value)`)
-	g.blank()
-	g.blank()
-	if types[registry.TImpact] || types[registry.TGlobal] {
-		g.line(`def render_impact_table(report):`)
-		g.line(`    """Tabulate per-country normalized impact, highest first."""`)
-		g.line(`    rows = ["country  score  links  ips  ases  aslinks"]`)
-		g.line(`    for c in report.countries:`)
-		g.line(`        if c.score <= 0.0:`)
-		g.line(`            continue`)
-		g.line(`        rows.append("%-8s %5.3f %6.1f %5.1f %5.1f %7.1f" % (`)
-		g.line(`            c.country, c.score, c.links_lost, c.ips_lost, c.ases_hit, c.aslinks_lost))`)
-		g.line(`    rows.append("impacted countries: %d" % sum(1 for c in report.countries if c.score > 0))`)
-		g.line(`    rows.append("failed links: %d" % report.failed_links)`)
-		g.line(`    return "\n".join(rows)`)
-		g.blank()
-		g.blank()
+	g.str(renderDispatch)
+	if g.outputs(registry.TImpact) || g.outputs(registry.TGlobal) {
+		g.str(renderImpact)
 	}
-	if types[registry.TGlobal] {
-		g.line(`def render_global_breakdown(global_impact):`)
-		g.line(`    """Per-event breakdown plus the combined worldwide table."""`)
-		g.line(`    sections = []`)
-		g.line(`    sections.append("events processed: %d" % len(global_impact.events))`)
-		g.line(`    sections.append("expected links lost: %.1f" % global_impact.expected_links_lost)`)
-		g.line(`    by_type = {}`)
-		g.line(`    for name in global_impact.events:`)
-		g.line(`        kind = classify_event(name)`)
-		g.line(`        by_type.setdefault(kind, []).append(name)`)
-		g.line(`    for kind, names in sorted(by_type.items()):`)
-		g.line(`        sections.append("%s scenarios (%d): %s" % (kind, len(names), ", ".join(sorted(names))))`)
-		g.line(`    sections.append(render_impact_table(global_impact))`)
-		g.line(`    return "\n".join(sections)`)
-		g.blank()
-		g.blank()
-		g.line(`def classify_event(name):`)
-		g.line(`    """Map a scenario name back to its disaster type."""`)
-		g.line(`    quake_markers = ("offshore", "strait", "anatolia", "trench", "marmara", "andaman", "coast")`)
-		g.line(`    if any(m in name for m in quake_markers):`)
-		g.line(`        return "earthquake"`)
-		g.line(`    return "hurricane"`)
-		g.blank()
-		g.blank()
+	if g.outputs(registry.TGlobal) {
+		g.str(renderGlobal)
 	}
-	if types[registry.TTimeline] {
-		g.line(`def render_timeline(timeline):`)
-		g.line(`    """Unified cross-layer cascade timeline: cable, IP, AS, routing."""`)
-		g.line(`    rows = []`)
-		g.line(`    for entry in timeline.entries:`)
-		g.line(`        rows.append("%s [%-11s] %s" % (entry.at.isoformat(), entry.layer, entry.what))`)
-		g.line(`    rows.append("layers present: %s" % ", ".join(timeline.layers()))`)
-		g.line(`    rows.append("cables failed: %d across %d cascade rounds" % (`)
-		g.line(`        timeline.cables_failed, timeline.cascade_rounds))`)
-		g.line(`    rows.append("links lost: %d, ASes degraded: %d" % (`)
-		g.line(`        timeline.links_lost, timeline.ases_degraded))`)
-		g.line(`    rows.append("top impacted countries: %s" % ", ".join(timeline.top_countries))`)
-		g.line(`    return "\n".join(rows)`)
-		g.blank()
-		g.blank()
+	if g.outputs(registry.TTimeline) {
+		g.str(renderTimeline)
 	}
-	if types[registry.TCascade] {
-		g.line(`def render_cascade(bundle):`)
-		g.line(`    """Cable-layer cascade rounds plus AS-layer degradation waves."""`)
-		g.line(`    rows = []`)
-		g.line(`    for i, round_cables in enumerate(bundle.cable.rounds):`)
-		g.line(`        label = "initial failure" if i == 0 else "overload round %d" % i`)
-		g.line(`        rows.append("%s: %s" % (label, ", ".join(str(c) for c in round_cables)))`)
-		g.line(`    for i, wave in enumerate(bundle.stress.waves):`)
-		g.line(`        rows.append("AS degradation wave %d: %d networks" % (i + 1, len(wave)))`)
-		g.line(`    return "\n".join(rows)`)
-		g.blank()
-		g.blank()
+	if g.outputs(registry.TCascade) {
+		g.str(renderCascade)
 	}
-	if types[registry.TVerdict] {
-		g.line(`def render_evidence_dossier(verdict):`)
-		g.line(`    """Forensic dossier: every evidence source, the fusion, the call."""`)
-		g.line(`    rows = ["=== forensic verdict ==="]`)
-		g.line(`    rows.append("cable failure is the cause: %s" % verdict.cause_is_cable_failure)`)
-		g.line(`    if verdict.cable:`)
-		g.line(`        rows.append("identified cable: %s" % verdict.cable)`)
-		g.line(`    rows.append("confidence: %.2f" % verdict.confidence)`)
-		g.line(`    rows.append("--- evidence ---")`)
-		g.line(`    rows.append("statistical (latency shift significance): %.2f" % verdict.statistical_evidence)`)
-		g.line(`    rows.append("infrastructure (cable correlation):       %.2f" % verdict.infra_evidence)`)
-		g.line(`    rows.append("routing (withdrawal concentration):       %.2f" % verdict.routing_evidence)`)
-		g.line(`    rows.append("--- reasoning ---")`)
-		g.line(`    rows.append(verdict.explanation)`)
-		g.line(`    rows.append("--- methodology notes ---")`)
-		g.line(`    rows.append("baseline fitted on pre-anomaly window with robust statistics")`)
-		g.line(`    rows.append("candidate cables ranked by carried-link geography vs withdrawals")`)
-		g.line(`    rows.append("timing validated independently against BGP withdrawal concentration")`)
-		g.line(`    rows.append("verdict requires all three evidence sources to agree")`)
-		g.line(`    return "\n".join(rows)`)
-		g.blank()
-		g.blank()
-		g.line(`def render_anomaly(finding):`)
-		g.line(`    """Describe the detected latency anomaly with uncertainty."""`)
-		g.line(`    if not finding.detected:`)
-		g.line(`        return "no significant anomaly detected"`)
-		g.line(`    rows = ["latency shift detected at %s" % finding.shift_at.isoformat()]`)
-		g.line(`    rows.append("delta: +%.1f ms (%.1f -> %.1f)" % (`)
-		g.line(`        finding.delta_ms, finding.mean_before, finding.mean_after))`)
-		g.line(`    rows.append("p-value: %.3g, confidence: %.2f" % (finding.p_value, finding.confidence))`)
-		g.line(`    rows.append("probes shifted: %s" % ", ".join(finding.probes))`)
-		g.line(`    if finding.lost_probes:`)
-		g.line(`        rows.append("probes lost entirely: %s" % ", ".join(finding.lost_probes))`)
-		g.line(`    return "\n".join(rows)`)
-		g.blank()
-		g.blank()
+	if g.outputs(registry.TVerdict) {
+		g.str(renderVerdict)
 	}
-	g.line(`RENDERERS = build_renderer_table(globals())`)
-	g.blank()
-	g.blank()
+	g.str("RENDERERS = build_renderer_table(globals())\n\n\n")
 }
 
+const renderDispatch = `def render(value):
+    """Dispatch to the type-appropriate renderer."""
+    for probe, fn in RENDERERS:
+        if probe(value):
+            return fn(value)
+    return repr(value)
+
+
+`
+
+const renderImpact = `def render_impact_table(report):
+    """Tabulate per-country normalized impact, highest first."""
+    rows = ["country  score  links  ips  ases  aslinks"]
+    for c in report.countries:
+        if c.score <= 0.0:
+            continue
+        rows.append("%-8s %5.3f %6.1f %5.1f %5.1f %7.1f" % (
+            c.country, c.score, c.links_lost, c.ips_lost, c.ases_hit, c.aslinks_lost))
+    rows.append("impacted countries: %d" % sum(1 for c in report.countries if c.score > 0))
+    rows.append("failed links: %d" % report.failed_links)
+    return "\n".join(rows)
+
+
+`
+
+const renderGlobal = `def render_global_breakdown(global_impact):
+    """Per-event breakdown plus the combined worldwide table."""
+    sections = []
+    sections.append("events processed: %d" % len(global_impact.events))
+    sections.append("expected links lost: %.1f" % global_impact.expected_links_lost)
+    by_type = {}
+    for name in global_impact.events:
+        kind = classify_event(name)
+        by_type.setdefault(kind, []).append(name)
+    for kind, names in sorted(by_type.items()):
+        sections.append("%s scenarios (%d): %s" % (kind, len(names), ", ".join(sorted(names))))
+    sections.append(render_impact_table(global_impact))
+    return "\n".join(sections)
+
+
+def classify_event(name):
+    """Map a scenario name back to its disaster type."""
+    quake_markers = ("offshore", "strait", "anatolia", "trench", "marmara", "andaman", "coast")
+    if any(m in name for m in quake_markers):
+        return "earthquake"
+    return "hurricane"
+
+
+`
+
+const renderTimeline = `def render_timeline(timeline):
+    """Unified cross-layer cascade timeline: cable, IP, AS, routing."""
+    rows = []
+    for entry in timeline.entries:
+        rows.append("%s [%-11s] %s" % (entry.at.isoformat(), entry.layer, entry.what))
+    rows.append("layers present: %s" % ", ".join(timeline.layers()))
+    rows.append("cables failed: %d across %d cascade rounds" % (
+        timeline.cables_failed, timeline.cascade_rounds))
+    rows.append("links lost: %d, ASes degraded: %d" % (
+        timeline.links_lost, timeline.ases_degraded))
+    rows.append("top impacted countries: %s" % ", ".join(timeline.top_countries))
+    return "\n".join(rows)
+
+
+`
+
+const renderCascade = `def render_cascade(bundle):
+    """Cable-layer cascade rounds plus AS-layer degradation waves."""
+    rows = []
+    for i, round_cables in enumerate(bundle.cable.rounds):
+        label = "initial failure" if i == 0 else "overload round %d" % i
+        rows.append("%s: %s" % (label, ", ".join(str(c) for c in round_cables)))
+    for i, wave in enumerate(bundle.stress.waves):
+        rows.append("AS degradation wave %d: %d networks" % (i + 1, len(wave)))
+    return "\n".join(rows)
+
+
+`
+
+const renderVerdict = `def render_evidence_dossier(verdict):
+    """Forensic dossier: every evidence source, the fusion, the call."""
+    rows = ["=== forensic verdict ==="]
+    rows.append("cable failure is the cause: %s" % verdict.cause_is_cable_failure)
+    if verdict.cable:
+        rows.append("identified cable: %s" % verdict.cable)
+    rows.append("confidence: %.2f" % verdict.confidence)
+    rows.append("--- evidence ---")
+    rows.append("statistical (latency shift significance): %.2f" % verdict.statistical_evidence)
+    rows.append("infrastructure (cable correlation):       %.2f" % verdict.infra_evidence)
+    rows.append("routing (withdrawal concentration):       %.2f" % verdict.routing_evidence)
+    rows.append("--- reasoning ---")
+    rows.append(verdict.explanation)
+    rows.append("--- methodology notes ---")
+    rows.append("baseline fitted on pre-anomaly window with robust statistics")
+    rows.append("candidate cables ranked by carried-link geography vs withdrawals")
+    rows.append("timing validated independently against BGP withdrawal concentration")
+    rows.append("verdict requires all three evidence sources to agree")
+    return "\n".join(rows)
+
+
+def render_anomaly(finding):
+    """Describe the detected latency anomaly with uncertainty."""
+    if not finding.detected:
+        return "no significant anomaly detected"
+    rows = ["latency shift detected at %s" % finding.shift_at.isoformat()]
+    rows.append("delta: +%.1f ms (%.1f -> %.1f)" % (
+        finding.delta_ms, finding.mean_before, finding.mean_after))
+    rows.append("p-value: %.3g, confidence: %.2f" % (finding.p_value, finding.confidence))
+    rows.append("probes shifted: %s" % ", ".join(finding.probes))
+    if finding.lost_probes:
+        rows.append("probes lost entirely: %s" % ", ".join(finding.lost_probes))
+    return "\n".join(rows)
+
+
+`
+
+// pyDocstring escapes the query for the listing's """docstring""":
+// backslashes and double quotes in user text must not end it early.
+var pyDocstring = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
 func (g *codegen) header() {
-	g.line(`#!/usr/bin/env python3`)
-	g.line(`"""Measurement workflow generated by ArachNet SolutionWeaver.`)
-	g.blank()
-	g.linef(`Query: %s`, g.wf.Query)
-	g.linef(`Plan:  %d steps, %d embedded quality checks.`, len(g.wf.Steps), len(g.wf.Checks))
-	g.line(`"""`)
-	g.blank()
+	g.str("#!/usr/bin/env python3\n\"\"\"Measurement workflow generated by ArachNet SolutionWeaver.\n\nQuery: ",
+		pyDocstring.Replace(g.wf.Query), "\nPlan:  ")
+	g.b = strconv.AppendInt(g.b, int64(len(g.wf.Steps)), 10)
+	g.str(" steps, ")
+	g.b = strconv.AppendInt(g.b, int64(len(g.wf.Checks)), 10)
+	g.str(" embedded quality checks.\n\"\"\"\n\n")
 }
 
 func (g *codegen) imports() {
-	fws := g.wf.Frameworks(g.reg)
-	g.line(`import sys`)
-	g.line(`import json`)
-	for _, fw := range fws {
-		g.linef(`from measurement_registry import %s`, sanitizeIdent(fw))
+	g.str("import sys\nimport json\n")
+	for _, fw := range g.wf.Frameworks(g.reg) {
+		g.str("from measurement_registry import ")
+		g.ident(fw)
+		g.str("\n")
 	}
-	g.blank()
-	g.blank()
+	g.str("\n\n")
 }
 
-func (g *codegen) stepFunction(s workflow.Step) {
-	cap, err := g.reg.Get(s.Capability)
-	if err != nil {
+// params appends the step's input idents, comma-separated, in sorted
+// input order.
+func (g *codegen) params(names []string) {
+	for i, n := range names {
+		if i > 0 {
+			g.str(", ")
+		}
+		g.ident(n)
+	}
+}
+
+func (g *codegen) stepFunction(s *workflow.Step, cap *registry.Capability) {
+	if cap == nil {
 		return
 	}
-	params := orderedBindings(s)
-	var names []string
-	for _, p := range params {
-		names = append(names, sanitizeIdent(p.name))
-	}
-	g.linef(`def step_%s(%s):`, s.ID, strings.Join(names, ", "))
-	g.linef(`    """%s`, cap.Description)
-	g.blank()
-	g.linef(`    Capability: %s (framework: %s)`, cap.Name, cap.Framework)
+	names := sortedKeys(g, s.Inputs)
+	g.str("def step_", s.ID, "(")
+	g.params(names)
+	g.str("):\n    \"\"\"", cap.Description, "\n\n    Capability: ", cap.Name, " (framework: ", cap.Framework, ")\n")
 	for _, con := range cap.Constraints {
-		g.linef(`    Constraint: %s`, con)
+		g.str("    Constraint: ", con, "\n")
 	}
-	g.line(`    """`)
+	g.str("    \"\"\"\n")
 	// Input validation mirrors the typed ports.
-	for _, p := range params {
-		port, ok := cap.InputPort(p.name)
-		if !ok {
-			continue
+	for _, n := range names {
+		if port, ok := cap.InputPort(n); ok {
+			g.str("    if ")
+			g.ident(n)
+			g.str(" is None:\n        raise ValueError(\"step ", s.ID, ": input ", n, " (", string(port.Type), ") is required\")\n")
 		}
-		g.linef(`    if %s is None:`, sanitizeIdent(p.name))
-		g.linef(`        raise ValueError("step %s: input %s (%s) is required")`, s.ID, p.name, port.Type)
 	}
 	// Format translation notes for reference bindings (the paper's
 	// "translation layer" between heterogeneous tools).
-	for _, p := range params {
-		if p.ref != "" {
-			g.linef(`    # format: consumes %s produced upstream (%s)`, p.ref, portType(cap, p.name))
+	for _, n := range names {
+		if ref := s.Inputs[n].Ref; ref != "" {
+			var t registry.DataType
+			if p, ok := cap.InputPort(n); ok {
+				t = p.Type
+			}
+			g.str("    # format: consumes ", ref, " produced upstream (", string(t), ")\n")
 		}
 	}
-	fw := sanitizeIdent(cap.Framework)
-	verb := capVerb(cap.Name)
-	g.linef(`    result = %s.%s(%s)`, fw, verb, strings.Join(names, ", "))
-	g.line(`    if result is None:`)
-	g.linef(`        raise RuntimeError("step %s: %s returned no data")`, s.ID, cap.Name)
+	g.str("    result = ")
+	g.ident(cap.Framework)
+	g.str(".")
+	g.ident(cap.Name[strings.IndexByte(cap.Name, '.')+1:]) // the verb of "framework.verb"
+	g.str("(")
+	g.params(names)
+	g.str(")\n    if result is None:\n        raise RuntimeError(\"step ", s.ID, ": ", cap.Name, " returned no data\")\n")
 	for _, out := range cap.Outputs {
-		g.linef(`    # produces: %s (%s)`, out.Name, out.Type)
+		g.str("    # produces: ", out.Name, " (", string(out.Type), ")\n")
 	}
-	g.line(`    return result`)
-	g.blank()
-	g.blank()
+	g.str("    return result\n\n\n")
 }
 
 func (g *codegen) checkFunctions() {
 	if len(g.wf.Checks) == 0 {
 		return
 	}
-	g.line(`def run_quality_checks(artifacts):`)
-	g.line(`    """Embedded QA: consistency, sanity and uncertainty checks."""`)
-	g.line(`    findings = []`)
+	g.str("def run_quality_checks(artifacts):\n    \"\"\"Embedded QA: consistency, sanity and uncertainty checks.\"\"\"\n    findings = []\n")
 	for _, chk := range g.wf.Checks {
-		g.linef(`    findings.append(check(%q, kind=%q, value=artifacts[%q]))`, chk.Name, string(chk.Kind), chk.Ref)
+		g.quoted("    findings.append(check(", chk.Name)
+		g.quoted(", kind=", string(chk.Kind))
+		g.quoted(", value=artifacts[", chk.Ref)
+		g.str("]))\n")
 	}
-	g.line(`    return findings`)
-	g.blank()
-	g.blank()
+	g.str("    return findings\n\n\n")
 }
 
 func (g *codegen) mainFunction() {
-	g.line(`def main():`)
-	g.line(`    artifacts = {}`)
-	for _, s := range g.wf.Steps {
-		params := orderedBindings(s)
-		var args []string
-		for _, p := range params {
-			if p.ref != "" {
-				args = append(args, fmt.Sprintf(`artifacts[%q]`, p.ref))
-			} else {
-				args = append(args, pyLiteral(p.lit))
-			}
-		}
-		cap, err := g.reg.Get(s.Capability)
-		if err != nil {
+	g.str("def main():\n    artifacts = {}\n")
+	for i := range g.wf.Steps {
+		s, cap := &g.wf.Steps[i], g.caps[i]
+		if cap == nil {
 			continue
 		}
-		g.linef(`    out = step_%s(%s)`, s.ID, strings.Join(args, ", "))
-		for _, outPort := range cap.Outputs {
-			g.linef(`    artifacts["%s.%s"] = out`, s.ID, outPort.Name)
+		g.str("    out = step_", s.ID, "(")
+		for j, n := range sortedKeys(g, s.Inputs) {
+			if j > 0 {
+				g.str(", ")
+			}
+			if b := s.Inputs[n]; b.IsRef() {
+				g.quoted("artifacts[", b.Ref)
+				g.str("]")
+			} else {
+				g.b = appendPyLiteral(g.b, b.Literal)
+			}
+		}
+		g.str(")\n")
+		for _, out := range cap.Outputs {
+			g.str("    artifacts[\"", s.ID, ".", out.Name, "\"] = out\n")
 		}
 	}
 	if len(g.wf.Checks) > 0 {
-		g.line(`    for finding in run_quality_checks(artifacts):`)
-		g.line(`        print("QA:", finding, file=sys.stderr)`)
+		g.str("    for finding in run_quality_checks(artifacts):\n        print(\"QA:\", finding, file=sys.stderr)\n")
 	}
-	names := make([]string, 0, len(g.wf.Outputs))
-	for n := range g.wf.Outputs {
-		names = append(names, n)
+	for _, n := range sortedKeys(g, g.wf.Outputs) {
+		g.quoted("    print(json.dumps({\"output\": ", n)
+		g.quoted(", \"value\": render(artifacts[", g.wf.Outputs[n])
+		g.str("])}))\n")
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		g.linef(`    print(json.dumps({"output": %q, "value": render(artifacts[%q])}))`, n, g.wf.Outputs[n])
-	}
-	g.blank()
-	g.blank()
-	g.line(`if __name__ == "__main__":`)
-	g.line(`    main()`)
+	g.str("\n\nif __name__ == \"__main__\":\n    main()\n")
 }
 
-type boundParam struct {
-	name string
-	ref  string
-	lit  any
-}
-
-func orderedBindings(s workflow.Step) []boundParam {
-	names := make([]string, 0, len(s.Inputs))
-	for n := range s.Inputs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]boundParam, 0, len(names))
-	for _, n := range names {
-		b := s.Inputs[n]
-		if b.IsRef() {
-			out = append(out, boundParam{name: n, ref: b.Ref})
-		} else {
-			out = append(out, boundParam{name: n, lit: b.Literal})
-		}
-	}
-	return out
-}
-
-func portType(cap *registry.Capability, name string) registry.DataType {
-	if p, ok := cap.InputPort(name); ok {
-		return p.Type
-	}
-	return ""
-}
-
-// capVerb extracts the verb part of "framework.verb".
-func capVerb(name string) string {
-	if i := strings.IndexByte(name, '.'); i >= 0 {
-		return sanitizeIdent(name[i+1:])
-	}
-	return sanitizeIdent(name)
-}
-
-func sanitizeIdent(s string) string {
-	var b strings.Builder
+// appendIdent appends s as a Python identifier: every rune outside
+// [A-Za-z0-9_] becomes one underscore.
+func appendIdent(b []byte, s string) []byte {
 	for _, r := range s {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
+			b = append(b, byte(r))
 		default:
-			b.WriteByte('_')
+			b = append(b, '_')
 		}
 	}
-	return b.String()
+	return b
 }
 
-func pyLiteral(v any) string {
+// appendPyLiteral appends v as a Python literal.
+func appendPyLiteral(b []byte, v any) []byte {
 	switch x := v.(type) {
 	case nil:
-		return "None"
+		return append(b, "None"...)
 	case string:
-		return fmt.Sprintf("%q", x)
+		return strconv.AppendQuote(b, x)
 	case bool:
 		if x {
-			return "True"
+			return append(b, "True"...)
 		}
-		return "False"
-	case float64, int:
-		return fmt.Sprintf("%v", x)
+		return append(b, "False"...)
+	case float64:
+		return strconv.AppendFloat(b, x, 'g', -1, 64)
+	case int:
+		return strconv.AppendInt(b, int64(x), 10)
 	case []string:
-		parts := make([]string, len(x))
+		b = append(b, '[')
 		for i, s := range x {
-			parts[i] = fmt.Sprintf("%q", s)
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = strconv.AppendQuote(b, s)
 		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		return append(b, ']')
 	default:
-		return fmt.Sprintf("%q", fmt.Sprintf("%v", x))
+		return strconv.AppendQuote(b, fmt.Sprint(x))
 	}
 }
 
 // countLoC counts non-empty lines.
 func countLoC(code string) int {
 	n := 0
-	for _, line := range strings.Split(code, "\n") {
+	for code != "" {
+		var line string
+		line, code, _ = strings.Cut(code, "\n")
 		if strings.TrimSpace(line) != "" {
 			n++
 		}

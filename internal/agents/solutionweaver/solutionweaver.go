@@ -35,7 +35,10 @@ type Agent struct{}
 // New returns a SolutionWeaver.
 func New() *Agent { return &Agent{} }
 
-// Weave builds the executable solution from a designed workflow.
+// Weave builds the executable solution from a designed workflow. The
+// design is validated once, here: weaving adds only checks on outputs
+// of steps that validation has already resolved, and the woven
+// workflow is validated again wherever it is compiled.
 func (a *Agent) Weave(wf *workflow.Workflow, reg *registry.Registry) (*Solution, error) {
 	if wf == nil {
 		return nil, fmt.Errorf("solutionweaver: nil workflow")
@@ -45,11 +48,7 @@ func (a *Agent) Weave(wf *workflow.Workflow, reg *registry.Registry) (*Solution,
 	}
 	// Work on a shallow copy so the design artifact stays pristine.
 	woven := *wf
-	woven.Checks = append([]workflow.QualityCheck{}, wf.Checks...)
 	a.weaveChecks(&woven, reg)
-	if err := woven.Validate(reg); err != nil {
-		return nil, fmt.Errorf("solutionweaver: woven workflow invalid: %w", err)
-	}
 	code := generateCode(&woven, reg)
 	return &Solution{
 		Workflow:    &woven,
@@ -60,107 +59,101 @@ func (a *Agent) Weave(wf *workflow.Workflow, reg *registry.Registry) (*Solution,
 	}, nil
 }
 
-// weaveChecks attaches type-appropriate quality checks to every step
-// output.
+// weaveChecks attaches a type-appropriate quality check to every step
+// output, into a fresh Checks slice sized for one check per output.
 func (a *Agent) weaveChecks(wf *workflow.Workflow, reg *registry.Registry) {
+	outputs := 0
+	for _, s := range wf.Steps {
+		if cap, err := reg.Get(s.Capability); err == nil {
+			outputs += len(cap.Outputs)
+		}
+	}
+	checks := make([]workflow.QualityCheck, len(wf.Checks), len(wf.Checks)+outputs)
+	copy(checks, wf.Checks)
 	for _, s := range wf.Steps {
 		cap, err := reg.Get(s.Capability)
 		if err != nil {
 			continue
 		}
 		for _, out := range cap.Outputs {
-			ref := s.ID + "." + out.Name
-			for _, chk := range checksForType(out.Type, ref) {
-				wf.Checks = append(wf.Checks, chk)
+			label, kind, assert := checkForType(out.Type)
+			if assert == nil {
+				continue
 			}
+			// The name is "label:step.port"; the ref is its suffix.
+			name := label + ":" + s.ID + "." + out.Name
+			checks = append(checks, workflow.QualityCheck{
+				Name: name, Kind: kind, Ref: name[len(label)+1:], Assert: assert,
+			})
 		}
 	}
+	wf.Checks = checks
 }
 
-// checksForType returns the embedded QA appropriate for a data type.
-// The assertions inspect values structurally (via small interfaces and
-// reflection-free type switches on the shared vocabulary types) and
-// never fail the run — they annotate it.
-func checksForType(t registry.DataType, ref string) []workflow.QualityCheck {
-	name := func(kind string) string { return fmt.Sprintf("%s:%s", kind, ref) }
+// checkForType returns the embedded QA appropriate for a data type: a
+// label naming the check, its kind and its assertion (nil when the
+// type gets no check). The assertions inspect values structurally (via
+// small interfaces and reflection-free type switches on the shared
+// vocabulary types) and never fail the run — they annotate it.
+func checkForType(t registry.DataType) (string, workflow.QualityKind, func(any) (bool, string)) {
 	switch t {
 	case registry.TLinkSet:
-		return []workflow.QualityCheck{{
-			Name: name("nonempty-links"), Kind: workflow.CheckSanity, Ref: ref,
-			Assert: func(v any) (bool, string) {
-				n := lenOf(v)
-				if n == 0 {
-					return false, "no links extracted; downstream impact will be vacuous"
-				}
-				return true, fmt.Sprintf("%d links", n)
-			},
-		}}
+		return "nonempty-links", workflow.CheckSanity, func(v any) (bool, string) {
+			n := lenOf(v)
+			if n == 0 {
+				return false, "no links extracted; downstream impact will be vacuous"
+			}
+			return true, fmt.Sprintf("%d links", n)
+		}
 	case registry.TIPSet:
-		return []workflow.QualityCheck{{
-			Name: name("nonempty-ips"), Kind: workflow.CheckSanity, Ref: ref,
-			Assert: func(v any) (bool, string) {
-				if lenOf(v) == 0 {
-					return false, "no IPs extracted"
-				}
-				return true, ""
-			},
-		}}
+		return "nonempty-ips", workflow.CheckSanity, func(v any) (bool, string) {
+			if lenOf(v) == 0 {
+				return false, "no IPs extracted"
+			}
+			return true, ""
+		}
 	case registry.TGeoTable:
-		return []workflow.QualityCheck{{
-			Name: name("geo-coverage"), Kind: workflow.CheckConsistency, Ref: ref,
-			Assert: func(v any) (bool, string) {
-				if lenOf(v) == 0 {
-					return false, "geolocation resolved nothing"
-				}
-				return true, ""
-			},
-		}}
+		return "geo-coverage", workflow.CheckConsistency, func(v any) (bool, string) {
+			if lenOf(v) == 0 {
+				return false, "geolocation resolved nothing"
+			}
+			return true, ""
+		}
 	case registry.TImpact:
-		return []workflow.QualityCheck{
-			{
-				Name: name("impact-sane"), Kind: workflow.CheckSanity, Ref: ref,
-				Assert: func(v any) (bool, string) {
-					s, ok := v.(interface{ TopCountries(int) []string })
-					if !ok {
-						return false, "unexpected impact type"
-					}
-					if len(s.TopCountries(1)) == 0 {
-						return false, "impact report names no countries"
-					}
-					return true, ""
-				},
-			},
+		return "impact-sane", workflow.CheckSanity, func(v any) (bool, string) {
+			s, ok := v.(interface{ TopCountries(int) []string })
+			if !ok {
+				return false, "unexpected impact type"
+			}
+			if len(s.TopCountries(1)) == 0 {
+				return false, "impact report names no countries"
+			}
+			return true, ""
 		}
 	case registry.TAnomaly, registry.TVerdict:
-		return []workflow.QualityCheck{{
-			Name: name("uncertainty-reported"), Kind: workflow.CheckUncertainty, Ref: ref,
-			Assert: func(v any) (bool, string) {
-				c, ok := confidenceOf(v)
-				if !ok {
-					return false, "no confidence field"
-				}
-				if c < 0 || c > 1 {
-					return false, fmt.Sprintf("confidence %f out of [0,1]", c)
-				}
-				return true, fmt.Sprintf("confidence %.2f", c)
-			},
-		}}
+		return "uncertainty-reported", workflow.CheckUncertainty, func(v any) (bool, string) {
+			c, ok := confidenceOf(v)
+			if !ok {
+				return false, "no confidence field"
+			}
+			if c < 0 || c > 1 {
+				return false, fmt.Sprintf("confidence %f out of [0,1]", c)
+			}
+			return true, fmt.Sprintf("confidence %.2f", c)
+		}
 	case registry.TFloat:
-		return []workflow.QualityCheck{{
-			Name: name("float-finite"), Kind: workflow.CheckSanity, Ref: ref,
-			Assert: func(v any) (bool, string) {
-				f, ok := v.(float64)
-				if !ok {
-					return false, "not a float"
-				}
-				if f != f {
-					return false, "NaN"
-				}
-				return true, ""
-			},
-		}}
+		return "float-finite", workflow.CheckSanity, func(v any) (bool, string) {
+			f, ok := v.(float64)
+			if !ok {
+				return false, "not a float"
+			}
+			if f != f {
+				return false, "NaN"
+			}
+			return true, ""
+		}
 	}
-	return nil
+	return "", "", nil
 }
 
 // lenOf returns the length of the common slice shapes flowing through

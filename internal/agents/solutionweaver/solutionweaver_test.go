@@ -204,15 +204,15 @@ func TestPyLiteral(t *testing.T) {
 		"None":       nil,
 	}
 	for want, in := range cases {
-		if got := pyLiteral(in); got != want {
-			t.Errorf("pyLiteral(%v) = %s, want %s", in, got, want)
+		if got := string(appendPyLiteral(nil, in)); got != want {
+			t.Errorf("appendPyLiteral(%v) = %s, want %s", in, got, want)
 		}
 	}
 }
 
 func TestSanitizeIdent(t *testing.T) {
-	if got := sanitizeIdent("bgp.detect-bursts"); got != "bgp_detect_bursts" {
-		t.Errorf("sanitize = %q", got)
+	if got := string(appendIdent(nil, "bgp.detect-bursts")); got != "bgp_detect_bursts" {
+		t.Errorf("appendIdent = %q", got)
 	}
 }
 

@@ -8,8 +8,10 @@
 package workflowscout
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"arachnet/internal/agents/querymind"
@@ -75,7 +77,7 @@ func (a *Agent) Design(ps *querymind.ProblemSpec, reg *registry.Registry) (*Desi
 	for i := range candidates {
 		scoreCandidate(&candidates[i], reg, ps)
 	}
-	sort.SliceStable(candidates, func(i, j int) bool { return candidates[i].Score < candidates[j].Score })
+	slices.SortStableFunc(candidates, func(a, b Candidate) int { return cmp.Compare(a.Score, b.Score) })
 	d.Alternatives = candidates
 	d.Explored = len(candidates)
 	d.Chosen = candidates[0].Workflow
@@ -164,26 +166,29 @@ func fingerprint(w *workflow.Workflow) string {
 
 // planner holds the in-progress backward-chaining state.
 type planner struct {
-	reg      *registry.Registry
-	ps       *querymind.ProblemSpec
-	steps    []workflow.Step
-	have     map[registry.DataType]string // type → "step.port" of latest artifact
-	haveBySP map[string][]string          // subproblem → produced refs
-	nextID   int
-	force    map[string]string // subproblem ID → forced capability
+	reg    *registry.Registry
+	ps     *querymind.ProblemSpec
+	steps  []workflow.Step
+	have   map[registry.DataType]string // type → "step.port" of latest artifact
+	undo   []haveWrite                  // each write to have, oldest first
+	nextID int
+	force  map[string]string // subproblem ID → forced capability
+}
+
+// haveWrite records the ref one write to planner.have replaced ("" if
+// none), so a failed attempt can be rolled back.
+type haveWrite struct {
+	t    registry.DataType
+	prev string
 }
 
 // plan builds one workflow, forcing specific capabilities for the given
 // sub-problems when requested.
 func (a *Agent) plan(ps *querymind.ProblemSpec, reg *registry.Registry, force map[string]string) (*workflow.Workflow, error) {
-	p := &planner{
-		reg: reg, ps: ps,
-		have:     map[registry.DataType]string{},
-		haveBySP: map[string][]string{},
-		force:    force,
-	}
-	outputs := map[string]string{}
-	for _, sp := range ps.Required() {
+	p := &planner{reg: reg, ps: ps, have: map[registry.DataType]string{}, force: force}
+	required := ps.Required()
+	outputs := make(map[string]string, len(required))
+	for _, sp := range required {
 		ref, err := p.satisfy(sp)
 		if err != nil {
 			return nil, fmt.Errorf("workflowscout: sub-problem %q: %w", sp.ID, err)
@@ -197,7 +202,7 @@ func (a *Agent) plan(ps *querymind.ProblemSpec, reg *registry.Registry, force ma
 			depended[d] = true
 		}
 	}
-	finalOutputs := map[string]string{}
+	finalOutputs := make(map[string]string, len(outputs))
 	for id, ref := range outputs {
 		if !depended[id] {
 			finalOutputs[id] = ref
@@ -235,7 +240,6 @@ func (p *planner) satisfy(sp querymind.SubProblem) (string, error) {
 	for _, cap := range producers {
 		ref, err := p.tryCapability(cap, sp, 0)
 		if err == nil {
-			p.haveBySP[sp.ID] = append(p.haveBySP[sp.ID], ref)
 			return ref, nil
 		}
 		lastErr = err
@@ -245,15 +249,10 @@ func (p *planner) satisfy(sp querymind.SubProblem) (string, error) {
 
 // rankedProducers orders candidate capabilities by tag affinity with
 // the sub-problem (composites get a validated-pattern bonus), then by
-// cost.
+// cost, then by name.
 func rankedProducers(reg *registry.Registry, sp querymind.SubProblem) []*registry.Capability {
-	producers := reg.Producing(sp.Produces)
-	type scored struct {
-		cap *registry.Capability
-		aff int
-	}
-	var ss []scored
-	for _, c := range producers {
+	producers := reg.Producing(sp.Produces) // a copy, ours to sort
+	affinity := func(c *registry.Capability) int {
 		aff := 0
 		for _, t := range sp.Tags {
 			if c.HasTag(t) {
@@ -265,22 +264,18 @@ func rankedProducers(reg *registry.Registry, sp querymind.SubProblem) []*registr
 			// prefer them (the registry-evolution payoff).
 			aff += 3
 		}
-		ss = append(ss, scored{cap: c, aff: aff})
+		return aff
 	}
-	sort.SliceStable(ss, func(i, j int) bool {
-		if ss[i].aff != ss[j].aff {
-			return ss[i].aff > ss[j].aff
+	slices.SortStableFunc(producers, func(a, b *registry.Capability) int {
+		if x, y := affinity(a), affinity(b); x != y {
+			return y - x
 		}
-		if ss[i].cap.Cost != ss[j].cap.Cost {
-			return ss[i].cap.Cost < ss[j].cap.Cost
+		if a.Cost != b.Cost {
+			return a.Cost - b.Cost
 		}
-		return ss[i].cap.Name < ss[j].cap.Name
+		return strings.Compare(a.Name, b.Name)
 	})
-	out := make([]*registry.Capability, len(ss))
-	for i, s := range ss {
-		out[i] = s.cap
-	}
-	return out
+	return producers
 }
 
 // maxChainDepth bounds backward chaining when an input type has no
@@ -289,15 +284,15 @@ const maxChainDepth = 4
 
 // tryCapability appends the steps needed to invoke cap, recursively
 // producing missing inputs, and returns the ref of the sub-problem's
-// output port. On failure the planner state is rolled back.
+// output port. On failure the planner state is rolled back: the steps
+// it appended are dropped and its writes to have undone.
 func (p *planner) tryCapability(cap *registry.Capability, sp querymind.SubProblem, depth int) (string, error) {
 	if depth > maxChainDepth {
 		return "", fmt.Errorf("chaining depth exceeded at %s", cap.Name)
 	}
-	savedSteps := len(p.steps)
-	savedHave := cloneHave(p.have)
+	savedSteps, savedUndo := len(p.steps), len(p.undo)
 
-	bindings := map[string]workflow.Binding{}
+	bindings := make(map[string]workflow.Binding, len(cap.Inputs))
 	for _, in := range cap.Inputs {
 		// 1. Reuse an artifact already produced — but only when the
 		// provenance is semantically compatible (see refBindable).
@@ -316,8 +311,7 @@ func (p *planner) tryCapability(cap *registry.Capability, sp querymind.SubProble
 		// 3. Backward-chain: insert a producer for the missing type.
 		ref, err := p.produceType(in, depth+1)
 		if err != nil {
-			p.steps = p.steps[:savedSteps]
-			p.have = savedHave
+			p.rollback(savedSteps, savedUndo)
 			return "", fmt.Errorf("input %q (%s) of %s: %w", in.Name, in.Type, cap.Name, err)
 		}
 		bindings[in.Name] = workflow.Binding{Ref: ref}
@@ -327,17 +321,32 @@ func (p *planner) tryCapability(cap *registry.Capability, sp querymind.SubProble
 	var outRef string
 	for _, out := range cap.Outputs {
 		ref := id + "." + out.Name
+		p.undo = append(p.undo, haveWrite{t: out.Type, prev: p.have[out.Type]})
 		p.have[out.Type] = ref
 		if out.Type == sp.Produces {
 			outRef = ref
 		}
 	}
 	if outRef == "" {
-		p.steps = p.steps[:savedSteps]
-		p.have = savedHave
+		p.rollback(savedSteps, savedUndo)
 		return "", fmt.Errorf("%s does not emit %s", cap.Name, sp.Produces)
 	}
 	return outRef, nil
+}
+
+// rollback drops the steps appended since len(p.steps) was steps and
+// undoes, newest first, the writes to have logged since len(p.undo)
+// was undo. Step IDs stay consumed.
+func (p *planner) rollback(steps, undo int) {
+	p.steps = p.steps[:steps]
+	for i := len(p.undo) - 1; i >= undo; i-- {
+		if w := p.undo[i]; w.prev != "" {
+			p.have[w.t] = w.prev
+		} else {
+			delete(p.have, w.t)
+		}
+	}
+	p.undo = p.undo[:undo]
 }
 
 // scalarType reports whether a data type is a generic scalar
@@ -400,19 +409,11 @@ func (p *planner) produceType(in registry.Port, depth int) (string, error) {
 
 func (p *planner) addStep(cap *registry.Capability, bindings map[string]workflow.Binding, phase string) string {
 	p.nextID++
-	id := fmt.Sprintf("s%d", p.nextID)
+	id := "s" + strconv.Itoa(p.nextID)
 	p.steps = append(p.steps, workflow.Step{
 		ID: id, Capability: cap.Name, Inputs: bindings, Phase: phase,
 	})
 	return id
-}
-
-func cloneHave(m map[registry.DataType]string) map[registry.DataType]string {
-	out := make(map[registry.DataType]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // literalFor derives a literal binding for an input port from the

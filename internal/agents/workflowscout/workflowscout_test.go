@@ -260,3 +260,59 @@ func TestOutputsAreSinksOnly(t *testing.T) {
 		t.Errorf("sink output missing: %v", d.Chosen.Outputs)
 	}
 }
+
+// TestFailedAttemptRollsBack plans through a producer that chains a
+// step and then fails: bad.impact backward-chains geo.fresh, which
+// overwrites the links artifact and adds a geo one, then finds nothing
+// producing cable.list. The rollback must drop that step and restore
+// the artifacts, so the next producer, good.impact, reads the links
+// the dependencies sub-problem produced and leaves its optional geo
+// input unbound. The dropped step keeps its ID.
+func TestFailedAttemptRollsBack(t *testing.T) {
+	reg := registry.New()
+	emit := func(c *registry.Call) error { return nil }
+	for _, c := range []registry.Capability{
+		{
+			Name: "src.load", Framework: "src", Description: "load links for a cable",
+			Inputs:  []registry.Port{{Name: "name", Type: registry.TString}},
+			Outputs: []registry.Port{{Name: "links", Type: registry.TLinkSet}},
+			Tags:    []string{"link-extraction"}, Impl: emit,
+		},
+		{
+			Name: "geo.fresh", Framework: "geo", Description: "geo table and links of its own",
+			Outputs: []registry.Port{{Name: "geo", Type: registry.TGeoTable}, {Name: "links", Type: registry.TLinkSet}},
+			Impl:    emit,
+		},
+		{
+			Name: "bad.impact", Framework: "bad", Description: "needs a cable list nothing produces",
+			Inputs:  []registry.Port{{Name: "geo", Type: registry.TGeoTable}, {Name: "cables", Type: registry.TCableList}},
+			Outputs: []registry.Port{{Name: "report", Type: registry.TImpact}},
+			Tags:    []string{"aggregation", "country-level", "impact-analysis"}, Impl: emit,
+		},
+		{
+			Name: "good.impact", Framework: "good", Description: "links to report",
+			Inputs:  []registry.Port{{Name: "links", Type: registry.TLinkSet}, {Name: "geo", Type: registry.TGeoTable, Optional: true}},
+			Outputs: []registry.Port{{Name: "report", Type: registry.TImpact}},
+			Tags:    []string{"aggregation"}, Impl: emit,
+		},
+	} {
+		reg.MustRegister(c)
+	}
+	d, err := New().Design(cableProblem(1), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := d.Chosen.Steps
+	if got := strings.Join(d.Chosen.CapabilityNames(), " "); got != "src.load good.impact" {
+		t.Fatalf("plan = %s, want src.load good.impact", got)
+	}
+	if steps[1].ID != "s3" {
+		t.Errorf("second step is %s, want s3 (s2 went to the rolled-back geo.fresh)", steps[1].ID)
+	}
+	if b, ok := steps[1].Inputs["links"]; !ok || b.Ref != steps[0].ID+".links" {
+		t.Errorf("good.impact links = %+v, want the ref %s.links", b, steps[0].ID)
+	}
+	if b, ok := steps[1].Inputs["geo"]; ok {
+		t.Errorf("good.impact binds geo to %+v from the rolled-back step", b)
+	}
+}

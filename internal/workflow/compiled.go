@@ -31,7 +31,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -142,6 +141,7 @@ func Compile(w *Workflow, reg *registry.Registry) (*CompiledPlan, error) {
 	for i := range w.Steps {
 		cp.index[w.Steps[i].ID] = i
 	}
+	var names []string // scratch: one step's input names, sorted
 	for i := range w.Steps {
 		s := &w.Steps[i]
 		capb, err := reg.Get(s.Capability)
@@ -152,34 +152,34 @@ func Compile(w *Workflow, reg *registry.Registry) (*CompiledPlan, error) {
 		cs.step = s
 		cs.capb = capb
 		cs.dispatchable = capb.Pure && s.Affinity != AffinityCoordinator
-		cs.cachedProv = fmt.Sprintf("step %s (%s): ok (cached)", s.ID, s.Capability)
+		cs.cachedProv = "step " + s.ID + " (" + s.Capability + "): ok (cached)"
 		cs.valueKeys = make([]string, len(capb.Outputs))
 		for oi, out := range capb.Outputs {
 			cs.valueKeys[oi] = s.ID + "." + out.Name
 		}
 		cp.nValues += len(capb.Outputs)
 
-		// Dependency edges, deduplicated per upstream step.
-		from := map[int]bool{}
+		// Dependency edges, deduplicated per upstream step: steps are
+		// visited in order, so an edge src→i already added is the last
+		// entry of dependents[src].
 		for _, b := range s.Inputs {
 			if !b.IsRef() {
 				continue
 			}
 			src := cp.index[RefStepID(b.Ref)]
-			if !from[src] {
-				from[src] = true
-				cp.dependents[src] = append(cp.dependents[src], i)
+			if d := cp.dependents[src]; len(d) == 0 || d[len(d)-1] != i {
+				cp.dependents[src] = append(d, i)
 				cp.indegree[i]++
 			}
 		}
 
 		// Inputs in the sorted order fingerprints use; the same order
 		// serves input-map assembly (map fill order is irrelevant).
-		names := make([]string, 0, len(s.Inputs))
+		names = names[:0]
 		for name := range s.Inputs {
 			names = append(names, name)
 		}
-		sort.Strings(names)
+		slices.Sort(names)
 		for _, name := range names {
 			b := s.Inputs[name]
 			if b.IsRef() {
