@@ -52,7 +52,7 @@
 // afresh on an uncached one. Warm state also survives restarts: System.SaveSnapshot writes both caches to a versioned,
 // fingerprint-validated document and System.LoadSnapshot restores it
 // into a freshly built equivalent System (see the -snapshot flag on
-// cmd/arachnet, cmd/arachnet-serve and cmd/arachnet-bench).
+// cmd/arachnet and cmd/arachnet-serve).
 //
 // Continuous monitoring turns one-shot queries into standing ones:
 // Subscribe(ctx, query, ...AskOption) registers a query that
@@ -173,7 +173,7 @@ type (
 	// CacheCounters is the hit/miss/eviction state of one cache.
 	CacheCounters = core.CacheCounters
 	// Fleet is a sharded worker pool for DIMES-style distributed
-	// execution (see WithFleet and System.SetFleet).
+	// execution (see WithRemoteFleet and System.SetFleet).
 	Fleet = fleet.Fleet
 	// FleetStats snapshots fleet dispatch counters and per-worker
 	// shard inventory (surfaced through CacheStats.Fleet).
@@ -373,7 +373,6 @@ type options struct {
 	world       netsim.Config
 	scenario    *core.ScenarioConfig
 	registry    *registry.Registry
-	fleet       int
 	fleetRemote []string
 }
 
@@ -408,16 +407,6 @@ func WithRegistry(r *Registry) Option {
 	return func(o *options) { o.registry = r }
 }
 
-// WithFleet shards the world over n workers (DIMES-style distributed
-// execution): pure fan-out steps scatter across the shards owning
-// their data and gather deterministically, so results are identical
-// to unsharded execution. n < 1 disables the fleet (the default).
-// System.Fleet() exposes the fleet (stats, Close); fleets are cheap
-// (a few idle goroutines) and may live for the process.
-func WithFleet(n int) Option {
-	return func(o *options) { o.fleet = n }
-}
-
 // WithRemoteFleet shards the world over one worker per address and
 // routes each shard's scatter-gather requests to the arachnet-worker
 // process at that address (host:port) over HTTP — true multi-process
@@ -426,9 +415,8 @@ func WithFleet(n int) Option {
 // -shards=len(addrs); the registration handshake verifies it and
 // rejects mismatched workers. A dead, slow or rejected remote fails
 // over to running its shard's requests on the coordinator, which owns
-// the whole world, so results are byte-identical to
-// WithFleet(len(addrs)) regardless of which workers are reachable.
-// Mutually exclusive with WithFleet.
+// the whole world, so results are byte-identical to inline execution
+// regardless of which workers are reachable.
 func WithRemoteFleet(addrs ...string) Option {
 	return func(o *options) { o.fleetRemote = addrs }
 }
@@ -455,16 +443,7 @@ func New(opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case o.fleet > 0 && len(o.fleetRemote) > 0:
-		return nil, fmt.Errorf("arachnet: WithFleet and WithRemoteFleet are mutually exclusive")
-	case o.fleet > 0:
-		f, err := fleet.New(env.World, fleet.Config{Workers: o.fleet})
-		if err != nil {
-			return nil, fmt.Errorf("arachnet: %w", err)
-		}
-		sys.SetFleet(f)
-	case len(o.fleetRemote) > 0:
+	if len(o.fleetRemote) > 0 {
 		f, err := fleetwire.NewFleet(env.World, o.fleetRemote)
 		if err != nil {
 			return nil, fmt.Errorf("arachnet: %w", err)

@@ -1,25 +1,36 @@
 package arachnet_test
 
-// Benchmarks regenerating the paper's evaluation artifacts, one per
-// table/figure:
+// Benchmarks of the paper's evaluation, each timing the path its name
+// says:
 //
-//	F1   BenchmarkPipeline            — the four-agent pipeline end to end
-//	CS1  BenchmarkCaseStudy1          — expert-replication cable impact
-//	CS2  BenchmarkCaseStudy2          — multi-disaster impact
-//	CS3  BenchmarkCaseStudy3          — Europe–Asia cascade
-//	CS4  BenchmarkCaseStudy4          — forensic root cause
+//	F1   BenchmarkPipeline            — the four-agent pipeline end to end, uncached
+//	CS1  BenchmarkCaseStudy1          — expert-replication cable impact, uncached
+//	CS2  BenchmarkCaseStudy2          — multi-disaster impact, uncached
+//	CS3  BenchmarkCaseStudy3          — Europe–Asia cascade, uncached
+//	CS4  BenchmarkCaseStudy4          — forensic root cause, uncached
 //	A1   BenchmarkRegistryCompactness — planning over compact vs bloated registries
 //	A3   BenchmarkCuratorMining       — pattern mining + promotion
 //
-// The benchmarks after them time the serving paths. All run on the
-// small world so they are stable and fast; the full-world numbers are
-// produced by cmd/arachnet-bench.
+// The benchmarks after them time the serving paths: warm replays
+// (BenchmarkAskWarmCache, and BenchmarkAskObserved and
+// BenchmarkAskStreamDrain against it), plan misses over warm steps
+// (BenchmarkAskPlanMiss), cache misses (BenchmarkAskColdCache), the
+// job queue (BenchmarkSubmitWait; BenchmarkAskBatch lives in
+// concurrency_test.go), fleets (BenchmarkAskFleet) and snapshots
+// (BenchmarkSaveSnapshot, BenchmarkLoadSnapshot). All run on the small
+// world, seed 7, except BenchmarkAskFleet's scale=15 rows.
+// cmd/arachnet-bench prints the evaluation tables on the full world,
+// and servebench times the served system over HTTP.
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"arachnet"
+	"arachnet/internal/core"
+	"arachnet/internal/netsim"
 )
 
 var benchQueries = map[int]string{
@@ -42,41 +53,30 @@ func benchSystem(b *testing.B, scenario bool) *arachnet.System {
 	return sys
 }
 
-func benchCase(b *testing.B, n int, scenario bool) {
-	sys := benchSystem(b, scenario)
+// benchUncached asks query with AskNoCache on every iteration, so
+// each one parses, plans, weaves and executes every step.
+func benchUncached(b *testing.B, sys *arachnet.System, query string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Ask(ctx, benchQueries[n], arachnet.AskWithoutCuration()); err != nil {
+		if _, err := sys.Ask(ctx, query, arachnet.AskWithoutCuration(), arachnet.AskNoCache()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+func benchCase(b *testing.B, n int, scenario bool) {
+	benchUncached(b, benchSystem(b, scenario), benchQueries[n])
+}
+
 // BenchmarkPipeline measures Figure 1's full pipeline (parse →
-// QueryMind → WorkflowScout → SolutionWeaver → execute).
+// QueryMind → WorkflowScout → SolutionWeaver → execute), uncached.
 func BenchmarkPipeline(b *testing.B) { benchCase(b, 1, false) }
 
 // BenchmarkCaseStudy1 measures the Case Study 1 workflow under the
 // paper's restricted registry (core Nautilus functions only).
 func BenchmarkCaseStudy1(b *testing.B) {
-	sub, err := arachnet.BuiltinRegistry().Subset(arachnet.CS1RegistryNames()...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := arachnet.New(
-		arachnet.WithSmallWorld(7), arachnet.WithRegistry(sub),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Ask(ctx, benchQueries[1], arachnet.AskWithoutCuration()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchUncached(b, cs1FleetSystem(b, 7, 0), benchQueries[1])
 }
 
 // BenchmarkCaseStudy2 measures the multi-disaster workflow.
@@ -92,7 +92,9 @@ func BenchmarkCaseStudy4(b *testing.B) { benchCase(b, 4, true) }
 // BenchmarkRegistryCompactness is the A1 ablation: planning cost over
 // the compact builtin registry versus one bloated with irrelevant
 // entries — the paper's rationale for capability-level registries over
-// full codebase exposure.
+// full codebase exposure. As in BenchmarkAskPlanMiss, the plan cache is
+// off and the steps are warm, so every iteration plans and the steps
+// replay from the step cache.
 func BenchmarkRegistryCompactness(b *testing.B) {
 	for _, size := range []int{0, 100, 400} {
 		b.Run(fmt.Sprintf("extra=%d", size), func(b *testing.B) {
@@ -116,6 +118,10 @@ func BenchmarkRegistryCompactness(b *testing.B) {
 				arachnet.WithSmallWorld(7), arachnet.WithRegistry(reg),
 			)
 			if err != nil {
+				b.Fatal(err)
+			}
+			sys.SetCacheLimits(0, arachnet.DefaultStepCacheEntries, arachnet.DefaultStepCacheBytes)
+			if _, err := sys.Ask(ctx, benchQueries[1], arachnet.AskWithoutCuration()); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -157,10 +163,10 @@ func BenchmarkCuratorMining(b *testing.B) {
 	}
 }
 
-// BenchmarkAskStreamDrain measures the full event path: the same run
-// as BenchmarkPipeline, consumed by draining AskStream. The delta
-// against BenchmarkPipeline is the cost of channel-based delivery; the
-// acceptance bar for the streaming redesign is ≤5% over plain Ask.
+// BenchmarkAskStreamDrain measures the full event path: the same warm
+// run as BenchmarkAskWarmCache, consumed by draining AskStream. The
+// delta against BenchmarkAskWarmCache is the cost of channel-based
+// delivery.
 func BenchmarkAskStreamDrain(b *testing.B) {
 	sys := benchSystem(b, false)
 	b.ReportAllocs()
@@ -174,8 +180,9 @@ func BenchmarkAskStreamDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkAskObserved measures Ask with a registered (no-op)
-// observer: the inline event path without any channel.
+// BenchmarkAskObserved measures the warm run of BenchmarkAskWarmCache
+// with a registered (no-op) observer: the inline event path without
+// any channel.
 func BenchmarkAskObserved(b *testing.B) {
 	sys := benchSystem(b, false)
 	nop := arachnet.ObserverFunc(func(arachnet.Event) error { return nil })
@@ -207,8 +214,7 @@ func BenchmarkSubmitWait(b *testing.B) {
 
 // BenchmarkAskWarmCache measures fully memoized serving: the plan
 // cache skips the three planning agents and the step cache serves
-// every pure step, so this is the repeated-query fast path. The PR 5
-// acceptance bar is ≥ 5× faster than the cold path below.
+// every pure step, so this is the repeated-query fast path.
 func BenchmarkAskWarmCache(b *testing.B) {
 	sys := benchSystem(b, false)
 	if _, err := sys.Ask(ctx, benchQueries[1], arachnet.AskWithoutCuration()); err != nil {
@@ -230,8 +236,8 @@ func BenchmarkAskWarmCache(b *testing.B) {
 // under a microsecond, whereas excluding it via StopTimer/StartTimer
 // would stop the world (ReadMemStats) every iteration and inflate the
 // measurement far more than the flush itself. The delta against
-// BenchmarkAskNoCache is the memoization overhead on a miss; the PR 5
-// acceptance bar is ≤ 5% over the PR 2 no-cache baseline.
+// BenchmarkPipeline, the same run uncached, is the memoization
+// overhead on a miss.
 func BenchmarkAskColdCache(b *testing.B) {
 	sys := benchSystem(b, false)
 	b.ReportAllocs()
@@ -268,72 +274,126 @@ func BenchmarkAskPlanMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkAskNoCache measures the cache-bypass path (AskNoCache): no
-// fingerprints, no lookups — the PR 2 serving path, kept as the
-// trajectory baseline.
-func BenchmarkAskNoCache(b *testing.B) {
-	sys := benchSystem(b, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Ask(ctx, benchQueries[1], arachnet.AskWithoutCuration(), arachnet.AskNoCache()); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkAskFleet times uncached CS1 asks over the restricted CS1
+// registry, whose extract_ips → locate_ips chain scatters: inline, on
+// in-process fleets of 1 and 4, and on two fleetwire servers on
+// loopback (remote=2); then inline against an in-process fleet of 4 on
+// the default world at 15x density (10.7x its routers), built without
+// a scenario. AskNoCache makes every step execute, so a fleet row pays
+// its dispatch on every step it takes; each reports the steps it took
+// per op (scattered plus shard-local) as dispatched/op.
+func BenchmarkAskFleet(b *testing.B) {
+	for _, n := range []int{0, 1, 4} {
+		b.Run(fleetRow(n), func(b *testing.B) { benchFleetAsk(b, cs1FleetSystem(b, 7, n)) })
+	}
+	b.Run("remote=2", func(b *testing.B) {
+		cfg := netsim.SmallConfig(7)
+		addr0, _ := startWireWorker(b, cfg, 2, 0)
+		addr1, _ := startWireWorker(b, cfg, 2, 1)
+		benchFleetAsk(b, cs1RemoteSystem(b, 7, []string{addr0, addr1}))
+	})
+	for _, n := range []int{0, 4} {
+		b.Run("scale=15/"+fleetRow(n), func(b *testing.B) {
+			env := denseWorld(b)
+			sub, err := arachnet.BuiltinRegistry().Subset(arachnet.CS1RegistryNames()...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys, err := core.NewSystem(env, sub)
+			if err != nil {
+				b.Fatal(err)
+			}
+			attachFleet(b, sys, n)
+			benchFleetAsk(b, sys)
+		})
 	}
 }
 
-// BenchmarkGeneratedCode measures SolutionWeaver's code generation in
-// isolation (re-asking with curation off re-runs the whole pipeline;
-// the LoC table itself comes from cmd/arachnet-bench -loc).
-func BenchmarkGeneratedCode(b *testing.B) {
+func fleetRow(n int) string {
+	if n == 0 {
+		return "inline"
+	}
+	return fmt.Sprintf("fleet=%d", n)
+}
+
+func benchFleetAsk(b *testing.B, sys *arachnet.System) {
+	benchUncached(b, sys, benchQueries[1])
+	if f := sys.Fleet(); f != nil {
+		st := f.Stats()
+		b.ReportMetric(float64(st.Scattered+st.ShardLocal)/float64(b.N), "dispatched/op")
+	}
+}
+
+var (
+	denseOnce sync.Once
+	denseEnv  *arachnet.Environment
+	denseErr  error
+)
+
+// denseWorld returns the environment of the default world (seed 42)
+// with its stub, tier-2 and content densities multiplied by 15, as
+// worldgen -scale 15 builds it: 5 838 routers. It is generated once
+// per test binary; the rows only read it.
+func denseWorld(tb testing.TB) *arachnet.Environment {
+	denseOnce.Do(func() {
+		cfg := netsim.DefaultConfig(42)
+		cfg.StubsPerCountry *= 15
+		cfg.Tier2PerRegion *= 15
+		cfg.ContentCount *= 15
+		denseEnv, denseErr = core.NewEnvironment(cfg)
+	})
+	if denseErr != nil {
+		tb.Fatal(denseErr)
+	}
+	return denseEnv
+}
+
+// snapshotDonor is a system warmed on the four case studies.
+func snapshotDonor(b *testing.B) *arachnet.System {
+	sys := benchSystem(b, true)
+	for n := 1; n <= len(benchQueries); n++ {
+		if _, err := sys.Ask(ctx, benchQueries[n], arachnet.AskWithoutCuration()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return sys
+}
+
+// BenchmarkSaveSnapshot measures writing the snapshot of a system
+// warmed on the four case studies; snapshot-bytes is its size.
+func BenchmarkSaveSnapshot(b *testing.B) {
+	sys := snapshotDonor(b)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := sys.SaveSnapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "snapshot-bytes")
+}
+
+// BenchmarkLoadSnapshot measures restoring that snapshot into an
+// identically built cold system, the work a restart does before its
+// first ask: decode, insert every step, re-plan every query. Each
+// iteration flushes both caches first, inside the timed region for the
+// reason BenchmarkAskColdCache gives.
+func BenchmarkLoadSnapshot(b *testing.B) {
+	var buf bytes.Buffer
+	if err := snapshotDonor(b).SaveSnapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
 	sys := benchSystem(b, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := sys.Ask(ctx, benchQueries[4], arachnet.AskWithoutCuration())
-		if err != nil {
+		sys.SetCacheLimits(0, 0, 0) // flush
+		sys.SetCacheLimits(arachnet.DefaultPlanCacheEntries,
+			arachnet.DefaultStepCacheEntries, arachnet.DefaultStepCacheBytes)
+		if err := sys.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
-		if rep.Solution.LoC == 0 {
-			b.Fatal("no code generated")
-		}
-	}
-}
-
-// benchFleetCase measures the CS1 fan-out workflow served through a
-// worker fleet of n shards. The restricted CS1 registry forces the
-// extract_ips → locate_ips chain, whose steps scatter-gather across
-// the fleet; n=0 is the inline-execution baseline.
-func benchFleetCase(b *testing.B, n int) {
-	b.Helper()
-	sub, err := arachnet.BuiltinRegistry().Subset(arachnet.CS1RegistryNames()...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := []arachnet.Option{arachnet.WithSmallWorld(7), arachnet.WithRegistry(sub)}
-	if n > 0 {
-		opts = append(opts, arachnet.WithFleet(n))
-	}
-	sys, err := arachnet.New(opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if f := sys.Fleet(); f != nil {
-		defer f.Close()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Ask(ctx, benchQueries[1], arachnet.AskWithoutCuration()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAskFleet compares inline execution against sharded fleets
-// on the scatter-gather CS1 workflow (PR 8 trajectory point).
-func BenchmarkAskFleet(b *testing.B) {
-	for _, n := range []int{0, 1, 4} {
-		b.Run(fmt.Sprintf("fleet=%d", n), func(b *testing.B) { benchFleetCase(b, n) })
 	}
 }

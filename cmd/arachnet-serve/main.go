@@ -64,8 +64,7 @@ func main() {
 		timeout      = flag.Duration("timeout", 2*time.Minute, "default per-request pipeline timeout (0 = unbounded)")
 		maxTimeout   = flag.Duration("max-timeout", 10*time.Minute, "cap on client-requested timeouts (0 = uncapped)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
-		fleetN       = flag.Int("fleet", 0, "shard each tenant's world over N fleet workers; fan-out steps scatter-gather across shards (0 = inline execution)")
-		fleetRemote  = flag.String("fleet-remote", "", "comma-separated arachnet-worker addresses (host:port,...), one per shard; overrides -fleet")
+		fleetRemote  = flag.String("fleet-remote", "", "comma-separated arachnet-worker addresses (host:port,...), one per shard; each tenant's fan-out steps scatter-gather across them")
 		tenantsPath  = flag.String("tenants", "", "path to a JSON array of tenant configurations (empty = one open tenant)")
 		snapshot     = flag.String("snapshot", "", "cache snapshot file: loaded per tenant at boot (if present and matching), rewritten during graceful shutdown — a restarted server answers repeated queries warm; with multiple tenants each uses file.<tenant>")
 	)
@@ -96,7 +95,6 @@ func main() {
 		QueueDepth:     *depth,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		Fleet:          *fleetN,
 		FleetRemote:    splitAddrs(*fleetRemote),
 	}
 	if *tenantsPath != "" {

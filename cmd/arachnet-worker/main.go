@@ -3,8 +3,7 @@
 // -world/-seed derivation), takes ownership of one shard of the
 // -shards partition, and serves shard-local capability execution over
 // HTTP (see internal/fleetwire). Point a coordinator at a set of
-// workers with -fleet-remote on arachnet, arachnet-bench or
-// arachnet-serve.
+// workers with -fleet-remote on arachnet or arachnet-serve.
 //
 // Example — a two-worker fleet on one machine:
 //

@@ -42,8 +42,7 @@ func main() {
 		stream      = flag.Bool("stream", false, "stream live pipeline progress (stages, steps, promotions) to stderr while the query runs")
 		noCache     = flag.Bool("no-cache", false, "bypass plan and step memoization for this query")
 		cacheStats  = flag.Bool("cache-stats", false, "print plan/step cache statistics to stderr after the run")
-		fleetN      = flag.Int("fleet", 0, "shard the world over N fleet workers; pure fan-out steps scatter-gather across them (0 = run everything inline)")
-		fleetRemote = flag.String("fleet-remote", "", "comma-separated arachnet-worker addresses (host:port,...), one per shard; mutually exclusive with -fleet")
+		fleetRemote = flag.String("fleet-remote", "", "comma-separated arachnet-worker addresses (host:port,...), one per shard; pure fan-out steps scatter-gather across them")
 		monitor     = flag.Bool("monitor", false, "run the query as a standing subscription and print delta events until interrupted")
 		injectEvery = flag.Duration("inject-every", 0, "with -monitor: inject a fresh cable-failure scenario on this interval (0 = never)")
 		injectCount = flag.Int("inject-count", 3, "with -monitor and -inject-every: stop injecting after this many scenarios (0 = no limit)")
@@ -78,9 +77,6 @@ func main() {
 		opts = append(opts, arachnet.WithRegistry(sub))
 	default:
 		fatal(fmt.Errorf("unknown registry %q", *regName))
-	}
-	if *fleetN > 0 {
-		opts = append(opts, arachnet.WithFleet(*fleetN))
 	}
 	if *fleetRemote != "" {
 		var addrs []string

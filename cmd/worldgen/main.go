@@ -3,8 +3,8 @@
 // busiest cables — the inspection tool for choosing scenario seeds.
 // With -shards it additionally partitions the world for a worker
 // fleet and prints (or emits, with -shards and the default output)
-// the per-shard inventory; -scale multiplies the density knobs to
-// generate the 10-100x worlds the fleet exists to serve.
+// the per-shard inventory; -scale multiplies the density knobs (15
+// gives the 10.7x world of BenchmarkAskFleet's scale=15 rows).
 package main
 
 import (

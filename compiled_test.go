@@ -25,17 +25,11 @@ import (
 func pairedSystems(t *testing.T, seed uint64, fleetN int) (cached, fresh *arachnet.System) {
 	t.Helper()
 	build := func() *arachnet.System {
-		opts := []arachnet.Option{arachnet.WithSmallWorld(seed)}
-		if fleetN > 0 {
-			opts = append(opts, arachnet.WithFleet(fleetN))
-		}
-		sys, err := arachnet.New(opts...)
+		sys, err := arachnet.New(arachnet.WithSmallWorld(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f := sys.Fleet(); f != nil {
-			t.Cleanup(f.Close)
-		}
+		attachFleet(t, sys, fleetN)
 		return sys
 	}
 	return build(), build()
@@ -126,11 +120,11 @@ func answerJSON(t *testing.T, rep *arachnet.Report) []byte {
 // comparable; the test asserts every ask succeeds and the caches stay
 // coherent, and that a quiet system serves plan-cache hits afterwards.
 func TestCompiledConcurrentHammer(t *testing.T) {
-	sys, err := arachnet.New(arachnet.WithSmallWorld(42), arachnet.WithFleet(4))
+	sys, err := arachnet.New(arachnet.WithSmallWorld(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys.Fleet().Close)
+	attachFleet(t, sys, 4)
 	queries := []string{
 		"Identify the impact at a country level due to SeaMeWe-5 cable failure",
 		"Identify the impact at a country level due to SeaMeWe-4 cable failure",

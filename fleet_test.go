@@ -16,7 +16,24 @@ import (
 	"testing"
 
 	"arachnet"
+	"arachnet/internal/fleet"
 )
+
+// attachFleet shards sys's world over an in-process fleet of n workers
+// (the stand-in for a remote fleet) and closes it when the test ends;
+// n=0 leaves sys executing inline.
+func attachFleet(t testing.TB, sys *arachnet.System, n int) {
+	t.Helper()
+	if n == 0 {
+		return
+	}
+	f, err := fleet.New(sys.Environment().World, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetFleet(f)
+	t.Cleanup(f.Close)
+}
 
 // cs1FleetSystem builds a system over the paper's restricted CS1
 // registry (which plans the extract_ips → locate_ips fan-out chain)
@@ -27,17 +44,11 @@ func cs1FleetSystem(t testing.TB, seed uint64, n int) *arachnet.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []arachnet.Option{arachnet.WithSmallWorld(seed), arachnet.WithRegistry(sub)}
-	if n > 0 {
-		opts = append(opts, arachnet.WithFleet(n))
-	}
-	sys, err := arachnet.New(opts...)
+	sys, err := arachnet.New(arachnet.WithSmallWorld(seed), arachnet.WithRegistry(sub))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := sys.Fleet(); f != nil {
-		t.Cleanup(f.Close)
-	}
+	attachFleet(t, sys, n)
 	return sys
 }
 
@@ -143,17 +154,11 @@ func TestFleetMatchesInline(t *testing.T) {
 func TestFleetFullRegistryMatchesInline(t *testing.T) {
 	const seed, query = 42, "Identify the impact at a country level due to SeaMeWe-5 cable failure"
 	build := func(n int) *arachnet.System {
-		opts := []arachnet.Option{arachnet.WithSmallWorld(seed)}
-		if n > 0 {
-			opts = append(opts, arachnet.WithFleet(n))
-		}
-		sys, err := arachnet.New(opts...)
+		sys, err := arachnet.New(arachnet.WithSmallWorld(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f := sys.Fleet(); f != nil {
-			t.Cleanup(f.Close)
-		}
+		attachFleet(t, sys, n)
 		return sys
 	}
 	sys0, sys4 := build(0), build(4)
@@ -193,20 +198,14 @@ func TestFleetArchiveWindowMatchesInline(t *testing.T) {
 	const seed = 42
 	const query = "A sudden increase in latency was observed from European probes to Asian destinations starting three days ago. Determine if a submarine cable failure caused this, and if so, identify the specific cable."
 	build := func(n int) *arachnet.System {
-		opts := []arachnet.Option{
+		sys, err := arachnet.New(
 			arachnet.WithSmallWorld(seed),
 			arachnet.WithScenario(arachnet.ScenarioConfig{Seed: 5}),
-		}
-		if n > 0 {
-			opts = append(opts, arachnet.WithFleet(n))
-		}
-		sys, err := arachnet.New(opts...)
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f := sys.Fleet(); f != nil {
-			t.Cleanup(f.Close)
-		}
+		attachFleet(t, sys, n)
 		return sys
 	}
 	sys0, sys4 := build(0), build(4)

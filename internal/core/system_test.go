@@ -565,14 +565,3 @@ func TestPipelineStages(t *testing.T) {
 		t.Error("elapsed not recorded")
 	}
 }
-
-func BenchmarkPipeline(b *testing.B) {
-	env := testEnv(b, false)
-	sys, _ := NewSystem(env, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Ask(ctx, queryCS1, AskWithoutCuration()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

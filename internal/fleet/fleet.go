@@ -35,7 +35,9 @@
 // own shard and registry replica, and NewOver builds a Fleet over it
 // without touching the dispatcher or the engine. Requests carry the
 // capability name for exactly that reason — the in-process capability
-// pointer is a fast path, not part of the contract.
+// pointer is a fast path, not part of the contract. The HTTP fleet is
+// the deployment (arachnet.WithRemoteFleet, -fleet-remote); New's
+// in-process fleet is its stand-in in tests and benchmarks.
 package fleet
 
 import (
@@ -70,12 +72,6 @@ type Scatter struct {
 	Merge func(p *netsim.Partition, env any, orig map[string]any, parts map[int]map[string]any) (map[string]any, error)
 }
 
-// Config sizes an in-process Fleet.
-type Config struct {
-	// Workers is the number of shards/workers (>= 1).
-	Workers int
-}
-
 // In-process worker sizing: concurrent requests per worker, and the
 // entries of each worker's local step cache.
 const (
@@ -102,22 +98,26 @@ type Fleet struct {
 	closeOnce sync.Once
 }
 
-// New partitions the world into cfg.Workers shards and starts one
-// in-process worker per shard.
-func New(w *netsim.World, cfg Config) (*Fleet, error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("fleet: %d workers < 1", cfg.Workers)
+// New partitions the world into the given number of shards and starts
+// one in-process worker per shard. It is the in-process stand-in for a
+// remote fleet (internal/fleetwire.NewFleet): same partition, same
+// dispatch and the same fleet.Worker, with channels in place of the
+// wire, so tests and benchmarks can check and time sharded execution
+// without worker processes. Attach it with core.System.SetFleet.
+func New(w *netsim.World, workers int) (*Fleet, error) {
+	if workers < 1 {
+		return nil, fmt.Errorf("fleet: %d workers < 1", workers)
 	}
-	part, err := netsim.PartitionWorld(w, cfg.Workers)
+	part, err := netsim.PartitionWorld(w, workers)
 	if err != nil {
 		return nil, err
 	}
-	workers := make([]*Worker, cfg.Workers)
-	for i := range workers {
-		workers[i] = NewWorker(i, part.Shards[i], workerCacheEntries)
+	ws := make([]*Worker, workers)
+	for i := range ws {
+		ws[i] = NewWorker(i, part.Shards[i], workerCacheEntries)
 	}
-	f := NewOver(part, NewLocalTransport(workers, workerParallelism))
-	f.workers = workers
+	f := NewOver(part, NewLocalTransport(ws, workerParallelism))
+	f.workers = ws
 	return f, nil
 }
 

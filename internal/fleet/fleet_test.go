@@ -110,7 +110,7 @@ func TestScatterGatherMatchesLocal(t *testing.T) {
 	}
 
 	for _, n := range []int{1, 2, 4} {
-		f, err := New(w, Config{Workers: n})
+		f, err := New(w, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestScatterGatherMatchesLocal(t *testing.T) {
 
 func TestDeclineUnknownCapability(t *testing.T) {
 	w := testWorld(t)
-	f, err := New(w, Config{Workers: 2})
+	f, err := New(w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestDeclineUnknownCapability(t *testing.T) {
 
 func TestDeclineUnpartitionableInput(t *testing.T) {
 	w := testWorld(t)
-	f, err := New(w, Config{Workers: 2})
+	f, err := New(w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestDeclineUnpartitionableInput(t *testing.T) {
 
 func TestWorkerCacheHit(t *testing.T) {
 	w := testWorld(t)
-	f, err := New(w, Config{Workers: 2})
+	f, err := New(w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestTransportSeam(t *testing.T) {
 
 func TestCloseFailsSends(t *testing.T) {
 	w := testWorld(t)
-	f, err := New(w, Config{Workers: 2})
+	f, err := New(w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestCloseFailsSends(t *testing.T) {
 
 func TestContextCancellation(t *testing.T) {
 	w := testWorld(t)
-	f, err := New(w, Config{Workers: 2})
+	f, err := New(w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

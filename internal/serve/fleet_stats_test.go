@@ -1,9 +1,10 @@
 package serve
 
-// Fleet-aware stats: with Config.Fleet set, every tenant gets its own
-// worker fleet and /v1/stats must expose its counters — total
+// Fleet-aware stats: a tenant System with a worker fleet attached
+// must expose its counters in /v1/stats — total
 // scatter/shard-local/declined dispatches plus per-worker shard
-// inventory and cache activity.
+// inventory and cache activity. The fleet here is the in-process
+// stand-in for the remote fleet Config.FleetRemote attaches.
 
 import (
 	"net/http"
@@ -14,13 +15,18 @@ import (
 )
 
 func TestStatsExposeFleetCounters(t *testing.T) {
-	_, ts := startServer(t, Config{
-		Env:   testEnv(t),
-		Fleet: 2,
+	env := testEnv(t)
+	srv, ts := startServer(t, Config{
+		Env: env,
 		Tenants: []TenantConfig{{
 			Name: "default", Capabilities: core.CS1RegistryNames(),
 		}},
 	})
+	f, err := fleet.New(env.World, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Tenant("default").System().SetFleet(f)
 
 	// Serve the fan-out query so the fleet actually handles steps.
 	resp := postJSON(t, ts.URL+"/v1/ask", map[string]any{
@@ -53,7 +59,7 @@ func TestStatsExposeFleetCounters(t *testing.T) {
 	}
 	fs := ten.Cache.Fleet
 	if fs == nil {
-		t.Fatal("stats carry no fleet block despite Config.Fleet=2")
+		t.Fatal("stats carry no fleet block despite an attached fleet of 2")
 	}
 	if fs.Workers != 2 {
 		t.Errorf("fleet workers = %d, want 2", fs.Workers)

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"arachnet/internal/core"
-	"arachnet/internal/fleet"
 	"arachnet/internal/fleetwire"
 	"arachnet/internal/registry"
 )
@@ -97,19 +96,14 @@ type Config struct {
 	// what a request may ask for (0 = uncapped).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Fleet, when positive, attaches a sharded worker fleet of that
-	// many workers to every tenant System: pure fan-out steps are
-	// scattered over world shards and gathered deterministically
-	// instead of running inline (see internal/fleet). Per-tenant
-	// fleets keep worker-cache isolation aligned with the rest of the
-	// tenancy model. /v1/stats exposes each tenant's per-worker shard
-	// and cache counters.
-	Fleet int
-	// FleetRemote routes each tenant's fleet over the wire instead:
-	// one arachnet-worker address per shard (see internal/fleetwire).
-	// Takes precedence over Fleet. Each tenant keeps its own Pool —
-	// registration, health checks and failover counters are per
-	// tenant, matching the isolation the rest of the tier provides.
+	// FleetRemote, when set, attaches a sharded worker fleet to every
+	// tenant System: one arachnet-worker address per shard (see
+	// internal/fleetwire). Pure fan-out steps are scattered over the
+	// workers' world shards and gathered deterministically instead of
+	// running inline. Each tenant keeps its own Pool — registration,
+	// health checks and failover counters are per tenant, matching the
+	// isolation the rest of the tier provides. /v1/stats exposes each
+	// tenant's fleet counters.
 	FleetRemote []string
 	// Tenants declares the tenant set; empty means one open tenant
 	// named "default".
@@ -209,17 +203,10 @@ func NewServer(cfg Config) (*Server, error) {
 		if err := sys.SetScheduler(s.sched, tc.Name); err != nil {
 			return nil, fmt.Errorf("serve: tenant %q: %w", tc.Name, err)
 		}
-		switch {
-		case len(cfg.FleetRemote) > 0:
+		if len(cfg.FleetRemote) > 0 {
 			f, err := fleetwire.NewFleet(cfg.Env.World, cfg.FleetRemote)
 			if err != nil {
 				return nil, fmt.Errorf("serve: tenant %q remote fleet: %w", tc.Name, err)
-			}
-			sys.SetFleet(f)
-		case cfg.Fleet > 0:
-			f, err := fleet.New(cfg.Env.World, fleet.Config{Workers: cfg.Fleet})
-			if err != nil {
-				return nil, fmt.Errorf("serve: tenant %q fleet: %w", tc.Name, err)
 			}
 			sys.SetFleet(f)
 		}

@@ -242,6 +242,14 @@ func (s *Server) handleSubscriptionEvents(w http.ResponseWriter, r *http.Request
 	}
 }
 
+// maxScenarioDays caps days_before_now and window_days on POST
+// /v1/admin/scenario. An injection simulates an hourly traceroute
+// campaign and a BGP update stream over its whole window, so its cost
+// grows linearly with the window: on the small world 7 days take
+// about 30 ms and 700 days 2.6 s, and past about 106 751 days the
+// window overflows time.Duration.
+const maxScenarioDays = 30
+
 // scenarioRequest is the body of POST /v1/admin/scenario; all fields
 // are optional (zero values take the library defaults — see
 // core.ScenarioConfig).
@@ -256,7 +264,9 @@ type scenarioRequest struct {
 // handleInjectScenario injects a cable-failure scenario into the
 // tenant's environment clone. The epoch bump pokes the tenant's
 // standing queries — and only the tenant's: other tenants' clones
-// keep their own timelines.
+// keep their own timelines. It answers 200 with the new epoch, 400 for
+// a malformed body or a day count above maxScenarioDays, and 422 when
+// the scenario cannot be built (e.g. an unknown cable).
 func (s *Server) handleInjectScenario(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenant(w, r)
 	if !ok {
@@ -266,6 +276,10 @@ func (s *Server) handleInjectScenario(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	if req.DaysBeforeNow > maxScenarioDays || req.WindowDays > maxScenarioDays {
+		httpError(w, http.StatusBadRequest, "days_before_now and window_days must be at most %d", maxScenarioDays)
 		return
 	}
 	env := t.sys.Environment()

@@ -319,3 +319,32 @@ func TestShutdownClosesOpenSubscriptions(t *testing.T) {
 	}
 	resp.Body.Close()
 }
+
+// TestScenarioDaysCeiling: an injection's cost grows with its window,
+// so day counts above maxScenarioDays are refused with 400 before any
+// injection runs, while the ceiling itself is accepted.
+func TestScenarioDaysCeiling(t *testing.T) {
+	srv, ts := startServer(t, Config{Env: testEnv(t)})
+	env := srv.Tenant("default").System().Environment()
+	for _, body := range []map[string]any{
+		{"window_days": maxScenarioDays + 1},
+		{"days_before_now": maxScenarioDays + 1},
+		{"days_before_now": 3, "window_days": maxScenarioDays + 1, "seed": 5},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/admin/scenario", body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%v: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if ep := env.Epoch(); ep != 0 {
+		t.Fatalf("refused requests injected: epoch %d", ep)
+	}
+	resp := postJSON(t, ts.URL+"/v1/admin/scenario", map[string]any{
+		"days_before_now": maxScenarioDays, "window_days": maxScenarioDays,
+	})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || env.Epoch() != 1 {
+		t.Fatalf("ceiling request: status %d, epoch %d; want 200, 1", resp.StatusCode, env.Epoch())
+	}
+}

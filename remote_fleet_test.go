@@ -26,7 +26,7 @@ import (
 // startWireWorker boots one real arachnet-worker server (the exact
 // handler cmd/arachnet-worker serves) on a loopback listener and
 // returns its address and a kill switch.
-func startWireWorker(t *testing.T, cfg netsim.Config, shards, index int) (string, func()) {
+func startWireWorker(t testing.TB, cfg netsim.Config, shards, index int) (string, func()) {
 	t.Helper()
 	env, err := core.NewEnvironment(cfg)
 	if err != nil {
@@ -48,7 +48,7 @@ func startWireWorker(t *testing.T, cfg netsim.Config, shards, index int) (string
 
 // cs1RemoteSystem builds a CS1 system whose fleet routes shard i to
 // addrs[i] over HTTP.
-func cs1RemoteSystem(t *testing.T, seed uint64, addrs []string) *arachnet.System {
+func cs1RemoteSystem(t testing.TB, seed uint64, addrs []string) *arachnet.System {
 	t.Helper()
 	sub, err := arachnet.BuiltinRegistry().Subset(arachnet.CS1RegistryNames()...)
 	if err != nil {
