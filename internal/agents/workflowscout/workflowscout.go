@@ -55,17 +55,18 @@ type Agent struct {
 func New() *Agent { return &Agent{MaxCandidates: 6, DirectThreshold: 3} }
 
 // Design converts a problem spec into a workflow design against the
-// registry.
+// registry. It only reads a, so one Agent may design for several
+// goroutines at once; a setting that is not positive takes its default.
 func (a *Agent) Design(ps *querymind.ProblemSpec, reg *registry.Registry) (*Design, error) {
-	if a.MaxCandidates <= 0 {
-		a.MaxCandidates = 6
+	limit, threshold := a.MaxCandidates, a.DirectThreshold
+	if limit <= 0 {
+		limit = 6
 	}
-	if a.DirectThreshold <= 0 {
-		a.DirectThreshold = 3
+	if threshold <= 0 {
+		threshold = 3
 	}
 	d := &Design{Strategy: "exploratory"}
-	limit := a.MaxCandidates
-	if ps.Complexity < a.DirectThreshold {
+	if ps.Complexity < threshold {
 		d.Strategy = "direct"
 		limit = 1
 	}

@@ -2,6 +2,7 @@ package workflowscout
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"arachnet/internal/agents/querymind"
@@ -314,5 +315,39 @@ func TestFailedAttemptRollsBack(t *testing.T) {
 	}
 	if b, ok := steps[1].Inputs["geo"]; ok {
 		t.Errorf("good.impact binds geo to %+v from the rolled-back step", b)
+	}
+}
+
+// TestDesignSharedZeroAgent designs from two goroutines with one
+// zero-valued Agent: Design must apply the defaults without writing
+// them back, so the Agent stays zero and -race sees no write.
+func TestDesignSharedZeroAgent(t *testing.T) {
+	reg := miniRegistry(t)
+	want, err := New().Design(cableProblem(5), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &Agent{}
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				d, err := a.Design(cableProblem(5), reg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if d.Strategy != want.Strategy || d.Explored != want.Explored {
+					t.Errorf("zero Agent designed %s/%d, New() %s/%d", d.Strategy, d.Explored, want.Strategy, want.Explored)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if *a != (Agent{}) {
+		t.Errorf("Design wrote its receiver: %+v", *a)
 	}
 }

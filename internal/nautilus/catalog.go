@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"arachnet/internal/geo"
+	"arachnet/internal/textmatch"
 )
 
 // CableID identifies a submarine cable system.
@@ -100,7 +101,14 @@ type Catalog struct {
 	// names holds the NormalizeName forms of each cable, index-aligned
 	// with cables, so name matching normalizes only the text it is given.
 	names []cableNames
+	// forms is the automaton over those forms: pattern 3i+k is form k
+	// (name, ID, short name) of cables[i].
+	forms *textmatch.Matcher
 }
+
+// maxCables bounds the catalog, so Mentioned keeps its marks on the
+// stack.
+const maxCables = 64
 
 // cableNames are the normalized forms a cable is recognized by: its
 // name, its ID, and its short name without a parenthetical ("AAE-1" for
@@ -327,6 +335,9 @@ func BuildCatalog() *Catalog {
 		}},
 	}
 
+	if len(cables) > maxCables {
+		panic(fmt.Sprintf("nautilus: %d cables exceed maxCables", len(cables)))
+	}
 	cat := &Catalog{
 		cables:    cables,
 		byID:      make(map[CableID]*Cable, len(cables)),
@@ -334,6 +345,7 @@ func BuildCatalog() *Catalog {
 		names:     make([]cableNames, len(cables)),
 	}
 	sort.Slice(cat.cables, func(i, j int) bool { return cat.cables[i].ID < cat.cables[j].ID })
+	forms := make([]string, 0, 3*len(cables))
 	for i := range cat.cables {
 		c := &cat.cables[i]
 		cat.byID[c.ID] = c
@@ -345,7 +357,9 @@ func BuildCatalog() *Catalog {
 		if j := strings.IndexByte(c.Name, '('); j > 0 {
 			n.short = NormalizeName(c.Name[:j])
 		}
+		forms = append(forms, n.name, n.id, n.short)
 	}
+	cat.forms = textmatch.New(forms)
 	return cat
 }
 
@@ -389,11 +403,14 @@ func (cat *Catalog) ByName(name string) (Cable, bool) {
 // Mentioned returns, in ID order, the cables whose name, ID or short
 // name (the name without its parenthetical) occurs in norm, a text
 // already passed through NormalizeName. It returns nil when none does.
-// The cables' forms are normalized once, by BuildCatalog.
+// BuildCatalog builds the automaton over the cables' normalized forms,
+// so Mentioned reads norm once.
 func (cat *Catalog) Mentioned(norm string) []CableID {
+	var hit [3 * maxCables]bool
+	cat.forms.Scan(norm, hit[:])
 	var out []CableID
-	for i, n := range cat.names {
-		if containsNonEmpty(norm, n.name) || containsNonEmpty(norm, n.id) || containsNonEmpty(norm, n.short) {
+	for i := range cat.cables {
+		if hit[3*i] || hit[3*i+1] || hit[3*i+2] {
 			out = append(out, cat.cables[i].ID)
 		}
 	}
@@ -408,9 +425,11 @@ func NormalizeName(s string) string {
 	s = strings.ToLower(s)
 	var b strings.Builder
 	b.Grow(len(s))
-	for _, r := range s {
-		if (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9') {
-			b.WriteRune(r)
+	// Bytes of multi-byte runes and invalid bytes are all ≥ 0x80, so a
+	// byte loop keeps exactly the runes a rune loop would.
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') {
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

@@ -1,6 +1,7 @@
 package nautilus
 
 import (
+	"slices"
 	"testing"
 
 	"arachnet/internal/geo"
@@ -307,5 +308,43 @@ func BenchmarkMapWorld(b *testing.B) {
 		if _, err := MapWorld(w, cat); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestMentioned checks the catalog automaton against a strings.Contains
+// scan of every cable form, on texts naming each cable alone, cables in
+// pairs, no cable, and the empty text.
+func TestMentioned(t *testing.T) {
+	cat := BuildCatalog()
+	want := func(norm string) []CableID {
+		var out []CableID
+		for i, n := range cat.names {
+			if containsNonEmpty(norm, n.name) || containsNonEmpty(norm, n.id) || containsNonEmpty(norm, n.short) {
+				out = append(out, cat.cables[i].ID)
+			}
+		}
+		return out
+	}
+	texts := []string{"", NormalizeName("Identify the impact at a country level due to SeaMeWe-5 cable failure"), "nocablehere"}
+	for i, c := range cat.cables {
+		texts = append(texts, NormalizeName("the "+c.Name+" cable"), NormalizeName(string(c.ID)),
+			NormalizeName(c.Name+" and "+cat.cables[(i+7)%len(cat.cables)].Name))
+	}
+	for _, norm := range texts {
+		if got, want := cat.Mentioned(norm), want(norm); !slices.Equal(got, want) {
+			t.Errorf("Mentioned(%q) = %v, want %v", norm, got, want)
+		}
+	}
+	// The catalog automaton and nlq's vocabulary automaton together
+	// stay within 32 KiB; this one is allowed half.
+	if size := cat.forms.Size(); size > 16<<10 {
+		t.Errorf("catalog automaton holds %d bytes, budget %d", size, 16<<10)
+	}
+}
+
+func BenchmarkBuildCatalog(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		BuildCatalog()
 	}
 }

@@ -37,7 +37,20 @@ func FuzzParse(f *testing.F) {
 		// Case mappings outside ASCII: strings.ToLower maps the Kelvin
 		// sign to an ASCII k.
 		"İstanbul", "\u212a",
+		// Corners of each regular expression's leftmost-first match and
+		// submatches: a second fraction, a "." with no digits after it,
+		// \s (which holds no \v), an "of" with no number, no space
+		// after "probability", a run of digits Atoi rejects, the word
+		// alternatives, an "s" too many, a match starting inside a word
+		// and two windows.
+		"1.5.3%", "12.%", "5 %", "5\t%", "5\v%",
+		"probability of of 5", "probability  of  0.25", "probabilityof 5", "probability\n7",
+		"99999999999999999999 days ago", "a days ago", "seven  weeks  ago", "dayss ago",
+		"3 dayss ago", "x12 days ago", "ten days ago, two weeks ago",
 	} {
+		f.Add(q)
+	}
+	for _, q := range wrappedCaseStudies {
 		f.Add(q)
 	}
 	cat := nautilus.BuildCatalog()

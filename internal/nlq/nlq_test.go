@@ -1,6 +1,9 @@
 package nlq
 
 import (
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"arachnet/internal/geo"
@@ -108,8 +111,8 @@ func TestExtractProbabilityForms(t *testing.T) {
 		"blackout probability of potato": 0,
 	}
 	for q, want := range cases {
-		if got := extractProbability(q); got != want {
-			t.Errorf("extractProbability(%q) = %f, want %f", q, got, want)
+		if got := Parse(q, nil).FailProb; got != want {
+			t.Errorf("Parse(%q).FailProb = %f, want %f", q, got, want)
 		}
 	}
 }
@@ -200,11 +203,63 @@ var caseStudies = []struct{ name, query string }{
 	{"cs1", queryCS1}, {"cs2", queryCS2}, {"cs3", queryCS3}, {"cs4", queryCS4},
 }
 
+// wrappedCaseStudies wrap the case studies the way servebench's novel
+// workload wraps each question it sends: an opener, the question, a
+// closer, a sign-off and a postscript, none of which holds a word Parse
+// reads.
+var wrappedCaseStudies = []string{
+	wrap("Question for the team: ", queryCS1, " for the weekly briefing.", " Thanks.", " Reply in this thread."),
+	wrap("From the ops desk: ", queryCS2, " and summarize the findings.", " Much appreciated.", " Copy the on-call lead."),
+	wrap("Analyst request: ", queryCS3, " with the available data.", " Best regards.", " Loop in the data team."),
+	wrap("Heads up: ", queryCS4, " and report back.", " Thanks in advance.", " Please confirm receipt."),
+}
+
+func wrap(opener, query, closer, signoff, postscript string) string {
+	query = strings.TrimSuffix(query, ".")
+	return opener + strings.ToLower(query[:1]) + query[1:] + closer + signoff + postscript
+}
+
+// TestParseConcurrent parses from several goroutines on one catalog,
+// as concurrent plan misses do, so a -race run sees the shared
+// automata read at once.
+func TestParseConcurrent(t *testing.T) {
+	c := nautilus.BuildCatalog()
+	texts := append([]string{queryCS1, queryCS2, queryCS3, queryCS4}, wrappedCaseStudies...)
+	want := make([]Spec, len(texts))
+	for i, q := range texts {
+		want[i] = Parse(q, c)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				for i, q := range texts {
+					if got := Parse(q, c); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("concurrent Parse(%q)\n got  %+v\n want %+v", q, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestVocabularySize holds the vocabulary automaton to half of the
+// 32 KiB that it and the catalog's automaton may take together; the
+// nautilus tests hold the other half.
+func TestVocabularySize(t *testing.T) {
+	if size := vocabulary.Size(); size > 16<<10 {
+		t.Errorf("vocabulary automaton holds %d bytes, budget %d", size, 16<<10)
+	}
+}
+
 // TestParseAllocs pins Parse's allocation budget, paid on every
 // plan-cache miss: only what the text itself needs (its lowered and
-// normalized forms, the Spec's slices, the submatches of a guarded
-// regular expression). The ceiling leaves about three times the
-// largest case study's count.
+// normalized forms and the Spec's slices). The ceiling is over three
+// times the largest case study's count.
 func TestParseAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is unreliable under -short (race) runs")
@@ -222,6 +277,9 @@ func TestParseAllocs(t *testing.T) {
 
 var sinkSpec Spec
 
+// BenchmarkParse times each case study, and in its wrapped row one of
+// wrappedCaseStudies per iteration, in turn: the shape of the texts
+// servebench's novel workload sends.
 func BenchmarkParse(b *testing.B) {
 	c := nautilus.BuildCatalog()
 	for _, cs := range caseStudies {
@@ -232,4 +290,12 @@ func BenchmarkParse(b *testing.B) {
 			}
 		})
 	}
+	b.Run("wrapped", func(b *testing.B) {
+		b.ReportAllocs()
+		i := 0
+		for b.Loop() {
+			sinkSpec = Parse(wrappedCaseStudies[i%len(wrappedCaseStudies)], c)
+			i++
+		}
+	})
 }
