@@ -15,6 +15,7 @@ package querymind
 
 import (
 	"fmt"
+	"strconv"
 
 	"arachnet/internal/nlq"
 	"arachnet/internal/registry"
@@ -89,6 +90,15 @@ type Agent struct{}
 func New() *Agent { return &Agent{} }
 
 // Analyze decomposes a parsed query under the given data availability.
+//
+// The decomposition tables below are built once and shared read-only by
+// every ProblemSpec Analyze returns, as a plan-cache hit shares its
+// whole ProblemSpec: Classification, Constraints, Risks,
+// SuccessCriteria and each sub-problem's Tags, DependsOn and
+// Constraints must not be modified. Each spec gets its own exact-size
+// SubProblems, so an append to one spec's list can never write into
+// another's, and only the goals and risks that vary are formatted per
+// call.
 func (a *Agent) Analyze(spec nlq.Spec, data DataAvailability) (*ProblemSpec, error) {
 	ps := &ProblemSpec{Query: spec, Complexity: spec.Complexity()}
 
@@ -112,21 +122,26 @@ func (a *Agent) Analyze(spec nlq.Spec, data DataAvailability) (*ProblemSpec, err
 	return ps, nil
 }
 
-func (a *Agent) decomposeCableImpact(ps *ProblemSpec, data DataAvailability) {
-	ps.Classification = []string{"spatial"}
-	if !data.HasCrossLayerMap {
-		ps.Risks = append(ps.Risks, "no cross-layer map available: cable-to-link attribution impossible")
-	} else if data.MapCoverage < 0.9 {
-		ps.Risks = append(ps.Risks, fmt.Sprintf(
-			"cross-layer map covers %.0f%% of submarine links; unmapped links may hide impact", data.MapCoverage*100))
-	}
-	target := "the named cable"
-	if len(ps.Query.Cables) == 0 {
-		target = "the cable set in scope"
-	}
-	ps.SubProblems = []SubProblem{
+// subProblems returns an exact-size copy of a decomposition table.
+func subProblems(table []SubProblem) []SubProblem {
+	out := make([]SubProblem, len(table))
+	copy(out, table)
+	return out
+}
+
+// The dependencies goal, for a query that names a cable and for one
+// that does not.
+const (
+	cableNamedGoal   = "Identify the IP links that depend on the named cable"
+	cableInScopeGoal = "Identify the IP links that depend on the cable set in scope"
+)
+
+var (
+	cableClassification = []string{"spatial"}
+	cableNoMapRisks     = []string{"no cross-layer map available: cable-to-link attribution impossible"}
+	cableTable          = []SubProblem{
 		{
-			ID: "dependencies", Goal: "Identify the IP links that depend on " + target,
+			ID: "dependencies", Goal: cableNamedGoal,
 			Produces: registry.TLinkSet, Tags: []string{"cable-dependency", "link-extraction"},
 			Constraints: []string{"attribution must come from the cross-layer map, not name heuristics"},
 		},
@@ -147,28 +162,43 @@ func (a *Agent) decomposeCableImpact(ps *ProblemSpec, data DataAvailability) {
 			Constraints: []string{"report normalized metrics so countries of different sizes compare fairly"},
 		},
 	}
-	ps.Constraints = append(ps.Constraints, "aggregation grain: country level")
-	ps.SuccessCriteria = []string{
+	cableConstraints = []string{"aggregation grain: country level"}
+	cableSuccess     = []string{
 		"a per-country impact table with normalized scores exists",
 		"every impacted country traces back to a failed link",
 	}
+)
+
+func (a *Agent) decomposeCableImpact(ps *ProblemSpec, data DataAvailability) {
+	ps.Classification = cableClassification
+	if !data.HasCrossLayerMap {
+		ps.Risks = cableNoMapRisks
+	} else if data.MapCoverage < 0.9 {
+		var buf [128]byte
+		b := append(buf[:0], "cross-layer map covers "...)
+		b = strconv.AppendFloat(b, data.MapCoverage*100, 'f', 0, 64)
+		b = append(b, "% of submarine links; unmapped links may hide impact"...)
+		ps.Risks = []string{string(b)}
+	}
+	ps.SubProblems = subProblems(cableTable)
+	if len(ps.Query.Cables) == 0 {
+		ps.SubProblems[0].Goal = cableInScopeGoal
+	}
+	ps.Constraints = cableConstraints
+	ps.SuccessCriteria = cableSuccess
 }
 
-func (a *Agent) decomposeDisaster(ps *ProblemSpec, data DataAvailability) {
-	ps.Classification = []string{"spatial", "probabilistic"}
-	prob := ps.Query.FailProb
-	if prob == 0 {
-		prob = 0.1
-		ps.Constraints = append(ps.Constraints, "no failure probability stated; defaulting to 10%")
-	}
-	ps.SubProblems = []SubProblem{
+var (
+	disasterClassification = []string{"spatial", "probabilistic"}
+	disasterNoProbability  = []string{"no failure probability stated; defaulting to 10%"}
+	disasterTable          = []SubProblem{
 		{
 			ID: "events", Goal: "Enumerate the severe disaster scenarios in scope",
 			Produces: registry.TEventList, Tags: []string{"event-selection"},
 			Constraints: []string{"use curated severe-event catalogs, not ad-hoc epicenters"},
 		},
 		{
-			ID: "processing", Goal: fmt.Sprintf("Process each event with failure probability %.2f", prob),
+			ID:       "processing", // Goal names the failure probability
 			Produces: registry.TEventImpact, Tags: []string{"event-processing"},
 			DependsOn:   []string{"events"},
 			Constraints: []string{"one event-processing function handles every disaster type; do not build per-type pipelines"},
@@ -179,24 +209,36 @@ func (a *Agent) decomposeDisaster(ps *ProblemSpec, data DataAvailability) {
 			DependsOn: []string{"processing"},
 		},
 	}
-	ps.Risks = append(ps.Risks,
-		"over-engineering risk: multi-framework orchestration adds nothing here — event processing alone suffices")
-	ps.SuccessCriteria = []string{
+	disasterRisks = []string{
+		"over-engineering risk: multi-framework orchestration adds nothing here — event processing alone suffices",
+	}
+	disasterSuccess = []string{
 		"expected impact computed for every event of every requested type",
 		"a single combined global impact view exists",
 	}
+)
+
+func (a *Agent) decomposeDisaster(ps *ProblemSpec, data DataAvailability) {
+	ps.Classification = disasterClassification
+	prob := ps.Query.FailProb
+	if prob == 0 {
+		prob = 0.1
+		ps.Constraints = disasterNoProbability
+	}
+	ps.SubProblems = subProblems(disasterTable)
+	var buf [80]byte
+	b := append(buf[:0], "Process each event with failure probability "...)
+	ps.SubProblems[1].Goal = string(strconv.AppendFloat(b, prob, 'f', 2, 64))
+	ps.Risks = disasterRisks
+	ps.SuccessCriteria = disasterSuccess
 	_ = data
 }
 
-func (a *Agent) decomposeCascade(ps *ProblemSpec, data DataAvailability) error {
-	ps.Classification = []string{"spatial", "temporal"}
-	if !data.HasCrossLayerMap {
-		return &ErrInfeasible{Reason: "cascade analysis needs the cross-layer map to seed cable failures"}
-	}
-	if len(ps.Query.Regions) < 2 {
-		return &ErrInfeasible{Reason: "cascade analysis needs a corridor: name two regions (e.g. Europe and Asia)"}
-	}
-	ps.SubProblems = []SubProblem{
+var (
+	cascadeClassification = []string{"spatial", "temporal"}
+	// cascadeTable is the decomposition with BGP dumps; without them it
+	// stops before temporal.
+	cascadeTable = []SubProblem{
 		{
 			ID: "corridor", Goal: "Identify the submarine cables joining the two regions",
 			Produces: registry.TLinkSet, Tags: []string{"link-extraction", "cable-dependency"},
@@ -212,44 +254,52 @@ func (a *Agent) decomposeCascade(ps *ProblemSpec, data DataAvailability) error {
 			Produces: registry.TCascade, Tags: []string{"cascade", "dependency-graph"},
 			DependsOn: []string{"corridor"},
 		},
+		{
+			ID: "temporal", Goal: "Track how the failure manifests in routing over time",
+			Produces: registry.TBGPBursts, Tags: []string{"anomaly-detection", "routing"},
+		},
+		{
+			ID: "synthesis", Goal: "Synthesize a unified cascade timeline across cable, IP, AS and routing layers",
+			Produces: registry.TTimeline, Tags: []string{"synthesis", "cross-layer"},
+			DependsOn: []string{"impact", "cascade", "temporal"},
+		},
+	}
+	cascadeSuccess = []string{
+		"a unified timeline spans at least the cable, IP and AS layers",
+		"primary impact quantified per country",
+		"secondary (cascade) failures enumerated by round",
+	}
+	cascadeNoBGPConstraints = []string{"no BGP dumps available: temporal evolution omitted, impact+cascade only"}
+	cascadeNoBGPRisks       = []string{"without routing data the cascade's temporal ordering is model-derived only"}
+)
+
+// cascadeWithoutBGP is the length of cascadeTable's prefix that needs
+// no BGP dumps.
+const cascadeWithoutBGP = 3
+
+func (a *Agent) decomposeCascade(ps *ProblemSpec, data DataAvailability) error {
+	ps.Classification = cascadeClassification
+	if !data.HasCrossLayerMap {
+		return &ErrInfeasible{Reason: "cascade analysis needs the cross-layer map to seed cable failures"}
+	}
+	if len(ps.Query.Regions) < 2 {
+		return &ErrInfeasible{Reason: "cascade analysis needs a corridor: name two regions (e.g. Europe and Asia)"}
 	}
 	if data.HasBGPStream {
-		ps.SubProblems = append(ps.SubProblems,
-			SubProblem{
-				ID: "temporal", Goal: "Track how the failure manifests in routing over time",
-				Produces: registry.TBGPBursts, Tags: []string{"anomaly-detection", "routing"},
-			},
-			SubProblem{
-				ID: "synthesis", Goal: "Synthesize a unified cascade timeline across cable, IP, AS and routing layers",
-				Produces: registry.TTimeline, Tags: []string{"synthesis", "cross-layer"},
-				DependsOn: []string{"impact", "cascade", "temporal"},
-			},
-		)
-		ps.SuccessCriteria = append(ps.SuccessCriteria, "a unified timeline spans at least the cable, IP and AS layers")
+		ps.SubProblems = subProblems(cascadeTable)
+		ps.SuccessCriteria = cascadeSuccess
 	} else {
-		ps.Constraints = append(ps.Constraints, "no BGP dumps available: temporal evolution omitted, impact+cascade only")
-		ps.Risks = append(ps.Risks, "without routing data the cascade's temporal ordering is model-derived only")
+		ps.SubProblems = subProblems(cascadeTable[:cascadeWithoutBGP])
+		ps.Constraints = cascadeNoBGPConstraints
+		ps.Risks = cascadeNoBGPRisks
+		ps.SuccessCriteria = cascadeSuccess[1:]
 	}
-	ps.SuccessCriteria = append(ps.SuccessCriteria,
-		"primary impact quantified per country",
-		"secondary (cascade) failures enumerated by round")
 	return nil
 }
 
-func (a *Agent) decomposeForensic(ps *ProblemSpec, data DataAvailability) error {
-	ps.Classification = []string{"temporal", "causal", "spatial"}
-	if !data.HasTraceArchive {
-		return &ErrInfeasible{Reason: "forensic analysis needs a latency archive covering the anomaly window; none is available"}
-	}
-	if !data.HasBGPStream {
-		return &ErrInfeasible{Reason: "forensic causation needs BGP dumps for independent validation; none are available"}
-	}
-	if ps.Query.Window.Mentioned && data.WindowDays <= ps.Query.Window.Days {
-		ps.Risks = append(ps.Risks, fmt.Sprintf(
-			"archive window (%dd) barely covers the anomaly onset (%dd ago); baseline may be thin",
-			data.WindowDays, ps.Query.Window.Days))
-	}
-	ps.SubProblems = []SubProblem{
+var (
+	forensicClassification = []string{"temporal", "causal", "spatial"}
+	forensicTable          = []SubProblem{
 		{
 			ID: "measurements", Goal: "Load the probe archive for the affected corridor",
 			Produces: registry.TTraceArch, Tags: []string{"measurement-data", "temporal"},
@@ -281,10 +331,31 @@ func (a *Agent) decomposeForensic(ps *ProblemSpec, data DataAvailability) error 
 			Constraints: []string{"report confidence; do not assert causation from one evidence source"},
 		},
 	}
-	ps.SuccessCriteria = []string{
+	forensicSuccess = []string{
 		"anomaly presence decided by significance test, not eyeballing",
 		"verdict cites at least three independent evidence sources",
 		"a specific cable is named, or cable failure is explicitly ruled out",
 	}
+)
+
+func (a *Agent) decomposeForensic(ps *ProblemSpec, data DataAvailability) error {
+	ps.Classification = forensicClassification
+	if !data.HasTraceArchive {
+		return &ErrInfeasible{Reason: "forensic analysis needs a latency archive covering the anomaly window; none is available"}
+	}
+	if !data.HasBGPStream {
+		return &ErrInfeasible{Reason: "forensic causation needs BGP dumps for independent validation; none are available"}
+	}
+	if ps.Query.Window.Mentioned && data.WindowDays <= ps.Query.Window.Days {
+		var buf [128]byte
+		b := append(buf[:0], "archive window ("...)
+		b = strconv.AppendInt(b, int64(data.WindowDays), 10)
+		b = append(b, "d) barely covers the anomaly onset ("...)
+		b = strconv.AppendInt(b, int64(ps.Query.Window.Days), 10)
+		b = append(b, "d ago); baseline may be thin"...)
+		ps.Risks = []string{string(b)}
+	}
+	ps.SubProblems = subProblems(forensicTable)
+	ps.SuccessCriteria = forensicSuccess
 	return nil
 }

@@ -2,9 +2,11 @@ package querymind
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"arachnet/internal/geo"
 	"arachnet/internal/nautilus"
 	"arachnet/internal/nlq"
 	"arachnet/internal/registry"
@@ -264,6 +266,130 @@ func TestDependenciesAcyclicAndResolvable(t *testing.T) {
 				}
 			}
 			seen[sp.ID] = true
+		}
+	}
+}
+
+// specGrid is one spec per intent and variant Analyze distinguishes:
+// a named cable or none, zero to two regions, a stated failure
+// probability or none, and an anomaly window of 1–4 days or none.
+func specGrid() []nlq.Spec {
+	var out []nlq.Spec
+	for _, intent := range []nlq.Intent{nlq.IntentCableImpact, nlq.IntentDisasterImpact,
+		nlq.IntentCascade, nlq.IntentForensic, nlq.IntentGeneric, "bogus"} {
+		for _, cables := range [][]nautilus.CableID{nil, {"seamewe-5"}} {
+			for _, regions := range [][]geo.Region{nil, {geo.Europe}, {geo.Europe, geo.Asia}} {
+				for _, prob := range []float64{0, 0.05, 0.333} {
+					for _, days := range []int{0, 1, 3, 4} {
+						out = append(out, nlq.Spec{
+							Raw: "grid", Intent: intent, Cables: cables, Regions: regions,
+							Disasters: []string{"earthquake"}, FailProb: prob,
+							Window: nlq.TimeWindow{Mentioned: days > 0, Days: days},
+						})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// dataGrid is every data availability Analyze distinguishes: with or
+// without each source, coverage below and above 0.9, and an archive
+// window shorter, equal to and longer than the grid's anomaly windows.
+func dataGrid() []DataAvailability {
+	var out []DataAvailability
+	for _, xl := range []bool{false, true} {
+		for _, cov := range []float64{0.5, 0.874, 0.95} {
+			for _, trace := range []bool{false, true} {
+				for _, bgp := range []bool{false, true} {
+					for _, window := range []int{2, 3, 7} {
+						out = append(out, DataAvailability{
+							HasCrossLayerMap: xl, MapCoverage: cov,
+							HasTraceArchive: trace, HasBGPStream: bgp, WindowDays: window,
+						})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestAnalyzeMatchesReference holds Analyze, which shares its tables,
+// to refAnalyze, which builds every slice per call: over every intent
+// and data-availability combination the specs are deep-equal, and so
+// are the infeasibility errors.
+func TestAnalyzeMatchesReference(t *testing.T) {
+	n := 0
+	for _, spec := range specGrid() {
+		for _, data := range dataGrid() {
+			got, gotErr := New().Analyze(spec, data)
+			want, wantErr := refAnalyze(spec, data)
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotErr, wantErr) {
+				t.Fatalf("Analyze(%+v, %+v) =\n%+v, %v\nwant\n%+v, %v", spec, data, got, gotErr, want, wantErr)
+			}
+			n++
+		}
+	}
+	t.Logf("%d combinations", n)
+}
+
+// TestAnalyzeSpecsOwnSubProblems appends to and rewrites one result's
+// SubProblems and checks that another result of the same analysis still
+// equals the reference's: no spec's SubProblems is a shared table.
+func TestAnalyzeSpecsOwnSubProblems(t *testing.T) {
+	for _, q := range []string{
+		"Identify the impact at a country level due to SeaMeWe-5 cable failure",
+		"Identify the impact of severe earthquakes and hurricanes globally assuming a 10% infra failure probability",
+		"Analyze the cascading effects of submarine cable failures between Europe and Asia",
+		"A sudden increase in latency was observed from European probes to Asian destinations starting three days ago. Determine if a submarine cable failure caused this, and if so, identify the specific cable.",
+	} {
+		for _, data := range []DataAvailability{fullData, {HasCrossLayerMap: true, MapCoverage: 0.5, HasTraceArchive: true}} {
+			spec := parse(t, q)
+			first, err := New().Analyze(spec, data)
+			if err != nil {
+				continue // forensic without BGP dumps
+			}
+			second, _ := New().Analyze(spec, data)
+			first.SubProblems = append(first.SubProblems, SubProblem{ID: "extra", Goal: "appended"})
+			first.SubProblems[0].Goal = "rewritten"
+			first.Risks = append(first.Risks, "appended")
+			first.SuccessCriteria = append(first.SuccessCriteria, "appended")
+			if want, _ := refAnalyze(spec, data); !reflect.DeepEqual(second, want) {
+				t.Errorf("%q: changing one spec changed another:\n%+v\nwant\n%+v", q, second, want)
+			}
+		}
+	}
+}
+
+// TestAnalyzeAllocs pins Analyze's allocation budget, paid on every
+// plan-cache miss: the spec, its SubProblems and the goal or risk line
+// that varies, at most 4 per case study.
+func TestAnalyzeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is unreliable under -short (race) runs")
+	}
+	const ceiling = 6
+	low := fullData
+	low.MapCoverage = 0.5
+	for _, q := range []string{
+		"Identify the impact at a country level due to SeaMeWe-5 cable failure",
+		"Identify the impact of severe earthquakes and hurricanes globally assuming a 10% infra failure probability",
+		"Analyze the cascading effects of submarine cable failures between Europe and Asia",
+		"A sudden increase in latency was observed from European probes to Asian destinations starting seven days ago. Determine if a submarine cable failure caused this, and if so, identify the specific cable.",
+	} {
+		spec := parse(t, q)
+		for _, data := range []DataAvailability{fullData, low} {
+			avg := testing.AllocsPerRun(100, func() {
+				if _, err := New().Analyze(spec, data); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s: %.1f allocs/op", spec.Intent, avg)
+			if avg > ceiling {
+				t.Errorf("Analyze(%q) allocates %.1f/op, budget %d", q, avg, ceiling)
+			}
 		}
 	}
 }

@@ -60,15 +60,20 @@ func (a *Agent) Weave(wf *workflow.Workflow, reg *registry.Registry) (*Solution,
 }
 
 // weaveChecks attaches a type-appropriate quality check to every step
-// output, into a fresh Checks slice sized for one check per output.
+// output, into a fresh Checks slice of exactly the size it ends at: a
+// cached plan keeps its Solution.
 func (a *Agent) weaveChecks(wf *workflow.Workflow, reg *registry.Registry) {
-	outputs := 0
+	woven := 0
 	for _, s := range wf.Steps {
 		if cap, err := reg.Get(s.Capability); err == nil {
-			outputs += len(cap.Outputs)
+			for _, out := range cap.Outputs {
+				if _, _, assert := checkForType(out.Type); assert != nil {
+					woven++
+				}
+			}
 		}
 	}
-	checks := make([]workflow.QualityCheck, len(wf.Checks), len(wf.Checks)+outputs)
+	checks := make([]workflow.QualityCheck, len(wf.Checks), len(wf.Checks)+woven)
 	copy(checks, wf.Checks)
 	for _, s := range wf.Steps {
 		cap, err := reg.Get(s.Capability)

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"arachnet/internal/agents/querymind"
 	"arachnet/internal/nlq"
@@ -71,7 +72,9 @@ func (a *Agent) Design(ps *querymind.ProblemSpec, reg *registry.Registry) (*Desi
 		limit = 1
 	}
 
-	candidates, err := a.enumerate(ps, reg, limit)
+	ds := newDesigner(ps, reg)
+	candidates, err := ds.enumerate(limit)
+	ds.release()
 	if err != nil {
 		return nil, err
 	}
@@ -94,164 +97,275 @@ func (a *Agent) Design(ps *querymind.ProblemSpec, reg *registry.Registry) (*Desi
 // capability from displacing the right one just because the types line
 // up.
 func scoreCandidate(c *Candidate, reg *registry.Registry, ps *querymind.ProblemSpec) {
-	c.StepCount = len(c.Workflow.Steps)
-	c.FrameworkCount = len(c.Workflow.Frameworks(reg))
-	for _, s := range c.Workflow.Steps {
-		if cap, err := reg.Get(s.Capability); err == nil {
-			c.TotalCost += cap.Cost
-		}
-	}
-	spTags := map[string][]string{}
-	for _, sp := range ps.SubProblems {
-		spTags[sp.ID] = sp.Tags
-	}
+	steps := c.Workflow.Steps
+	c.StepCount = len(steps)
+	var buf [16]*registry.Capability
+	caps := buf[:0] // each resolvable step's capability
 	affinity := 0
-	for _, s := range c.Workflow.Steps {
-		tags, ok := spTags[s.Phase]
-		if !ok {
-			continue
-		}
+	for _, s := range steps {
 		cap, err := reg.Get(s.Capability)
 		if err != nil {
 			continue
 		}
-		for _, t := range tags {
-			if cap.HasTag(t) {
-				affinity++
+		c.TotalCost += cap.Cost
+		if !slices.ContainsFunc(caps, func(o *registry.Capability) bool { return o.Framework == cap.Framework }) {
+			c.FrameworkCount++
+		}
+		caps = append(caps, cap)
+		// The step's phase names the sub-problem it realizes; the last
+		// sub-problem with that ID supplies the tags.
+		for i := len(ps.SubProblems) - 1; i >= 0; i-- {
+			if sp := &ps.SubProblems[i]; sp.ID == s.Phase {
+				for _, t := range sp.Tags {
+					if cap.HasTag(t) {
+						affinity++
+					}
+				}
+				break
 			}
 		}
 	}
 	c.Score = 2.0*float64(c.StepCount) + 1.0*float64(c.TotalCost) +
 		3.0*float64(c.FrameworkCount-1) - 2.0*float64(affinity)
-	c.Rationale = fmt.Sprintf("%d steps across %d frameworks, total cost %d, methodological affinity %d",
-		c.StepCount, c.FrameworkCount, c.TotalCost, affinity)
+	var text [96]byte
+	r := strconv.AppendInt(text[:0], int64(c.StepCount), 10)
+	r = append(r, " steps across "...)
+	r = strconv.AppendInt(r, int64(c.FrameworkCount), 10)
+	r = append(r, " frameworks, total cost "...)
+	r = strconv.AppendInt(r, int64(c.TotalCost), 10)
+	r = append(r, ", methodological affinity "...)
+	r = strconv.AppendInt(r, int64(affinity), 10)
+	c.Rationale = string(r)
+}
+
+// designer plans the candidates of one Design call. It derives once
+// what every candidate shares: the required sub-problems with their
+// ranked producers and whether each is a sink, the query's literals
+// and each type's producers. Its backward-chaining state is scratch
+// that every candidate reuses, and a finished candidate copies its
+// steps out. Designers are pooled, so the scratch, and the step IDs a
+// designer has formatted, outlive one call.
+type designer struct {
+	reg   *registry.Registry
+	ps    *querymind.ProblemSpec
+	goals []goal
+	name  string          // the workflow name
+	lits  [numLits]any    // each literal boxed once, on first use
+	types []typeProducers // reg.Producing, once per type
+	ids   []string        // ids[k] is the ID of step k+1
+	refs  []formattedRef  // each ref formatted once
+
+	// The candidate in progress.
+	steps  []workflow.Step
+	have   map[registry.DataType]artifact // type → latest artifact
+	undo   []haveWrite                    // each write to have, oldest first
+	binds  []namedBinding                 // the bindings of the tryCapability calls in progress
+	nextID int
+	force  alternative
+}
+
+// goal is one required sub-problem.
+type goal struct {
+	sp        *querymind.SubProblem
+	producers []*registry.Capability // ranked; see rankedProducers
+	sink      bool                   // nothing depends on it, so it is a workflow output
+	out       artifact               // its artifact in the candidate in progress
+}
+
+// alternative forces capability cap for goals[goal]; a nil cap forces
+// nothing.
+type alternative struct {
+	goal int
+	cap  *registry.Capability
+}
+
+// artifact is the output port of step number step, whose ID is
+// "s<step>"; step 0 means no artifact.
+type artifact struct {
+	step int
+	port string
+}
+
+// haveWrite records the artifact one write to designer.have replaced
+// (the zero artifact if none), so a failed attempt can be rolled back.
+type haveWrite struct {
+	t    registry.DataType
+	prev artifact
+}
+
+type namedBinding struct {
+	name string
+	b    workflow.Binding
+}
+
+type typeProducers struct {
+	t    registry.DataType
+	caps []*registry.Capability
+}
+
+type formattedRef struct {
+	a   artifact
+	ref string
+}
+
+var designerPool = sync.Pool{New: func() any {
+	return &designer{have: map[registry.DataType]artifact{}}
+}}
+
+// newDesigner takes a designer from the pool and readies it for ps
+// against reg. The caller releases it.
+func newDesigner(ps *querymind.ProblemSpec, reg *registry.Registry) *designer {
+	d := designerPool.Get().(*designer)
+	d.reg, d.ps = reg, ps
+	d.name = "arachnet-" + string(ps.Query.Intent)
+	for i := range ps.SubProblems {
+		sp := &ps.SubProblems[i]
+		if sp.Optional {
+			continue
+		}
+		sink := true
+		for _, other := range ps.SubProblems {
+			if slices.Contains(other.DependsOn, sp.ID) {
+				sink = false
+				break
+			}
+		}
+		d.goals = append(d.goals, goal{sp: sp, producers: rankedProducers(reg, sp), sink: sink})
+	}
+	return d
+}
+
+// release returns d to the pool without its references into this
+// call's spec, registry and workflows.
+func (d *designer) release() {
+	clear(d.goals[:cap(d.goals)])
+	clear(d.types[:cap(d.types)])
+	clear(d.refs[:cap(d.refs)])
+	clear(d.steps[:cap(d.steps)])
+	clear(d.binds[:cap(d.binds)])
+	clear(d.undo[:cap(d.undo)])
+	clear(d.have)
+	d.goals, d.types, d.refs, d.steps, d.binds, d.undo = d.goals[:0], d.types[:0], d.refs[:0], d.steps[:0], d.binds[:0], d.undo[:0]
+	d.reg, d.ps, d.name, d.lits, d.force = nil, nil, "", [numLits]any{}, alternative{}
+	designerPool.Put(d)
 }
 
 // enumerate generates up to limit distinct candidates by varying the
 // capability chosen for each required sub-problem (one variation at a
-// time from the greedy base plan).
-func (a *Agent) enumerate(ps *querymind.ProblemSpec, reg *registry.Registry, limit int) ([]Candidate, error) {
-	base, err := a.plan(ps, reg, nil)
+// time from the greedy base plan). Of candidates with the same
+// capability sequence, the first is kept.
+func (d *designer) enumerate(limit int) ([]Candidate, error) {
+	if err := d.plan(alternative{}); err != nil {
+		return nil, err
+	}
+	base, err := d.finish()
 	if err != nil {
 		return nil, err
 	}
-	candidates := []Candidate{{Workflow: base}}
 	if limit <= 1 {
-		return candidates, nil
+		return []Candidate{{Workflow: base}}, nil
 	}
-	seen := map[string]bool{fingerprint(base): true}
-	for _, sp := range ps.Required() {
-		producers := rankedProducers(reg, sp)
-		for _, alt := range producers[1:] {
+	candidates := make([]Candidate, 1, limit)
+	candidates[0].Workflow = base
+	for gi := range d.goals {
+		for _, alt := range d.goals[gi].producers[1:] {
 			if len(candidates) >= limit {
-				return candidates, nil
+				return slices.Clone(candidates), nil
 			}
-			wf, err := a.plan(ps, reg, map[string]string{sp.ID: alt.Name})
-			if err != nil {
+			if d.plan(alternative{goal: gi, cap: alt}) != nil {
 				continue // this alternative cannot be realized; skip
 			}
-			fp := fingerprint(wf)
-			if seen[fp] {
+			if slices.ContainsFunc(candidates, d.sameCapabilities) {
 				continue
 			}
-			seen[fp] = true
+			wf, err := d.finish()
+			if err != nil {
+				continue
+			}
 			candidates = append(candidates, Candidate{Workflow: wf})
 		}
 	}
-	return candidates, nil
+	return slices.Clone(candidates), nil
 }
 
-func fingerprint(w *workflow.Workflow) string {
-	return strings.Join(w.CapabilityNames(), "|")
+// sameCapabilities reports whether c's workflow has the capability
+// sequence of the candidate in progress.
+func (d *designer) sameCapabilities(c Candidate) bool {
+	return slices.EqualFunc(c.Workflow.Steps, d.steps, func(a, b workflow.Step) bool {
+		return a.Capability == b.Capability
+	})
 }
 
-// planner holds the in-progress backward-chaining state.
-type planner struct {
-	reg    *registry.Registry
-	ps     *querymind.ProblemSpec
-	steps  []workflow.Step
-	have   map[registry.DataType]string // type → "step.port" of latest artifact
-	undo   []haveWrite                  // each write to have, oldest first
-	nextID int
-	force  map[string]string // subproblem ID → forced capability
-}
-
-// haveWrite records the ref one write to planner.have replaced ("" if
-// none), so a failed attempt can be rolled back.
-type haveWrite struct {
-	t    registry.DataType
-	prev string
-}
-
-// plan builds one workflow, forcing specific capabilities for the given
-// sub-problems when requested.
-func (a *Agent) plan(ps *querymind.ProblemSpec, reg *registry.Registry, force map[string]string) (*workflow.Workflow, error) {
-	p := &planner{reg: reg, ps: ps, have: map[registry.DataType]string{}, force: force}
-	required := ps.Required()
-	outputs := make(map[string]string, len(required))
-	for _, sp := range required {
-		ref, err := p.satisfy(sp)
+// plan builds one candidate in the scratch state, forcing force.cap
+// for its goal when set.
+func (d *designer) plan(force alternative) error {
+	d.steps, d.undo, d.nextID, d.force = d.steps[:0], d.undo[:0], 0, force
+	clear(d.have)
+	for gi := range d.goals {
+		g := &d.goals[gi]
+		out, err := d.satisfy(gi)
 		if err != nil {
-			return nil, fmt.Errorf("workflowscout: sub-problem %q: %w", sp.ID, err)
+			return &planError{kind: errSubProblem, name: g.sp.ID, err: err}
 		}
-		outputs[sp.ID] = ref
+		g.out = out
 	}
-	// Only sink sub-problems (nothing depends on them) become outputs.
-	depended := map[string]bool{}
-	for _, sp := range ps.SubProblems {
-		for _, d := range sp.DependsOn {
-			depended[d] = true
+	return nil
+}
+
+// finish copies the candidate in progress out into a workflow and
+// validates it. Only sink sub-problems (nothing depends on them)
+// become outputs.
+func (d *designer) finish() (*workflow.Workflow, error) {
+	sinks := 0
+	for _, g := range d.goals {
+		if g.sink {
+			sinks++
 		}
 	}
-	finalOutputs := make(map[string]string, len(outputs))
-	for id, ref := range outputs {
-		if !depended[id] {
-			finalOutputs[id] = ref
+	outputs := make(map[string]string, sinks)
+	for _, g := range d.goals {
+		if g.sink {
+			outputs[g.sp.ID] = d.ref(g.out)
 		}
 	}
+	steps := make([]workflow.Step, len(d.steps))
+	copy(steps, d.steps)
 	wf := &workflow.Workflow{
-		Name:    "arachnet-" + string(ps.Query.Intent),
-		Query:   ps.Query.Raw,
-		Steps:   p.steps,
-		Outputs: finalOutputs,
+		Name:    d.name,
+		Query:   d.ps.Query.Raw,
+		Steps:   steps,
+		Outputs: outputs,
 	}
-	if err := wf.Validate(reg); err != nil {
+	if err := wf.Validate(d.reg); err != nil {
 		return nil, fmt.Errorf("workflowscout: designed workflow invalid: %w", err)
 	}
 	return wf, nil
 }
 
-// satisfy realizes one sub-problem, returning the "step.port" ref of
-// its artifact.
-func (p *planner) satisfy(sp querymind.SubProblem) (string, error) {
-	producers := rankedProducers(p.reg, sp)
-	if forced, ok := p.force[sp.ID]; ok {
-		var only []*registry.Capability
-		for _, c := range producers {
-			if c.Name == forced {
-				only = append(only, c)
-			}
-		}
-		producers = only
+// satisfy realizes goals[gi], returning its artifact.
+func (d *designer) satisfy(gi int) (artifact, error) {
+	g := &d.goals[gi]
+	if d.force.cap != nil && d.force.goal == gi {
+		return d.tryCapability(d.force.cap, g.sp.Produces, g.sp.ID, 0)
 	}
-	if len(producers) == 0 {
-		return "", fmt.Errorf("no capability produces %s", sp.Produces)
+	if len(g.producers) == 0 {
+		return artifact{}, &planError{kind: errNoProducer, t: g.sp.Produces}
 	}
 	var lastErr error
-	for _, cap := range producers {
-		ref, err := p.tryCapability(cap, sp, 0)
+	for _, cap := range g.producers {
+		out, err := d.tryCapability(cap, g.sp.Produces, g.sp.ID, 0)
 		if err == nil {
-			return ref, nil
+			return out, nil
 		}
 		lastErr = err
 	}
-	return "", lastErr
+	return artifact{}, lastErr
 }
 
 // rankedProducers orders candidate capabilities by tag affinity with
 // the sub-problem (composites get a validated-pattern bonus), then by
 // cost, then by name.
-func rankedProducers(reg *registry.Registry, sp querymind.SubProblem) []*registry.Capability {
+func rankedProducers(reg *registry.Registry, sp *querymind.SubProblem) []*registry.Capability {
 	producers := reg.Producing(sp.Produces) // a copy, ours to sort
 	affinity := func(c *registry.Capability) int {
 		aff := 0
@@ -279,75 +393,115 @@ func rankedProducers(reg *registry.Registry, sp querymind.SubProblem) []*registr
 	return producers
 }
 
+// producing returns reg.Producing(t), fetching it once per Design.
+func (d *designer) producing(t registry.DataType) []*registry.Capability {
+	for _, tp := range d.types {
+		if tp.t == t {
+			return tp.caps
+		}
+	}
+	caps := d.reg.Producing(t)
+	d.types = append(d.types, typeProducers{t: t, caps: caps})
+	return caps
+}
+
 // maxChainDepth bounds backward chaining when an input type has no
-// existing artifact and must be produced by inserting more steps.
+// existing artifact and must be produced by inserting more steps;
+// produceType enforces it before each level.
 const maxChainDepth = 4
 
-// tryCapability appends the steps needed to invoke cap, recursively
-// producing missing inputs, and returns the ref of the sub-problem's
-// output port. On failure the planner state is rolled back: the steps
-// it appended are dropped and its writes to have undone.
-func (p *planner) tryCapability(cap *registry.Capability, sp querymind.SubProblem, depth int) (string, error) {
-	if depth > maxChainDepth {
-		return "", fmt.Errorf("chaining depth exceeded at %s", cap.Name)
-	}
-	savedSteps, savedUndo := len(p.steps), len(p.undo)
+// tryCapability appends the steps needed to invoke cap as a step of
+// the given phase, recursively producing missing inputs, and returns
+// the last of its outputs of type produces. On failure the designer
+// state is rolled back: the steps it appended are dropped and its
+// writes to have undone.
+func (d *designer) tryCapability(cap *registry.Capability, produces registry.DataType, phase string, depth int) (artifact, error) {
+	savedSteps, savedUndo, base := len(d.steps), len(d.undo), len(d.binds)
 
-	bindings := make(map[string]workflow.Binding, len(cap.Inputs))
 	for _, in := range cap.Inputs {
 		// 1. Reuse an artifact already produced — but only when the
 		// provenance is semantically compatible (see refBindable).
-		if ref, ok := p.have[in.Type]; ok && refBindable(in, ref) {
-			bindings[in.Name] = workflow.Binding{Ref: ref}
+		if a, ok := d.have[in.Type]; ok && refBindable(in, a) {
+			d.binds = append(d.binds, namedBinding{in.Name, workflow.Binding{Ref: d.ref(a)}})
 			continue
 		}
 		// 2. Bind a literal from the query context.
-		if lit, ok := p.literalFor(in); ok {
-			bindings[in.Name] = workflow.Lit(lit)
+		if lit, ok := d.literalFor(in); ok {
+			d.binds = append(d.binds, namedBinding{in.Name, workflow.Lit(lit)})
 			continue
 		}
 		if in.Optional {
 			continue
 		}
 		// 3. Backward-chain: insert a producer for the missing type.
-		ref, err := p.produceType(in, depth+1)
+		a, err := d.produceType(in, depth+1)
 		if err != nil {
-			p.rollback(savedSteps, savedUndo)
-			return "", fmt.Errorf("input %q (%s) of %s: %w", in.Name, in.Type, cap.Name, err)
+			d.binds = d.binds[:base]
+			d.rollback(savedSteps, savedUndo)
+			return artifact{}, &planError{kind: errInput, name: cap.Name, port: in, err: err}
 		}
-		bindings[in.Name] = workflow.Binding{Ref: ref}
+		d.binds = append(d.binds, namedBinding{in.Name, workflow.Binding{Ref: d.ref(a)}})
 	}
+	bindings := make(map[string]workflow.Binding, len(d.binds)-base)
+	for _, nb := range d.binds[base:] {
+		bindings[nb.name] = nb.b
+	}
+	d.binds = d.binds[:base]
 
-	id := p.addStep(cap, bindings, sp.ID)
-	var outRef string
-	for _, out := range cap.Outputs {
-		ref := id + "." + out.Name
-		p.undo = append(p.undo, haveWrite{t: out.Type, prev: p.have[out.Type]})
-		p.have[out.Type] = ref
-		if out.Type == sp.Produces {
-			outRef = ref
+	d.nextID++
+	step := d.nextID
+	d.steps = append(d.steps, workflow.Step{
+		ID: d.id(step), Capability: cap.Name, Inputs: bindings, Phase: phase,
+	})
+	var out artifact
+	for _, port := range cap.Outputs {
+		a := artifact{step: step, port: port.Name}
+		d.undo = append(d.undo, haveWrite{t: port.Type, prev: d.have[port.Type]})
+		d.have[port.Type] = a
+		if port.Type == produces {
+			out = a
 		}
 	}
-	if outRef == "" {
-		p.rollback(savedSteps, savedUndo)
-		return "", fmt.Errorf("%s does not emit %s", cap.Name, sp.Produces)
+	if out.step == 0 {
+		d.rollback(savedSteps, savedUndo)
+		return artifact{}, &planError{kind: errNoEmit, name: cap.Name, t: produces}
 	}
-	return outRef, nil
+	return out, nil
 }
 
-// rollback drops the steps appended since len(p.steps) was steps and
-// undoes, newest first, the writes to have logged since len(p.undo)
+// rollback drops the steps appended since len(d.steps) was steps and
+// undoes, newest first, the writes to have logged since len(d.undo)
 // was undo. Step IDs stay consumed.
-func (p *planner) rollback(steps, undo int) {
-	p.steps = p.steps[:steps]
-	for i := len(p.undo) - 1; i >= undo; i-- {
-		if w := p.undo[i]; w.prev != "" {
-			p.have[w.t] = w.prev
+func (d *designer) rollback(steps, undo int) {
+	d.steps = d.steps[:steps]
+	for i := len(d.undo) - 1; i >= undo; i-- {
+		if w := d.undo[i]; w.prev.step != 0 {
+			d.have[w.t] = w.prev
 		} else {
-			delete(p.have, w.t)
+			delete(d.have, w.t)
 		}
 	}
-	p.undo = p.undo[:undo]
+	d.undo = d.undo[:undo]
+}
+
+// id returns the ID of step number step, "s<step>".
+func (d *designer) id(step int) string {
+	for len(d.ids) < step {
+		d.ids = append(d.ids, "s"+strconv.Itoa(len(d.ids)+1))
+	}
+	return d.ids[step-1]
+}
+
+// ref returns a's "stepID.port" ref.
+func (d *designer) ref(a artifact) string {
+	for _, r := range d.refs {
+		if r.a == a {
+			return r.ref
+		}
+	}
+	ref := d.id(a.step) + "." + a.port
+	d.refs = append(d.refs, formattedRef{a: a, ref: ref})
+	return ref
 }
 
 // scalarType reports whether a data type is a generic scalar
@@ -367,91 +521,145 @@ func scalarType(t registry.DataType) bool {
 // dataflow, while `name ← render.text` (the promoted-composite cascade
 // bug: a rendered impact table fed to nautilus.resolve_cable as a
 // cable name) is a type-level pun.
-func refBindable(in registry.Port, ref string) bool {
-	if !scalarType(in.Type) {
-		return true
-	}
-	return workflow.RefPort(ref) == in.Name
+func refBindable(in registry.Port, a artifact) bool {
+	return !scalarType(in.Type) || a.port == in.Name
 }
 
 // produceType inserts the cheapest realizable producer chain for an
 // input's type. For scalar inputs only producers exporting a port with
 // the input's own name are considered (see refBindable).
-func (p *planner) produceType(in registry.Port, depth int) (string, error) {
+func (d *designer) produceType(in registry.Port, depth int) (artifact, error) {
 	t := in.Type
 	if depth > maxChainDepth {
-		return "", fmt.Errorf("chaining depth exceeded for %s", t)
+		return artifact{}, &planError{kind: errDepth, t: t}
 	}
-	producers := p.reg.Producing(t)
+	producers := d.producing(t)
 	if len(producers) == 0 {
-		return "", fmt.Errorf("no capability produces %s", t)
+		return artifact{}, &planError{kind: errNoProducer, t: t}
 	}
 	var lastErr error
 	for _, cap := range producers {
 		if scalarType(t) {
 			if port, ok := cap.OutputPort(in.Name); !ok || port.Type != t {
-				lastErr = fmt.Errorf("no producer exports scalar port %q of type %s", in.Name, t)
+				lastErr = &planError{kind: errNoScalarPort, port: in}
 				continue
 			}
 		}
-		ref, err := p.tryCapability(cap, querymind.SubProblem{ID: "auto", Produces: t}, depth)
+		a, err := d.tryCapability(cap, t, "auto", depth)
 		if err == nil {
-			if scalarType(t) && workflow.RefPort(ref) != in.Name {
-				// The capability exports several ports of this scalar
-				// type; take the one whose name grounds the input.
-				ref = workflow.RefStepID(ref) + "." + in.Name
+			if scalarType(t) {
+				// The capability may export several ports of this
+				// scalar type; take the one whose name grounds the
+				// input.
+				a.port = in.Name
 			}
-			return ref, nil
+			return a, nil
 		}
 		lastErr = err
 	}
-	return "", lastErr
+	return artifact{}, lastErr
 }
 
-func (p *planner) addStep(cap *registry.Capability, bindings map[string]workflow.Binding, phase string) string {
-	p.nextID++
-	id := "s" + strconv.Itoa(p.nextID)
-	p.steps = append(p.steps, workflow.Step{
-		ID: id, Capability: cap.Name, Inputs: bindings, Phase: phase,
-	})
-	return id
-}
+// The literals literalFor grounds inputs with.
+const (
+	litCable    = iota // the first cable the query names
+	litRegionA         // its first region
+	litRegionB         // its second region
+	litFailProb        // its failure probability
+	litTypes           // its disaster types
+	numLits
+)
 
 // literalFor derives a literal binding for an input port from the
 // query specification — the contextual grounding an expert applies when
 // wiring tools ("the cable the user named", "the stated probability").
-func (p *planner) literalFor(in registry.Port) (any, bool) {
-	q := p.ps.Query
+func (d *designer) literalFor(in registry.Port) (any, bool) {
+	q := &d.ps.Query
+	k := -1
 	switch in.Type {
 	case registry.TString:
-		switch in.Name {
-		case "name":
-			if len(q.Cables) > 0 {
-				return string(q.Cables[0]), true
-			}
-		case "region_a":
-			if len(q.Regions) > 0 {
-				return string(q.Regions[0]), true
-			}
-		case "region_b":
-			if len(q.Regions) > 1 {
-				return string(q.Regions[1]), true
-			}
+		switch {
+		case in.Name == "name" && len(q.Cables) > 0:
+			k = litCable
+		case in.Name == "region_a" && len(q.Regions) > 0:
+			k = litRegionA
+		case in.Name == "region_b" && len(q.Regions) > 1:
+			k = litRegionB
 		}
 	case registry.TFloat:
-		switch in.Name {
-		case "fail_prob":
-			if q.FailProb > 0 {
-				return q.FailProb, true
-			}
-			if q.Intent == nlq.IntentDisasterImpact {
-				return 0.1, true // QueryMind's documented default
-			}
+		// A disaster query without one takes QueryMind's documented
+		// default.
+		if in.Name == "fail_prob" && (q.FailProb > 0 || q.Intent == nlq.IntentDisasterImpact) {
+			k = litFailProb
 		}
 	case registry.TStringList:
 		if in.Name == "types" && len(q.Disasters) > 0 {
-			return append([]string(nil), q.Disasters...), true
+			k = litTypes
 		}
 	}
-	return nil, false
+	if k < 0 {
+		return nil, false
+	}
+	if d.lits[k] == nil {
+		switch k {
+		case litCable:
+			d.lits[k] = string(q.Cables[0])
+		case litRegionA:
+			d.lits[k] = string(q.Regions[0])
+		case litRegionB:
+			d.lits[k] = string(q.Regions[1])
+		case litFailProb:
+			if q.FailProb > 0 {
+				d.lits[k] = q.FailProb
+			} else {
+				d.lits[k] = 0.1
+			}
+		case litTypes:
+			d.lits[k] = append([]string(nil), q.Disasters...)
+		}
+	}
+	return d.lits[k], true
 }
+
+// planErrKind selects a planError's text.
+type planErrKind uint8
+
+const (
+	errSubProblem   planErrKind = iota // "workflowscout: sub-problem <name>: <err>"
+	errInput                           // "input <port> (<type>) of <name>: <err>"
+	errNoProducer                      // "no capability produces <t>"
+	errNoScalarPort                    // "no producer exports scalar port <port> of type <type>"
+	errNoEmit                          // "<name> does not emit <t>"
+	errDepth                           // "chaining depth exceeded for <t>"
+)
+
+// planError is a failed planning attempt. Most are dropped when the
+// next producer is tried, so the text is formatted only when read. It
+// and the Unwrap chain read as fmt.Errorf's, with %q for quoted names
+// and %w for err.
+type planError struct {
+	kind planErrKind
+	name string // a capability or sub-problem
+	port registry.Port
+	t    registry.DataType
+	err  error
+}
+
+func (e *planError) Error() string {
+	switch e.kind {
+	case errSubProblem:
+		return "workflowscout: sub-problem " + strconv.Quote(e.name) + ": " + e.err.Error()
+	case errInput:
+		return "input " + strconv.Quote(e.port.Name) + " (" + string(e.port.Type) + ") of " + e.name + ": " + e.err.Error()
+	case errNoProducer:
+		return "no capability produces " + string(e.t)
+	case errNoScalarPort:
+		return "no producer exports scalar port " + strconv.Quote(e.port.Name) + " of type " + string(e.port.Type)
+	case errNoEmit:
+		return e.name + " does not emit " + string(e.t)
+	default:
+		return "chaining depth exceeded for " + string(e.t)
+	}
+}
+
+func (e *planError) Unwrap() error { return e.err }

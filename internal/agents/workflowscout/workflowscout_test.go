@@ -1,6 +1,8 @@
 package workflowscout
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -262,14 +264,11 @@ func TestOutputsAreSinksOnly(t *testing.T) {
 	}
 }
 
-// TestFailedAttemptRollsBack plans through a producer that chains a
-// step and then fails: bad.impact backward-chains geo.fresh, which
-// overwrites the links artifact and adds a geo one, then finds nothing
-// producing cable.list. The rollback must drop that step and restore
-// the artifacts, so the next producer, good.impact, reads the links
-// the dependencies sub-problem produced and leaves its optional geo
-// input unbound. The dropped step keeps its ID.
-func TestFailedAttemptRollsBack(t *testing.T) {
+// rollbackRegistry holds two producers of an impact report:
+// bad.impact, ranked first, backward-chains geo.fresh and then fails on
+// a cable list nothing produces; good.impact needs only links.
+func rollbackRegistry(t testing.TB) *registry.Registry {
+	t.Helper()
 	reg := registry.New()
 	emit := func(c *registry.Call) error { return nil }
 	for _, c := range []registry.Capability{
@@ -299,6 +298,18 @@ func TestFailedAttemptRollsBack(t *testing.T) {
 	} {
 		reg.MustRegister(c)
 	}
+	return reg
+}
+
+// TestFailedAttemptRollsBack plans through a producer that chains a
+// step and then fails: bad.impact backward-chains geo.fresh, which
+// overwrites the links artifact and adds a geo one, then finds nothing
+// producing cable.list. The rollback must drop that step and restore
+// the artifacts, so the next producer, good.impact, reads the links
+// the dependencies sub-problem produced and leaves its optional geo
+// input unbound. The dropped step keeps its ID.
+func TestFailedAttemptRollsBack(t *testing.T) {
+	reg := rollbackRegistry(t)
 	d, err := New().Design(cableProblem(1), reg)
 	if err != nil {
 		t.Fatal(err)
@@ -315,6 +326,58 @@ func TestFailedAttemptRollsBack(t *testing.T) {
 	}
 	if b, ok := steps[1].Inputs["geo"]; ok {
 		t.Errorf("good.impact binds geo to %+v from the rolled-back step", b)
+	}
+}
+
+// TestDuplicateCandidatesKeepFirst explores over rollbackRegistry:
+// the base plan tries bad.impact, rolls it back and settles on
+// good.impact, so forcing good.impact, the aggregation's alternative,
+// plans the base's capability sequence again. That duplicate is
+// dropped, and the base plan, whose good.impact step is s3 because
+// the rolled-back geo.fresh took s2, is the one kept.
+func TestDuplicateCandidatesKeepFirst(t *testing.T) {
+	d, err := New().Design(cableProblem(5), rollbackRegistry(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, c := range d.Alternatives {
+		seq := strings.Join(c.Workflow.CapabilityNames(), " ")
+		if seen[seq] {
+			t.Errorf("candidate %s explored twice", seq)
+		}
+		seen[seq] = true
+		if seq == "src.load good.impact" && c.Workflow.Steps[1].ID != "s3" {
+			t.Errorf("kept the duplicate (good.impact is %s), not the base plan (s3)", c.Workflow.Steps[1].ID)
+		}
+	}
+	if !seen["src.load good.impact"] {
+		t.Errorf("base plan missing from %d alternatives", len(d.Alternatives))
+	}
+}
+
+// TestLastMatchingOutput plans through a capability with two outputs
+// of the sub-problem's type: the sub-problem's artifact, and so the
+// workflow output, is the last of them.
+func TestLastMatchingOutput(t *testing.T) {
+	reg := miniRegistry(t)
+	reg.MustRegister(registry.Capability{
+		Name: "twin.impact", Framework: "twin", Description: "two impact reports",
+		Inputs:  []registry.Port{{Name: "links", Type: registry.TLinkSet}},
+		Outputs: []registry.Port{{Name: "first", Type: registry.TImpact}, {Name: "last", Type: registry.TImpact}},
+		Tags:    []string{"aggregation", "country-level", "impact-analysis", "twin"},
+		Cost:    1, Impl: func(c *registry.Call) error { return nil },
+	})
+	d, err := New().Design(cableProblem(1), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := d.Chosen.Steps[len(d.Chosen.Steps)-1]
+	if last.Capability != "twin.impact" {
+		t.Fatalf("plan = %v, want twin.impact last", d.Chosen.CapabilityNames())
+	}
+	if got, want := d.Chosen.Outputs["aggregation"], last.ID+".last"; got != want {
+		t.Errorf("aggregation output = %s, want %s", got, want)
 	}
 }
 
@@ -349,5 +412,94 @@ func TestDesignSharedZeroAgent(t *testing.T) {
 	wg.Wait()
 	if *a != (Agent{}) {
 		t.Errorf("Design wrote its receiver: %+v", *a)
+	}
+}
+
+// errorRegistry holds three producers of an impact report, each of
+// which fails in its own way in a Subset that drops what it needs:
+// big.impact reads links that only src.load produces; deep.impact
+// chains five producers deep, one more than maxChainDepth allows; and
+// weigh.impact reads a scalar "weight" that score.source exports only
+// under another name.
+func errorRegistry(t testing.TB) *registry.Registry {
+	t.Helper()
+	r := miniRegistry(t)
+	emit := func(c *registry.Call) error { return nil }
+	chain := []registry.DataType{registry.TImpact, registry.TGeoTable, registry.TIPSet,
+		registry.TCableList, registry.TCableID, registry.TCrossLayer}
+	names := []string{"deep.impact", "deep.geo", "deep.ips", "deep.cables", "deep.id", "deep.map"}
+	for i, name := range names {
+		c := registry.Capability{
+			Name: name, Framework: "deep", Description: "one link of a long chain",
+			Outputs: []registry.Port{{Name: "out", Type: chain[i]}}, Impl: emit,
+		}
+		if i+1 < len(chain) {
+			c.Inputs = []registry.Port{{Name: "in", Type: chain[i+1]}}
+		}
+		r.MustRegister(c)
+	}
+	r.MustRegister(registry.Capability{
+		Name: "weigh.impact", Framework: "weigh", Description: "weighted impact",
+		Inputs: []registry.Port{
+			{Name: "links", Type: registry.TLinkSet},
+			{Name: "weight", Type: registry.TFloat},
+		},
+		Outputs: []registry.Port{{Name: "report", Type: registry.TImpact}},
+		Impl:    emit,
+	})
+	r.MustRegister(registry.Capability{
+		Name: "score.source", Framework: "score", Description: "a float under another name",
+		Outputs: []registry.Port{{Name: "score", Type: registry.TFloat}},
+		Impl:    emit,
+	})
+	return r
+}
+
+// TestDesignErrorTexts pins the text of Design's error, and of every
+// error down its Unwrap chain, when no producer is left, when chaining
+// runs too deep and when no producer exports a scalar port, as the
+// fmt.Errorf chains before planError wrote them.
+func TestDesignErrorTexts(t *testing.T) {
+	full := errorRegistry(t)
+	ps := cableProblem(1)
+	ps.SubProblems = ps.SubProblems[1:] // aggregation alone
+	ps.SubProblems[0].DependsOn = nil
+	for _, tc := range []struct {
+		label string
+		caps  []string
+		chain []string
+	}{
+		{"no producer", []string{"big.impact"}, []string{
+			`workflowscout: sub-problem "aggregation": input "links" (link.set) of big.impact: no capability produces link.set`,
+			`input "links" (link.set) of big.impact: no capability produces link.set`,
+			`no capability produces link.set`,
+		}},
+		{"chaining depth", []string{"deep.impact", "deep.geo", "deep.ips", "deep.cables", "deep.id", "deep.map"}, []string{
+			`workflowscout: sub-problem "aggregation": input "in" (geo.table) of deep.impact: input "in" (ip.set) of deep.geo: input "in" (cable.list) of deep.ips: input "in" (cable.id) of deep.cables: input "in" (cable.crosslayermap) of deep.id: chaining depth exceeded for cable.crosslayermap`,
+			`input "in" (geo.table) of deep.impact: input "in" (ip.set) of deep.geo: input "in" (cable.list) of deep.ips: input "in" (cable.id) of deep.cables: input "in" (cable.crosslayermap) of deep.id: chaining depth exceeded for cable.crosslayermap`,
+			`input "in" (ip.set) of deep.geo: input "in" (cable.list) of deep.ips: input "in" (cable.id) of deep.cables: input "in" (cable.crosslayermap) of deep.id: chaining depth exceeded for cable.crosslayermap`,
+			`input "in" (cable.list) of deep.ips: input "in" (cable.id) of deep.cables: input "in" (cable.crosslayermap) of deep.id: chaining depth exceeded for cable.crosslayermap`,
+			`input "in" (cable.id) of deep.cables: input "in" (cable.crosslayermap) of deep.id: chaining depth exceeded for cable.crosslayermap`,
+			`input "in" (cable.crosslayermap) of deep.id: chaining depth exceeded for cable.crosslayermap`,
+			`chaining depth exceeded for cable.crosslayermap`,
+		}},
+		{"scalar port", []string{"src.load", "weigh.impact", "score.source"}, []string{
+			`workflowscout: sub-problem "aggregation": input "weight" (scalar.float) of weigh.impact: no producer exports scalar port "weight" of type scalar.float`,
+			`input "weight" (scalar.float) of weigh.impact: no producer exports scalar port "weight" of type scalar.float`,
+			`no producer exports scalar port "weight" of type scalar.float`,
+		}},
+	} {
+		sub, err := full.Subset(tc.caps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = New().Design(ps, sub)
+		var got []string
+		for ; err != nil; err = errors.Unwrap(err) {
+			got = append(got, err.Error())
+		}
+		if !slices.Equal(got, tc.chain) {
+			t.Errorf("%s: error chain\n%s\nwant\n%s", tc.label, strings.Join(got, "\n"), strings.Join(tc.chain, "\n"))
+		}
 	}
 }

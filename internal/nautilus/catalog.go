@@ -401,13 +401,16 @@ func (cat *Catalog) ByName(name string) (Cable, bool) {
 }
 
 // Mentioned returns, in ID order, the cables whose name, ID or short
-// name (the name without its parenthetical) occurs in norm, a text
-// already passed through NormalizeName. It returns nil when none does.
-// BuildCatalog builds the automaton over the cables' normalized forms,
-// so Mentioned reads norm once.
-func (cat *Catalog) Mentioned(norm string) []CableID {
+// name (the name without its parenthetical) occurs in
+// NormalizeName(lower), for a text lower that strings.ToLower has
+// already lowered. NormalizeName would keep just lower's ASCII letters
+// and digits, so Mentioned reads only those and neither lowers nor
+// copies the text. It returns nil when no cable occurs. BuildCatalog
+// builds the automaton over the cables' normalized forms, so Mentioned
+// reads lower once.
+func (cat *Catalog) Mentioned(lower string) []CableID {
 	var hit [3 * maxCables]bool
-	cat.forms.Scan(norm, hit[:])
+	cat.forms.ScanKept(lower, &alnum, hit[:])
 	var out []CableID
 	for i := range cat.cables {
 		if hit[3*i] || hit[3*i+1] || hit[3*i+2] {
@@ -416,6 +419,15 @@ func (cat *Catalog) Mentioned(norm string) []CableID {
 	}
 	return out
 }
+
+// alnum marks the bytes NormalizeName keeps of a lowered text: ASCII
+// lowercase letters and digits.
+var alnum = func() (keep [256]bool) {
+	for c := range keep {
+		keep[c] = 'a' <= c && c <= 'z' || '0' <= c && c <= '9'
+	}
+	return keep
+}()
 
 // NormalizeName lowercases s and keeps only the ASCII letters and
 // digits of the result, so "SeaMeWe-5", "seamewe 5" and "SEAMEWE5"
@@ -428,7 +440,7 @@ func NormalizeName(s string) string {
 	// Bytes of multi-byte runes and invalid bytes are all ≥ 0x80, so a
 	// byte loop keeps exactly the runes a rune loop would.
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') {
+		if c := s[i]; alnum[c] {
 			b.WriteByte(c)
 		}
 	}

@@ -2,6 +2,7 @@ package nautilus
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"arachnet/internal/geo"
@@ -312,11 +313,13 @@ func BenchmarkMapWorld(b *testing.B) {
 }
 
 // TestMentioned checks the catalog automaton against a strings.Contains
-// scan of every cable form, on texts naming each cable alone, cables in
-// pairs, no cable, and the empty text.
+// scan of every cable form in the normalized text, on lowered texts
+// naming each cable alone, cables in pairs, no cable, and the empty
+// text.
 func TestMentioned(t *testing.T) {
 	cat := BuildCatalog()
-	want := func(norm string) []CableID {
+	want := func(lower string) []CableID {
+		norm := NormalizeName(lower)
 		var out []CableID
 		for i, n := range cat.names {
 			if containsNonEmpty(norm, n.name) || containsNonEmpty(norm, n.id) || containsNonEmpty(norm, n.short) {
@@ -325,14 +328,14 @@ func TestMentioned(t *testing.T) {
 		}
 		return out
 	}
-	texts := []string{"", NormalizeName("Identify the impact at a country level due to SeaMeWe-5 cable failure"), "nocablehere"}
+	texts := []string{"", "identify the impact at a country level due to seamewe-5 cable failure", "no cable here", "sea-me-we 5, café"}
 	for i, c := range cat.cables {
-		texts = append(texts, NormalizeName("the "+c.Name+" cable"), NormalizeName(string(c.ID)),
-			NormalizeName(c.Name+" and "+cat.cables[(i+7)%len(cat.cables)].Name))
+		texts = append(texts, strings.ToLower("the "+c.Name+" cable"), strings.ToLower(string(c.ID)),
+			strings.ToLower(c.Name+" and "+cat.cables[(i+7)%len(cat.cables)].Name))
 	}
-	for _, norm := range texts {
-		if got, want := cat.Mentioned(norm), want(norm); !slices.Equal(got, want) {
-			t.Errorf("Mentioned(%q) = %v, want %v", norm, got, want)
+	for _, lower := range texts {
+		if got, want := cat.Mentioned(lower), want(lower); !slices.Equal(got, want) {
+			t.Errorf("Mentioned(%q) = %v, want %v", lower, got, want)
 		}
 	}
 	// The catalog automaton and nlq's vocabulary automaton together

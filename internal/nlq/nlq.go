@@ -16,9 +16,9 @@
 // package init; one scan of the lowered text marks the words that
 // occur, and every field is derived from those marks. The catalog's own
 // automaton, built by nautilus.BuildCatalog, finds cable names in the
-// normalized text the same way. Hand-written scanners read the three
-// numeric forms ("10%", "probability of 0.3", "three days ago") and
-// return what the regular expressions
+// same lowered text, reading only its letters and digits. Hand-written
+// scanners read the three numeric forms ("10%", "probability of 0.3",
+// "three days ago") and return what the regular expressions
 //
 //	(\d+(?:\.\d+)?)\s*%
 //	probability\s+(?:of\s+)?(\d+(?:\.\d+)?)
@@ -266,13 +266,14 @@ func classify(s *Spec, kw *[numKeywordGroups]bool) Intent {
 	}
 }
 
-// extractCables matches catalog cable names against the query in the
-// catalog's own normalization.
+// extractCables matches catalog cable names against the lowered query
+// in the catalog's own normalization, which the catalog's scan applies
+// as it reads q.
 func extractCables(q string, cat *nautilus.Catalog) []nautilus.CableID {
 	if cat == nil {
 		return nil
 	}
-	return cat.Mentioned(nautilus.NormalizeName(q))
+	return cat.Mentioned(q)
 }
 
 // extractProbability reads the scenario failure probability: the first

@@ -257,9 +257,9 @@ func TestVocabularySize(t *testing.T) {
 }
 
 // TestParseAllocs pins Parse's allocation budget, paid on every
-// plan-cache miss: only what the text itself needs (its lowered and
-// normalized forms and the Spec's slices). The ceiling is over three
-// times the largest case study's count.
+// plan-cache miss: only what the text itself needs (its lowered form
+// and the Spec's slices). The ceiling is over three times the largest
+// case study's count.
 func TestParseAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is unreliable under -short (race) runs")

@@ -176,9 +176,27 @@ func (m *Matcher) step(s int, c byte) int {
 // when p != "" && strings.Contains(text, p), and leaves the other
 // entries as they were. hit needs an entry for every pattern.
 func (m *Matcher) Scan(text string, hit []bool) {
+	m.ScanKept(text, &everyByte, hit)
+}
+
+var everyByte = func() (keep [256]bool) {
+	for c := range keep {
+		keep[c] = true
+	}
+	return keep
+}()
+
+// ScanKept is Scan over the bytes c of text with keep[c] set, as if the
+// others had been removed from text first; it reads text once and
+// copies nothing.
+func (m *Matcher) ScanKept(text string, keep *[256]bool, hit []bool) {
 	s := 0
 	for i := 0; i < len(text); i++ {
-		if s = m.step(s, text[i]); s == 0 {
+		c := text[i]
+		if !keep[c] {
+			continue
+		}
+		if s = m.step(s, c); s == 0 {
 			continue
 		}
 		for r := int(m.report[s]); r != 0; r = int(m.report[m.fail[r]]) {

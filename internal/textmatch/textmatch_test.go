@@ -6,14 +6,34 @@ import (
 )
 
 // checkScan scans text with a Matcher over patterns and requires every
-// hit to equal the pattern's strings.Contains answer.
+// hit to equal the pattern's strings.Contains answer; then it scans
+// only the text's ASCII letters and digits with ScanKept and requires
+// the answers for the text with every other byte removed.
 func checkScan(t *testing.T, patterns []string, text string) {
 	t.Helper()
+	m := New(patterns)
 	hit := make([]bool, len(patterns))
-	New(patterns).Scan(text, hit)
+	m.Scan(text, hit)
 	for p, pat := range patterns {
 		if want := pat != "" && strings.Contains(text, pat); hit[p] != want {
 			t.Fatalf("patterns %q, text %q: hit[%d] (%q) = %t, want %t", patterns, text, p, pat, hit[p], want)
+		}
+	}
+	var keep [256]bool
+	var kept []byte
+	for c := range keep {
+		keep[c] = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+	}
+	for i := 0; i < len(text); i++ {
+		if keep[text[i]] {
+			kept = append(kept, text[i])
+		}
+	}
+	clear(hit)
+	m.ScanKept(text, &keep, hit)
+	for p, pat := range patterns {
+		if want := pat != "" && strings.Contains(string(kept), pat); hit[p] != want {
+			t.Fatalf("patterns %q, kept bytes of %q: hit[%d] (%q) = %t, want %t", patterns, text, p, pat, hit[p], want)
 		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,6 +56,10 @@ type CompiledPlan struct {
 	nValues    int // total declared outputs across steps (Values presize)
 
 	memoizable bool // at least one step has a fingerprint template
+	// fpBytes and fpSegs hold every step's fingerprint template; see
+	// compiledStep.
+	fpBytes []byte
+	fpSegs  []fpSeg
 
 	// fp memoizes the resolved fingerprint vector for the most recent
 	// environment fingerprint; fpMu serializes recomputation so
@@ -80,18 +85,21 @@ type compiledStep struct {
 	valueKeys    []string      // "stepID.port" per declared output
 	cachedProv   string        // provenance line for a cache hit
 
-	// Fingerprint preimage template (fpOK steps only): pre holds the
+	// Fingerprint preimage template (fpOK steps only), as offsets into
+	// the plan's fpBytes and fpSegs: fpBytes[fpLo:fpPre] holds the
 	// bytes up to and including the "env" label field; at resolve time
-	// the env key is appended, then each segment's static bytes
-	// followed by the named upstream's 32-byte digest.
-	fpOK bool
-	pre  []byte
-	segs []fpSeg
+	// the env key is appended, then the static bytes of each segment in
+	// fpSegs[segLo:segHi] followed by the named upstream's 32-byte
+	// digest.
+	fpOK         bool
+	fpLo, fpPre  int
+	segLo, segHi int
 }
 
 type compiledRef struct {
 	name string
 	ref  string
+	up   int // the producing step's index
 }
 
 type compiledLit struct {
@@ -99,10 +107,12 @@ type compiledLit struct {
 	val  any
 }
 
-// fpSeg is one run of static preimage bytes optionally followed by an
-// upstream step's digest (upstream < 0 means trailing static bytes).
+// fpSeg is one run of static preimage bytes, which end at fpBytes[end]
+// and start where the step's previous segment (or its pre bytes)
+// ended, optionally followed by an upstream step's digest (upstream < 0
+// means trailing static bytes).
 type fpSeg struct {
-	static   []byte
+	end      int
 	upstream int
 }
 
@@ -126,122 +136,247 @@ func fpField(b []byte, parts ...string) []byte {
 // their plan caches on the registry generation (as core does) get
 // invalidation for free; anyone else must discard the plan when the
 // registry changes.
+//
+// Compile keeps the step index and the capabilities validation
+// resolved, and counts its tables before filling them, so each is
+// allocated once, at its exact size, and shared by all steps: the
+// cache-hit provenance lines and value keys are substrings of one
+// string, the ref, literal and dependents tables are sub-slices of one
+// slice each, capped so that no append writes into a neighbour, and
+// the fingerprint templates lie in one byte slice.
 func Compile(w *Workflow, reg *registry.Registry) (*CompiledPlan, error) {
-	if err := w.Validate(reg); err != nil {
+	n := len(w.Steps)
+	sc := compileScratchPool.Get().(*compileScratch)
+	defer sc.release()
+	sc.reset(n)
+	index := make(map[string]int, n)
+	if err := w.validate(reg, index, sc.caps); err != nil {
 		return nil, err
 	}
-	n := len(w.Steps)
+
+	nRefs, nLits, nOut, nText := 0, 0, 0, 0
+	for i := range w.Steps {
+		s := &w.Steps[i]
+		for _, b := range s.Inputs {
+			if b.IsRef() {
+				nRefs++
+			} else {
+				nLits++
+			}
+		}
+		outs := sc.caps[i].Outputs
+		nOut += len(outs)
+		nText += len("step ") + len(s.ID) + len(" (") + len(s.Capability) + len("): ok (cached)")
+		for _, out := range outs {
+			nText += len(s.ID) + len(".") + len(out.Name)
+		}
+	}
 	cp := &CompiledPlan{
 		w:          w,
-		index:      make(map[string]int, n),
+		index:      index,
 		steps:      make([]compiledStep, n),
 		dependents: make([][]int, n),
 		indegree:   make([]int, n),
+		nValues:    nOut,
 	}
-	for i := range w.Steps {
-		cp.index[w.Steps[i].ID] = i
-	}
-	var names []string // scratch: one step's input names, sorted
+	refs := make([]compiledRef, nRefs)
+	lits := make([]compiledLit, nLits)
+	keys := make([]string, nOut)
+	// A Builder never rewrites what it has written, so a substring of
+	// text stays valid as more is appended.
+	var text strings.Builder
+	text.Grow(nText)
+	ri, li, ki := 0, 0, 0
 	for i := range w.Steps {
 		s := &w.Steps[i]
-		capb, err := reg.Get(s.Capability)
-		if err != nil {
-			return nil, err // unreachable after Validate; defensive
-		}
+		capb := sc.caps[i]
 		cs := &cp.steps[i]
 		cs.step = s
 		cs.capb = capb
 		cs.dispatchable = capb.Pure && s.Affinity != AffinityCoordinator
-		cs.cachedProv = "step " + s.ID + " (" + s.Capability + "): ok (cached)"
-		cs.valueKeys = make([]string, len(capb.Outputs))
-		for oi, out := range capb.Outputs {
-			cs.valueKeys[oi] = s.ID + "." + out.Name
+		start := text.Len()
+		text.WriteString("step ")
+		text.WriteString(s.ID)
+		text.WriteString(" (")
+		text.WriteString(s.Capability)
+		text.WriteString("): ok (cached)")
+		cs.cachedProv = text.String()[start:]
+		k0 := ki
+		for _, out := range capb.Outputs {
+			start = text.Len()
+			text.WriteString(s.ID)
+			text.WriteByte('.')
+			text.WriteString(out.Name)
+			keys[ki] = text.String()[start:]
+			ki++
 		}
-		cp.nValues += len(capb.Outputs)
+		cs.valueKeys = keys[k0:ki:ki]
 
-		// Dependency edges, deduplicated per upstream step: steps are
-		// visited in order, so an edge src→i already added is the last
-		// entry of dependents[src].
-		for _, b := range s.Inputs {
-			if !b.IsRef() {
-				continue
+		// Inputs in the sorted order fingerprints use; the same order
+		// serves input-map assembly (map fill order is irrelevant).
+		sc.names = sc.names[:0]
+		for name := range s.Inputs {
+			sc.names = append(sc.names, name)
+		}
+		slices.Sort(sc.names)
+		r0, l0 := ri, li
+		for _, name := range sc.names {
+			b := s.Inputs[name]
+			if b.IsRef() {
+				refs[ri] = compiledRef{name: name, ref: b.Ref, up: index[RefStepID(b.Ref)]}
+				ri++
+			} else {
+				lits[li] = compiledLit{name: name, val: b.Literal}
+				li++
 			}
-			src := cp.index[RefStepID(b.Ref)]
-			if d := cp.dependents[src]; len(d) == 0 || d[len(d)-1] != i {
-				cp.dependents[src] = append(d, i)
+		}
+		cs.refs, cs.lits = refs[r0:ri:ri], lits[l0:li:li]
+		for k, r := range cs.refs {
+			if firstRefTo(cs.refs, k) {
+				sc.deg[r.up]++
 				cp.indegree[i]++
 			}
 		}
 
-		// Inputs in the sorted order fingerprints use; the same order
-		// serves input-map assembly (map fill order is irrelevant).
-		names = names[:0]
-		for name := range s.Inputs {
-			names = append(names, name)
-		}
-		slices.Sort(names)
-		for _, name := range names {
-			b := s.Inputs[name]
-			if b.IsRef() {
-				cs.refs = append(cs.refs, compiledRef{name: name, ref: b.Ref})
-			} else {
-				cs.lits = append(cs.lits, compiledLit{name: name, val: b.Literal})
-			}
-		}
-
-		// Fingerprint template. A step is not memoizable when its
-		// capability is impure, a literal has no canonical form, or an
-		// upstream is not memoizable — all decidable at compile time.
-		if !capb.Pure {
-			continue
-		}
-		pre := fpField(nil, "cap", s.Capability, "env")
-		ok := true
-		var segs []fpSeg
-		var cur []byte
-		for _, name := range names {
-			b := s.Inputs[name]
-			if b.IsRef() {
-				upIdx := cp.index[RefStepID(b.Ref)]
-				if !cp.steps[upIdx].fpOK {
-					ok = false
-					break
-				}
-				// field(buf, "r", name, up, port) with up always a raw
-				// 32-byte sha256 digest, so its length prefix is the
-				// static "32:".
-				cur = fpField(cur, "r", name)
-				cur = append(cur, "32:"...)
-				segs = append(segs, fpSeg{static: cur, upstream: upIdx})
-				cur = fpField(nil, RefPort(b.Ref))
-				continue
-			}
-			lit, err := canonicalValue(b.Literal)
-			if err != nil {
-				ok = false
-				break
-			}
-			cur = fpField(cur, "l", name, lit)
-		}
-		if ok {
-			segs = append(segs, fpSeg{static: cur, upstream: -1})
-			cs.pre, cs.segs, cs.fpOK = pre, segs, true
-			cp.memoizable = true
+		// A step is not memoizable when its capability is impure, a
+		// literal has no canonical form, or an upstream is not
+		// memoizable — all decidable at compile time.
+		if capb.Pure {
+			sc.template(cp, i)
 		}
 	}
-	for i := 0; i < n; i++ {
+
+	// Dependency edges, one per distinct upstream step, each step's
+	// dependents in step order.
+	edges, ready := 0, 0
+	for _, d := range cp.indegree {
+		edges += d
+		if d == 0 {
+			ready++
+		}
+	}
+	deps := make([]int, edges)
+	off := 0
+	for src, d := range sc.deg {
+		cp.dependents[src] = deps[off : off : off+d]
+		off += d
+	}
+	cp.ready0 = make([]int, 0, ready)
+	for i := range cp.steps {
+		refs := cp.steps[i].refs
+		for k, r := range refs {
+			if firstRefTo(refs, k) {
+				cp.dependents[r.up] = append(cp.dependents[r.up], i)
+			}
+		}
 		if cp.indegree[i] == 0 {
 			cp.ready0 = append(cp.ready0, i)
 		}
 	}
+	cp.fpBytes = make([]byte, len(sc.tmpl))
+	copy(cp.fpBytes, sc.tmpl)
+	cp.fpSegs = make([]fpSeg, len(sc.segs))
+	copy(cp.fpSegs, sc.segs)
 	return cp, nil
+}
+
+// firstRefTo reports whether refs[k] is the first of refs to read its
+// upstream step, so that each step depends on an upstream once.
+func firstRefTo(refs []compiledRef, k int) bool {
+	for _, r := range refs[:k] {
+		if r.up == refs[k].up {
+			return false
+		}
+	}
+	return true
+}
+
+// compileScratch is Compile's pooled working memory. Nothing in it
+// outlives a call.
+type compileScratch struct {
+	caps  []*registry.Capability // each step's capability, as validated
+	deg   []int                  // each step's number of dependents
+	names []string               // one step's input names, sorted
+	tmpl  []byte                 // the fingerprint templates, before their exact-size copy
+	segs  []fpSeg
+	lit   []byte // one literal's canonical encoding
+}
+
+var compileScratchPool = sync.Pool{New: func() any { return new(compileScratch) }}
+
+// reset readies sc for a workflow of n steps.
+func (sc *compileScratch) reset(n int) {
+	if cap(sc.caps) < n {
+		sc.caps = make([]*registry.Capability, n)
+	}
+	if cap(sc.deg) < n {
+		sc.deg = make([]int, n)
+	}
+	sc.caps, sc.deg = sc.caps[:n], sc.deg[:n]
+	clear(sc.deg)
+	sc.tmpl, sc.segs = sc.tmpl[:0], sc.segs[:0]
+}
+
+// release drops sc's references into the workflow and registry and
+// returns it to the pool.
+func (sc *compileScratch) release() {
+	clear(sc.caps)
+	clear(sc.names[:cap(sc.names)])
+	compileScratchPool.Put(sc)
+}
+
+// template appends step i's fingerprint preimage template to sc.tmpl
+// and sc.segs and records its offsets on the step, or leaves both as
+// they were when the step is not memoizable.
+func (sc *compileScratch) template(cp *CompiledPlan, i int) {
+	cs := &cp.steps[i]
+	s := cs.step
+	lo, segLo := len(sc.tmpl), len(sc.segs)
+	t := fpField(sc.tmpl, "cap", s.Capability, "env")
+	pre := len(t)
+	for _, name := range sc.names {
+		b := s.Inputs[name]
+		if b.IsRef() {
+			up := cp.index[RefStepID(b.Ref)]
+			if !cp.steps[up].fpOK {
+				sc.tmpl, sc.segs = t[:lo], sc.segs[:segLo]
+				return
+			}
+			// field(buf, "r", name, up, port) with up always a raw
+			// 32-byte sha256 digest, so its length prefix is the
+			// static "32:".
+			t = fpField(t, "r", name)
+			t = append(t, "32:"...)
+			sc.segs = append(sc.segs, fpSeg{end: len(t), upstream: up})
+			t = fpField(t, RefPort(b.Ref))
+			continue
+		}
+		lit, err := appendCanonical(sc.lit[:0], b.Literal)
+		sc.lit = lit
+		if err != nil {
+			sc.tmpl, sc.segs = t[:lo], sc.segs[:segLo]
+			return
+		}
+		// fpField(t, "l", name, lit), without lit becoming a string.
+		t = fpField(t, "l", name)
+		t = strconv.AppendInt(t, int64(len(lit)), 10)
+		t = append(t, ':')
+		t = append(t, lit...)
+	}
+	sc.segs = append(sc.segs, fpSeg{end: len(t), upstream: -1})
+	sc.tmpl = t
+	cs.fpOK = true
+	cs.fpLo, cs.fpPre = lo, pre
+	cs.segLo, cs.segHi = segLo, len(sc.segs)
+	cp.memoizable = true
 }
 
 // fingerprintsFor resolves the per-step cache keys against the
 // engine's environment by substituting only the env-key suffix (and
 // chained upstream digests) into the precompiled preimages, then
 // memoizes the vector keyed by the engine's environment fingerprint —
-// repeated warm runs hash nothing.
+// repeated warm runs hash nothing. Every digest is a substring of one
+// string.
 //
 // Contract: the engine's envKeyer must be a pure function of the
 // capability and of the environment state its envFP identifies (true
@@ -258,6 +393,16 @@ func (cp *CompiledPlan) fingerprintsFor(e *Engine) []string {
 		return p.fps
 	}
 	fps := make([]string, len(cp.steps))
+	nfp := 0
+	for i := range cp.steps {
+		if cp.steps[i].fpOK {
+			nfp++
+		}
+	}
+	// As in Compile, a digest sliced out of digests stays valid as
+	// later ones are appended.
+	var digests strings.Builder
+	digests.Grow(nfp * sha256.Size)
 	buf := make([]byte, 0, 256)
 	for i := range cp.steps {
 		cs := &cp.steps[i]
@@ -270,18 +415,22 @@ func (cp *CompiledPlan) fingerprintsFor(e *Engine) []string {
 				envKey = k
 			}
 		}
-		buf = append(buf[:0], cs.pre...)
+		buf = append(buf[:0], cp.fpBytes[cs.fpLo:cs.fpPre]...)
 		buf = strconv.AppendInt(buf, int64(len(envKey)), 10)
 		buf = append(buf, ':')
 		buf = append(buf, envKey...)
-		for _, seg := range cs.segs {
-			buf = append(buf, seg.static...)
+		from := cs.fpPre
+		for _, seg := range cp.fpSegs[cs.segLo:cs.segHi] {
+			buf = append(buf, cp.fpBytes[from:seg.end]...)
+			from = seg.end
 			if seg.upstream >= 0 {
 				buf = append(buf, fps[seg.upstream]...)
 			}
 		}
 		sum := sha256.Sum256(buf)
-		fps[i] = string(sum[:])
+		start := digests.Len()
+		digests.Write(sum[:])
+		fps[i] = digests.String()[start:]
 	}
 	cp.fp.Store(&compiledFPs{envFP: e.envFP, fps: fps})
 	return fps

@@ -7,6 +7,7 @@ package workflow
 import (
 	"context"
 	"encoding/hex"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -131,5 +132,63 @@ func TestCompiledWarmReplayAllocs(t *testing.T) {
 	const ceiling = 30
 	if avg > ceiling {
 		t.Errorf("warm compiled replay allocates %.1f/op, budget %d", avg, ceiling)
+	}
+}
+
+// chainWorkflow is n steps of the test registry, each reading the one
+// before: test.source, n-2 test.doubles and test.render.
+func chainWorkflow(n int) *Workflow {
+	w := &Workflow{Name: "chain", Steps: []Step{{ID: "s0", Capability: "test.source", Inputs: map[string]Binding{"value": Lit(21)}}}}
+	for i := 1; i < n; i++ {
+		capb, port := "test.double", "n"
+		if i == n-1 {
+			capb, port = "test.render", "text"
+		}
+		w.Steps = append(w.Steps, Step{ID: "s" + strconv.Itoa(i), Capability: capb,
+			Inputs: map[string]Binding{"n": Ref("s"+strconv.Itoa(i-1), "n")}})
+		w.Outputs = map[string]string{"out": "s" + strconv.Itoa(i) + "." + port}
+	}
+	return w
+}
+
+// TestValidateCompileAllocs pins what Validate and Compile allocate per
+// plan, not per step: on a valid 3-step and a valid 9-step workflow,
+// Validate costs at most 5 allocations, and neither grows by more than
+// its step index does. Up to 8 steps that index is a map on Validate's
+// stack, so Validate allocates nothing; the 9th step moves it into a
+// heap directory, table and group array, 3 allocations. Compile keeps
+// the index, so its map is always on the heap: 2 allocations up to 8
+// entries, 4 from 9.
+func TestValidateCompileAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is unreliable under -short (race) runs")
+	}
+	reg := buildTestRegistry(t)
+	var validate, compile [2]float64
+	for i, n := range []int{3, 9} {
+		w := chainWorkflow(n)
+		if err := w.Validate(reg); err != nil {
+			t.Fatalf("%d steps: %v", n, err)
+		}
+		validate[i] = testing.AllocsPerRun(100, func() {
+			if err := w.Validate(reg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		compile[i] = testing.AllocsPerRun(100, func() {
+			if _, err := Compile(w, reg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d steps: Validate %.0f allocs, Compile %.0f", n, validate[i], compile[i])
+		if validate[i] > 5 {
+			t.Errorf("Validate on %d steps allocates %.0f, budget 5", n, validate[i])
+		}
+	}
+	if d := validate[1] - validate[0]; d > 3 {
+		t.Errorf("Validate allocates %.0f more on 9 steps than on 3, budget 3", d)
+	}
+	if d := compile[1] - compile[0]; d > 3 {
+		t.Errorf("Compile allocates %.0f more on 9 steps than on 3, budget 3", d)
 	}
 }

@@ -184,12 +184,27 @@ func (e *StepError) Unwrap() error { return e.Err }
 // resolving to earlier steps with matching port types, and declared
 // outputs resolvable.
 func (w *Workflow) Validate(reg *registry.Registry) error {
+	// Neither table outlives the call: at the usual plan sizes (up to 8
+	// steps) both live on the stack, and Validate allocates nothing.
+	var buf [16]*registry.Capability
+	caps := buf[:]
+	if len(w.Steps) > len(buf) {
+		caps = make([]*registry.Capability, len(w.Steps))
+	}
+	return w.validate(reg, make(map[string]int, len(w.Steps)), caps[:len(w.Steps)])
+}
+
+// validate is Validate that also records, for Compile to keep, each
+// step's position by ID in index and each step's capability in caps,
+// which has one entry per step. A ref "stepID.port" resolves through
+// index to an earlier step and through that step's capability to the
+// port's type, so no table of produced refs is built.
+func (w *Workflow) validate(reg *registry.Registry, index map[string]int, caps []*registry.Capability) error {
 	if len(w.Steps) == 0 {
 		return ErrEmptyWorkflow
 	}
-	produced := map[string]registry.DataType{} // "step.port" → type
-	seen := map[string]bool{}
-	for i, s := range w.Steps {
+	for i := range w.Steps {
+		s := &w.Steps[i]
 		if s.ID == "" {
 			return fmt.Errorf("workflow: step %d has empty id", i)
 		}
@@ -198,27 +213,30 @@ func (w *Workflow) Validate(reg *registry.Registry) error {
 		if strings.Contains(s.ID, ".") {
 			return fmt.Errorf("workflow: step id %q must not contain '.'", s.ID)
 		}
-		if seen[s.ID] {
+		if _, dup := index[s.ID]; dup {
 			return fmt.Errorf("%w: %q", ErrDuplicateStep, s.ID)
 		}
-		seen[s.ID] = true
+		index[s.ID] = i
 		capb, err := reg.Get(s.Capability)
 		if err != nil {
 			return fmt.Errorf("%w: step %q wants %q", ErrUnknownCap, s.ID, s.Capability)
 		}
+		caps[i] = capb
+		bound := 0
 		for _, in := range capb.Inputs {
-			b, bound := s.Inputs[in.Name]
-			if !bound {
+			b, ok := s.Inputs[in.Name]
+			if !ok {
 				if in.Optional {
 					continue
 				}
 				return fmt.Errorf("%w: step %q input %q", ErrUnboundInput, s.ID, in.Name)
 			}
+			bound++
 			if err := b.Validate(); err != nil {
 				return fmt.Errorf("step %q input %q: %w", s.ID, in.Name, err)
 			}
 			if b.IsRef() {
-				srcType, ok := produced[b.Ref]
+				srcType, ok := refType(b.Ref, i, index, caps)
 				if !ok {
 					return fmt.Errorf("%w: step %q input %q references %q", ErrBadRef, s.ID, in.Name, b.Ref)
 				}
@@ -228,23 +246,24 @@ func (w *Workflow) Validate(reg *registry.Registry) error {
 				}
 			}
 		}
-		// Unknown extra bindings are an authoring bug.
-		for name := range s.Inputs {
-			if _, ok := capb.InputPort(name); !ok {
-				return fmt.Errorf("workflow: step %q binds unknown input %q of %q", s.ID, name, s.Capability)
+		// Unknown extra bindings are an authoring bug. Port names are
+		// unique, so there is one exactly when not every binding
+		// matched a port above.
+		if bound != len(s.Inputs) {
+			for name := range s.Inputs {
+				if _, ok := capb.InputPort(name); !ok {
+					return fmt.Errorf("workflow: step %q binds unknown input %q of %q", s.ID, name, s.Capability)
+				}
 			}
-		}
-		for _, out := range capb.Outputs {
-			produced[s.ID+"."+out.Name] = out.Type
 		}
 	}
 	for name, ref := range w.Outputs {
-		if _, ok := produced[ref]; !ok {
+		if _, ok := refType(ref, len(w.Steps), index, caps); !ok {
 			return fmt.Errorf("%w: workflow output %q references %q", ErrBadRef, name, ref)
 		}
 	}
 	for _, chk := range w.Checks {
-		if _, ok := produced[chk.Ref]; !ok {
+		if _, ok := refType(chk.Ref, len(w.Steps), index, caps); !ok {
 			return fmt.Errorf("%w: quality check %q references %q", ErrBadRef, chk.Name, chk.Ref)
 		}
 		if chk.Assert == nil {
@@ -252,6 +271,23 @@ func (w *Workflow) Validate(reg *registry.Registry) error {
 		}
 	}
 	return nil
+}
+
+// refType resolves ref, "stepID.port", to the port's type when stepID
+// names a step at an index below before and port is an output of that
+// step's capability. Step IDs hold no '.', so the ID ends at the ref's
+// first one.
+func refType(ref string, before int, index map[string]int, caps []*registry.Capability) (registry.DataType, bool) {
+	dot := strings.IndexByte(ref, '.')
+	if dot < 0 {
+		return "", false
+	}
+	j, ok := index[ref[:dot]]
+	if !ok || j >= before {
+		return "", false
+	}
+	port, ok := caps[j].OutputPort(ref[dot+1:])
+	return port.Type, ok
 }
 
 // StepStat records one executed step.
@@ -423,31 +459,31 @@ func NewEngine(reg *registry.Registry, env any, opts ...EngineOption) *Engine {
 	return e
 }
 
-// canonicalValue renders a literal input deterministically. Scalars
-// are encoded directly; everything else round-trips through
+// appendCanonical appends a literal input's deterministic encoding to
+// b. Scalars are encoded directly; everything else round-trips through
 // encoding/json, whose map-key ordering and struct-field ordering are
 // stable. Values JSON cannot represent (functions, channels, cyclic
 // graphs) make the step non-memoizable rather than silently colliding.
-func canonicalValue(v any) (string, error) {
+func appendCanonical(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		return "z", nil
+		return append(b, 'z'), nil
 	case string:
-		return "s" + x, nil
+		return append(append(b, 's'), x...), nil
 	case bool:
-		return "b" + strconv.FormatBool(x), nil
+		return strconv.AppendBool(append(b, 'b'), x), nil
 	case int:
-		return "i" + strconv.Itoa(x), nil
+		return strconv.AppendInt(append(b, 'i'), int64(x), 10), nil
 	case int64:
-		return "i" + strconv.FormatInt(x, 10), nil
+		return strconv.AppendInt(append(b, 'i'), x, 10), nil
 	case float64:
-		return "f" + strconv.FormatFloat(x, 'g', -1, 64), nil
+		return strconv.AppendFloat(append(b, 'f'), x, 'g', -1, 64), nil
 	}
-	b, err := json.Marshal(v)
+	j, err := json.Marshal(v)
 	if err != nil {
-		return "", err
+		return b, err
 	}
-	return "j" + string(b), nil
+	return append(append(b, 'j'), j...), nil
 }
 
 // Run validates, compiles and executes the workflow without an

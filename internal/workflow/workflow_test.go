@@ -120,6 +120,7 @@ func TestValidateCatchesEverything(t *testing.T) {
 				Inputs: map[string]Binding{"n": Ref("out", "text")},
 			})
 		}, ErrTypeMismatch},
+		{"self ref", func(w *Workflow) { w.Steps[1].Inputs["n"] = Ref("dbl", "n") }, ErrBadRef},
 		{"bad output ref", func(w *Workflow) { w.Outputs["text"] = "nope.n" }, ErrBadRef},
 	}
 	for _, tc := range cases {
