@@ -1,11 +1,14 @@
 package solutionweaver
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"arachnet/internal/registry"
 	"arachnet/internal/workflow"
@@ -18,8 +21,8 @@ import (
 // step with input validation and format translation, quality-check
 // functions, and a main() that wires the dataflow. It is appended into
 // one pooled buffer; the returned string is its only allocation that
-// outlives the call.
-func generateCode(wf *workflow.Workflow, reg *registry.Registry) string {
+// outlives the call. loc is the listing's count of non-blank lines.
+func generateCode(wf *workflow.Workflow, reg *registry.Registry) (code string, loc int) {
 	bp := codeBufPool.Get().(*[]byte)
 	g := codegen{wf: wf, reg: reg, b: (*bp)[:0], caps: make([]*registry.Capability, len(wf.Steps))}
 	for i := range wf.Steps {
@@ -33,10 +36,10 @@ func generateCode(wf *workflow.Workflow, reg *registry.Registry) string {
 	g.checkFunctions()
 	g.renderers()
 	g.mainFunction()
-	code := string(g.b)
+	code, loc = string(g.b), linesOfCode(g.b)
 	*bp = g.b[:0]
 	codeBufPool.Put(bp)
-	return code
+	return code, loc
 }
 
 // codeBufPool's 8 KiB buffers hold each case study's listing (4–8 kB).
@@ -400,15 +403,35 @@ func appendPyLiteral(b []byte, v any) []byte {
 	}
 }
 
-// countLoC counts non-empty lines.
-func countLoC(code string) int {
+// linesOfCode counts the lines of b that strings.TrimSpace leaves
+// non-empty: lines holding a rune other than Unicode white space, an
+// invalid byte counting as such a rune. It reads each blank line and
+// each line's leading white space once, and skips the rest of a line
+// it has counted.
+func linesOfCode(b []byte) int {
 	n := 0
-	for code != "" {
-		var line string
-		line, code, _ = strings.Cut(code, "\n")
-		if strings.TrimSpace(line) != "" {
-			n++
+	for i := 0; i < len(b); {
+		c := b[i]
+		if asciiSpace[c] { // '\n' included: a blank line ends
+			i++
+			continue
 		}
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRune(b[i:])
+			if unicode.IsSpace(r) {
+				i += size
+				continue
+			}
+		}
+		n++
+		j := bytes.IndexByte(b[i:], '\n')
+		if j < 0 {
+			break
+		}
+		i += j + 1
 	}
 	return n
 }
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}

@@ -134,6 +134,7 @@ func FuzzListing(f *testing.F) {
 		"Resolve a cable to its links", "needs a cross-layer map", "SeaMeWe-5", 0.1, uint64(0))
 	f.Add(`cable failure """ + __import__("os").system("id") + """`, "step", "bgp", `say "hi"\`, "%d%%", `a"b\c`, 1e21, uint64(0x5f3c_a7e1_9b24))
 	f.Add("line one\nline two\r\n\"\"\"", "x.y", "geo-ip", "déjà vu ", " ", "\xff\xfe", -0.0, ^uint64(0))
+	f.Add("white\n\u00a0\u3000\n\u0085\t\n\x85\n\xe2\x80\n", "s", "fw", "\u2028", "\u00a0", " \v", 2.5, uint64(7))
 	f.Fuzz(func(t *testing.T, query, id, framework, desc, constraint, lit string, num float64, shape uint64) {
 		reg, wf := fuzzWorkflow(t, query, id, framework, desc, constraint, lit, num, shape)
 		sol, err := solutionweaver.New().Weave(wf, reg)
@@ -293,4 +294,20 @@ func fuzzWorkflow(t *testing.T, query, id, framework, desc, constraint, lit stri
 		Assert: func(any) (bool, string) { return true, "" },
 	}}
 	return reg, wf
+}
+
+// BenchmarkWeave weaves every design of the planning corpus once per
+// iteration and reports the mean time per plan.
+func BenchmarkWeave(b *testing.B) {
+	plans := planCorpus(b)
+	weaver := solutionweaver.New()
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, p := range plans {
+			if _, err := weaver.Weave(p.design.Chosen, p.reg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(plans)), "ns/plan")
 }

@@ -49,11 +49,11 @@ func (a *Agent) Weave(wf *workflow.Workflow, reg *registry.Registry) (*Solution,
 	// Work on a shallow copy so the design artifact stays pristine.
 	woven := *wf
 	a.weaveChecks(&woven, reg)
-	code := generateCode(&woven, reg)
+	code, loc := generateCode(&woven, reg)
 	return &Solution{
 		Workflow:    &woven,
 		Code:        code,
-		LoC:         countLoC(code),
+		LoC:         loc,
 		Language:    "python-style pseudocode",
 		ChecksAdded: len(woven.Checks) - len(wf.Checks),
 	}, nil

@@ -185,11 +185,23 @@ func TestGeneratedCodeStructure(t *testing.T) {
 }
 
 func TestLoCCountsNonEmpty(t *testing.T) {
-	if n := countLoC("a\n\nb\n  \nc"); n != 3 {
-		t.Errorf("countLoC = %d, want 3", n)
+	if n := linesOfCode([]byte("a\n\nb\n  \nc")); n != 3 {
+		t.Errorf("linesOfCode = %d, want 3", n)
 	}
-	if countLoC("") != 0 {
+	if linesOfCode(nil) != 0 {
 		t.Error("empty code must be 0 LoC")
+	}
+	// strings.TrimSpace's rule: Unicode white space is blank, an
+	// invalid byte is not.
+	for code, want := range map[string]int{
+		"\u00a0\n\u3000\t\r\n\u2028x\n": 1,
+		"\x85\n\xe2\x80\n\xff":          3,
+		" \v\f\n\u0085\n\n":             0,
+		"é\n  \u00a0é":                  2,
+	} {
+		if n := linesOfCode([]byte(code)); n != want {
+			t.Errorf("linesOfCode(%q) = %d, want %d", code, n, want)
+		}
 	}
 }
 

@@ -256,7 +256,7 @@ func TestGenerateStream(t *testing.T) {
 		Collectors:   []netsim.ASN{w.ASes[0].ASN, w.ASes[1].ASN},
 		NoisePerHour: 4, Seed: 1,
 	}
-	msgs, err := GenerateStream(w, events, cfg)
+	msgs, err := GenerateStream(NewTables(w), events, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestGenerateStream(t *testing.T) {
 		t.Errorf("withdrawals: %d at event of %d total", withAt, withTotal)
 	}
 	// Determinism.
-	again, err := GenerateStream(w, events, cfg)
+	again, err := GenerateStream(NewTables(w), events, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +295,10 @@ func TestGenerateStream(t *testing.T) {
 func TestGenerateStreamValidation(t *testing.T) {
 	w := testWorld(t)
 	now := time.Now()
-	if _, err := GenerateStream(w, nil, StreamConfig{Start: now, End: now}); err == nil {
+	if _, err := GenerateStream(NewTables(w), nil, StreamConfig{Start: now, End: now}); err == nil {
 		t.Error("empty window must error")
 	}
-	if _, err := GenerateStream(w, nil, StreamConfig{Start: now, End: now.Add(time.Hour)}); err == nil {
+	if _, err := GenerateStream(NewTables(w), nil, StreamConfig{Start: now, End: now.Add(time.Hour)}); err == nil {
 		t.Error("no collectors must error")
 	}
 }

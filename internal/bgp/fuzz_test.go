@@ -22,7 +22,7 @@ func FuzzReadDump(f *testing.F) {
 	for id := range failAllLinksOfAS(w, w.ASes[len(w.ASes)-1].ASN) {
 		links = append(links, id)
 	}
-	msgs, err := GenerateStream(w, []FailureEvent{{At: start.Add(time.Hour), Links: links, Label: "seed"}},
+	msgs, err := GenerateStream(NewTables(w), []FailureEvent{{At: start.Add(time.Hour), Links: links, Label: "seed"}},
 		StreamConfig{
 			Start: start, End: start.Add(2 * time.Hour),
 			Collectors:   []netsim.ASN{w.ASes[0].ASN, w.ASes[1].ASN},

@@ -10,9 +10,10 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"arachnet/internal/netsim"
 )
@@ -171,7 +172,7 @@ func liveAdjacency(w *netsim.World, failed map[netsim.LinkID]bool) adjacency {
 	}
 	for _, m := range []map[netsim.ASN][]netsim.ASN{adj.customers, adj.providers, adj.peers} {
 		for _, ns := range m {
-			sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+			slices.Sort(ns)
 		}
 	}
 	return adj
@@ -190,13 +191,61 @@ func ComputeTable(w *netsim.World, failed map[netsim.LinkID]bool) *Table {
 	}
 	for _, a := range w.ASes {
 		t.asns = append(t.asns, a.ASN)
-		t.routes[a.ASN] = make(map[netsim.ASN]Route)
+		t.routes[a.ASN] = make(map[netsim.ASN]Route, len(w.ASes))
 	}
-	sort.Slice(t.asns, func(i, j int) bool { return t.asns[i] < t.asns[j] })
+	slices.Sort(t.asns)
 
+	// computeOrigin's working set and queue, reused across origins.
+	best := make(map[netsim.ASN]candidate, len(t.asns))
+	var queue downQueue
 	for _, origin := range t.asns {
-		computeOrigin(t, adj, origin)
+		computeOrigin(t, adj, origin, best, &queue)
 	}
+	return t
+}
+
+// Tables builds each distinct routing table of one world once: Table
+// computes the table of a failed-link set on the first request for
+// that set's contents and returns the same table after. One scenario
+// injection shares one Tables between probe selection, the traceroute
+// campaign and the update stream, so the healthy and the failed table
+// are each computed once, and the tables are dropped with the
+// injection. Not safe for concurrent use.
+type Tables struct {
+	w     *netsim.World
+	built []builtTable
+}
+
+type builtTable struct {
+	failed []netsim.LinkID // ascending
+	table  *Table
+}
+
+// NewTables returns an empty table memo over w.
+func NewTables(w *netsim.World) *Tables { return &Tables{w: w} }
+
+// World returns the world the tables are computed over.
+func (ts *Tables) World() *netsim.World { return ts.w }
+
+// Table returns ComputeTable(ts.World(), failed), computing it only
+// for a set of failed links (those failed maps to true) not seen
+// before. The memo keys on the set's contents, not on the map, so a
+// caller may keep adding to one map between calls.
+func (ts *Tables) Table(failed map[netsim.LinkID]bool) *Table {
+	key := make([]netsim.LinkID, 0, len(failed))
+	for id, dead := range failed {
+		if dead {
+			key = append(key, id)
+		}
+	}
+	slices.Sort(key)
+	for _, b := range ts.built {
+		if slices.Equal(b.failed, key) {
+			return b.table
+		}
+	}
+	t := ComputeTable(ts.w, failed)
+	ts.built = append(ts.built, builtTable{failed: key, table: t})
 	return t
 }
 
@@ -219,17 +268,16 @@ func better(a, b candidate) bool {
 	return a.next < b.next
 }
 
-func computeOrigin(t *Table, adj adjacency, origin netsim.ASN) {
-	best := map[netsim.ASN]candidate{
-		origin: {kind: KindOrigin, hops: 0, next: origin, path: []netsim.ASN{origin}},
-	}
+func computeOrigin(t *Table, adj adjacency, origin netsim.ASN, best map[netsim.ASN]candidate, queue *downQueue) {
+	clear(best)
+	best[origin] = candidate{kind: KindOrigin, hops: 0, next: origin, path: []netsim.ASN{origin}}
 
 	// Phase 1 — "up": propagate along customer→provider edges. The
 	// receiving provider learns the route from its customer, so these are
 	// customer routes, usable as a base for every later phase.
 	frontier := []netsim.ASN{origin}
 	for len(frontier) > 0 {
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
+		slices.Sort(frontier)
 		var next []netsim.ASN
 		for _, u := range frontier {
 			base := best[u]
@@ -249,12 +297,11 @@ func computeOrigin(t *Table, adj adjacency, origin netsim.ASN) {
 
 	// Phase 2 — "across": a single peer edge. Only customer/origin routes
 	// are exported to peers.
-	var peerGains []netsim.ASN
 	uphill := make([]netsim.ASN, 0, len(best))
 	for asn := range best {
 		uphill = append(uphill, asn)
 	}
-	sort.Slice(uphill, func(i, j int) bool { return uphill[i] < uphill[j] })
+	slices.Sort(uphill)
 	for _, u := range uphill {
 		base := best[u]
 		if base.kind != KindCustomer && base.kind != KindOrigin {
@@ -267,46 +314,94 @@ func computeOrigin(t *Table, adj adjacency, origin netsim.ASN) {
 			}
 			if cur, ok := best[p]; !ok || better(cand, cur) {
 				best[p] = cand
-				peerGains = append(peerGains, p)
 			}
 		}
 	}
-	_ = peerGains
 
 	// Phase 3 — "down": propagate along provider→customer edges. Any
 	// route is exported to customers; received routes are provider
-	// routes. Dijkstra-like expansion ordered by (hops, next) keeps it
-	// deterministic.
-	queue := make([]netsim.ASN, 0, len(best))
-	for asn := range best {
-		queue = append(queue, asn)
+	// routes. Dijkstra-like expansion ordered by (hops, ASN) keeps it
+	// deterministic. An AS is queued with the hop count of the route it
+	// gained; once it gains a shorter one, its older entry is superseded
+	// and skipped.
+	q := (*queue)[:0]
+	for asn, c := range best {
+		q = append(q, downEntry{hops: c.hops, asn: asn})
 	}
-	for len(queue) > 0 {
-		sort.Slice(queue, func(i, j int) bool {
-			bi, bj := best[queue[i]], best[queue[j]]
-			if bi.hops != bj.hops {
-				return bi.hops < bj.hops
-			}
-			return queue[i] < queue[j]
-		})
-		u := queue[0]
-		queue = queue[1:]
-		base := best[u]
-		for _, c := range adj.customers[u] {
+	slices.SortFunc(q, downEntry.compare) // a sorted slice is a heap
+	for len(q) > 0 {
+		var e downEntry
+		q, e = q.pop()
+		base := best[e.asn]
+		if base.hops != e.hops {
+			continue
+		}
+		for _, c := range adj.customers[e.asn] {
 			cand := candidate{
-				kind: KindProvider, hops: base.hops + 1, next: u,
+				kind: KindProvider, hops: base.hops + 1, next: e.asn,
 				path: appendPath(c, base.path),
 			}
 			if cur, ok := best[c]; !ok || better(cand, cur) {
 				best[c] = cand
-				queue = append(queue, c)
+				q = q.push(downEntry{hops: cand.hops, asn: c})
 			}
 		}
 	}
+	*queue = q
 
 	for viewer, c := range best {
 		t.routes[viewer][origin] = Route{Origin: origin, Path: c.path, Kind: c.kind}
 	}
+}
+
+// downEntry is one queued AS of the provider→customer phase.
+type downEntry struct {
+	hops int
+	asn  netsim.ASN
+}
+
+func (a downEntry) compare(b downEntry) int {
+	if c := cmp.Compare(a.hops, b.hops); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.asn, b.asn)
+}
+
+// downQueue is a binary min-heap of downEntry under compare.
+type downQueue []downEntry
+
+func (q downQueue) push(e downEntry) downQueue {
+	q = append(q, e)
+	for i := len(q) - 1; i > 0; {
+		up := (i - 1) / 2
+		if q[i].compare(q[up]) >= 0 {
+			break
+		}
+		q[i], q[up] = q[up], q[i]
+		i = up
+	}
+	return q
+}
+
+func (q downQueue) pop() (downQueue, downEntry) {
+	top, n := q[0], len(q)-1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q[r].compare(q[m]) < 0 {
+			m = r
+		}
+		if q[m].compare(q[i]) >= 0 {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	return q, top
 }
 
 func appendPath(head netsim.ASN, tail []netsim.ASN) []netsim.ASN {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -117,9 +118,10 @@ type StreamConfig struct {
 }
 
 // GenerateStream produces a time-ordered update stream covering the
-// window: background churn plus the table diffs caused by each failure
-// event. The cumulative failure state applies (links do not recover).
-func GenerateStream(w *netsim.World, events []FailureEvent, cfg StreamConfig) ([]Message, error) {
+// window in the world of tables, which supplies the routing tables:
+// background churn plus the table diffs caused by each failure event.
+// The cumulative failure state applies (links do not recover).
+func GenerateStream(tables *Tables, events []FailureEvent, cfg StreamConfig) ([]Message, error) {
 	if !cfg.Start.Before(cfg.End) {
 		return nil, fmt.Errorf("bgp: empty stream window [%v, %v)", cfg.Start, cfg.End)
 	}
@@ -130,11 +132,12 @@ func GenerateStream(w *netsim.World, events []FailureEvent, cfg StreamConfig) ([
 	copy(evs, events)
 	sort.Slice(evs, func(i, j int) bool { return evs[i].At.Before(evs[j].At) })
 
+	w := tables.World()
 	var out []Message
 
 	// Failure-driven messages.
 	failed := make(map[netsim.LinkID]bool)
-	cur := ComputeTable(w, failed)
+	cur := tables.Table(failed)
 	for _, ev := range evs {
 		if ev.At.Before(cfg.Start) || !ev.At.Before(cfg.End) {
 			continue
@@ -142,7 +145,7 @@ func GenerateStream(w *netsim.World, events []FailureEvent, cfg StreamConfig) ([
 		for _, id := range ev.Links {
 			failed[id] = true
 		}
-		next := ComputeTable(w, failed)
+		next := tables.Table(failed)
 		out = append(out, Diff(w, cur, next, cfg.Collectors, ev.At)...)
 		cur = next
 	}
@@ -152,7 +155,7 @@ func GenerateStream(w *netsim.World, events []FailureEvent, cfg StreamConfig) ([
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xda3e39cb94b95bdb))
 	hours := cfg.End.Sub(cfg.Start).Hours()
 	n := int(cfg.NoisePerHour * hours)
-	base := ComputeTable(w, nil)
+	base := tables.Table(nil)
 	for i := 0; i < n; i++ {
 		at := cfg.Start.Add(time.Duration(rng.Float64() * float64(cfg.End.Sub(cfg.Start))))
 		c := cfg.Collectors[rng.IntN(len(cfg.Collectors))]
@@ -167,6 +170,6 @@ func GenerateStream(w *netsim.World, events []FailureEvent, cfg StreamConfig) ([
 		out = append(out, Message{Time: at, Collector: c, Type: Announce, Prefix: p.CIDR, Path: clonePath(r.Path)})
 	}
 
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
+	slices.SortStableFunc(out, func(a, b Message) int { return a.Time.Compare(b.Time) })
 	return out, nil
 }

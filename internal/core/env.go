@@ -190,7 +190,7 @@ func (e *Environment) Clone() *Environment {
 		Catalog:  e.Catalog,
 		CrossMap: e.CrossMap,
 		Analyzer: e.Analyzer,
-		Scenario: e.Scenario,
+		Scenario: e.scenario(),
 		Now:      e.Now,
 	}
 	c.ensureFingerprint()
@@ -270,12 +270,16 @@ func (e *Environment) InjectCableFailureScenario(sc ScenarioConfig) error {
 	start := e.Now.Add(-time.Duration(sc.WindowDays) * 24 * time.Hour)
 	failAt := e.Now.Add(-time.Duration(sc.DaysBeforeNow) * 24 * time.Hour)
 
-	probes, err := e.europeAsiaProbes(sc.ProbePairs, links)
+	// Probe selection, the campaign and the update stream route over
+	// the same two tables, healthy and failed; each is built once, and
+	// dropped with this injection.
+	tables := bgp.NewTables(e.World)
+	probes, err := e.europeAsiaProbes(tables, sc.ProbePairs, links)
 	if err != nil {
 		return err
 	}
 	event := bgp.FailureEvent{At: failAt, Links: links, Label: "cable:" + string(cable)}
-	arch, err := traceroute.RunCampaign(e.World, traceroute.Campaign{
+	arch, err := traceroute.RunCampaign(tables, traceroute.Campaign{
 		Probes:   probes,
 		Start:    start,
 		End:      e.Now,
@@ -287,18 +291,21 @@ func (e *Environment) InjectCableFailureScenario(sc ScenarioConfig) error {
 		return fmt.Errorf("core: campaign: %w", err)
 	}
 	collectors := e.collectorASes(3)
-	stream, err := bgp.GenerateStream(e.World, []bgp.FailureEvent{event}, bgp.StreamConfig{
+	stream, err := bgp.GenerateStream(tables, []bgp.FailureEvent{event}, bgp.StreamConfig{
 		Start: start, End: e.Now, Collectors: collectors,
 		NoisePerHour: 6, Seed: sc.Seed ^ 0x9e3779b9,
 	})
 	if err != nil {
 		return fmt.Errorf("core: stream: %w", err)
 	}
-	e.Scenario = &Scenario{
+	next := &Scenario{
 		Start: start, End: e.Now, FailureAt: failAt,
 		TrueCable: cable, FailedLink: links,
 		Archive: arch, Stream: stream,
 	}
+	e.scenarioMu.Lock()
+	e.Scenario = next
+	e.scenarioMu.Unlock()
 	// The environment's observable data changed; retire any memoized
 	// step results computed over the scenario-less state.
 	e.bumpFingerprint()
@@ -310,7 +317,7 @@ func (e *Environment) InjectCableFailureScenario(sc ScenarioConfig) error {
 // with a changed path are preferred — those are the vantage points that
 // observe the paper's "sudden increase in latency" rather than a
 // blackout — followed by pairs that go dark, then unaffected pairs.
-func (e *Environment) europeAsiaProbes(n int, failedLinks []netsim.LinkID) ([]traceroute.Probe, error) {
+func (e *Environment) europeAsiaProbes(tables *bgp.Tables, n int, failedLinks []netsim.LinkID) ([]traceroute.Probe, error) {
 	var srcs []netsim.Router
 	var dsts []netsim.Router
 	for _, a := range e.World.ASes {
@@ -338,8 +345,8 @@ func (e *Environment) europeAsiaProbes(n int, failedLinks []netsim.LinkID) ([]tr
 	for _, id := range failedLinks {
 		failSet[id] = true
 	}
-	before := bgp.ComputeTable(e.World, nil)
-	after := bgp.ComputeTable(e.World, failSet)
+	before := tables.Table(nil)
+	after := tables.Table(failSet)
 	prober := traceroute.NewProber(e.World)
 
 	type rankedProbe struct {

@@ -250,12 +250,12 @@ func installScatterSpecs(f *fleet.Fleet) {
 	// element-identical to the unsharded one for any shard count.
 	f.SetScatter("traceroute.archive_window", fleet.Scatter{
 		Split: func(p *netsim.Partition, env any, in map[string]any) (map[int]map[string]any, bool) {
-			e, ok := env.(*Environment)
-			if !ok || e.Scenario == nil || e.Scenario.Archive == nil {
+			arch := archiveOf(env)
+			if arch == nil {
 				return nil, false
 			}
 			byShard := map[int][]string{}
-			for _, probe := range e.Scenario.Archive.Probes() {
+			for _, probe := range arch.Probes() {
 				s := p.ShardOfCountry(probeSourceCountry(probe))
 				if s < 0 {
 					// A probe no shard owns: the whole step must run on
@@ -273,11 +273,11 @@ func installScatterSpecs(f *fleet.Fleet) {
 			return parts, true
 		},
 		Merge: func(p *netsim.Partition, env any, orig map[string]any, parts map[int]map[string]any) (map[string]any, error) {
-			e, ok := env.(*Environment)
-			if !ok || e.Scenario == nil || e.Scenario.Archive == nil {
+			whole := archiveOf(env)
+			if whole == nil {
 				return nil, fmt.Errorf("environment lost its archive between split and merge")
 			}
-			full := e.Scenario.Archive.Measurements
+			full := whole.Measurements
 			archOf := make(map[int][]traceroute.Measurement, len(parts))
 			for shard, out := range parts {
 				arch, ok := out["archive"].(*traceroute.Archive)
@@ -322,4 +322,15 @@ func probeSourceCountry(name string) string {
 		return name[:i]
 	}
 	return ""
+}
+
+// archiveOf returns the trace archive of env's current scenario, or nil
+// when env is not an Environment or holds no archive.
+func archiveOf(env any) *traceroute.Archive {
+	if e, ok := env.(*Environment); ok {
+		if sc := e.scenario(); sc != nil {
+			return sc.Archive
+		}
+	}
+	return nil
 }

@@ -105,7 +105,7 @@ func worldDigest(w *netsim.World) string {
 // deterministically from their config, so agreement here means the
 // same injection sequence produced them.
 func (e *Environment) scenarioDigest() string {
-	sc := e.Scenario
+	sc := e.scenario()
 	if sc == nil {
 		return ""
 	}

@@ -135,6 +135,9 @@ type Environment struct {
 	Catalog  *nautilus.Catalog
 	CrossMap *nautilus.CrossLayerMap
 	Analyzer *xaminer.Analyzer
+	// Scenario is replaced, never mutated, by each
+	// InjectCableFailureScenario; callers outside the package read it
+	// only while no injection runs.
 	Scenario *Scenario
 	Now      time.Time
 
@@ -149,6 +152,12 @@ type Environment struct {
 	// (fpID, fpEpoch) so warm Asks never re-render them. See
 	// fpStringsNow.
 	fpStrs atomic.Pointer[fpCached]
+
+	// scenarioMu orders InjectCableFailureScenario's replacement of
+	// Scenario against the package's own reads of it, which asks and
+	// subscriptions make while an injection may run; they read it
+	// through scenario().
+	scenarioMu sync.Mutex
 
 	// watchMu guards watchers, the change-notification seam standing
 	// queries (System.Subscribe) register with; every mutation pokes
@@ -176,6 +185,13 @@ type DataCatalog struct {
 	WindowDays       int
 }
 
+// scenario returns the current Scenario, read under scenarioMu.
+func (e *Environment) scenario() *Scenario {
+	e.scenarioMu.Lock()
+	defer e.scenarioMu.Unlock()
+	return e.Scenario
+}
+
 // Data returns the environment's data catalog.
 func (e *Environment) Data() DataCatalog {
 	d := DataCatalog{}
@@ -183,10 +199,10 @@ func (e *Environment) Data() DataCatalog {
 		d.HasCrossLayerMap = true
 		d.MapCoverage = e.CrossMap.Coverage(e.World)
 	}
-	if e.Scenario != nil {
-		d.HasTraceArchive = e.Scenario.Archive != nil
-		d.HasBGPStream = len(e.Scenario.Stream) > 0
-		d.WindowDays = int(e.Scenario.End.Sub(e.Scenario.Start).Hours() / 24)
+	if sc := e.scenario(); sc != nil {
+		d.HasTraceArchive = sc.Archive != nil
+		d.HasBGPStream = len(sc.Stream) > 0
+		d.WindowDays = int(sc.End.Sub(sc.Start).Hours() / 24)
 	}
 	return d
 }

@@ -1,8 +1,10 @@
 package nautilus
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"arachnet/internal/geo"
@@ -57,24 +59,41 @@ func MapWorld(w *netsim.World, cat *Catalog) (*CrossLayerMap, error) {
 	// onto the k-th ranked candidate (mod the top 3): submarine capacity
 	// between two markets is provisioned over diverse systems.
 	const diversity = 3
-	seenPair := map[string]int{}
+	seenPair := map[[2]string]int{}
+	cables := cat.Cables()
+	// landings holds each router's nearest landing on every cable,
+	// found the first time the router ends a submarine link.
+	landings := map[netsim.RouterID][]nearLanding{}
+	nearest := func(r netsim.Router) []nearLanding {
+		ls, ok := landings[r.ID]
+		if !ok {
+			ls = make([]nearLanding, len(cables))
+			for i := range cables {
+				ls[i].idx, ls[i].km = nearestLanding(cables[i], r.Loc)
+			}
+			landings[r.ID] = ls
+		}
+		return ls
+	}
+	var scratch []CableMatch
 	for _, l := range w.SubmarineLinks() {
 		ra, okA := w.RouterByID(l.A)
 		rb, okB := w.RouterByID(l.B)
 		if !okA || !okB {
 			return nil, fmt.Errorf("nautilus: link %d has dangling router", l.ID)
 		}
-		matches := candidatesFor(cat, ra, rb, l.DistKm)
-		if len(matches) == 0 {
+		scratch = candidatesFor(scratch[:0], cables, nearest(ra), nearest(rb), ra, rb, l.DistKm)
+		if len(scratch) == 0 {
 			m.Unmapped = append(m.Unmapped, l.ID)
 			continue
 		}
+		matches := slices.Clone(scratch)
 		m.LinkCables[l.ID] = matches
 		ca, cb := ra.Country, rb.Country
 		if ca > cb {
 			ca, cb = cb, ca
 		}
-		pair := ca + "/" + cb
+		pair := [2]string{ca, cb}
 		n := diversity
 		if len(matches) < n {
 			n = len(matches)
@@ -91,16 +110,23 @@ func MapWorld(w *netsim.World, cat *Catalog) (*CrossLayerMap, error) {
 	return m, nil
 }
 
-// candidatesFor scores every cable against one link. The score combines
-// shore proximity (how close each router is to a landing point) with
-// path consistency (how well the along-cable distance explains the
-// link's fiber length), mirroring Nautilus's geographic + latency
-// validation stages.
-func candidatesFor(cat *Catalog, ra, rb netsim.Router, linkKm float64) []CableMatch {
-	var out []CableMatch
-	for _, c := range cat.Cables() {
-		ia, da := nearestLanding(c, ra.Loc)
-		ib, db := nearestLanding(c, rb.Loc)
+// nearLanding is a router's nearest landing on one cable: its index
+// in the cable's landings and its distance from the router.
+type nearLanding struct {
+	idx int
+	km  float64
+}
+
+// candidatesFor appends to out the top candidates among the cables for
+// one link, given each end router's nearest landing on every cable,
+// best first. The score combines shore proximity (how close each
+// router is to a landing point) with path consistency (how well the
+// along-cable distance explains the link's fiber length), mirroring
+// Nautilus's geographic + latency validation stages.
+func candidatesFor(out []CableMatch, cables []Cable, nearA, nearB []nearLanding, ra, rb netsim.Router, linkKm float64) []CableMatch {
+	for i, c := range cables {
+		ia, da := nearA[i].idx, nearA[i].km
+		ib, db := nearB[i].idx, nearB[i].km
 		if ia < 0 || ib < 0 || ia == ib {
 			continue
 		}
@@ -131,11 +157,11 @@ func candidatesFor(cat *Catalog, ra, rb netsim.Router, linkKm float64) []CableMa
 			SegmentKm: seg,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Confidence != out[j].Confidence {
-			return out[i].Confidence > out[j].Confidence
+	slices.SortFunc(out, func(a, b CableMatch) int {
+		if c := cmp.Compare(b.Confidence, a.Confidence); c != 0 {
+			return c
 		}
-		return out[i].Cable < out[j].Cable
+		return cmp.Compare(a.Cable, b.Cable)
 	})
 	if len(out) > 5 {
 		out = out[:5]

@@ -11,7 +11,6 @@ package traceroute
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand/v2"
 	"net/netip"
@@ -51,52 +50,92 @@ type Prober struct {
 // NewProber returns a Prober over the given world.
 func NewProber(w *netsim.World) *Prober { return &Prober{w: w} }
 
+// jitterKey mixes a trace's jitter seed into the second word of its
+// PCG state.
+const jitterKey = 0xa24baed4963ee407
+
+// hopRTT is the round-trip time reported at the n-th hop (counting
+// from 1) of a path whose one-way propagation delay to that hop is
+// oneWayMs, given the hop's jitter draw u in [0, 1). Trace and
+// RunCampaign both time hops through it; the explicit conversions
+// round each product, so no fused multiply-add can make them differ.
+func hopRTT(oneWayMs float64, n int, u float64) float64 {
+	return float64(2*oneWayMs) + float64(float64(n)*perHopOverheadMs) + float64(u*0.4)
+}
+
+// route is a traced path before it is timed: the hops Trace reports,
+// with RTTms unset, and the one-way propagation delay from the source
+// to each hop.
+type route struct {
+	hops    []Hop
+	oneWay  []float64
+	reached bool
+}
+
+func (r *route) add(rt netsim.Router, oneWayMs float64) {
+	r.hops = append(r.hops, Hop{Router: rt.ID, Addr: rt.Addr, ASN: rt.ASN})
+	r.oneWay = append(r.oneWay, oneWayMs)
+}
+
 // Trace follows the BGP-selected AS path from src toward dst, expanding
 // each AS hop into router-level hops over alive intra-AS links. failed
-// lists dead IP links; jitterSeed perturbs RTTs deterministically.
+// lists dead IP links; jitterSeed perturbs RTTs deterministically, one
+// draw per hop in hop order.
 func (p *Prober) Trace(table *bgp.Table, failed map[netsim.LinkID]bool, src netsim.RouterID, dst netip.Addr, jitterSeed uint64) (Path, error) {
+	var r route
+	if err := p.route(&r, table, failed, src, dst); err != nil {
+		return Path{}, err
+	}
+	out := Path{Src: src, Dst: dst, Hops: r.hops, Reached: r.reached}
+	if len(out.Hops) == 0 {
+		return out, nil // no route: probe times out, Reached stays false
+	}
+	rng := rand.New(rand.NewPCG(jitterSeed, jitterSeed^jitterKey))
+	for i := range out.Hops {
+		out.Hops[i].RTTms = hopRTT(r.oneWay[i], i+1, rng.Float64())
+	}
+	if out.Reached {
+		out.RTTms = out.Hops[len(out.Hops)-1].RTTms
+	}
+	return out, nil
+}
+
+// route traces the path from src toward dst into r, reusing r's
+// buffers, without timing it. Only an unknown source or a destination
+// outside every prefix is an error; a path that dies on the way stops
+// at its last responding hop with r.reached false.
+func (p *Prober) route(r *route, table *bgp.Table, failed map[netsim.LinkID]bool, src netsim.RouterID, dst netip.Addr) error {
+	r.hops, r.oneWay, r.reached = r.hops[:0], r.oneWay[:0], false
 	srcR, ok := p.w.RouterByID(src)
 	if !ok {
-		return Path{}, fmt.Errorf("traceroute: unknown source router %d", src)
+		return fmt.Errorf("traceroute: unknown source router %d", src)
 	}
 	origin, ok := p.w.OriginOf(dst)
 	if !ok {
-		return Path{}, fmt.Errorf("traceroute: destination %v not in any prefix", dst)
+		return fmt.Errorf("traceroute: destination %v not in any prefix", dst)
 	}
-	out := Path{Src: src, Dst: dst}
-	route, ok := table.Route(srcR.ASN, origin)
+	asRoute, ok := table.Route(srcR.ASN, origin)
 	if !ok {
-		return out, nil // no route: probe times out, Reached stays false
+		return nil
 	}
 
-	rng := rand.New(rand.NewPCG(jitterSeed, jitterSeed^0xa24baed4963ee407))
 	cur := srcR
 	var oneWayMs float64
-	hops := 0
-	appendHop := func(r netsim.Router) {
-		hops++
-		rtt := 2*oneWayMs + float64(hops)*perHopOverheadMs + rng.Float64()*0.4
-		out.Hops = append(out.Hops, Hop{Router: r.ID, Addr: r.Addr, ASN: r.ASN, RTTms: rtt})
-	}
-	appendHop(cur)
-
-	for i := 0; i+1 < len(route.Path); i++ {
-		nextAS := route.Path[i+1]
-		xl, ok := p.exitLink(cur.ASN, nextAS, failed)
+	r.add(cur, oneWayMs)
+	for i := 0; i+1 < len(asRoute.Path); i++ {
+		xl, ok := p.exitLink(cur.ASN, asRoute.Path[i+1], failed)
 		if !ok {
-			return out, nil // adjacency dead at IP layer
+			return nil // adjacency dead at IP layer
 		}
 		// Walk inside the current AS from cur to the link's near router.
 		near, far := p.orientLink(xl, cur.ASN)
-		segMs, ok := p.intraASWalk(cur, near, failed, &out, &oneWayMs, &hops, rng)
-		if !ok {
-			return out, nil
+		if !p.intraASWalk(r, cur, near, failed, &oneWayMs) {
+			return nil
 		}
-		_ = segMs
 		// Cross the inter-AS link.
 		oneWayMs += geo.PropagationDelayMs(xl.DistKm)
 		farR, _ := p.w.RouterByID(far)
-		appendHop(farR)
+		r.add(farR, oneWayMs)
 		cur = farR
 	}
 
@@ -104,16 +143,10 @@ func (p *Prober) Trace(table *bgp.Table, failed map[netsim.LinkID]bool, src nets
 	// router inside the destination prefix's country).
 	dstR, ok := p.destRouter(dst, origin)
 	if !ok {
-		return out, nil
+		return nil
 	}
-	if _, ok := p.intraASWalk(cur, dstR.ID, failed, &out, &oneWayMs, &hops, rng); !ok {
-		return out, nil
-	}
-	out.Reached = true
-	if n := len(out.Hops); n > 0 {
-		out.RTTms = out.Hops[n-1].RTTms
-	}
-	return out, nil
+	r.reached = p.intraASWalk(r, cur, dstR.ID, failed, &oneWayMs)
+	return nil
 }
 
 // exitLink finds the alive inter-AS IP link joining two ASes,
@@ -141,12 +174,11 @@ func (p *Prober) orientLink(l netsim.IPLink, insideAS netsim.ASN) (netsim.Router
 }
 
 // intraASWalk moves from router cur to router target over alive
-// intra-AS links of cur's AS, appending hops and accumulating one-way
+// intra-AS links of cur's AS, adding hops to r and accumulating one-way
 // delay. Returns false when the backbone is partitioned.
-func (p *Prober) intraASWalk(cur netsim.Router, target netsim.RouterID, failed map[netsim.LinkID]bool,
-	out *Path, oneWayMs *float64, hops *int, rng *rand.Rand) (float64, bool) {
+func (p *Prober) intraASWalk(r *route, cur netsim.Router, target netsim.RouterID, failed map[netsim.LinkID]bool, oneWayMs *float64) bool {
 	if cur.ID == target {
-		return 0, true
+		return true
 	}
 	// Shortest-distance path (Dijkstra) over the AS's alive intra
 	// links: IGP metrics track fiber latency, so geography decides the
@@ -183,7 +215,7 @@ func (p *Prober) intraASWalk(cur netsim.Router, target netsim.RouterID, failed m
 			}
 		}
 		if math.IsInf(bestDist, 1) {
-			return 0, false // target unreachable
+			return false // target unreachable
 		}
 		if u == target {
 			break
@@ -219,19 +251,14 @@ func (p *Prober) intraASWalk(cur netsim.Router, target netsim.RouterID, failed m
 	for at := target; at != cur.ID; at = prev[at].prev {
 		chain = append(chain, prev[at])
 	}
-	var segMs float64
 	for i := len(chain) - 1; i >= 0; i-- {
 		st := chain[i]
 		l, _ := p.w.LinkByID(st.via)
-		d := geo.PropagationDelayMs(l.DistKm)
-		*oneWayMs += d
-		segMs += d
-		r, _ := p.w.RouterByID(st.r)
-		*hops++
-		rtt := 2*(*oneWayMs) + float64(*hops)*perHopOverheadMs + rng.Float64()*0.4
-		out.Hops = append(out.Hops, Hop{Router: r.ID, Addr: r.Addr, ASN: r.ASN, RTTms: rtt})
+		*oneWayMs += geo.PropagationDelayMs(l.DistKm)
+		rt, _ := p.w.RouterByID(st.r)
+		r.add(rt, *oneWayMs)
 	}
-	return segMs, true
+	return true
 }
 
 // destRouter picks the origin AS's router in the destination prefix's
@@ -260,7 +287,10 @@ type Probe struct {
 	Dst  netip.Addr
 }
 
-// Measurement is one timed RTT sample.
+// Measurement is one timed RTT sample. RTTms is zero when the probe
+// did not reach its destination. A campaign's measurements of one probe
+// between two failure events share one HopASNs slice: treat it as
+// read-only.
 type Measurement struct {
 	Probe   string
 	Time    time.Time
@@ -285,10 +315,14 @@ type Archive struct {
 	Measurements []Measurement
 }
 
-// RunCampaign executes every probe at every interval tick. Failure
-// events change the routing table and alive-link set from their
-// timestamp onward (cumulative, no recovery).
-func RunCampaign(w *netsim.World, c Campaign) (*Archive, error) {
+// RunCampaign executes every probe at every interval tick in the world
+// of tables, which supplies the routing tables. Failure events change
+// the routing table and alive-link set from their timestamp onward
+// (cumulative, no recovery). Between two ticks that apply events
+// nothing a trace reads can change, so each probe is traced once per
+// such routing epoch, and each tick only draws the probe's jitter, one
+// value per hop as Trace draws it, to time the stored route.
+func RunCampaign(tables *bgp.Tables, c Campaign) (*Archive, error) {
 	if len(c.Probes) == 0 {
 		return nil, fmt.Errorf("traceroute: campaign has no probes")
 	}
@@ -299,32 +333,52 @@ func RunCampaign(w *netsim.World, c Campaign) (*Archive, error) {
 	copy(events, c.Events)
 	sort.Slice(events, func(i, j int) bool { return events[i].At.Before(events[j].At) })
 
-	prober := NewProber(w)
-	arch := &Archive{}
-
-	failed := map[netsim.LinkID]bool{}
-	table := bgp.ComputeTable(w, failed)
-	nextEvent := 0
-
+	ticks := 0
 	for at := c.Start; at.Before(c.End); at = at.Add(c.Interval) {
-		for nextEvent < len(events) && !events[nextEvent].At.After(at) {
+		ticks++
+	}
+	arch := &Archive{Measurements: make([]Measurement, 0, ticks*len(c.Probes))}
+	prober := NewProber(tables.World())
+	failed := map[netsim.LinkID]bool{}
+	table := tables.Table(failed)
+	nextEvent := 0
+	var (
+		traced []epochRoute // each probe's route in this epoch; empty until traced
+		buf    route
+		pcg    rand.PCG
+		rng    = rand.New(&pcg)
+	)
+	for at := c.Start; at.Before(c.End); at = at.Add(c.Interval) {
+		applied := false
+		for ; nextEvent < len(events) && !events[nextEvent].At.After(at); nextEvent++ {
 			for _, id := range events[nextEvent].Links {
 				failed[id] = true
 			}
-			table = bgp.ComputeTable(w, failed)
-			nextEvent++
+			applied = true
 		}
-		for _, pr := range c.Probes {
-			seed := c.Seed ^ hashProbe(pr.Name, at)
-			path, err := prober.Trace(table, failed, pr.Src, pr.Dst, seed)
-			if err != nil {
-				return nil, fmt.Errorf("traceroute: probe %s: %w", pr.Name, err)
-			}
-			m := Measurement{Probe: pr.Name, Time: at, RTTms: path.RTTms, Reached: path.Reached}
-			for _, h := range path.Hops {
-				if len(m.HopASNs) == 0 || m.HopASNs[len(m.HopASNs)-1] != h.ASN {
-					m.HopASNs = append(m.HopASNs, h.ASN)
+		if applied {
+			table = tables.Table(failed)
+			traced = traced[:0]
+		}
+		if len(traced) == 0 {
+			for _, pr := range c.Probes {
+				if err := prober.route(&buf, table, failed, pr.Src, pr.Dst); err != nil {
+					return nil, fmt.Errorf("traceroute: probe %s: %w", pr.Name, err)
 				}
+				traced = append(traced, newEpochRoute(&buf))
+			}
+		}
+		for i, pr := range c.Probes {
+			er := &traced[i]
+			m := Measurement{Probe: pr.Name, Time: at, Reached: er.reached, HopASNs: er.asns}
+			if er.reached {
+				seed := c.Seed ^ hashProbe(pr.Name, at)
+				pcg.Seed(seed, seed^jitterKey)
+				var u float64
+				for range er.hops {
+					u = rng.Float64()
+				}
+				m.RTTms = hopRTT(er.oneWayMs, er.hops, u)
 			}
 			arch.Measurements = append(arch.Measurements, m)
 		}
@@ -332,16 +386,43 @@ func RunCampaign(w *netsim.World, c Campaign) (*Archive, error) {
 	return arch, nil
 }
 
+// epochRoute is what a campaign keeps of one probe's route for a
+// routing epoch: its AS sequence and what timing its last hop needs.
+// An unreached probe reports no RTT, so its jitter is never drawn.
+type epochRoute struct {
+	asns     []netsim.ASN // hop ASNs with consecutive repeats collapsed
+	hops     int
+	oneWayMs float64 // one-way delay to the last hop
+	reached  bool
+}
+
+func newEpochRoute(r *route) epochRoute {
+	er := epochRoute{hops: len(r.hops), reached: r.reached}
+	if er.hops == 0 {
+		return er
+	}
+	er.oneWayMs = r.oneWay[er.hops-1]
+	for i, h := range r.hops {
+		if i == 0 || h.ASN != r.hops[i-1].ASN {
+			er.asns = append(er.asns, h.ASN)
+		}
+	}
+	return er
+}
+
+// hashProbe is FNV-1a (64-bit) over the probe name followed by the
+// tick's UnixNano in little-endian byte order.
 func hashProbe(name string, at time.Time) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	var b [8]byte
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * prime
+	}
 	u := uint64(at.UnixNano())
 	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
+		h = (h ^ uint64(byte(u>>(8*i)))) * prime
 	}
-	h.Write(b[:])
-	return h.Sum64()
+	return h
 }
 
 // Series extracts the (times, RTTs) series of one probe, skipping

@@ -187,7 +187,7 @@ func TestRunCampaignLatencyShiftOnFailure(t *testing.T) {
 		Events:   []bgp.FailureEvent{{At: start.Add(24 * time.Hour), Links: []netsim.LinkID{victim}, Label: "victim"}},
 		Seed:     9,
 	}
-	arch, err := RunCampaign(w, camp)
+	arch, err := RunCampaign(bgp.NewTables(w), camp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestRunCampaignDeterministic(t *testing.T) {
 		Probes: []Probe{{Name: "p", Src: src, Dst: dst.Addr}},
 		Start:  start, End: end, Interval: 2 * time.Hour, Seed: 4,
 	}
-	a1, err := RunCampaign(w, camp)
+	a1, err := RunCampaign(bgp.NewTables(w), camp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := RunCampaign(w, camp)
+	a2, err := RunCampaign(bgp.NewTables(w), camp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +243,14 @@ func TestRunCampaignDeterministic(t *testing.T) {
 func TestRunCampaignValidation(t *testing.T) {
 	w := testWorld(t)
 	start, end := campaignWindow()
-	if _, err := RunCampaign(w, Campaign{Start: start, End: end, Interval: time.Hour}); err == nil {
+	if _, err := RunCampaign(bgp.NewTables(w), Campaign{Start: start, End: end, Interval: time.Hour}); err == nil {
 		t.Error("no probes must error")
 	}
 	pr := Probe{Name: "x", Src: w.Routers[0].ID, Dst: w.Routers[0].Addr}
-	if _, err := RunCampaign(w, Campaign{Probes: []Probe{pr}, Start: end, End: start, Interval: time.Hour}); err == nil {
+	if _, err := RunCampaign(bgp.NewTables(w), Campaign{Probes: []Probe{pr}, Start: end, End: start, Interval: time.Hour}); err == nil {
 		t.Error("inverted window must error")
 	}
-	if _, err := RunCampaign(w, Campaign{Probes: []Probe{pr}, Start: start, End: end, Interval: 0}); err == nil {
+	if _, err := RunCampaign(bgp.NewTables(w), Campaign{Probes: []Probe{pr}, Start: start, End: end, Interval: 0}); err == nil {
 		t.Error("zero interval must error")
 	}
 }
@@ -263,7 +263,7 @@ func TestArchiveHelpers(t *testing.T) {
 		Probes: []Probe{{Name: "b", Src: src, Dst: dst.Addr}, {Name: "a", Src: src, Dst: dst.Addr}},
 		Start:  start, End: start.Add(6 * time.Hour), Interval: time.Hour, Seed: 2,
 	}
-	arch, err := RunCampaign(w, camp)
+	arch, err := RunCampaign(bgp.NewTables(w), camp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func BenchmarkCampaignDay(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunCampaign(w, camp); err != nil {
+		if _, err := RunCampaign(bgp.NewTables(w), camp); err != nil {
 			b.Fatal(err)
 		}
 	}
