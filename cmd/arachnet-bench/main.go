@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"arachnet"
+	"arachnet/internal/eval"
 )
 
 // ctx spans the whole experiment run; individual Asks are uncancelled.
@@ -35,13 +36,9 @@ func ask(sys *arachnet.System, query string) *arachnet.Report {
 	return rep
 }
 
-// The paper's case-study queries, verbatim.
-var queries = map[int]string{
-	1: "Identify the impact at a country level due to SeaMeWe-5 cable failure",
-	2: "Identify the impact of severe earthquakes and hurricanes globally assuming a 10% infra failure probability",
-	3: "Analyze the cascading effects of submarine cable failures between Europe and Asia",
-	4: "A sudden increase in latency was observed from European probes to Asian destinations starting three days ago. Determine if a submarine cable failure caused this, and if so, identify the specific cable.",
-}
+// queries[n-1] is case study n's query, the paper's verbatim: the
+// evaluation corpus lists the four first.
+var queries = eval.Corpus()[:4]
 
 // paperLoC is the generated-workflow size the paper reports per case.
 var paperLoC = map[int]int{1: 250, 2: 300, 3: 525, 4: 750}
@@ -107,7 +104,7 @@ func case1(sys *arachnet.System, seed uint64) {
 	if err != nil {
 		fatal(err)
 	}
-	rep := ask(restricted, queries[1])
+	rep := ask(restricted, queries[0])
 	agent := rep.Result.Outputs["aggregation"].(*arachnet.ImpactReport)
 	expert, err := arachnet.ExpertCableImpact(restricted, "SeaMeWe-5")
 	if err != nil {
@@ -126,7 +123,7 @@ func case1(sys *arachnet.System, seed uint64) {
 
 func case2(sys *arachnet.System) {
 	header("Case Study 2: natural disaster impact (10% failure probability)")
-	rep := ask(sys, queries[2])
+	rep := ask(sys, queries[1])
 	agent := rep.Result.Outputs["combination"].(arachnet.GlobalImpact)
 	expert, err := arachnet.ExpertDisasterImpact(sys, 0.10)
 	if err != nil {
@@ -146,7 +143,7 @@ func case2(sys *arachnet.System) {
 
 func case3(sys *arachnet.System) {
 	header("Case Study 3: Europe–Asia cascading failure analysis")
-	rep := ask(sys, queries[3])
+	rep := ask(sys, queries[2])
 	tl := rep.Result.Outputs["synthesis"].(*arachnet.Timeline)
 	expert, err := arachnet.ExpertCascade(sys, arachnet.Europe, arachnet.Asia)
 	if err != nil {
@@ -165,7 +162,7 @@ func case3(sys *arachnet.System) {
 
 func case4(sys *arachnet.System) {
 	header("Case Study 4: automated root cause investigation")
-	rep := ask(sys, queries[4])
+	rep := ask(sys, queries[3])
 	agent := rep.Result.Outputs["verdict"].(arachnet.Verdict)
 	expert, err := arachnet.ExpertForensic(sys)
 	if err != nil {
@@ -191,7 +188,7 @@ func locTable(sys *arachnet.System) {
 	header("Generated workflow size (in-text LoC metric)")
 	fmt.Printf("%-6s %-12s %-12s %s\n", "case", "paper LoC", "measured", "steps/frameworks")
 	for n := 1; n <= 4; n++ {
-		rep := ask(sys, queries[n])
+		rep := ask(sys, queries[n-1])
 		fws := rep.Design.Chosen.Frameworks(sys.Registry())
 		fmt.Printf("CS%-5d ≈%-11d %-12d %d steps / %d frameworks\n",
 			n, paperLoC[n], rep.Solution.LoC, len(rep.Design.Chosen.Steps), len(fws))

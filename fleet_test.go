@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"regexp"
+	"slices"
 	"sync"
 	"testing"
 
@@ -144,6 +145,58 @@ func TestFleetMatchesInline(t *testing.T) {
 	if len(rep0.Result.Steps) != len(rep4.Result.Steps) {
 		t.Errorf("step count differs: inline %d, fleet %d",
 			len(rep0.Result.Steps), len(rep4.Result.Steps))
+	}
+}
+
+// TestFleetDispatchesInsideComposites: Compile expands a composite
+// into its chain, so the fleet scatters the fan-out steps inside it.
+// After two cable questions promote the CS1 composites, the third
+// plans through composite.links_on_cables_to_country_rollup_4; its
+// inner extract_ips and locate_ips are dispatched, and the answer is
+// the inline one.
+func TestFleetDispatchesInsideComposites(t *testing.T) {
+	const seed, composite = 42, "composite.links_on_cables_to_country_rollup_4"
+	sys0 := cs1FleetSystem(t, seed, 0)
+	sys4 := cs1FleetSystem(t, seed, 4)
+	var rep0, rep4 *arachnet.Report
+	for _, cable := range []string{"SeaMeWe-5", "SeaMeWe-4", "AAE-1"} {
+		q := "Identify the impact at a country level due to " + cable + " cable failure"
+		var err error
+		if rep0, err = sys0.Ask(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		if rep4, err = sys4.Ask(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := ""
+	for _, s := range rep4.Design.Chosen.Steps {
+		if s.Capability == composite {
+			id = s.ID
+		}
+	}
+	if id == "" {
+		t.Fatalf("the third cable question does not plan through %s: %v", composite, rep4.Design.Chosen.CapabilityNames())
+	}
+	var remote []string
+	for _, st := range rep4.Result.Steps {
+		if st.Remote {
+			remote = append(remote, st.ID+" "+st.Capability)
+		}
+	}
+	if want := []string{id + "_2 nautilus.extract_ips", id + "_3 geo.locate_ips"}; !slices.Equal(remote, want) {
+		t.Errorf("dispatched %v, want the composite's inner %v", remote, want)
+	}
+	out0, err := json.Marshal(rep0.Result.Outputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out4, err := json.Marshal(rep4.Result.Outputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out0) != string(out4) {
+		t.Errorf("inline and fleet-4 outputs differ:\ninline: %s\nfleet:  %s", out0, out4)
 	}
 }
 

@@ -5,10 +5,19 @@
 // promoted — speculative additions would bloat the registry), and
 // promotes survivors as composite capabilities that future designs can
 // reuse as single steps.
+//
+// A composite is plain data: the chain of primitives it stands for,
+// with its head's input ports and its tail's outputs. A chain is lifted
+// only when everything after the head follows from the head, so no
+// literal is stored: WorkflowScout writes a run of steps that spells
+// the chain as one step with the head's bindings, and workflow.Compile
+// splices the chain back in. A curated plan runs the same steps, under
+// the same step-cache keys, as the plan it abbreviates.
 package registrycurator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,19 +48,22 @@ type Promotion struct {
 	AvgQuality float64
 }
 
-// Agent is the RegistryCurator agent.
-type Agent struct {
-	// MinSupport is the minimum number of distinct successful
-	// workflows a pattern must appear in (default 2).
-	MinSupport int
-	// MinQuality is the minimum average quality score (default 0.8).
-	MinQuality float64
-	// MaxChain bounds the pattern length (default 4, minimum 2).
-	MaxChain int
-}
+// Validation thresholds.
+const (
+	// minSupport is the minimum number of distinct successful
+	// workflows a pattern must appear in.
+	minSupport = 2
+	// minQuality is the minimum average quality score.
+	minQuality = 0.8
+	// maxChain bounds the pattern length.
+	maxChain = 4
+)
 
-// New returns a curator with default validation thresholds.
-func New() *Agent { return &Agent{MinSupport: 2, MinQuality: 0.8, MaxChain: 4} }
+// Agent is the RegistryCurator agent.
+type Agent struct{}
+
+// New returns a curator.
+func New() *Agent { return &Agent{} }
 
 // chainOccurrence is one liftable window inside one workflow.
 type chainOccurrence struct {
@@ -63,16 +75,6 @@ type chainOccurrence struct {
 // reg. It returns the promotions performed. Already-promoted patterns
 // (by composite name) are skipped, so curation is idempotent.
 func (a *Agent) Curate(history []Observation, reg *registry.Registry) ([]Promotion, error) {
-	if a.MinSupport < 2 {
-		a.MinSupport = 2
-	}
-	if a.MinQuality <= 0 {
-		a.MinQuality = 0.8
-	}
-	if a.MaxChain < 2 {
-		a.MaxChain = 4
-	}
-
 	// Gather liftable chains across successful observations.
 	occurrences := map[string][]chainOccurrence{} // pattern key → occurrences
 	perWorkflow := map[string]map[string]bool{}   // pattern key → workflow fingerprints
@@ -82,7 +84,7 @@ func (a *Agent) Curate(history []Observation, reg *registry.Registry) ([]Promoti
 		}
 		q := obs.Result.QualityScore()
 		wfID := fingerprint(obs.Workflow)
-		for _, chain := range a.liftableChains(obs.Workflow) {
+		for _, chain := range liftableChains(obs.Workflow, reg) {
 			key := chainKey(chain)
 			occurrences[key] = append(occurrences[key], chainOccurrence{steps: chain, quality: q})
 			if perWorkflow[key] == nil {
@@ -122,7 +124,7 @@ func (a *Agent) Curate(history []Observation, reg *registry.Registry) ([]Promoti
 	for _, key := range keys {
 		occ := occurrences[key]
 		support := len(perWorkflow[key])
-		if support < a.MinSupport {
+		if support < minSupport {
 			continue
 		}
 		var q float64
@@ -130,38 +132,28 @@ func (a *Agent) Curate(history []Observation, reg *registry.Registry) ([]Promoti
 			q += o.quality
 		}
 		q /= float64(len(occ))
-		if q < a.MinQuality {
+		if q < minQuality {
 			continue
 		}
 		chain := occ[0].steps
 		// Skip patterns overlapping an already-promoted, longer one.
-		overlap := false
-		for _, s := range chain {
-			if covered[s.Capability] {
-				overlap = true
-				break
-			}
-		}
-		if overlap {
+		if slices.ContainsFunc(chain, func(s workflow.Step) bool { return covered[s.Capability] }) {
 			continue
 		}
-		cap, err := a.composite(chain, reg)
+		cap, err := composite(chain, reg)
 		if err != nil {
 			continue // not liftable after all (e.g. capability vanished)
 		}
+		// Covered even when promoted in an earlier pass, so sub-patterns
+		// don't sneak in behind it.
+		for _, s := range chain {
+			covered[s.Capability] = true
+		}
 		if reg.Has(cap.Name) {
-			// Promoted in an earlier curation pass: keep its chain
-			// covered so sub-patterns don't sneak in behind it.
-			for _, s := range chain {
-				covered[s.Capability] = true
-			}
 			continue
 		}
 		if err := reg.Register(cap); err != nil {
 			return promotions, fmt.Errorf("registrycurator: promote %q: %w", cap.Name, err)
-		}
-		for _, s := range chain {
-			covered[s.Capability] = true
 		}
 		promotions = append(promotions, Promotion{
 			Capability: cap,
@@ -173,44 +165,38 @@ func (a *Agent) Curate(history []Observation, reg *registry.Registry) ([]Promoti
 	return promotions, nil
 }
 
-// liftableChains enumerates contiguous step windows (length 2..MaxChain)
-// whose internal dataflow is self-contained: every input of steps after
-// the first is either a literal or a reference into the window.
-func (a *Agent) liftableChains(wf *workflow.Workflow) [][]workflow.Step {
-	var out [][]workflow.Step
+// liftableChains enumerates the contiguous windows of 2 to maxChain
+// steps of wf that chainIsLiftable accepts.
+func liftableChains(wf *workflow.Workflow, reg *registry.Registry) [][]workflow.Step {
 	n := len(wf.Steps)
+	caps := make([]*registry.Capability, n) // nil where unknown
+	for i, s := range wf.Steps {
+		caps[i], _ = reg.Get(s.Capability)
+	}
+	var out [][]workflow.Step
 	for start := 0; start < n; start++ {
-		for ln := 2; ln <= a.MaxChain && start+ln <= n; ln++ {
-			win := wf.Steps[start : start+ln]
-			if chainIsLiftable(win) {
-				out = append(out, win)
+		for end := start + 2; end <= start+maxChain && end <= n; end++ {
+			if chainIsLiftable(wf.Steps[start:end], caps[start:end]) {
+				out = append(out, wf.Steps[start:end])
 			}
 		}
 	}
 	return out
 }
 
-func chainIsLiftable(win []workflow.Step) bool {
-	inside := map[string]bool{}
-	for _, s := range win {
-		inside[s.ID] = true
-	}
+// chainIsLiftable reports whether a window of steps, whose capabilities
+// are caps, may become a composite: every step is a known primitive,
+// and every step after the head binds every input of its capability,
+// optional ones included, to an earlier step of the window. The chain
+// then stores no literal, and all of it follows from the head's
+// bindings.
+func chainIsLiftable(win []workflow.Step, caps []*registry.Capability) bool {
 	for i, s := range win {
+		if caps[i] == nil || caps[i].Composite || i > 0 && len(s.Inputs) != len(caps[i].Inputs) {
+			return false
+		}
 		for _, b := range s.Inputs {
-			if !b.IsRef() {
-				continue
-			}
-			src := refStep(b.Ref)
-			if i == 0 {
-				// The head's references become the composite's inputs;
-				// they must come from outside (otherwise the window is
-				// mis-rooted).
-				if inside[src] {
-					return false
-				}
-				continue
-			}
-			if !inside[src] {
+			if i > 0 && chainIndex(win[:i], b.Ref) < 0 {
 				return false
 			}
 		}
@@ -218,11 +204,14 @@ func chainIsLiftable(win []workflow.Step) bool {
 	return true
 }
 
-func refStep(ref string) string {
-	if i := strings.IndexByte(ref, '.'); i >= 0 {
-		return ref[:i]
+// chainIndex returns the position in win of the step ref reads, or -1
+// when ref is not a ref into win.
+func chainIndex(win []workflow.Step, ref string) int {
+	if ref == "" {
+		return -1
 	}
-	return ref
+	id := workflow.RefStepID(ref)
+	return slices.IndexFunc(win, func(s workflow.Step) bool { return s.ID == id })
 }
 
 func capNames(win []workflow.Step) []string {
@@ -243,185 +232,56 @@ func fingerprint(wf *workflow.Workflow) string {
 	return wf.Name + ":" + wf.Query + ":" + strings.Join(wf.CapabilityNames(), "|")
 }
 
-// composite lifts a step chain into a single registered capability. The
-// composite's inputs are the head step's external bindings (reference
-// bindings become required inputs; literals are frozen as defaults that
-// callers may override); its outputs are the tail step's outputs. The
-// implementation replays the chain through a private engine.
-func (a *Agent) composite(chain []workflow.Step, reg *registry.Registry) (registry.Capability, error) {
-	head := chain[0]
-	tail := chain[len(chain)-1]
-	headCap, err := reg.Get(head.Capability)
-	if err != nil {
-		return registry.Capability{}, err
-	}
-	tailCap, err := reg.Get(tail.Capability)
-	if err != nil {
-		return registry.Capability{}, err
-	}
-
-	var inputs []registry.Port
-	frozen := map[string]any{}
-	for name, b := range head.Inputs {
-		port, ok := headCap.InputPort(name)
-		if !ok {
-			return registry.Capability{}, fmt.Errorf("head port %q missing", name)
-		}
-		if b.IsRef() {
-			inputs = append(inputs, port)
-		} else {
-			frozen[name] = b.Literal
-			opt := port
-			opt.Optional = true
-			opt.Desc = strings.TrimSpace(opt.Desc + " (default from observed runs)")
-			inputs = append(inputs, opt)
-		}
-	}
-	sort.Slice(inputs, func(i, j int) bool { return inputs[i].Name < inputs[j].Name })
-
-	outputs := make([]registry.Port, len(tailCap.Outputs))
-	copy(outputs, tailCap.Outputs)
-
-	// Merge tags; mark composite. A composite is Pure — memoizable —
-	// exactly when every capability it replays is Pure.
-	tagSet := map[string]bool{}
-	var frameworks []string
-	fwSeen := map[string]bool{}
-	pure := true
-	// Union the chain's declared environment facets; one member with an
-	// unknown (empty) Reads makes the composite's unknown too, so its
-	// cache keys conservatively track the full environment fingerprint.
-	readsKnown := true
-	readSet := map[string]bool{}
-	for _, s := range chain {
+// composite lifts a liftable step chain into a composite capability:
+// the head's input ports, the tail's outputs, and the chain as data.
+func composite(chain []workflow.Step, reg *registry.Registry) (registry.Capability, error) {
+	steps := make([]registry.ChainStep, len(chain))
+	caps := make([]*registry.Capability, len(chain))
+	for k, s := range chain {
 		c, err := reg.Get(s.Capability)
 		if err != nil {
 			return registry.Capability{}, err
 		}
-		pure = pure && c.Pure
-		if len(c.Reads) == 0 {
-			readsKnown = false
+		caps[k] = c
+		steps[k].Capability = s.Capability
+		if k == 0 {
+			continue
 		}
-		for _, r := range c.Reads {
-			readSet[r] = true
+		steps[k].In = make(map[string]registry.ChainRef, len(s.Inputs))
+		for name, b := range s.Inputs {
+			steps[k].In[name] = registry.ChainRef{Step: chainIndex(chain[:k], b.Ref), Port: workflow.RefPort(b.Ref)}
 		}
-		for _, t := range c.Tags {
-			tagSet[t] = true
-		}
-		if !fwSeen[c.Framework] {
-			fwSeen[c.Framework] = true
-			frameworks = append(frameworks, c.Framework)
-		}
-	}
-	tags := make([]string, 0, len(tagSet)+1)
-	for t := range tagSet {
-		tags = append(tags, t)
-	}
-	sort.Strings(tags)
-	tags = append(tags, "composite")
-	var reads []string
-	if readsKnown {
-		for r := range readSet {
-			reads = append(reads, r)
-		}
-		sort.Strings(reads)
 	}
 
+	// Merge tags; mark composite.
+	var tags, frameworks []string
 	cost := 0
-	for _, s := range chain {
-		c, _ := reg.Get(s.Capability)
+	for _, c := range caps {
+		tags = append(tags, c.Tags...)
+		if !slices.Contains(frameworks, c.Framework) {
+			frameworks = append(frameworks, c.Framework)
+		}
 		cost += c.Cost
 	}
+	slices.Sort(tags)
+	tags = append(slices.Compact(tags), "composite")
 	if cost > 1 {
 		cost-- // the promoted pattern amortizes integration overhead
 	}
 
-	name := compositeName(chain)
-	verbs := make([]string, len(chain))
-	for i, s := range chain {
-		verbs[i] = s.Capability
-	}
 	desc := fmt.Sprintf("Validated pattern: %s (promoted from %d-step chain observed in successful workflows)",
-		strings.Join(verbs, " → "), len(chain))
-
-	// Snapshot the chain with stable IDs for replay.
-	replay := make([]workflow.Step, len(chain))
-	idMap := map[string]string{}
-	for i, s := range chain {
-		idMap[s.ID] = fmt.Sprintf("c%d", i+1)
-	}
-	for i, s := range chain {
-		ns := workflow.Step{ID: idMap[s.ID], Capability: s.Capability, Inputs: map[string]workflow.Binding{}}
-		for nameIn, b := range s.Inputs {
-			if b.IsRef() {
-				src := refStep(b.Ref)
-				if mapped, ok := idMap[src]; ok {
-					ns.Inputs[nameIn] = workflow.Binding{Ref: mapped + b.Ref[strings.IndexByte(b.Ref, '.'):]}
-				} else if i == 0 {
-					// External reference → will be bound from the call.
-					ns.Inputs[nameIn] = workflow.Binding{Ref: "extern." + nameIn}
-				} else {
-					return registry.Capability{}, fmt.Errorf("non-head external ref %q", b.Ref)
-				}
-			} else {
-				ns.Inputs[nameIn] = b
-			}
-		}
-		replay[i] = ns
-	}
-
-	impl := func(call *registry.Call) error {
-		// Rebuild the chain with the call's inputs spliced into the
-		// head step, then execute through a private engine.
-		steps := make([]workflow.Step, len(replay))
-		for i, s := range replay {
-			ns := workflow.Step{ID: s.ID, Capability: s.Capability, Inputs: map[string]workflow.Binding{}}
-			for nameIn, b := range s.Inputs {
-				if b.IsRef() && strings.HasPrefix(b.Ref, "extern.") {
-					v, ok := call.In[nameIn]
-					if !ok {
-						return fmt.Errorf("composite %s: input %q not bound", name, nameIn)
-					}
-					ns.Inputs[nameIn] = workflow.Lit(v)
-					continue
-				}
-				if !b.IsRef() {
-					// Frozen literal; the caller may override.
-					if v, ok := call.In[nameIn]; ok && i == 0 {
-						ns.Inputs[nameIn] = workflow.Lit(v)
-						continue
-					}
-				}
-				ns.Inputs[nameIn] = b
-			}
-			steps[i] = ns
-		}
-		inner := &workflow.Workflow{Name: "composite:" + name, Steps: steps}
-		res, err := workflow.NewEngine(reg, call.Env).Run(call.Context(), inner)
-		if err != nil {
-			return fmt.Errorf("composite %s: %w", name, err)
-		}
-		lastID := steps[len(steps)-1].ID
-		for _, out := range outputs {
-			call.Out[out.Name] = res.Values[lastID+"."+out.Name]
-		}
-		return nil
-	}
-	_ = frozen
-
+		strings.Join(capNames(chain), " → "), len(chain))
 	return registry.Capability{
-		Name:        name,
+		Name:        compositeName(chain),
 		Framework:   "composite",
 		Description: desc,
-		Inputs:      inputs,
-		Outputs:     outputs,
+		Inputs:      slices.Clone(caps[0].Inputs),
+		Outputs:     slices.Clone(caps[len(caps)-1].Outputs),
 		Constraints: []string{fmt.Sprintf("spans frameworks: %s", strings.Join(frameworks, ", "))},
 		Tags:        tags,
 		Cost:        cost,
 		Composite:   true,
-		Pure:        pure,
-		Reads:       reads,
-		Impl:        impl,
+		Chain:       steps,
 	}, nil
 }
 

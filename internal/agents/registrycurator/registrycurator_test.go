@@ -2,6 +2,7 @@ package registrycurator
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -229,14 +230,25 @@ func TestLowQualityRejected(t *testing.T) {
 	}
 }
 
+// capsOf resolves the capability of each step of win in reg.
+func capsOf(reg *registry.Registry, win []workflow.Step) []*registry.Capability {
+	caps := make([]*registry.Capability, len(win))
+	for i, s := range win {
+		caps[i], _ = reg.Get(s.Capability)
+	}
+	return caps
+}
+
 func TestChainIsLiftable(t *testing.T) {
+	reg := chainRegistry(t)
 	wf := chainWorkflow("q")
+	liftable := func(win []workflow.Step) bool { return chainIsLiftable(win, capsOf(reg, win)) }
 	// Full window s1..s3 liftable.
-	if !chainIsLiftable(wf.Steps[0:3]) {
+	if !liftable(wf.Steps[0:3]) {
 		t.Error("s1..s3 should be liftable")
 	}
 	// Window s2..s3 liftable (head refs external s1).
-	if !chainIsLiftable(wf.Steps[1:3]) {
+	if !liftable(wf.Steps[1:3]) {
 		t.Error("s2..s3 should be liftable")
 	}
 	// A window whose tail references outside is not liftable.
@@ -244,8 +256,81 @@ func TestChainIsLiftable(t *testing.T) {
 		wf.Steps[0],
 		{ID: "s9", Capability: "t.c", Inputs: map[string]workflow.Binding{"y": workflow.Ref("outside", "y")}},
 	}
-	if chainIsLiftable(broken) {
+	if liftable(broken) {
 		t.Error("external tail ref must not be liftable")
+	}
+	// Nor is one whose later step binds a literal, which the chain
+	// would have to store.
+	literal := []workflow.Step{
+		wf.Steps[0],
+		{ID: "s2", Capability: "t.b", Inputs: map[string]workflow.Binding{"x": workflow.Lit([]string{"frozen"})}},
+	}
+	if liftable(literal) {
+		t.Error("a later step's literal must not be liftable")
+	}
+	// Nor one whose later step leaves an optional input unbound: another
+	// question may bind it.
+	reg.MustRegister(registry.Capability{
+		Name: "t.d", Framework: "t", Description: "step d",
+		Inputs:  []registry.Port{{Name: "x", Type: registry.TLinkSet}, {Name: "k", Type: registry.TFloat, Optional: true}},
+		Outputs: []registry.Port{{Name: "y", Type: registry.TIPSet}},
+		Impl:    func(*registry.Call) error { return nil },
+	})
+	optional := []workflow.Step{
+		wf.Steps[0],
+		{ID: "s2", Capability: "t.d", Inputs: map[string]workflow.Binding{"x": workflow.Ref("s1", "x")}},
+	}
+	if liftable(optional) {
+		t.Error("a later step's unbound optional input must not be liftable")
+	}
+	// Nor one holding a composite.
+	promote(t, reg)
+	nested := []workflow.Step{
+		{ID: "s1", Capability: "composite.a_to_c_3", Inputs: map[string]workflow.Binding{"seed": workflow.Lit("s")}},
+		wf.Steps[1],
+	}
+	nested[1].Inputs = map[string]workflow.Binding{"x": workflow.Ref("s1", "z")}
+	if liftable(nested) {
+		t.Error("a window holding a composite must not be liftable")
+	}
+}
+
+// promote curates two observations of chainWorkflow into reg and
+// returns the promoted composite, composite.a_to_c_3.
+func promote(t *testing.T, reg *registry.Registry) registry.Capability {
+	t.Helper()
+	promos, err := New().Curate([]Observation{observe(t, reg, "q1"), observe(t, reg, "q2")}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(promos) != 1 || promos[0].Capability.Name != "composite.a_to_c_3" {
+		t.Fatalf("promotions = %+v", promos)
+	}
+	return promos[0].Capability
+}
+
+// TestCompositeIsItsChain pins the promoted capability's shape: the
+// head's input ports exactly as they are, the tail's outputs, and a
+// chain whose later steps bind each input to an earlier step, with no
+// implementation and nothing frozen from the observed runs.
+func TestCompositeIsItsChain(t *testing.T) {
+	reg := chainRegistry(t)
+	c := promote(t, reg)
+	head, _ := reg.Get("t.a")
+	tail, _ := reg.Get("t.c")
+	if !reflect.DeepEqual(c.Inputs, head.Inputs) || !reflect.DeepEqual(c.Outputs, tail.Outputs) {
+		t.Errorf("ports %v → %v, want the head's inputs %v and the tail's outputs %v", c.Inputs, c.Outputs, head.Inputs, tail.Outputs)
+	}
+	want := []registry.ChainStep{
+		{Capability: "t.a"},
+		{Capability: "t.b", In: map[string]registry.ChainRef{"x": {Step: 0, Port: "x"}}},
+		{Capability: "t.c", In: map[string]registry.ChainRef{"y": {Step: 1, Port: "y"}}},
+	}
+	if !reflect.DeepEqual(c.Chain, want) {
+		t.Errorf("chain = %+v, want %+v", c.Chain, want)
+	}
+	if c.Impl != nil || c.Pure || len(c.Reads) > 0 {
+		t.Error("a composite carries an implementation, purity or reads of its own")
 	}
 }
 

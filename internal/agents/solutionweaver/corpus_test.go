@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,23 +15,17 @@ import (
 	"arachnet/internal/agents/solutionweaver"
 	"arachnet/internal/agents/workflowscout"
 	"arachnet/internal/core"
-	"arachnet/internal/geo"
+	"arachnet/internal/eval"
 	"arachnet/internal/netsim"
 	"arachnet/internal/nlq"
 	"arachnet/internal/registry"
 	"arachnet/internal/workflow"
 )
 
-var caseStudies = []string{
-	"Identify the impact at a country level due to SeaMeWe-5 cable failure",
-	"Identify the impact of severe earthquakes and hurricanes globally assuming a 10% infra failure probability",
-	"Analyze the cascading effects of submarine cable failures between Europe and Asia",
-	"A sudden increase in latency was observed from European probes to Asian destinations starting three days ago. Determine if a submarine cable failure caused this, and if so, identify the specific cable.",
-}
-
 // plan is one question carried through the planning agents.
 type plan struct {
 	label    string
+	regName  string // "builtin" or "curated"
 	reg      *registry.Registry
 	design   *workflowscout.Design
 	solution *solutionweaver.Solution
@@ -42,11 +37,9 @@ var (
 	corpusErr  error
 )
 
-// planCorpus plans, on the small world (seed 7, scenario seed 5), the
-// four case studies and one question per catalog cable, region pair,
-// disaster set and forensic window, first over the builtin registry
-// and then over the registry a curating System holds after asking
-// them all twice, whose composites carry list and float literals.
+// planCorpus plans eval.Corpus on the small world (seed 7, scenario
+// seed 5), first over the builtin registry and then over the registry
+// a curating System holds after asking it twice.
 func planCorpus(t testing.TB) []plan {
 	t.Helper()
 	corpusOnce.Do(func() { corpus, corpusErr = buildCorpus() })
@@ -64,25 +57,7 @@ func buildCorpus() ([]plan, error) {
 	if err := env.InjectCableFailureScenario(core.ScenarioConfig{Seed: 5}); err != nil {
 		return nil, err
 	}
-	queries := append([]string(nil), caseStudies...)
-	for _, c := range env.Catalog.Cables() {
-		queries = append(queries, fmt.Sprintf("Identify the impact at a country level due to %s cable failure", c.Name))
-	}
-	regions := geo.AllRegions()
-	for i, a := range regions {
-		for _, b := range regions[i+1:] {
-			queries = append(queries, fmt.Sprintf("Analyze the cascading effects of submarine cable failures between %s and %s", a, b))
-		}
-	}
-	for _, d := range []string{"earthquakes", "hurricanes", "earthquakes and hurricanes"} {
-		for _, p := range []int{5, 10, 20, 30} {
-			queries = append(queries, fmt.Sprintf("Identify the impact of severe %s globally assuming a %d%% infra failure probability", d, p))
-		}
-	}
-	for _, w := range []string{"two", "three", "four", "five"} {
-		queries = append(queries, fmt.Sprintf("A sudden increase in latency was observed from European probes to Asian "+
-			"destinations starting %s days ago. Determine if a submarine cable failure caused this, and if so, identify the specific cable.", w))
-	}
+	queries := eval.Corpus()
 
 	curating, err := core.NewSystem(env, nil)
 	if err != nil {
@@ -122,25 +97,33 @@ func buildCorpus() ([]plan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s %q: %w", r.name, q, err)
 			}
-			out = append(out, plan{label: r.name + ": " + q, reg: r.reg, design: design, solution: sol})
+			out = append(out, plan{label: r.name + ": " + q, regName: r.name, reg: r.reg, design: design, solution: sol})
 		}
 	}
 	return out, nil
 }
 
-// planningGolden is the SHA-256 of every planning artifact of the
-// corpus, as the fmt-based planners produced them: each design's
-// strategy and scored alternatives, each listing with its LoC and
-// woven checks, and each compiled step's fingerprint.
-const planningGolden = "18768885fcd0e2c51913ef850db5137c2215d73c88ec424c7226cb8e5dcaf863"
+// planningGolden is, per registry, the SHA-256 of every planning
+// artifact of the corpus, as the fmt-based planners produced them: each
+// design's strategy and scored alternatives, each listing with its LoC
+// and woven checks, and each compiled step's fingerprint.
+var planningGolden = map[string]string{
+	"builtin": "86166980c7ffa90c2dc3b68491afea2e162356dbfe9f523c9b0a011d33e19eef",
+	"curated": "57f329b9045289d97760bb3bc64e3eb9718a07877f209efdeca44cfbe108522a",
+}
 
 // TestPlanningGolden pins the planning artifacts of the corpus.
 // Rendering, ranking, rollback and compilation may change how they
 // work, never what they produce.
 func TestPlanningGolden(t *testing.T) {
-	h := sha256.New()
+	hs := map[string]hash.Hash{}
 	composites := 0
 	for _, p := range planCorpus(t) {
+		h := hs[p.regName]
+		if h == nil {
+			h = sha256.New()
+			hs[p.regName] = h
+		}
 		d := p.design
 		fmt.Fprintf(h, "%s\x00%s %d\n", p.label, d.Strategy, d.Explored)
 		for _, c := range d.Alternatives {
@@ -172,10 +155,13 @@ func TestPlanningGolden(t *testing.T) {
 	if composites == 0 {
 		t.Fatal("no curated plan uses a composite")
 	}
-	got := hex.EncodeToString(h.Sum(nil))
-	t.Logf("planning digest %s (%d composite steps)", got, composites)
-	if got != planningGolden {
-		t.Errorf("planning digest %s, want %s", got, planningGolden)
+	t.Logf("%d composite steps", composites)
+	for name, want := range planningGolden {
+		got := hex.EncodeToString(hs[name].Sum(nil))
+		t.Logf("%s planning digest %s", name, got)
+		if got != want {
+			t.Errorf("%s planning digest %s, want %s", name, got, want)
+		}
 	}
 }
 

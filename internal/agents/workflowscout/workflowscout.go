@@ -5,6 +5,12 @@
 // alternatives adaptively (simple queries get one direct path, complex
 // queries get a comparison of candidates), scores the trade-offs, and
 // returns the chosen design with its rationale.
+//
+// Candidates are planned and scored from primitive capabilities only,
+// so a composite the curator promoted never changes what a plan
+// computes. It abbreviates: once the candidates are scored, each run of
+// steps that spells a composite's chain is written as one step naming
+// the composite, which workflow.Compile expands back into those steps.
 package workflowscout
 
 import (
@@ -22,6 +28,8 @@ import (
 )
 
 // Candidate is one fully realized workflow with its trade-off scores.
+// The scores describe the primitive steps the workflow runs, with every
+// composite expanded.
 type Candidate struct {
 	Workflow       *workflow.Workflow
 	StepCount      int
@@ -73,8 +81,8 @@ func (a *Agent) Design(ps *querymind.ProblemSpec, reg *registry.Registry) (*Desi
 	}
 
 	ds := newDesigner(ps, reg)
+	defer ds.release()
 	candidates, err := ds.enumerate(limit)
-	ds.release()
 	if err != nil {
 		return nil, err
 	}
@@ -82,6 +90,9 @@ func (a *Agent) Design(ps *querymind.ProblemSpec, reg *registry.Registry) (*Desi
 		scoreCandidate(&candidates[i], reg, ps)
 	}
 	slices.SortStableFunc(candidates, func(a, b Candidate) int { return cmp.Compare(a.Score, b.Score) })
+	for i := range candidates {
+		candidates[i].Workflow = ds.abbreviate(candidates[i].Workflow)
+	}
 	d.Alternatives = candidates
 	d.Explored = len(candidates)
 	d.Chosen = candidates[0].Workflow
@@ -154,6 +165,9 @@ type designer struct {
 	types []typeProducers // reg.Producing, once per type
 	ids   []string        // ids[k] is the ID of step k+1
 	refs  []formattedRef  // each ref formatted once
+	// composites holds each composite producing a type the candidates
+	// asked for: the ones that may abbreviate a step they planned.
+	composites []*registry.Capability
 
 	// The candidate in progress.
 	steps  []workflow.Step
@@ -230,7 +244,7 @@ func newDesigner(ps *querymind.ProblemSpec, reg *registry.Registry) *designer {
 				break
 			}
 		}
-		d.goals = append(d.goals, goal{sp: sp, producers: rankedProducers(reg, sp), sink: sink})
+		d.goals = append(d.goals, goal{sp: sp, producers: d.rankedProducers(sp), sink: sink})
 	}
 	return d
 }
@@ -244,8 +258,10 @@ func (d *designer) release() {
 	clear(d.steps[:cap(d.steps)])
 	clear(d.binds[:cap(d.binds)])
 	clear(d.undo[:cap(d.undo)])
+	clear(d.composites[:cap(d.composites)])
 	clear(d.have)
 	d.goals, d.types, d.refs, d.steps, d.binds, d.undo = d.goals[:0], d.types[:0], d.refs[:0], d.steps[:0], d.binds[:0], d.undo[:0]
+	d.composites = d.composites[:0]
 	d.reg, d.ps, d.name, d.lits, d.force = nil, nil, "", [numLits]any{}, alternative{}
 	designerPool.Put(d)
 }
@@ -362,22 +378,16 @@ func (d *designer) satisfy(gi int) (artifact, error) {
 	return artifact{}, lastErr
 }
 
-// rankedProducers orders candidate capabilities by tag affinity with
-// the sub-problem (composites get a validated-pattern bonus), then by
-// cost, then by name.
-func rankedProducers(reg *registry.Registry, sp *querymind.SubProblem) []*registry.Capability {
-	producers := reg.Producing(sp.Produces) // a copy, ours to sort
+// rankedProducers orders the primitive producers of the sub-problem's
+// type by tag affinity with it, then by cost, then by name.
+func (d *designer) rankedProducers(sp *querymind.SubProblem) []*registry.Capability {
+	producers := d.primitives(d.reg.Producing(sp.Produces)) // a copy, ours to sort
 	affinity := func(c *registry.Capability) int {
 		aff := 0
 		for _, t := range sp.Tags {
 			if c.HasTag(t) {
 				aff++
 			}
-		}
-		if c.Composite {
-			// Promoted patterns proved out end-to-end in earlier runs;
-			// prefer them (the registry-evolution payoff).
-			aff += 3
 		}
 		return aff
 	}
@@ -393,16 +403,104 @@ func rankedProducers(reg *registry.Registry, sp *querymind.SubProblem) []*regist
 	return producers
 }
 
-// producing returns reg.Producing(t), fetching it once per Design.
+// producing returns the primitive producers of t in reg.Producing's
+// order, fetching them once per Design.
 func (d *designer) producing(t registry.DataType) []*registry.Capability {
 	for _, tp := range d.types {
 		if tp.t == t {
 			return tp.caps
 		}
 	}
-	caps := d.reg.Producing(t)
+	caps := d.primitives(d.reg.Producing(t))
 	d.types = append(d.types, typeProducers{t: t, caps: caps})
 	return caps
+}
+
+// primitives removes the composites from caps, a list the designer
+// owns, and notes them for abbreviate.
+func (d *designer) primitives(caps []*registry.Capability) []*registry.Capability {
+	return slices.DeleteFunc(caps, func(c *registry.Capability) bool {
+		if c.Composite && !slices.Contains(d.composites, c) {
+			d.composites = append(d.composites, c)
+		}
+		return c.Composite
+	})
+}
+
+// abbreviate returns wf with each run of consecutive steps that spells
+// the chain of a composite in d.composites written as one step naming
+// the composite. That step takes the ID, phase and affinity of the
+// run's last step and the bindings of its first, so Compile expands it
+// into the same computations. Of the run's other steps, one that
+// realizes a sub-problem, or that a remaining step or output reads,
+// stays; the rest go. Longer chains are tried first, and a step is in
+// one run at most. wf is returned as it is when no run matches.
+func (d *designer) abbreviate(wf *workflow.Workflow) *workflow.Workflow {
+	if len(d.composites) == 0 {
+		return wf
+	}
+	slices.SortFunc(d.composites, func(a, b *registry.Capability) int {
+		return cmp.Or(len(b.Chain)-len(a.Chain), strings.Compare(a.Name, b.Name))
+	})
+	n := len(wf.Steps)
+	steps := slices.Clone(wf.Steps)
+	used := make([]bool, n)  // in a matched run
+	spare := make([]bool, n) // in a run, not its last step, and no sub-problem's
+	for _, c := range d.composites {
+		for i := 0; i+len(c.Chain) <= n; i++ {
+			run := wf.Steps[i : i+len(c.Chain)]
+			if slices.Contains(used[i:i+len(run)], true) || !spells(run, c.Chain) {
+				continue
+			}
+			last := &steps[i+len(run)-1]
+			*last = workflow.Step{ID: last.ID, Capability: c.Name, Inputs: run[0].Inputs, Phase: last.Phase, Affinity: last.Affinity}
+			for k := range run {
+				used[i+k] = true
+				spare[i+k] = k < len(run)-1 && run[k].Phase == "auto"
+			}
+		}
+	}
+	if !slices.Contains(used, true) {
+		return wf
+	}
+	// A spare step goes unless a step that stays, or an output, reads
+	// it; readers come later, so one backward pass decides.
+	read := make(map[string]bool, n)
+	for _, ref := range wf.Outputs {
+		read[workflow.RefStepID(ref)] = true
+	}
+	for j := n - 1; j >= 0; j-- {
+		if spare[j] && !read[steps[j].ID] {
+			steps[j].ID = "" // dropped below
+			continue
+		}
+		for _, b := range steps[j].Inputs {
+			if b.IsRef() {
+				read[workflow.RefStepID(b.Ref)] = true
+			}
+		}
+	}
+	out := *wf
+	out.Steps = slices.DeleteFunc(steps, func(s workflow.Step) bool { return s.ID == "" })
+	return &out
+}
+
+// spells reports whether run holds chain's capabilities in order, each
+// step after the first bound exactly as the chain binds it.
+func spells(run []workflow.Step, chain []registry.ChainStep) bool {
+	for k, cs := range chain {
+		s := &run[k]
+		if s.Capability != cs.Capability || k > 0 && len(s.Inputs) != len(cs.In) {
+			return false
+		}
+		for name, r := range cs.In {
+			b := s.Inputs[name]
+			if workflow.RefStepID(b.Ref) != run[r.Step].ID || workflow.RefPort(b.Ref) != r.Port {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // maxChainDepth bounds backward chaining when an input type has no

@@ -1,6 +1,7 @@
 package workflowscout
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"arachnet/internal/nautilus"
 	"arachnet/internal/nlq"
 	"arachnet/internal/registry"
+	"arachnet/internal/workflow"
 )
 
 // miniRegistry builds a registry with two alternative paths to an
@@ -214,24 +216,91 @@ func TestArtifactReuseAcrossSubProblems(t *testing.T) {
 	}
 }
 
+// TestCompositePreference registers the chain the direct cable plan
+// runs, src.load → big.impact, as a composite: the design names it in
+// place of big.impact, keeps src.load, which realizes the dependencies
+// sub-problem, and runs the same primitive steps.
 func TestCompositePreference(t *testing.T) {
 	reg := miniRegistry(t)
+	plain, err := New().Design(cableProblem(1), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, _ := reg.Get("src.load")
+	impact, _ := reg.Get("big.impact")
 	reg.MustRegister(registry.Capability{
-		Name: "composite.load_to_report_2", Framework: "composite",
+		Name: "composite.load_to_impact_2", Framework: "composite",
 		Description: "validated pattern",
-		Inputs:      []registry.Port{{Name: "links", Type: registry.TLinkSet}},
-		Outputs:     []registry.Port{{Name: "report", Type: registry.TImpact}},
+		Inputs:      load.Inputs,
+		Outputs:     impact.Outputs,
 		Tags:        []string{"aggregation", "composite"},
 		Cost:        3, Composite: true,
-		Impl: func(c *registry.Call) error { c.Out["report"] = "r"; return nil },
+		Chain: []registry.ChainStep{
+			{Capability: "src.load"},
+			{Capability: "big.impact", In: map[string]registry.ChainRef{"links": {Step: 0, Port: "links"}}},
+		},
 	})
 	d, err := New().Design(cableProblem(1), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	caps := strings.Join(d.Chosen.CapabilityNames(), " ")
-	if !strings.Contains(caps, "composite.") {
+	if caps != "src.load composite.load_to_impact_2" {
 		t.Errorf("composite not preferred: %s", caps)
+	}
+	if d.Alternatives[0].Score != plain.Alternatives[0].Score {
+		t.Errorf("score %v, want the primitive plan's %v", d.Alternatives[0].Score, plain.Alternatives[0].Score)
+	}
+	ran := func(wf *workflow.Workflow) []string {
+		res, err := workflow.NewEngine(reg, nil).Run(context.Background(), wf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, st := range res.Steps {
+			out = append(out, st.Capability)
+		}
+		return out
+	}
+	if got, want := ran(d.Chosen), []string{"src.load", "src.load", "big.impact"}; !slices.Equal(got, want) {
+		t.Errorf("ran %v, want %v", got, want)
+	}
+	if got, want := ran(plain.Chosen), []string{"src.load", "big.impact"}; !slices.Equal(got, want) {
+		t.Errorf("the plan without the composite ran %v, want %v", got, want)
+	}
+}
+
+// TestSpells: a run of steps abbreviates a chain only when it holds the
+// chain's capabilities bound exactly as the chain binds them, so the
+// composite computes what the run did.
+func TestSpells(t *testing.T) {
+	chain := []registry.ChainStep{
+		{Capability: "src.load"},
+		{Capability: "big.impact", In: map[string]registry.ChainRef{"links": {Step: 0, Port: "links"}}},
+	}
+	run := func(impact map[string]workflow.Binding) []workflow.Step {
+		return []workflow.Step{
+			{ID: "s2", Capability: "src.load", Inputs: map[string]workflow.Binding{"name": workflow.Lit("x")}},
+			{ID: "s3", Capability: "big.impact", Inputs: impact},
+		}
+	}
+	for label, c := range map[string]struct {
+		run  []workflow.Step
+		want bool
+	}{
+		"the chain":        {run(map[string]workflow.Binding{"links": workflow.Ref("s2", "links")}), true},
+		"an outside ref":   {run(map[string]workflow.Binding{"links": workflow.Ref("s1", "links")}), false},
+		"another port":     {run(map[string]workflow.Binding{"links": workflow.Ref("s2", "name")}), false},
+		"a literal":        {run(map[string]workflow.Binding{"links": workflow.Lit([]string{"l"})}), false},
+		"an extra binding": {run(map[string]workflow.Binding{"links": workflow.Ref("s2", "links"), "k": workflow.Lit(1.0)}), false},
+		"other capabilities": {[]workflow.Step{
+			{ID: "s2", Capability: "src.load"},
+			{ID: "s3", Capability: "mid.extract", Inputs: map[string]workflow.Binding{"links": workflow.Ref("s2", "links")}},
+		}, false},
+	} {
+		if got := spells(c.run, chain); got != c.want {
+			t.Errorf("%s: spells = %v, want %v", label, got, c.want)
+		}
 	}
 }
 

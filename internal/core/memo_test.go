@@ -208,6 +208,46 @@ func TestPromotionInvalidatesCachedPlans(t *testing.T) {
 	}
 }
 
+// TestPromotionKeepsStepCache: a composite stands for its chain's
+// steps, so a plan through it runs under the fingerprints the plan
+// before the promotion cached. Re-asking the first question after a
+// promotion plans through a composite and executes no step.
+func TestPromotionKeepsStepCache(t *testing.T) {
+	sys := cs1System(t)
+	if _, err := sys.Ask(ctx, queryCS1); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := sys.Ask(ctx, "Identify the impact at a country level due to SeaMeWe-4 cable failure")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r2.Promotions) == 0 {
+		t.Fatal("expected a promotion; the scenario needs one")
+	}
+	r3, err := sys.Ask(ctx, queryCS1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	usesComposite := false
+	for _, name := range r3.Design.Chosen.CapabilityNames() {
+		if c, err := sys.Registry().Get(name); err == nil && c.Composite {
+			usesComposite = true
+		}
+	}
+	if !usesComposite {
+		t.Fatalf("the re-asked plan ignores the composite: %v", r3.Design.Chosen.CapabilityNames())
+	}
+	executed := 0
+	for _, st := range r3.Result.Steps {
+		if !st.Cached {
+			executed++
+		}
+	}
+	if executed != 0 {
+		t.Errorf("re-asking after the promotion executed %d of %d steps, want 0", executed, len(r3.Result.Steps))
+	}
+}
+
 func TestAskBatchSingleflight(t *testing.T) {
 	sys, err := NewSystem(testEnv(t, false), nil)
 	if err != nil {

@@ -5,9 +5,11 @@
 // The paper motivates this design directly: exposing entire codebases
 // overwhelmed the agents with implementation detail, while a compact
 // "measurement API" enables intelligent composition and scales linearly
-// with the number of tools. Entries here carry an executable
-// implementation so generated workflows can actually run, but agents
-// only ever reason over the metadata.
+// with the number of tools. A primitive entry carries an executable
+// implementation so generated workflows can actually run; a composite
+// carries the chain of primitives it stands for, which
+// workflow.Compile splices into any plan that names it. Agents only
+// ever reason over the metadata.
 package registry
 
 import (
@@ -72,8 +74,7 @@ type Call struct {
 	Out map[string]any
 	Env any
 	// Ctx is the run's cancellation context. Long-running
-	// implementations should honor it; composites propagate it into
-	// their inner engine.
+	// implementations should honor it.
 	Ctx context.Context
 }
 
@@ -110,8 +111,13 @@ type Capability struct {
 	// used by WorkflowScout's trade-off scoring.
 	Cost int `json:"cost"`
 	// Composite marks capabilities promoted by RegistryCurator from
-	// observed workflow patterns rather than hand-curated.
+	// observed workflow patterns rather than hand-curated. A composite
+	// has a Chain and no Impl, Pure or Reads: it never runs itself.
 	Composite bool `json:"composite,omitempty"`
+	// Chain is a composite's steps in order. Its inputs are the head's
+	// (Chain[0]) and its outputs the tail's, so a step naming the
+	// composite binds exactly what one naming the head would bind.
+	Chain []ChainStep `json:"chain,omitempty"`
 	// Pure declares the capability memoizable: given the same bound
 	// inputs and the same execution environment it always produces the
 	// same outputs and performs no externally visible side effects.
@@ -131,6 +137,21 @@ type Capability struct {
 	Reads []string `json:"reads,omitempty"`
 
 	Impl Func `json:"-"`
+}
+
+// ChainStep is one step of a composite's chain. The head takes the
+// bindings of the step that names the composite and has no In; every
+// later step binds each of its inputs, by name, to an output of an
+// earlier chain step.
+type ChainStep struct {
+	Capability string              `json:"capability"`
+	In         map[string]ChainRef `json:"in,omitempty"`
+}
+
+// ChainRef is output Port of chain step Step.
+type ChainRef struct {
+	Step int    `json:"step"`
+	Port string `json:"port"`
 }
 
 // HasTag reports whether the capability carries a tag.
@@ -203,9 +224,10 @@ func New() *Registry {
 	return &Registry{caps: make(map[string]*Capability), producers: make(map[DataType][]*Capability)}
 }
 
-// Register validates and adds a capability. Registration fails on
-// duplicate names, missing implementation, malformed ports or a
-// missing framework.
+// Register validates and adds a capability: a primitive (Impl set, no
+// Chain, not Composite) or a composite (Composite set, a Chain that
+// checkChain accepts, no Impl, Pure or Reads). It fails on any other
+// shape, on duplicate names, malformed ports or a missing framework.
 func (r *Registry) Register(c Capability) error {
 	if c.Name == "" || !strings.Contains(c.Name, ".") {
 		return fmt.Errorf("registry: capability name %q must be framework-qualified (framework.verb)", c.Name)
@@ -213,8 +235,8 @@ func (r *Registry) Register(c Capability) error {
 	if c.Framework == "" {
 		return fmt.Errorf("registry: capability %q has no framework", c.Name)
 	}
-	if c.Impl == nil {
-		return fmt.Errorf("registry: capability %q has no implementation", c.Name)
+	if c.Composite != (len(c.Chain) > 0) || c.Composite == (c.Impl != nil) || c.Composite && (c.Pure || len(c.Reads) > 0) {
+		return fmt.Errorf("registry: capability %q is neither a primitive with an implementation nor a composite with a chain and no implementation, Pure or Reads", c.Name)
 	}
 	if c.Description == "" {
 		return fmt.Errorf("registry: capability %q has no description", c.Name)
@@ -242,6 +264,9 @@ func (r *Registry) Register(c Capability) error {
 	if _, dup := r.caps[c.Name]; dup {
 		return fmt.Errorf("registry: capability %q already registered", c.Name)
 	}
+	if err := r.checkChain(&c); err != nil {
+		return err
+	}
 	cc := c
 	r.caps[c.Name] = &cc
 	r.indexProducer(&cc)
@@ -251,6 +276,40 @@ func (r *Registry) Register(c Capability) error {
 		case ch <- struct{}{}:
 		default: // watcher already has a pending poke
 		}
+	}
+	return nil
+}
+
+// checkChain accepts c's chain, if it has one, when every step names a
+// primitive registered in r, the head binds nothing, every later step
+// binds each of its inputs to an earlier step's output of the same
+// type, and c takes the head's inputs and gives the tail's outputs.
+// The caller holds r.mu.
+func (r *Registry) checkChain(c *Capability) error {
+	steps := make([]*Capability, len(c.Chain))
+	for k, st := range c.Chain {
+		m := r.caps[st.Capability]
+		if m == nil || m.Composite {
+			return fmt.Errorf("registry: composite %q: chain step %d (%s) is not a registered primitive", c.Name, k, st.Capability)
+		}
+		steps[k] = m
+		if k == 0 && len(st.In) > 0 || k > 0 && len(st.In) != len(m.Inputs) {
+			return fmt.Errorf("registry: composite %q: chain step %d binds %d of %d inputs; the head binds none, a later step all", c.Name, k, len(st.In), len(m.Inputs))
+		}
+		for name, ref := range st.In {
+			in, isPort := m.InputPort(name)
+			ok := isPort && ref.Step >= 0 && ref.Step < k
+			if ok {
+				out, found := steps[ref.Step].OutputPort(ref.Port)
+				ok = found && out.Type == in.Type
+			}
+			if !ok {
+				return fmt.Errorf("registry: composite %q: chain step %d binds %q to no earlier step's output of its type", c.Name, k, name)
+			}
+		}
+	}
+	if len(steps) > 0 && (!slices.Equal(c.Inputs, steps[0].Inputs) || !slices.Equal(c.Outputs, steps[len(steps)-1].Outputs)) {
+		return fmt.Errorf("registry: composite %q must take its head's inputs and give its tail's outputs", c.Name)
 	}
 	return nil
 }

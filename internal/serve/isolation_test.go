@@ -40,6 +40,44 @@ func stepCapabilities(rep askSummary) []string {
 	return out
 }
 
+// fullReport is the part of a "full": true /v1/ask body these tests
+// read: the chosen plan, which names composites where the served steps
+// name the primitives they expand into, and the promotions.
+type fullReport struct {
+	Design struct {
+		Chosen struct {
+			Steps []struct {
+				Capability string `json:"capability"`
+			} `json:"steps"`
+		}
+	} `json:"design"`
+	Promotions []struct {
+		Capability struct {
+			Name string `json:"name"`
+		}
+	} `json:"promotions"`
+}
+
+// planAs asks as tenant for the full report and returns its plan's
+// capabilities and the names of the composites the ask promoted.
+func planAs(t testing.TB, ts string, tenant, query string) (plan, promoted []string) {
+	t.Helper()
+	resp := postJSON(t, ts+"/v1/ask", map[string]any{"query": query, "full": true}, tenantHeader, tenant)
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		t.Fatalf("ask as %s: status %d", tenant, resp.StatusCode)
+	}
+	var rep fullReport
+	decodeBody(t, resp, &rep)
+	for _, st := range rep.Design.Chosen.Steps {
+		plan = append(plan, st.Capability)
+	}
+	for _, p := range rep.Promotions {
+		promoted = append(promoted, p.Capability.Name)
+	}
+	return plan, promoted
+}
+
 func askAs(t testing.TB, ts string, tenant, query string) askSummary {
 	t.Helper()
 	resp := postJSON(t, ts+"/v1/ask", map[string]any{"query": query}, tenantHeader, tenant)
@@ -72,21 +110,21 @@ func TestTenantPromotionIsolation(t *testing.T) {
 
 	// Alice's third run reuses her composite; bob's identical query
 	// must plan against the unevolved base view.
-	aliceRep := askAs(t, ts.URL, "alice", queryAAE)
-	if !hasComposite(stepCapabilities(aliceRep)) {
-		t.Errorf("alice's plan ignores her composite: %v", stepCapabilities(aliceRep))
+	alicePlan, _ := planAs(t, ts.URL, "alice", queryAAE)
+	if !hasComposite(alicePlan) {
+		t.Errorf("alice's plan ignores her composite: %v", alicePlan)
 	}
-	bobRep := askAs(t, ts.URL, "bob", queryAAE)
-	if hasComposite(stepCapabilities(bobRep)) {
-		t.Errorf("alice's promotion leaked into bob's plan: %v", stepCapabilities(bobRep))
+	bobPlan, _ := planAs(t, ts.URL, "bob", queryAAE)
+	if hasComposite(bobPlan) {
+		t.Errorf("alice's promotion leaked into bob's plan: %v", bobPlan)
 	}
 
 	// And again through bob's plan cache: the cached plan is bob's own.
-	bobRep2 := askAs(t, ts.URL, "bob", queryAAE)
-	if hasComposite(stepCapabilities(bobRep2)) {
-		t.Errorf("composite appeared in bob's cached plan: %v", stepCapabilities(bobRep2))
+	bobPlan2, bobPromoted := planAs(t, ts.URL, "bob", queryAAE)
+	if hasComposite(bobPlan2) {
+		t.Errorf("composite appeared in bob's cached plan: %v", bobPlan2)
 	}
-	for _, name := range bobRep2.Promotions {
+	for _, name := range bobPromoted {
 		t.Errorf("bob's report names promotion %q", name)
 	}
 

@@ -137,6 +137,10 @@ func fpField(b []byte, parts ...string) []byte {
 // invalidation for free; anyone else must discard the plan when the
 // registry changes.
 //
+// A step naming a composite compiles as the composite's chain (see
+// expand), so the plan runs, caches and dispatches only primitives,
+// and its Result names the chain's steps.
+//
 // Compile keeps the step index and the capabilities validation
 // resolved, and counts its tables before filling them, so each is
 // allocated once, at its exact size, and shared by all steps: the
@@ -152,6 +156,14 @@ func Compile(w *Workflow, reg *registry.Registry) (*CompiledPlan, error) {
 	index := make(map[string]int, n)
 	if err := w.validate(reg, index, sc.caps); err != nil {
 		return nil, err
+	}
+	if x := expand(w, sc.caps); x != nil {
+		w, n = x, len(x.Steps)
+		sc.reset(n)
+		index = make(map[string]int, n)
+		if err := w.validate(reg, index, sc.caps); err != nil {
+			return nil, err
+		}
 	}
 
 	nRefs, nLits, nOut, nText := 0, 0, 0, 0
@@ -278,6 +290,50 @@ func Compile(w *Workflow, reg *registry.Registry) (*CompiledPlan, error) {
 	cp.fpSegs = make([]fpSeg, len(sc.segs))
 	copy(cp.fpSegs, sc.segs)
 	return cp, nil
+}
+
+// expand returns w with every step that names a composite, per caps,
+// replaced by the composite's chain, or nil when no step names one.
+// The head takes the step's bindings, and each later chain step binds
+// its inputs to earlier ones. The tail keeps the step's ID, so refs to
+// the step, the workflow's outputs and its checks resolve to the tail;
+// the steps before it are named "<id>_<k>", k counting from 1. Every
+// chain step inherits the step's Phase and Affinity.
+func expand(w *Workflow, caps []*registry.Capability) *Workflow {
+	n := 0
+	for _, c := range caps {
+		n += len(c.Chain)
+	}
+	if n == 0 {
+		return nil
+	}
+	steps := make([]Step, 0, len(w.Steps)+n)
+	for i, s := range w.Steps {
+		chain := caps[i].Chain
+		if len(chain) == 0 {
+			steps = append(steps, s)
+			continue
+		}
+		id := func(k int) string {
+			if k == len(chain)-1 {
+				return s.ID
+			}
+			return s.ID + "_" + strconv.Itoa(k+1)
+		}
+		for k, cs := range chain {
+			st := Step{ID: id(k), Capability: cs.Capability, Inputs: s.Inputs, Phase: s.Phase, Affinity: s.Affinity}
+			if k > 0 {
+				st.Inputs = make(map[string]Binding, len(cs.In))
+				for name, r := range cs.In {
+					st.Inputs[name] = Ref(id(r.Step), r.Port)
+				}
+			}
+			steps = append(steps, st)
+		}
+	}
+	x := *w
+	x.Steps = steps
+	return &x
 }
 
 // firstRefTo reports whether refs[k] is the first of refs to read its

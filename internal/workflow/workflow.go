@@ -7,7 +7,9 @@
 // lowers it into a CompiledPlan; Engine.RunCompiled executes that
 // plan, and Engine.Run is Compile followed by RunCompiled. Observers
 // are passed per run, so one Engine serves observed and unobserved
-// runs alike.
+// runs alike. Compile splices a composite capability's chain in place
+// of every step that names it, so the steps inside a composite are
+// cached, dispatched and observed like any other.
 //
 // # Step memoization
 //
