@@ -27,6 +27,14 @@
 //     Scheduler grants it a run slot. Track it with Job.Events
 //     (replayable), Job.Wait, Job.Cancel and sys.Jobs.
 //
+// Every event stream — AskStream, Job.Events and Subscription.Events —
+// delivers by one policy: a send blocks while its producer is live
+// (the ask's ctx, the job's context, the open subscription), and once
+// the producer is done, a reader that takes nothing for a five-second
+// grace period forfeits the rest of its stream. Job and subscription
+// streams replay one append-only log, so a late reader sees the full
+// history; an AskStream is a single back-pressured channel.
+//
 // Per-call options (AskExpert, AskObserver, AskWithoutCuration,
 // AskTimeout, AskParallelism, AskNoCache) let one shared System serve
 // heterogeneous requests; AskBatch fans a query set out over a bounded
@@ -330,9 +338,9 @@ var (
 	// attached to a shared Scheduler, when the bounded queue has no
 	// room.
 	ErrJobQueueFull = core.ErrJobQueueFull
-	// ErrJobsStarted is returned by SetJobLimits and SetScheduler once
-	// the System's job scheduler is fixed: after the first Submit, or
-	// after a SetScheduler.
+	// ErrJobsStarted is returned by SetScheduler once the System's job
+	// scheduler is fixed: after the first Submit, or after a
+	// SetScheduler.
 	ErrJobsStarted = core.ErrJobsStarted
 	// ErrJobsClosed is returned by Submit — and by Ask on a System
 	// attached to a shared Scheduler — after System.Close or

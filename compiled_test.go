@@ -215,10 +215,11 @@ func TestWarmAskAllocCeiling(t *testing.T) {
 // other serving paths: an Ask carrying a no-op AskObserver, which
 // builds and delivers every stage and step event inline; an Ask on a
 // System attached to a shared Scheduler, which takes a run slot around
-// the pipeline — the path HTTP /v1/ask serves through; and
-// Submit+Wait, the path of HTTP POST /v1/jobs. All replay on the same
-// memoized engine as a plain warm Ask. Each ceiling carries ~2x
-// headroom over the measured cost.
+// the pipeline — the path HTTP /v1/ask serves through; Submit+Wait,
+// the path of HTTP POST /v1/jobs; and a drained AskStream, which sends
+// every event over its channel. All replay on the same memoized engine
+// as a plain warm Ask. Each ceiling carries ~2x headroom over the
+// measured cost.
 func TestServedAskAllocCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is unreliable under -short (race) runs")
@@ -258,6 +259,18 @@ func TestServedAskAllocCeilings(t *testing.T) {
 			}
 			_, err = j.Wait(ctx)
 			return err
+		}},
+		{"AskStream drain", 90, func() error {
+			var done *arachnet.Done
+			for ev := range sys.AskStream(ctx, query, arachnet.AskWithoutCuration()) {
+				if d, ok := ev.(*arachnet.Done); ok {
+					done = d
+				}
+			}
+			if done == nil {
+				return fmt.Errorf("stream closed without Done")
+			}
+			return done.Err
 		}},
 	}
 	for _, c := range cases {

@@ -51,31 +51,27 @@ type Design struct {
 	Strategy string
 }
 
-// Agent is the WorkflowScout agent.
-type Agent struct {
-	// MaxCandidates bounds exploratory search (default 6).
-	MaxCandidates int
-	// DirectThreshold is the complexity below which a single direct
-	// path is designed without exploring alternatives (default 3).
-	DirectThreshold int
-}
+const (
+	// maxCandidates bounds exploratory search.
+	maxCandidates = 6
+	// directThreshold is the complexity below which a single direct
+	// path is designed without exploring alternatives.
+	directThreshold = 3
+)
 
-// New returns a WorkflowScout with default settings.
-func New() *Agent { return &Agent{MaxCandidates: 6, DirectThreshold: 3} }
+// Agent is the WorkflowScout agent. It holds no state, so one Agent
+// may design for several goroutines at once.
+type Agent struct{}
+
+// New returns a WorkflowScout.
+func New() *Agent { return &Agent{} }
 
 // Design converts a problem spec into a workflow design against the
-// registry. It only reads a, so one Agent may design for several
-// goroutines at once; a setting that is not positive takes its default.
-func (a *Agent) Design(ps *querymind.ProblemSpec, reg *registry.Registry) (*Design, error) {
-	limit, threshold := a.MaxCandidates, a.DirectThreshold
-	if limit <= 0 {
-		limit = 6
-	}
-	if threshold <= 0 {
-		threshold = 3
-	}
+// registry.
+func (*Agent) Design(ps *querymind.ProblemSpec, reg *registry.Registry) (*Design, error) {
+	limit := maxCandidates
 	d := &Design{Strategy: "exploratory"}
-	if ps.Complexity < threshold {
+	if ps.Complexity < directThreshold {
 		d.Strategy = "direct"
 		limit = 1
 	}

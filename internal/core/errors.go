@@ -13,9 +13,8 @@ var (
 	// attached to a shared Scheduler, when the bounded queue has no
 	// room; callers should shed load or retry later.
 	ErrJobQueueFull = errors.New("arachnet: job queue full")
-	// ErrJobsStarted is returned by SetJobLimits and SetScheduler once
-	// the System's job scheduler is fixed (the first Submit, or a
-	// SetScheduler, wins).
+	// ErrJobsStarted is returned by SetScheduler once the System's job
+	// scheduler is fixed (the first Submit, or a SetScheduler, wins).
 	ErrJobsStarted = errors.New("arachnet: job workers already started")
 	// ErrJobsClosed is returned by Submit — and by Ask on a System
 	// attached to a shared Scheduler — once Close shut the job

@@ -154,8 +154,12 @@ type emitter struct {
 	query     string
 	seq       int
 	observers []Observer
-	sink      func(Event)
+	sink      eventSink
 }
+
+// eventSink takes every event of a run after its observers:
+// *eventLog[Event] for a job, *askStream for AskStream.
+type eventSink interface{ add(Event) }
 
 // active reports whether anyone would see an event from this run.
 // The warm serving path checks it before constructing events at all:
@@ -178,7 +182,7 @@ func (e *emitter) emit(ev Event) error {
 		}
 	}
 	if e.sink != nil {
-		e.sink(ev)
+		e.sink.add(ev)
 	}
 	return veto
 }

@@ -65,9 +65,11 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// log is the job's event stream: what the pipeline emitted, ending
+	// with Done. It has its own lock, taken after mu where both are.
+	log eventLog[Event]
+
 	mu        sync.Mutex
-	cond      *sync.Cond
-	events    []Event
 	state     JobState
 	cancelled bool
 	report    *Report
@@ -166,79 +168,16 @@ func (j *Job) Cancel() {
 	j.cancel()
 }
 
-// subscriberGrace bounds how long a replay goroutine waits on a
-// non-draining subscriber after the job's context is released (the job
-// finished or was cancelled). Live subscribers drain well within it;
-// abandoned ones stop leaking a goroutine after it.
-const subscriberGrace = 5 * time.Second
-
 // Events returns a channel that replays the job's event stream from
 // the beginning — late subscribers see the full history — then follows
 // it live and closes after the terminal Done event. Each call gets an
-// independent channel; multiple subscribers may watch one job. The
-// caller should drain the channel: once the job reaches a terminal
-// state, a subscriber that stops reading forfeits remaining events
-// after a grace period and the channel closes.
-func (j *Job) Events() <-chan Event {
-	ch := make(chan Event, streamBuffer)
-	go func() {
-		defer close(ch)
-		i := 0
-		for {
-			j.mu.Lock()
-			for i == len(j.events) && !j.state.terminal() {
-				j.cond.Wait()
-			}
-			if i == len(j.events) {
-				j.mu.Unlock()
-				return
-			}
-			ev := j.events[i]
-			i++
-			j.mu.Unlock()
-			if !j.deliver(ch, ev) {
-				return
-			}
-		}
-	}()
-	return ch
-}
-
-// deliver sends one replayed event, preferring delivery over exit:
-// buffer space or a ready receiver always wins. While the job is live
-// its context keeps the send blocking (the event log decouples the
-// pipeline, so a slow subscriber never stalls the run); after the
-// context is released, a bounded grace period separates slow
-// subscribers from abandoned ones.
-func (j *Job) deliver(ch chan<- Event, ev Event) bool {
-	select {
-	case ch <- ev:
-		return true
-	default:
-	}
-	select {
-	case ch <- ev:
-		return true
-	case <-j.ctx.Done():
-	}
-	t := time.NewTimer(subscriberGrace)
-	defer t.Stop()
-	select {
-	case ch <- ev:
-		return true
-	case <-t.C:
-		return false
-	}
-}
-
-// record appends one pipeline event to the job's log (the emitter sink
-// for job runs) and wakes subscribers.
-func (j *Job) record(ev Event) {
-	j.mu.Lock()
-	j.events = append(j.events, ev)
-	j.cond.Broadcast()
-	j.mu.Unlock()
-}
+// independent channel; multiple subscribers may watch one job. While
+// the job is live a slow subscriber blocks only its own channel (the
+// log decouples the pipeline, so it never stalls the run). The caller
+// should drain the channel: once the job's context is released (it
+// finished or was cancelled), a subscriber that stops reading forfeits
+// remaining events after a grace period and the channel closes.
+func (j *Job) Events() <-chan Event { return j.log.stream(j.ctx.Done()) }
 
 // finishLocked moves the job to its terminal state.
 func (j *Job) finishLocked(rep *Report, err error) {
@@ -257,17 +196,15 @@ func (j *Job) finishLocked(rep *Report, err error) {
 		j.state = JobDone
 	}
 	close(j.done)
-	j.cond.Broadcast()
+	j.log.close()
 }
 
 // jobTable is the System's async serving state: the scheduler the
 // System routes jobs through (private by default, shared via
 // SetScheduler) and the submission-ordered job index.
 type jobTable struct {
-	mu      sync.Mutex
-	workers int
-	depth   int
-	sched   *Scheduler
+	mu    sync.Mutex
+	sched *Scheduler
 	// private marks a scheduler this System created for itself (and so
 	// owns: Close closes it). An attached shared scheduler is left
 	// running for its other Systems.
@@ -276,23 +213,6 @@ type jobTable struct {
 	closed  bool
 	nextID  uint64
 	jobs    []*Job
-}
-
-// SetJobLimits configures the private job scheduler: workers is the
-// number of concurrent pipeline runs, depth the bound of the waiting
-// queue. Non-positive values keep the defaults (GOMAXPROCS runs, depth
-// 128). It must be called before the first Submit (and is mutually
-// exclusive with SetScheduler — a shared scheduler brings its own
-// slots); afterwards it fails with ErrJobsStarted.
-func (s *System) SetJobLimits(workers, depth int) error {
-	s.jobs.mu.Lock()
-	defer s.jobs.mu.Unlock()
-	if s.jobs.sched != nil {
-		return ErrJobsStarted
-	}
-	s.jobs.workers = workers
-	s.jobs.depth = depth
-	return nil
 }
 
 // SetScheduler attaches the System to a shared Scheduler under the
@@ -337,7 +257,6 @@ func (s *System) Submit(ctx context.Context, query string, opts ...AskOption) (*
 		state:  JobQueued,
 		done:   make(chan struct{}),
 	}
-	j.cond = sync.NewCond(&j.mu)
 
 	s.jobs.mu.Lock()
 	if s.jobs.closed {
@@ -429,13 +348,14 @@ func (s *System) takeSlot(ctx context.Context) (*Scheduler, *claim, error) {
 }
 
 // ensureSchedulerLocked creates the System's private scheduler on
-// first use, applying configured or default limits. A scheduler
-// attached with SetScheduler takes precedence. Callers hold jobs.mu.
+// first use, with the default limits: GOMAXPROCS run slots and a queue
+// of defaultJobQueueDepth. A scheduler attached with SetScheduler
+// takes precedence. Callers hold jobs.mu.
 func (s *System) ensureSchedulerLocked() {
 	if s.jobs.sched != nil {
 		return
 	}
-	s.jobs.sched = NewScheduler(s.jobs.workers, s.jobs.depth)
+	s.jobs.sched = NewScheduler(0, 0)
 	s.jobs.private = true
 }
 
@@ -487,7 +407,7 @@ func (s *System) serveJob(j *Job) {
 	j.mu.Unlock()
 
 	cfg := newAskConfig(j.opts)
-	em := &emitter{query: j.query, observers: cfg.observers, sink: j.record}
+	em := &emitter{query: j.query, observers: cfg.observers, sink: &j.log}
 	rep, err := s.run(j.ctx, j.query, cfg, em)
 	em.emit(&Done{Report: rep, Err: err})
 	// Free the slot before the job turns terminal, so it is free by
@@ -510,6 +430,6 @@ func (s *System) serveJob(j *Job) {
 func (j *Job) finishQueuedLocked(err error) {
 	ev := &Done{Err: err}
 	ev.Query, ev.Time = j.query, time.Now()
-	j.events = append(j.events, ev)
+	j.log.add(ev)
 	j.finishLocked(nil, err)
 }

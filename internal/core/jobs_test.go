@@ -160,7 +160,7 @@ func TestJobCancelWhileQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SetJobLimits(1, 8); err != nil {
+	if err := sys.SetScheduler(NewScheduler(1, 8), ""); err != nil {
 		t.Fatal(err)
 	}
 	blocker, err := sys.Submit(ctx, queryCS1)
@@ -205,7 +205,7 @@ func TestSubmitQueueFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SetJobLimits(1, 1); err != nil {
+	if err := sys.SetScheduler(NewScheduler(1, 1), ""); err != nil {
 		t.Fatal(err)
 	}
 	running, err := sys.Submit(ctx, queryCS1)
@@ -237,7 +237,7 @@ func TestJobTableRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SetJobLimits(2, 8); err != nil {
+	if err := sys.SetScheduler(NewScheduler(2, 8), ""); err != nil {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
@@ -288,14 +288,15 @@ func TestJobTableRetention(t *testing.T) {
 	}
 }
 
-func TestSetJobLimitsAfterStart(t *testing.T) {
+func TestSetSchedulerAfterStart(t *testing.T) {
+	// The first Submit fixes the System's private scheduler.
 	env := testEnv(t, false)
 	sys, _ := NewSystem(env, nil)
 	j, err := sys.Submit(ctx, queryCS1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SetJobLimits(2, 2); !errors.Is(err, ErrJobsStarted) {
+	if err := sys.SetScheduler(NewScheduler(2, 2), "x"); !errors.Is(err, ErrJobsStarted) {
 		t.Errorf("err = %v, want ErrJobsStarted", err)
 	}
 	if _, err := j.Wait(ctx); err != nil {

@@ -413,13 +413,9 @@ func TestSetSchedulerErrors(t *testing.T) {
 	if err := sys.SetScheduler(sched, "x"); err != nil {
 		t.Fatal(err)
 	}
-	// A second attach, and private-pool sizing, both conflict with the
-	// attached scheduler.
+	// A second attach conflicts with the attached scheduler.
 	if err := sys.SetScheduler(NewScheduler(1, 8), "y"); !errors.Is(err, ErrJobsStarted) {
 		t.Errorf("re-attach: err = %v, want ErrJobsStarted", err)
-	}
-	if err := sys.SetJobLimits(2, 2); !errors.Is(err, ErrJobsStarted) {
-		t.Errorf("SetJobLimits after attach: err = %v, want ErrJobsStarted", err)
 	}
 	j, err := sys.Submit(ctx, queryCS1)
 	if err != nil {

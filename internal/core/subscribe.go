@@ -193,15 +193,14 @@ type Subscription struct {
 	// closed is closed when the watch loop has fully exited (terminal
 	// event recorded); it also gates the Events replay grace period.
 	closed chan struct{}
+	// log is the subscription's event stream; each event's Seq is its
+	// index in it. It has its own lock, taken after mu where both are.
+	log eventLog[SubEvent]
 
 	mu       sync.Mutex
-	cond     *sync.Cond
-	events   []SubEvent
-	seq      int
 	revision int
 	current  *Report
 	err      error
-	done     bool
 	reason   string
 }
 
@@ -254,63 +253,15 @@ func (sub *Subscription) closeWith(reason string) {
 // call gets an independent channel. As with Job.Events, a subscriber
 // that stops draining after the subscription closes forfeits remaining
 // events after a grace period.
-func (sub *Subscription) Events() <-chan SubEvent {
-	ch := make(chan SubEvent, streamBuffer)
-	go func() {
-		defer close(ch)
-		i := 0
-		for {
-			sub.mu.Lock()
-			for i == len(sub.events) && !sub.done {
-				sub.cond.Wait()
-			}
-			if i == len(sub.events) {
-				sub.mu.Unlock()
-				return
-			}
-			ev := sub.events[i]
-			i++
-			sub.mu.Unlock()
-			if !sub.deliver(ch, ev) {
-				return
-			}
-		}
-	}()
-	return ch
-}
-
-// deliver mirrors Job.deliver: prefer delivery, block while the
-// subscription is live (the event log decouples the watch loop), and
-// after close give slow subscribers a bounded grace period.
-func (sub *Subscription) deliver(ch chan<- SubEvent, ev SubEvent) bool {
-	select {
-	case ch <- ev:
-		return true
-	default:
-	}
-	select {
-	case ch <- ev:
-		return true
-	case <-sub.closed:
-	}
-	t := time.NewTimer(subscriberGrace)
-	defer t.Stop()
-	select {
-	case ch <- ev:
-		return true
-	case <-t.C:
-		return false
-	}
-}
+func (sub *Subscription) Events() <-chan SubEvent { return sub.log.stream(sub.closed) }
 
 // record stamps and appends one event, waking stream subscribers.
 func (sub *Subscription) record(ev SubEvent) {
-	sub.mu.Lock()
 	m := ev.subMeta()
-	m.SubID, m.Query, m.Seq, m.Revision, m.Time = sub.id, sub.query, sub.seq, sub.revision, time.Now()
-	sub.seq++
-	sub.events = append(sub.events, ev)
-	sub.cond.Broadcast()
+	sub.mu.Lock()
+	m.SubID, m.Query, m.Revision, m.Time = sub.id, sub.query, sub.revision, time.Now()
+	m.Seq = sub.log.len()
+	sub.log.add(ev)
 	sub.mu.Unlock()
 }
 
@@ -358,7 +309,6 @@ func (s *System) Subscribe(ctx context.Context, query string, opts ...AskOption)
 		cancel: cancel,
 		closed: make(chan struct{}),
 	}
-	sub.cond = sync.NewCond(&sub.mu)
 
 	s.subs.mu.Lock()
 	s.subs.nextID++
@@ -496,13 +446,10 @@ func (sub *Subscription) closeReason() string {
 	return "context cancelled"
 }
 
-// finish records the terminal event and marks every stream done.
+// finish records the terminal event and closes the log.
 func (sub *Subscription) finish(reason string) {
 	sub.record(&SubscriptionClosed{Reason: reason})
-	sub.mu.Lock()
-	sub.done = true
-	sub.cond.Broadcast()
-	sub.mu.Unlock()
+	sub.log.close()
 }
 
 // execute runs one (re-)execution of the standing query. Curation is

@@ -224,8 +224,8 @@ func NewSystem(env *Environment, reg *registry.Registry) (*System, error) {
 // the plan cache, stepEntries and stepBytes the step cache. A
 // non-positive entry bound disables that cache (and flushes it); a
 // non-positive stepBytes leaves the step cache bounded by entries
-// only. Unlike SetJobLimits it may be called at any time — shrinking
-// evicts immediately and in-flight runs simply miss.
+// only. It may be called at any time — shrinking evicts immediately
+// and in-flight runs simply miss.
 func (s *System) SetCacheLimits(planEntries, stepEntries int, stepBytes int64) {
 	s.planCache.SetLimits(planEntries, 0)
 	s.stepCache.SetLimits(stepEntries, stepBytes)
@@ -377,63 +377,46 @@ func (s *System) Ask(ctx context.Context, query string, opts ...AskOption) (*Rep
 	return rep, err
 }
 
-// streamBuffer decouples the pipeline from the consumer: a run can get
-// this many events ahead before event emission blocks on the reader.
-const streamBuffer = 16
-
 // AskStream is the non-blocking sibling of Ask: it starts the pipeline
 // in a background goroutine and returns a channel of typed events —
 // stage transitions, per-step execution, curation promotions — ending
 // with a Done event carrying exactly what Ask would have returned. The
 // channel is closed after Done.
 //
-// The consumer must drain the channel (or cancel ctx) — the pipeline
-// blocks once the consumer falls streamBuffer events behind, and after
-// ctx is cancelled undeliverable events are dropped so an abandoned
-// stream cannot wedge the run.
+// The consumer must drain the channel: the pipeline blocks once the
+// consumer falls streamBuffer events behind. Cancelling ctx aborts the
+// run, and a consumer that stops draining after ctx ends forfeits the
+// rest of the stream after a grace period: from the first event it
+// leaves untaken that long, the run drops its events, Done included,
+// so an abandoned stream cannot wedge it.
 func (s *System) AskStream(ctx context.Context, query string, opts ...AskOption) <-chan Event {
 	cfg := newAskConfig(opts)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ch := make(chan Event, streamBuffer)
-	em := &emitter{query: query, observers: cfg.observers, sink: func(ev Event) {
-		// Prefer delivery: buffer space or a ready receiver always
-		// wins, even when ctx is already cancelled — otherwise the
-		// closed Done channel could race a deliverable send and drop
-		// the terminal event on an actively-draining consumer.
-		select {
-		case ch <- ev:
-			return
-		default:
-		}
-		select {
-		case ch <- ev:
-		case <-ctx.Done():
-			if _, isDone := ev.(*Done); isDone {
-				// The terminal event carries the run's outcome: give a
-				// slow-but-live consumer a bounded grace to take it
-				// before the channel closes without one.
-				t := time.NewTimer(subscriberGrace)
-				defer t.Stop()
-				select {
-				case ch <- ev:
-				case <-t.C:
-				}
-				return
-			}
-			select {
-			case ch <- ev:
-			default: // abandoned stream: drop rather than wedge the run
-			}
-		}
-	}}
+	out := &askStream{ch: make(chan Event, streamBuffer), live: ctx.Done()}
+	em := &emitter{query: query, observers: cfg.observers, sink: out}
 	go func() {
-		defer close(ch)
+		defer close(out.ch)
 		rep, err := s.run(ctx, query, cfg, em)
 		em.emit(&Done{Report: rep, Err: err})
 	}()
-	return ch
+	return out.ch
+}
+
+// askStream is AskStream's sink: a direct, back-pressured channel fed
+// through deliver. Once one event goes undelivered the consumer is
+// gone, and every later event is dropped at once.
+type askStream struct {
+	ch      chan Event
+	live    <-chan struct{}
+	dropped bool
+}
+
+func (a *askStream) add(ev Event) {
+	if !a.dropped && !deliver(a.ch, ev, a.live) {
+		a.dropped = true
+	}
 }
 
 // run is the single pipeline implementation behind Ask, AskStream and
@@ -914,13 +897,13 @@ func (s *System) curate() ([]registrycurator.Promotion, error) {
 	s.curateMu.Lock()
 	defer s.curateMu.Unlock()
 	s.mu.Lock()
-	seen := s.curatedThrough
+	if len(s.history) <= s.curatedThrough {
+		s.mu.Unlock()
+		return nil, nil
+	}
 	hist := make([]registrycurator.Observation, len(s.history))
 	copy(hist, s.history)
 	s.mu.Unlock()
-	if len(hist) <= seen {
-		return nil, nil
-	}
 	promos, err := s.curator.Curate(hist, s.reg)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,9 @@
 // source of truth), then follows live and ends after the terminal
 // "done" frame. A client that disconnects mid-stream cancels the job
 // unless it subscribed with ?detach=1, mapping dropped consumers onto
-// job cancellation so abandoned work stops consuming workers.
+// job cancellation so abandoned work stops consuming workers. The
+// subscription stream (subscriptions.go) is written by the same loop,
+// streamSSE.
 package serve
 
 import (
@@ -86,6 +88,23 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// A dropped consumer that did not detach has lost interest in the
+	// result: cancel the job (idempotent; a no-op on finished jobs).
+	streamSSE(w, r, j.Events, encodeEvent, j.Cancel)
+}
+
+// sseFrameType is a wire frame that names its SSE event type.
+type sseFrameType interface{ eventType() string }
+
+func (f eventJSON) eventType() string    { return f.Type }
+func (f subEventJSON) eventType() string { return f.Type }
+
+// streamSSE is the one SSE write loop: it opens the event stream and
+// writes each event as an "event: <type>" frame carrying the encoded
+// JSON, flushing per frame, until the stream closes. If the client
+// goes away first, it calls drop unless the request asked for
+// ?detach=1.
+func streamSSE[E any, F sseFrameType](w http.ResponseWriter, r *http.Request, open func() <-chan E, encode func(E) F, drop func()) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
@@ -101,26 +120,23 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	events := j.Events()
+	events := open()
 	for {
 		select {
-		case ev, open := <-events:
-			if !open {
+		case ev, ok := <-events:
+			if !ok {
 				return
 			}
-			frame := encodeEvent(ev)
+			frame := encode(ev)
 			data, err := json.Marshal(frame)
 			if err != nil {
-				data = []byte(fmt.Sprintf(`{"type":%q,"error":"unserializable event"}`, frame.Type))
+				data = []byte(fmt.Sprintf(`{"type":%q,"error":"unserializable event"}`, frame.eventType()))
 			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", frame.Type, data)
+			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", frame.eventType(), data)
 			flusher.Flush()
 		case <-r.Context().Done():
-			// The consumer is gone. Unless it explicitly detached,
-			// treat the dropped stream as disinterest in the result and
-			// cancel the job (idempotent; a no-op on finished jobs).
 			if !detach {
-				j.Cancel()
+				drop()
 			}
 			return
 		}

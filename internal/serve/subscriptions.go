@@ -204,42 +204,7 @@ func (s *Server) handleSubscriptionEvents(w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	detach := r.URL.Query().Get("detach") != ""
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	events := sub.Events()
-	for {
-		select {
-		case ev, open := <-events:
-			if !open {
-				return
-			}
-			frame := encodeSubEvent(ev)
-			data, err := json.Marshal(frame)
-			if err != nil {
-				data = []byte(fmt.Sprintf(`{"type":%q,"error":"unserializable event"}`, frame.Type))
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", frame.Type, data)
-			flusher.Flush()
-		case <-r.Context().Done():
-			if !detach {
-				sub.Close()
-			}
-			return
-		}
-	}
+	streamSSE(w, r, sub.Events, encodeSubEvent, sub.Close)
 }
 
 // maxScenarioDays caps days_before_now and window_days on POST
