@@ -57,10 +57,12 @@
 // every per-run lookup and re-canonicalization; compilation shares the
 // plan cache's invalidation exactly. Plain, observed, streamed and
 // submitted asks share one memoized engine, and AskNoCache compiles
-// afresh on an uncached one. Warm state also survives restarts: System.SaveSnapshot writes both caches to a versioned,
-// fingerprint-validated document and System.LoadSnapshot restores it
-// into a freshly built equivalent System (see the -snapshot flag on
-// cmd/arachnet and cmd/arachnet-serve).
+// afresh on an uncached one. Warm state also survives restarts:
+// System.SaveSnapshot writes both caches and the curation promotions
+// to a versioned, fingerprint-validated document and
+// System.LoadSnapshot restores it into a freshly built equivalent
+// System (see the -snapshot flag on cmd/arachnet and
+// cmd/arachnet-serve).
 //
 // Continuous monitoring turns one-shot queries into standing ones:
 // Subscribe(ctx, query, ...AskOption) registers a query that
@@ -71,7 +73,8 @@
 // reports. Re-execution is incremental: capabilities declare which
 // environment facets they read (Capability.Reads), so only steps whose
 // facet fingerprints changed actually run; the rest replay from the
-// step cache.
+// step cache. Each run plans and executes against the one environment
+// epoch (scenario and fingerprints) it loaded when it started.
 //
 // For serving over the network, cmd/arachnet-serve exposes the same
 // pipeline as a multi-tenant HTTP/JSON + SSE service (package

@@ -168,7 +168,7 @@ func case4(sys *arachnet.System) {
 	if err != nil {
 		fatal(err)
 	}
-	truth := sys.Environment().Scenario.TrueCable
+	truth := sys.Environment().Scenario().TrueCable
 	fmt.Printf("agent pipeline: %s\n", strings.Join(rep.Design.Chosen.CapabilityNames(), " → "))
 	fmt.Printf("generated code: %d LoC (paper ≈%d)\n", rep.Solution.LoC, paperLoC[4])
 	fmt.Printf("ground truth cable: %s\n", truth)

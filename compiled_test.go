@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"arachnet"
+	"arachnet/internal/eval"
 )
 
 // pairedSystems builds two identically seeded small-world systems,
@@ -90,6 +91,50 @@ func TestCachedMatchesFresh(t *testing.T) {
 			}
 			// Both systems walked the same history, so curation must have
 			// promoted identically — the registries stayed in lockstep.
+			if cg, fg := cached.Registry().Generation(), fresh.Registry().Generation(); cg != fg {
+				t.Errorf("registry generations diverged: cached %d, fresh %d", cg, fg)
+			}
+		})
+	}
+}
+
+// TestCachedMatchesFreshCorpus is the cached ≡ fresh contract over
+// every question of eval.Corpus: before any scenario and after
+// injections 5 and 6, each question asked cold and then warm on the
+// cached System must fail, or answer, exactly as AskNoCache does on the
+// fresh one. The fleet row runs only without -short.
+func TestCachedMatchesFreshCorpus(t *testing.T) {
+	for _, fleetN := range []int{0, 4} {
+		t.Run(fmt.Sprintf("fleet=%d", fleetN), func(t *testing.T) {
+			if fleetN > 0 && testing.Short() {
+				t.Skip("the fleet row runs without -short")
+			}
+			cached, fresh := pairedSystems(t, 42, fleetN)
+			for _, seed := range []uint64{0, 5, 6} {
+				if seed != 0 {
+					for _, sys := range []*arachnet.System{cached, fresh} {
+						if err := sys.Environment().InjectCableFailureScenario(arachnet.ScenarioConfig{Seed: seed}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, q := range eval.Corpus() {
+					for _, pass := range []string{"cold", "warm"} {
+						repC, errC := cached.Ask(ctx, q)
+						repF, errF := fresh.Ask(ctx, q, arachnet.AskNoCache())
+						if fmt.Sprint(errC) != fmt.Sprint(errF) {
+							t.Errorf("scenario %d, %s %.60q: cached and fresh errors differ:\ncached: %v\nfresh:  %v", seed, pass, q, errC, errF)
+							continue
+						}
+						if errC != nil {
+							continue
+						}
+						if jc, jf := answerJSON(t, repC), answerJSON(t, repF); string(jc) != string(jf) {
+							t.Errorf("scenario %d, %s %.60q: cached and fresh answers differ:\ncached: %s\nfresh:  %s", seed, pass, q, jc, jf)
+						}
+					}
+				}
+			}
 			if cg, fg := cached.Registry().Generation(), fresh.Registry().Generation(); cg != fg {
 				t.Errorf("registry generations diverged: cached %d, fresh %d", cg, fg)
 			}

@@ -44,7 +44,7 @@ func main() {
 		v.StatisticalEvidence, v.InfraEvidence, v.RoutingEvidence)
 	fmt.Println("reasoning:", v.Explanation)
 
-	truth := sys.Environment().Scenario.TrueCable
+	truth := sys.Environment().Scenario().TrueCable
 	fmt.Printf("\nground truth (injected): %s — agent correct: %v\n", truth, v.Cable == truth)
 
 	expert, err := arachnet.ExpertForensic(sys)

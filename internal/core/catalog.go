@@ -346,7 +346,7 @@ func registerReport(r *registry.Registry) {
 			if err != nil {
 				return err
 			}
-			c.Out["report"] = directCountryRollup(e, rows, links)
+			c.Out["report"] = directCountryRollup(e.Environment, rows, links)
 			return nil
 		},
 	})

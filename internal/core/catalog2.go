@@ -31,7 +31,7 @@ func registerBGP(r *registry.Registry) {
 			if err != nil {
 				return err
 			}
-			sc := e.scenario()
+			sc := e.Scenario()
 			if sc == nil || len(sc.Stream) == 0 {
 				return fmt.Errorf("core: no BGP stream available in this environment")
 			}
@@ -129,7 +129,7 @@ func registerTraceroute(r *registry.Registry) {
 			if err != nil {
 				return err
 			}
-			sc := e.scenario()
+			sc := e.Scenario()
 			if sc == nil || sc.Archive == nil {
 				return fmt.Errorf("core: no traceroute archive available in this environment")
 			}
@@ -383,7 +383,7 @@ func registerForensic(r *registry.Registry) {
 			if err != nil {
 				return err
 			}
-			c.Out["suspects"] = RankSuspectCables(e, f, msgs)
+			c.Out["suspects"] = RankSuspectCables(e.Environment, f, msgs)
 			return nil
 		},
 	})
@@ -472,7 +472,7 @@ func registerForensic(r *registry.Registry) {
 					anomaly = &f
 				}
 			}
-			c.Out["timeline"] = BuildTimeline(e, rep, bundle, bursts, anomaly)
+			c.Out["timeline"] = BuildTimeline(e.Scenario(), e.Now, rep, bundle, bursts, anomaly)
 			return nil
 		},
 	})
@@ -627,20 +627,18 @@ func SynthesizeVerdict(f LatencyFinding, suspects []CableSuspect, correlation fl
 }
 
 // BuildTimeline assembles the unified cross-layer timeline of Case
-// Study 3 from the contributing analyses.
-func BuildTimeline(e *Environment, rep *xaminer.ImpactReport, bundle CascadeBundle, bursts []bgp.Burst, anomaly *LatencyFinding) *Timeline {
+// Study 3 from the contributing analyses, anchored at sc's failure
+// time, or at now when no scenario was injected.
+func BuildTimeline(sc *Scenario, now time.Time, rep *xaminer.ImpactReport, bundle CascadeBundle, bursts []bgp.Burst, anomaly *LatencyFinding) *Timeline {
 	t := &Timeline{
+		CablesFailed:  len(bundle.Cable.Failed),
 		LinksLost:     rep.FailedLinks,
 		ASesDegraded:  len(bundle.Stress.Degraded),
 		CascadeRounds: len(bundle.Cable.Rounds),
 		TopCountries:  rep.TopCountries(5),
 	}
-	for _, id := range bundle.Cable.Failed {
-		t.CablesFailed++
-		_ = id
-	}
-	base := e.Now
-	if sc := e.scenario(); sc != nil {
+	base := now
+	if sc != nil {
 		base = sc.FailureAt
 	}
 	// Cable layer: failure rounds at synthetic offsets.

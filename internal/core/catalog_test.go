@@ -276,12 +276,12 @@ func TestCapCascadeAndStress(t *testing.T) {
 
 func TestCapSuspectsAndVerdict(t *testing.T) {
 	env := testEnv(t, true)
-	finding := DetectLatencyShift(env.Scenario.Archive)
+	finding := DetectLatencyShift(env.Scenario().Archive)
 	if !finding.Detected {
 		t.Fatal("anomaly undetected")
 	}
 	out, err := invoke(t, env, "nautilus.suspect_cables",
-		map[string]any{"anomaly": finding, "stream": env.Scenario.Stream})
+		map[string]any{"anomaly": finding, "stream": env.Scenario().Stream})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +289,8 @@ func TestCapSuspectsAndVerdict(t *testing.T) {
 	if len(suspects) == 0 {
 		t.Fatal("no suspects")
 	}
-	if suspects[0].Cable != env.Scenario.TrueCable {
-		t.Errorf("top suspect %s, truth %s", suspects[0].Cable, env.Scenario.TrueCable)
+	if suspects[0].Cable != env.Scenario().TrueCable {
+		t.Errorf("top suspect %s, truth %s", suspects[0].Cable, env.Scenario().TrueCable)
 	}
 	vOut, err := invoke(t, env, "forensic.synthesize",
 		map[string]any{"anomaly": finding, "suspects": suspects, "correlation": 0.9})
@@ -298,7 +298,7 @@ func TestCapSuspectsAndVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := vOut["verdict"].(Verdict)
-	if !v.CauseIsCableFailure || v.Cable != env.Scenario.TrueCable {
+	if !v.CauseIsCableFailure || v.Cable != env.Scenario().TrueCable {
 		t.Errorf("verdict = %+v", v)
 	}
 }

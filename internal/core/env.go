@@ -37,33 +37,38 @@ const (
 	FacetScenario = "scenario"
 )
 
-// fpCached memoizes the rendered fingerprint strings of one
-// (identity, epoch) state so the hot serving path — which consults
-// Fingerprint on every Ask for the plan key and the engine cache key —
-// never re-renders them. Swapped atomically; a stale pointer is just
-// recomputed.
-type fpCached struct {
-	id, epoch             uint64
-	full, world, scenario string
+// envEpoch is one immutable state of an Environment: its scenario, its
+// process-unique identity and mutation count, and the fingerprints
+// rendered from them, swapped in whole by every mutation. A run loads
+// one epoch, keys its caches with it and hands it to its capabilities
+// as their environment: the embedded *Environment supplies the world
+// parts, which never change, and Scenario, Data and FacetFingerprint
+// are shadowed, so no capability sees a later epoch mid-run.
+type envEpoch struct {
+	*Environment
+	scenario            *Scenario
+	id, mutations       uint64
+	full, world, scenFP string
 }
 
-// fpStringsNow returns the memoized fingerprint strings for the
-// environment's current state, rendering them only when the identity
-// or epoch moved since the last call.
-func (e *Environment) fpStringsNow() *fpCached {
-	id, ep := e.fpID.Load(), e.fpEpoch.Load()
-	if p := e.fpStrs.Load(); p != nil && p.id == id && p.epoch == ep {
-		return p
+// newEpoch renders the fingerprints of state (sc, id, mutations) of e.
+func (e *Environment) newEpoch(sc *Scenario, id, mutations uint64) *envEpoch {
+	return &envEpoch{
+		Environment: e, scenario: sc, id: id, mutations: mutations,
+		full:   fmt.Sprintf("env%d.%d", id, mutations),
+		world:  fmt.Sprintf("env%d.w", id),
+		scenFP: fmt.Sprintf("env%d.s%d", id, mutations),
 	}
-	p := &fpCached{
-		id:       id,
-		epoch:    ep,
-		full:     fmt.Sprintf("env%d.%d", id, ep),
-		world:    fmt.Sprintf("env%d.w", id),
-		scenario: fmt.Sprintf("env%d.s%d", id, ep),
+}
+
+// current returns the environment's current epoch; a hand-built
+// Environment literal gets its first one on first use.
+func (e *Environment) current() *envEpoch {
+	if ep := e.state.Load(); ep != nil {
+		return ep
 	}
-	e.fpStrs.Store(p)
-	return p
+	e.state.CompareAndSwap(nil, e.newEpoch(nil, envSeq.Add(1), 0))
+	return e.state.Load()
 }
 
 // Fingerprint uniquely identifies this environment instance and its
@@ -75,9 +80,7 @@ func (e *Environment) fpStringsNow() *fpCached {
 // but proving that is the cache's job only within one environment.
 // (LoadSnapshot is the one deliberate exception: it validates content
 // equivalence and then adopts the saved identity.)
-func (e *Environment) Fingerprint() string {
-	return e.fpStringsNow().full
-}
+func (e *Environment) Fingerprint() string { return e.current().full }
 
 // FacetFingerprint scopes the fingerprint to the environment facets a
 // capability declares it Reads. Steps reading only FacetWorld keep
@@ -86,8 +89,13 @@ func (e *Environment) Fingerprint() string {
 // scenario-dependent subgraph re-executes. An empty or unrecognized
 // facet list falls back to the full Fingerprint (always safe).
 func (e *Environment) FacetFingerprint(reads []string) string {
+	return e.current().FacetFingerprint(reads)
+}
+
+// FacetFingerprint is Environment.FacetFingerprint at this epoch.
+func (ep *envEpoch) FacetFingerprint(reads []string) string {
 	if len(reads) == 0 {
-		return e.Fingerprint()
+		return ep.full
 	}
 	scenario := false
 	for _, r := range reads {
@@ -96,60 +104,39 @@ func (e *Environment) FacetFingerprint(reads []string) string {
 		case FacetScenario:
 			scenario = true
 		default:
-			return e.Fingerprint()
+			return ep.full
 		}
 	}
 	if scenario {
-		// Scenario readers see the mutation epoch: every injection
+		// Scenario readers see the mutation count: every injection
 		// replaces the scenario, which is the only mutable facet today.
-		return e.fpStringsNow().scenario
+		return ep.scenFP
 	}
-	// World-only readers: identity without the epoch — the world never
+	// World-only readers: identity without the count — the world never
 	// changes in place.
-	return e.fpStringsNow().world
+	return ep.world
 }
 
 // Epoch returns the environment's mutation epoch: 0 at construction,
 // bumped by every in-place change (scenario injection). Standing
 // queries compare epochs to attribute a wake-up to the environment.
-func (e *Environment) Epoch() uint64 { return e.fpEpoch.Load() }
-
-// ensureFingerprint assigns the instance identity once; hand-built
-// Environment literals (tests) get one lazily at System assembly.
-func (e *Environment) ensureFingerprint() {
-	if e.fpID.Load() == 0 {
-		e.fpID.CompareAndSwap(0, envSeq.Add(1))
-	}
-}
-
-// bumpFingerprint advances the mutation epoch after an in-place
-// environment change (scenario injection), invalidating step-cache
-// entries computed over the previous state, and pokes every watcher.
-func (e *Environment) bumpFingerprint() {
-	e.ensureFingerprint()
-	e.fpEpoch.Add(1)
-	e.watchMu.Lock()
-	for _, ch := range e.watchers {
-		select {
-		case ch <- struct{}{}:
-		default: // watcher already has a pending poke
-		}
-	}
-	e.watchMu.Unlock()
-}
+func (e *Environment) Epoch() uint64 { return e.current().mutations }
 
 // adoptFingerprint rebinds the environment's cache identity to a saved
-// one. This is the snapshot-restore seam: step-cache keys persisted by
-// a previous process embed that process's (identity, epoch), so after
-// LoadSnapshot has proven the environments content-equivalent the
-// loading environment takes over the saved identity and the persisted
-// keys resolve. Identities only need to be unique within one System
-// (caches are per-System), so adopting a foreign one is safe; any
-// entries cached under the pre-adoption identity merely become
-// unreachable garbage for the LRU to age out.
-func (e *Environment) adoptFingerprint(id, epoch uint64) {
-	e.fpID.Store(id)
-	e.fpEpoch.Store(epoch)
+// one and returns the new epoch, or nil, changing nothing, when the
+// environment left epoch from. This is the snapshot-restore seam:
+// step-cache keys persisted by a previous process embed that process's
+// (identity, epoch), so after LoadSnapshot has proven from's scenario
+// content-equivalent the environment takes over the saved identity and
+// the persisted keys resolve. Identities only need to be unique within
+// one System (caches are per-System), so adopting a foreign one is
+// safe; entries cached under the old identity age out of the LRU.
+func (e *Environment) adoptFingerprint(from *envEpoch, id, mutations uint64) *envEpoch {
+	next := e.newEpoch(from.scenario, id, mutations)
+	if !e.state.CompareAndSwap(from, next) {
+		return nil
+	}
+	return next
 }
 
 // Watch registers ch to be poked — a non-blocking send of one empty
@@ -185,15 +172,8 @@ func (e *Environment) Unwatch(ch chan<- struct{}) {
 // invisible to the source and vice versa, which is what gives each
 // serving tenant its own scenario timeline over one generated world.
 func (e *Environment) Clone() *Environment {
-	c := &Environment{
-		World:    e.World,
-		Catalog:  e.Catalog,
-		CrossMap: e.CrossMap,
-		Analyzer: e.Analyzer,
-		Scenario: e.scenario(),
-		Now:      e.Now,
-	}
-	c.ensureFingerprint()
+	c := &Environment{World: e.World, Catalog: e.Catalog, CrossMap: e.CrossMap, Analyzer: e.Analyzer, Now: e.Now}
+	c.state.Store(c.newEpoch(e.Scenario(), envSeq.Add(1), 0))
 	return c
 }
 
@@ -215,9 +195,7 @@ func NewEnvironment(cfg netsim.Config) (*Environment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: analyzer: %w", err)
 	}
-	env := &Environment{World: w, Catalog: cat, CrossMap: m, Analyzer: an, Now: defaultNow}
-	env.ensureFingerprint()
-	return env, nil
+	return &Environment{World: w, Catalog: cat, CrossMap: m, Analyzer: an, Now: defaultNow}, nil
 }
 
 // ScenarioConfig controls forensic-scenario injection.
@@ -303,12 +281,22 @@ func (e *Environment) InjectCableFailureScenario(sc ScenarioConfig) error {
 		TrueCable: cable, FailedLink: links,
 		Archive: arch, Stream: stream,
 	}
-	e.scenarioMu.Lock()
-	e.Scenario = next
-	e.scenarioMu.Unlock()
-	// The environment's observable data changed; retire any memoized
-	// step results computed over the scenario-less state.
-	e.bumpFingerprint()
+	// A new epoch retires every memoized step result computed over the
+	// previous scenario. Concurrent injections each count once.
+	for {
+		old := e.current()
+		if e.state.CompareAndSwap(old, e.newEpoch(next, old.id, old.mutations+1)) {
+			break
+		}
+	}
+	e.watchMu.Lock()
+	for _, ch := range e.watchers {
+		select {
+		case ch <- struct{}{}:
+		default: // watcher already has a pending poke
+		}
+	}
+	e.watchMu.Unlock()
 	return nil
 }
 

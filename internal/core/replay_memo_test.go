@@ -2,11 +2,11 @@ package core
 
 // ReplayMemo contract: a run gets its plan entry's memo slot only when
 // it replayed a cached plan, served every step from the step cache and
-// succeeded, on the engine built for the fingerprint the entry is
-// keyed by. Every other run gets nil.
+// succeeded. Every other run gets nil.
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -103,11 +103,14 @@ func TestReplayMemoNilUnlessFullyCached(t *testing.T) {
 	})
 	t.Run("injection between plan and engine", func(t *testing.T) {
 		// The observer injects a scenario once the replayed plan is
-		// handed over, so the plan was looked up under the previous
-		// fingerprint and the engine is built for the new one. CS1
-		// reads only the world, so its steps still come from cache:
-		// only the fingerprint condition can withhold the memo.
+		// handed over. The run keeps the epoch it planned at, so it
+		// replays every step there, gets the entry's memo slot and
+		// answers as the replay before the injection did.
 		sys := warmSystem(t, queryCS1)
+		before, err := sys.Ask(ctx, queryCS1, AskWithoutCuration())
+		if err != nil {
+			t.Fatal(err)
+		}
 		injected := false
 		rep, err := sys.Ask(ctx, queryCS1, AskWithoutCuration(), AskObserver(ObserverFunc(func(ev Event) error {
 			if sc, ok := ev.(*StageCompleted); ok && sc.Stage == StageSolution && sc.Cached && !injected {
@@ -123,10 +126,13 @@ func TestReplayMemoNilUnlessFullyCached(t *testing.T) {
 			t.Fatal("the run did not replay a cached plan")
 		}
 		if !allCached(rep.Result) {
-			t.Fatal("CS1's steps did not all come from cache after the injection")
+			t.Fatal("the run did not replay every step from cache at its epoch")
 		}
-		if ReplayMemo(rep) != nil {
-			t.Error("a run whose plan and engine saw different fingerprints got a memo")
+		if m, want := ReplayMemo(rep), ReplayMemo(before); m == nil || m != want {
+			t.Errorf("memo %p, want the entry's slot %p", m, want)
+		}
+		if !reflect.DeepEqual(rep.Result.Outputs, before.Result.Outputs) {
+			t.Error("outputs differ from the replay before the injection")
 		}
 	})
 }

@@ -324,11 +324,11 @@ func probeSourceCountry(name string) string {
 	return ""
 }
 
-// archiveOf returns the trace archive of env's current scenario, or nil
-// when env is not an Environment or holds no archive.
+// archiveOf returns the trace archive of env's scenario, or nil when
+// env is not an environment or holds no archive.
 func archiveOf(env any) *traceroute.Archive {
-	if e, ok := env.(*Environment); ok {
-		if sc := e.scenario(); sc != nil {
+	if e, err := envOf(env); err == nil {
+		if sc := e.Scenario(); sc != nil {
 			return sc.Archive
 		}
 	}

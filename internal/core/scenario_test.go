@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash"
+	"reflect"
 	"testing"
 
 	"arachnet/internal/netsim"
@@ -44,7 +45,7 @@ func TestScenarioGolden(t *testing.T) {
 				t.Fatalf("world %d, scenario %+v: %v", seed, sc, err)
 			}
 			fmt.Fprintf(h, "scenario %+v\n", sc)
-			hashJSON(t, h, env.Scenario)
+			hashJSON(t, h, env.Scenario())
 		}
 	}
 	got := hex.EncodeToString(h.Sum(nil))
@@ -84,6 +85,70 @@ func TestInjectAllocCeiling(t *testing.T) {
 	const ceiling = 11000
 	if avg > ceiling {
 		t.Errorf("scenario injection allocates %.0f, budget %d", avg, ceiling)
+	}
+}
+
+// TestRunReadsOneEpoch: a scenario injected while a run executes does
+// not reach that run. CS4, one step at a time, with an observer that
+// injects scenario 6 as bgp.updates_window starts, must read the trace
+// archive and the BGP stream of the scenario it started under, with and
+// without the caches; the next ask reads scenario 6's.
+func TestRunReadsOneEpoch(t *testing.T) {
+	for _, noCache := range []bool{false, true} {
+		t.Run(fmt.Sprintf("noCache=%v", noCache), func(t *testing.T) {
+			sys, err := NewSystem(testEnv(t, true), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := sys.Environment()
+			opts := []AskOption{AskParallelism(1), AskWithoutCuration()}
+			if noCache {
+				opts = append(opts, AskNoCache())
+			}
+			before, injected := env.Scenario(), false
+			rep, err := sys.Ask(ctx, queryCS4, append(opts, AskObserver(ObserverFunc(func(ev Event) error {
+				if st, ok := ev.(*StepStarted); ok && st.Capability == "bgp.updates_window" && !injected {
+					injected = true
+					return env.InjectCableFailureScenario(ScenarioConfig{Seed: 6})
+				}
+				return nil
+			})))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !injected {
+				t.Fatal("bgp.updates_window never started")
+			}
+			after := env.Scenario()
+			if reflect.DeepEqual(before.Stream, after.Stream) || reflect.DeepEqual(before.Archive, after.Archive) {
+				t.Fatal("scenarios 5 and 6 share a stream or an archive")
+			}
+			next, err := sys.Ask(ctx, queryCS4, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				label string
+				rep   *Report
+				want  *Scenario
+			}{{"the run the injection landed in", rep, before}, {"the next ask", next, after}} {
+				got := map[string]any{}
+				for _, st := range c.rep.Result.Steps {
+					switch st.Capability {
+					case "traceroute.archive_window":
+						got["archive"] = c.rep.Result.Values[st.ID+".archive"]
+					case "bgp.updates_window":
+						got["stream"] = c.rep.Result.Values[st.ID+".stream"]
+					}
+				}
+				if !reflect.DeepEqual(got["archive"], c.want.Archive) {
+					t.Errorf("%s read another scenario's trace archive", c.label)
+				}
+				if !reflect.DeepEqual(got["stream"], c.want.Stream) {
+					t.Errorf("%s read another scenario's BGP stream", c.label)
+				}
+			}
+		})
 	}
 }
 

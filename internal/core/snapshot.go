@@ -19,6 +19,8 @@ package core
 //     through the deterministic planning agents; planning is the cheap
 //     half, and the replay repopulates the plan cache and its compiled
 //     artifacts at load time.
+//   - Curation promotions are persisted in order: a composite is plain
+//     data (its chain), so LoadSnapshot re-registers each one.
 //
 // Validation: the snapshot header carries a content digest of the
 // world, the registry generation and size, the scenario digest, and
@@ -39,6 +41,7 @@ import (
 	"sort"
 	"time"
 
+	"arachnet/internal/agents/registrycurator"
 	"arachnet/internal/netsim"
 )
 
@@ -56,9 +59,12 @@ type snapshotFile struct {
 	// they were generated from the same config and seed.
 	World string `json:"world"`
 	// RegistryGen and RegistrySize pin the catalog the cached state was
-	// computed against.
+	// computed against, promotions included.
 	RegistryGen  uint64 `json:"registry_generation"`
 	RegistrySize int    `json:"registry_size"`
+	// Promotions are the System's curated composites in promotion
+	// order; the loader registers them before it checks the registry.
+	Promotions []registrycurator.Promotion `json:"promotions,omitempty"`
 	// EnvID and EnvEpoch are the environment fingerprint counters the
 	// persisted step keys embed; the loader adopts them after
 	// validation.
@@ -99,13 +105,12 @@ func worldDigest(w *netsim.World) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// scenarioDigest fingerprints the injected scenario (or "" when none):
+// scenarioDigest fingerprints an injected scenario (or "" for nil):
 // ground truth, window, and the sizes and first/last elements of the
 // generated archive and stream. Scenarios are generated
 // deterministically from their config, so agreement here means the
 // same injection sequence produced them.
-func (e *Environment) scenarioDigest() string {
-	sc := e.scenario()
+func scenarioDigest(sc *Scenario) string {
 	if sc == nil {
 		return ""
 	}
@@ -127,23 +132,25 @@ func (e *Environment) scenarioDigest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// SaveSnapshot writes the System's warm cache state to w: a versioned,
-// fingerprint-stamped JSON document holding the plan cache as query
-// text and the step cache as port-value output maps. Entries whose
-// values the port-value table cannot represent are skipped (counted in
-// the header), never mis-encoded. Intended at drain time — concurrent
+// SaveSnapshot writes the System's warm state to w: a versioned,
+// fingerprint-stamped JSON document holding the curation promotions,
+// the plan cache as query text and the step cache as port-value output
+// maps. Entries whose values the port-value table cannot represent are
+// skipped (counted in the header), never mis-encoded. Intended at drain time — concurrent
 // serving is safe (each cache is walked under its shard locks) but the
 // snapshot then reflects an instant somewhere during the walk.
 func (s *System) SaveSnapshot(w io.Writer) error {
+	ep := s.env.current()
 	f := snapshotFile{
 		Version:      snapshotVersion,
 		SavedAt:      time.Now().UTC(),
 		World:        worldDigest(s.env.World),
+		Promotions:   s.Promotions(),
 		RegistryGen:  s.reg.Generation(),
 		RegistrySize: s.reg.Size(),
-		EnvID:        s.env.fpID.Load(),
-		EnvEpoch:     s.env.fpEpoch.Load(),
-		Scenario:     s.env.scenarioDigest(),
+		EnvID:        ep.id,
+		EnvEpoch:     ep.mutations,
+		Scenario:     scenarioDigest(ep.scenario),
 	}
 	seen := map[string]bool{}
 	for _, ent := range s.planCache.entries() {
@@ -183,17 +190,18 @@ func (s *System) SaveSnapshot(w io.Writer) error {
 	return enc.Encode(&f)
 }
 
-// LoadSnapshot restores cache state saved by SaveSnapshot into this
-// System. The snapshot must have been taken against an equivalent
-// setup: same world content (config and seed), same registry
-// generation and size, same injected scenario — any mismatch is
-// rejected with an error and the System is left untouched, because
-// serving another world's cached results would be silently wrong (so
-// is a step key that does not decode; a step output that does not
-// decode is skipped). On
+// LoadSnapshot restores state saved by SaveSnapshot into this System.
+// The snapshot must have been taken against an equivalent setup: same
+// world content (config and seed), same registry generation and size
+// once the saved promotions are registered, same injected scenario —
+// any mismatch, a promotion the registry refuses or a step key that
+// does not decode is rejected with an error and the System is left
+// untouched, because serving another world's cached results would be
+// silently wrong (a step output that does not decode is skipped). On
 // success the environment adopts the saved fingerprint identity (the
-// persisted step keys embed it), step entries are inserted, and each
-// saved query is re-planned to warm the plan cache and its compiled
+// persisted step keys embed it), the saved composites are registered
+// and listed in Promotions, step entries are inserted, and each saved
+// query is re-planned to warm the plan cache and its compiled
 // artifacts. Intended at boot, before serving traffic.
 func (s *System) LoadSnapshot(r io.Reader) error {
 	var f snapshotFile
@@ -206,13 +214,22 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 	if got := worldDigest(s.env.World); f.World != got {
 		return fmt.Errorf("core: snapshot world mismatch: snapshot %.12s…, this world %.12s… (different config or seed)", f.World, got)
 	}
-	if gen := s.reg.Generation(); f.RegistryGen != gen {
+	// Register the saved composites on a copy first: Register validates
+	// each chain, and a rejected load leaves the registry as it was.
+	reg := s.reg.Clone()
+	for _, p := range f.Promotions {
+		if err := reg.Register(p.Capability); err != nil {
+			return fmt.Errorf("core: snapshot promotion: %w", err)
+		}
+	}
+	if gen := reg.Generation(); f.RegistryGen != gen {
 		return fmt.Errorf("core: snapshot registry generation %d, this registry %d (catalog changed)", f.RegistryGen, gen)
 	}
-	if size := s.reg.Size(); f.RegistrySize != size {
+	if size := reg.Size(); f.RegistrySize != size {
 		return fmt.Errorf("core: snapshot registry size %d, this registry %d (catalog changed)", f.RegistrySize, size)
 	}
-	if got := s.env.scenarioDigest(); f.Scenario != got {
+	ep := s.env.current()
+	if got := scenarioDigest(ep.scenario); f.Scenario != got {
 		return fmt.Errorf("core: snapshot scenario mismatch (snapshot %.12q, this environment %.12q)", f.Scenario, got)
 	}
 	// Decode every step before touching the environment or either
@@ -240,10 +257,20 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 		}
 		steps = append(steps, step{key: string(key), out: out})
 	}
-	// Adopt the saved fingerprint identity before touching either
-	// cache so inserted step keys and re-planned plan keys both
-	// resolve under it.
-	s.env.adoptFingerprint(f.EnvID, f.EnvEpoch)
+	// Adopt the saved fingerprint identity, and register the saved
+	// composites, before touching either cache so inserted step keys
+	// and re-planned plan keys both resolve under them.
+	if ep = s.env.adoptFingerprint(ep, f.EnvID, f.EnvEpoch); ep == nil {
+		return fmt.Errorf("core: snapshot: the environment changed while it loaded")
+	}
+	for _, p := range f.Promotions {
+		if err := s.reg.Register(p.Capability); err != nil {
+			return fmt.Errorf("core: snapshot promotion: %w", err)
+		}
+	}
+	s.mu.Lock()
+	s.promotions = append(s.promotions, f.Promotions...)
+	s.mu.Unlock()
 	for _, st := range steps {
 		s.stepCache.Put(st.key, st.out, estimateSize(st.out))
 	}
@@ -252,10 +279,7 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 	// (e.g. against a trimmed registry subset — already screened by the
 	// generation check, but belt and braces) just stays cold.
 	for _, q := range f.Queries {
-		em := &emitter{query: q}
-		rep := &Report{Query: q}
-		cfg := askConfig{curate: false, parallelism: 1}
-		_, _, _ = s.plan(context.Background(), q, cfg, em, rep)
+		_, _, _ = s.plan(context.Background(), q, ep, askConfig{parallelism: 1}, &emitter{query: q}, &Report{Query: q})
 	}
 	return nil
 }

@@ -9,7 +9,8 @@ import (
 
 // FuzzLoadSnapshot loads arbitrary bytes into a fresh System: no input
 // may panic, and a rejected load must leave the System untouched — the
-// environment's fingerprint unchanged and both caches empty.
+// environment's fingerprint and the registry generation unchanged and
+// both caches empty.
 func FuzzLoadSnapshot(f *testing.F) {
 	env := testEnv(f, true)
 	reg, err := BuiltinRegistry().Subset(CS1RegistryNames()...)
@@ -56,17 +57,41 @@ func FuzzLoadSnapshot(f *testing.F) {
 	}
 	f.Add(regexp.MustCompile(`"world":"[0-9a-f]+"`).ReplaceAll(snap, []byte(`"world":"00"`)))
 
+	// A donor whose two asks promoted composites: its snapshot, one
+	// whose promotions register but whose generation no longer matches,
+	// and one whose promotion chains an unregistered capability.
+	curated, err := NewSystem(env.Clone(), reg.Clone())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, q := range []string{queryCS1, "Identify the impact at a country level due to SeaMeWe-4 cable failure"} {
+		if _, err := curated.Ask(ctx, q); err != nil {
+			f.Fatal(err)
+		}
+	}
+	buf.Reset()
+	if err := curated.SaveSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	promoted := bytes.Clone(buf.Bytes())
+	f.Add(promoted)
+	f.Add(regexp.MustCompile(`"registry_generation":[0-9]+`).ReplaceAll(promoted, []byte(`"registry_generation":1`)))
+	f.Add(bytes.Replace(promoted, []byte(`"capability":"nautilus.`), []byte(`"capability":"no.such.`), 1))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sys, err := NewSystem(env.Clone(), reg)
+		sys, err := NewSystem(env.Clone(), reg.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp := sys.Environment().Fingerprint()
+		fp, gen := sys.Environment().Fingerprint(), sys.Registry().Generation()
 		if err := sys.LoadSnapshot(bytes.NewReader(data)); err == nil {
 			return
 		}
 		if got := sys.Environment().Fingerprint(); got != fp {
 			t.Fatalf("rejected load moved the fingerprint %s → %s", fp, got)
+		}
+		if got := sys.Registry().Generation(); got != gen {
+			t.Fatalf("rejected load moved the registry generation %d → %d", gen, got)
 		}
 		if st := sys.CacheStats(); st.Plan.Entries != 0 || st.Step.Entries != 0 {
 			t.Fatalf("rejected load left %d plans and %d steps cached", st.Plan.Entries, st.Step.Entries)

@@ -293,13 +293,6 @@ func (s *System) Subscribe(ctx context.Context, query string, opts ...AskOption)
 	if strings.TrimSpace(query) == "" {
 		return nil, fmt.Errorf("core: empty subscription query")
 	}
-	s.jobs.mu.Lock()
-	closed := s.jobs.closed
-	s.jobs.mu.Unlock()
-	if closed {
-		return nil, ErrJobsClosed
-	}
-
 	lctx, cancel := context.WithCancel(ctx)
 	sub := &Subscription{
 		query:  query,
@@ -310,6 +303,14 @@ func (s *System) Subscribe(ctx context.Context, query string, opts ...AskOption)
 		closed: make(chan struct{}),
 	}
 
+	// Index the subscription under the lock Close sets closed under, so
+	// a Close either refuses it or finds it in Subscriptions.
+	s.jobs.mu.Lock()
+	if s.jobs.closed {
+		s.jobs.mu.Unlock()
+		cancel()
+		return nil, ErrJobsClosed
+	}
 	s.subs.mu.Lock()
 	s.subs.nextID++
 	sub.id = s.subs.nextID
@@ -318,6 +319,7 @@ func (s *System) Subscribe(ctx context.Context, query string, opts ...AskOption)
 	}
 	s.subs.subs[sub.id] = sub
 	s.subs.mu.Unlock()
+	s.jobs.mu.Unlock()
 
 	// Watch before capturing the baseline's (generation, fingerprint):
 	// a mutation landing between capture and the first wait leaves a

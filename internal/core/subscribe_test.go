@@ -1,6 +1,6 @@
 package core
 
-// Standing-query battery: the fpEpoch race regression, facet-scoped
+// Standing-query battery: the fingerprint race regression, facet-scoped
 // fingerprints, the change-notification seams, subscription delta
 // semantics (error→success transitions, registry heartbeats), delta
 // determinism across identical mutation sequences, a concurrent
@@ -18,9 +18,8 @@ import (
 	"arachnet/internal/registry"
 )
 
-// TestFingerprintEpochRace is the regression test for the fpEpoch data
-// race: Fingerprint reads the epoch while InjectCableFailureScenario
-// bumps it. Before fpID/fpEpoch became atomic this failed under -race.
+// TestFingerprintEpochRace reads the fingerprints and the epoch while
+// InjectCableFailureScenario swaps the epoch; it must pass under -race.
 func TestFingerprintEpochRace(t *testing.T) {
 	env := testEnv(t, true)
 	stop := make(chan struct{})
@@ -100,7 +99,7 @@ func TestEnvironmentWatchAndClone(t *testing.T) {
 	if clone.Fingerprint() == env.Fingerprint() {
 		t.Error("clone shares the source's fingerprint identity")
 	}
-	if clone.World != env.World || clone.Scenario != env.Scenario {
+	if clone.World != env.World || clone.Scenario() != env.Scenario() {
 		t.Error("clone must share the world and carry the current scenario")
 	}
 	// Mutating the clone is invisible to the source: no epoch bump, no
@@ -565,5 +564,44 @@ func TestSubscriptionCloseSemantics(t *testing.T) {
 	}
 	if len(sys.Subscriptions()) != 0 {
 		t.Errorf("%d subscriptions survive Close", len(sys.Subscriptions()))
+	}
+}
+
+// TestCloseRacesSubscribe: a Close concurrent with a Subscribe either
+// refuses the subscription or closes it — none outlives the System.
+// Without a shared scheduler nothing else would ever stop it.
+func TestCloseRacesSubscribe(t *testing.T) {
+	env := testEnv(t, false)
+	for round := 0; round < 3000; round++ {
+		sys, err := NewSystem(env.Clone(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			sub    *Subscription
+			subErr error
+			wg     sync.WaitGroup
+		)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			sub, subErr = sys.Subscribe(ctx, queryCS1)
+		}()
+		go func() {
+			defer wg.Done()
+			sys.Close()
+		}()
+		wg.Wait()
+		if errors.Is(subErr, ErrJobsClosed) {
+			continue
+		}
+		if subErr != nil {
+			t.Fatalf("round %d: %v", round, subErr)
+		}
+		select {
+		case <-sub.Done():
+		default:
+			t.Fatalf("round %d: the subscription outlived Close", round)
+		}
 	}
 }

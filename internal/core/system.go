@@ -173,7 +173,7 @@ type System struct {
 
 	// engineSlot caches the last memoizing engine: engines are
 	// stateless, safe for concurrent runs and take observers per run,
-	// so every cached run with the same (env fingerprint, fleet,
+	// so every cached run with the same (environment epoch, fleet,
 	// parallelism) — plain, observed, streamed or submitted — shares
 	// one instead of re-assembling options and closures per call.
 	engineSlot atomic.Pointer[engineSlot]
@@ -181,7 +181,7 @@ type System struct {
 
 // engineSlot is one memoized engine and the key it was built under.
 type engineSlot struct {
-	envFP string
+	ep    *envEpoch
 	fleet *fleet.Fleet
 	par   int
 	eng   *workflow.Engine
@@ -208,7 +208,6 @@ func NewSystem(env *Environment, reg *registry.Registry) (*System, error) {
 	if reg == nil {
 		reg = BuiltinRegistry()
 	}
-	env.ensureFingerprint()
 	return &System{
 		env: env, reg: reg,
 		queryMind: querymind.New(),
@@ -326,9 +325,9 @@ type Report struct {
 // ReplayMemo returns the memo slot of the plan-cache entry rep
 // replayed, or nil. The slot is returned only when the run replayed a
 // cached plan, every step was served from the step cache without error
-// and the run succeeded, and the run executed on the engine built for
-// the environment fingerprint the entry is keyed by. Under those
-// conditions everything a run derives from its plan and step outputs —
+// and the run succeeded. A run plans and executes at one environment
+// epoch, the one its plan entry is keyed by, so under those conditions
+// everything a run derives from its plan and step outputs —
 // intent, strategy, code, the all-cached step list, quality score and
 // outputs — depends only on the entry, so an encoding of those parts
 // stored in the slot is valid for every later replay that gets the same
@@ -438,7 +437,10 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 	rep = &Report{Query: query}
 	defer func() { rep.Elapsed = time.Since(start) }()
 
-	pe, hit, err := s.plan(ctx, query, cfg, em, rep)
+	// One epoch for the whole run: the plan key, the step keys and every
+	// capability's view of the scenario come from this one load.
+	ep := s.env.current()
+	pe, hit, err := s.plan(ctx, query, ep, cfg, em, rep)
 	if err != nil {
 		return rep, err
 	}
@@ -464,10 +466,7 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 		obs = bridge
 	}
 	f := s.Fleet()
-	var (
-		engine   *workflow.Engine
-		engineFP string // the fingerprint a memoizing engine was built for
-	)
+	var engine *workflow.Engine
 	if cfg.noCache {
 		// Built per call and uncached: with no step cache the engine
 		// computes no fingerprints, so the fleet's worker caches are
@@ -476,9 +475,9 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 		if f != nil {
 			engineOpts = append(engineOpts, workflow.WithDispatcher(f))
 		}
-		engine = workflow.NewEngine(s.reg, s.env, engineOpts...)
+		engine = workflow.NewEngine(s.reg, ep, engineOpts...)
 	} else {
-		engine, engineFP = s.engineFor(cfg.parallelism, f)
+		engine = s.engineFor(ep, cfg.parallelism, f)
 	}
 	if compiled == nil {
 		// Uncached plans, and cached ones whose workflow failed to
@@ -539,10 +538,7 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 			}
 		}
 	}
-	// The plan and the engine each read the environment fingerprint, so
-	// a scenario injection can land between them; the memo is handed out
-	// only when both saw the same one.
-	if hit && engineFP == pe.envFP && allCached(result) {
+	if hit && allCached(result) {
 		rep.memo = &pe.memo
 	}
 	return rep, nil
@@ -559,46 +555,43 @@ func allCached(res *workflow.Result) bool {
 	return true
 }
 
-// facetKeyer is the engine env-keyer closure shared by every engine
-// the System builds: one method value instead of a fresh closure per
-// call.
-func (s *System) facetKeyer(capb *registry.Capability) string {
-	return s.env.FacetFingerprint(capb.Reads)
+// envKey is the engine env-keyer of the runs pinned to ep.
+func (ep *envEpoch) envKey(capb *registry.Capability) string {
+	return ep.FacetFingerprint(capb.Reads)
 }
 
-// engineFor returns the memoized engine for the given parallelism and
-// fleet, and the environment fingerprint it was built for, rebuilding
-// it when the fingerprint, fleet, or parallelism changed since the
-// last call. Engines are stateless, so concurrent runs may share the
-// cached one; a race here at worst builds one redundant engine.
+// engineFor returns the memoized engine for the given epoch,
+// parallelism and fleet, rebuilding it when any of them changed since
+// the last call. The engine runs its capabilities against ep. Engines
+// are stateless, so concurrent runs may share the cached one; a race
+// here at worst builds one redundant engine.
 //
 // Cache keys are facet-scoped: steps reading only the immutable world
 // facet keep their fingerprints across scenario injections, so a
 // standing query's re-run executes only the scenario-dirty subgraph
 // and replays the rest from cache.
-func (s *System) engineFor(par int, f *fleet.Fleet) (*workflow.Engine, string) {
-	fp := s.env.Fingerprint()
-	if sl := s.engineSlot.Load(); sl != nil && sl.envFP == fp && sl.fleet == f && sl.par == par {
-		return sl.eng, fp
+func (s *System) engineFor(ep *envEpoch, par int, f *fleet.Fleet) *workflow.Engine {
+	if sl := s.engineSlot.Load(); sl != nil && sl.ep == ep && sl.fleet == f && sl.par == par {
+		return sl.eng
 	}
 	engineOpts := []workflow.EngineOption{
 		workflow.WithParallelism(par),
-		workflow.WithCache(stepCacheAdapter{s.stepCache}, fp),
-		workflow.WithEnvKeyer(s.facetKeyer),
+		workflow.WithCache(stepCacheAdapter{s.stepCache}, ep.full),
+		workflow.WithEnvKeyer(ep.envKey),
 	}
 	if f != nil {
 		engineOpts = append(engineOpts, workflow.WithDispatcher(f))
 	}
-	eng := workflow.NewEngine(s.reg, s.env, engineOpts...)
-	s.engineSlot.Store(&engineSlot{envFP: fp, fleet: f, par: par, eng: eng})
-	return eng, fp
+	eng := workflow.NewEngine(s.reg, ep, engineOpts...)
+	s.engineSlot.Store(&engineSlot{ep: ep, fleet: f, par: par, eng: eng})
+	return eng
 }
 
 // planEntry is one memoized planning outcome: everything the three
 // planning agents produce for a query against one registry generation
-// and environment, plus the plan compiled from it. Entries are shared
-// across runs and must be treated as immutable — the pipeline only
-// ever reads these artifacts after the planning stages complete.
+// and environment epoch, plus the plan compiled from it. Entries are
+// shared across runs and must be treated as immutable — the pipeline
+// only ever reads these artifacts after the planning stages complete.
 type planEntry struct {
 	query    string // original query text (snapshot replay re-plans it)
 	spec     nlq.Spec
@@ -609,8 +602,6 @@ type planEntry struct {
 	// this entry is keyed by; nil when compilation failed, in which
 	// case every run recompiles and reports the failure.
 	compiled *workflow.CompiledPlan
-	// envFP is the environment fingerprint the entry is keyed by.
-	envFP string
 	// memo holds bytes a serving tier derived from a fully cached
 	// replay of this entry (see ReplayMemo). The plan cache is bounded
 	// by entries only, so it carries no size charge.
@@ -633,7 +624,7 @@ var planKeyPool = sync.Pool{New: func() any {
 // to the query — anything stronger risks conflating queries the
 // parser distinguishes (and under-normalizing merely costs a
 // duplicate cache entry, never a wrong hit).
-func appendPlanKey(b []byte, query string, gen uint64, envFP string) []byte {
+func appendPlanKey(b []byte, query string, gen uint64, fingerprint string) []byte {
 	pendingSpace := false
 	for i := 0; i < len(query); i++ {
 		c := query[i]
@@ -650,7 +641,7 @@ func appendPlanKey(b []byte, query string, gen uint64, envFP string) []byte {
 	b = append(b, 0)
 	b = strconv.AppendUint(b, gen, 10)
 	b = append(b, 0)
-	b = append(b, envFP...)
+	b = append(b, fingerprint...)
 	return b
 }
 
@@ -662,22 +653,21 @@ func bytesKey(b []byte) string {
 }
 
 // plan runs (or replays) the three planning stages — QueryMind,
-// WorkflowScout, SolutionWeaver — filling rep and emitting stage
-// events either way, so observers and expert review behave identically
-// on hits and misses; cached replays mark their StageCompleted events
-// Cached. A veto or failure surfaces as a *PipelineError at the
-// corresponding stage. It returns the plan as an entry and whether it
+// WorkflowScout, SolutionWeaver — at epoch ep, filling rep and emitting
+// stage events either way, so observers and expert review behave
+// identically on hits and misses; cached replays mark their
+// StageCompleted events Cached. A veto or failure surfaces as a
+// *PipelineError at the corresponding stage. It returns the plan as an entry and whether it
 // came from the plan cache; a fresh entry has a compiled plan only for
 // cache-enabled calls whose workflow compiled.
-func (s *System) plan(ctx context.Context, query string, cfg askConfig, em *emitter, rep *Report) (*planEntry, bool, error) {
-	key, envFP := "", ""
+func (s *System) plan(ctx context.Context, query string, ep *envEpoch, cfg askConfig, em *emitter, rep *Report) (*planEntry, bool, error) {
+	key := ""
 	if !cfg.noCache {
 		// The key is assembled in a pooled buffer and probed through a
 		// no-copy string view; it is materialized as a real string only
 		// on a miss, for Put. A warm hit allocates nothing here.
-		envFP = s.env.Fingerprint()
 		kb := planKeyPool.Get().(*[]byte)
-		buf := appendPlanKey((*kb)[:0], query, s.reg.Generation(), envFP)
+		buf := appendPlanKey((*kb)[:0], query, s.reg.Generation(), ep.full)
 		v, ok := s.planCache.Get(bytesKey(buf))
 		if !ok {
 			key = string(buf)
@@ -732,8 +722,8 @@ func (s *System) plan(ctx context.Context, query string, cfg askConfig, em *emit
 	if err := em.emit(&StageStarted{Stage: StageProblem}); err != nil {
 		return nil, false, pipelineErr(StageProblem, query, err)
 	}
-	rep.Spec = nlq.Parse(query, s.env.Catalog)
-	data := s.env.Data()
+	rep.Spec = nlq.Parse(query, ep.Catalog)
+	data := ep.Data()
 	problem, err := s.queryMind.Analyze(rep.Spec, querymind.DataAvailability{
 		HasCrossLayerMap: data.HasCrossLayerMap,
 		MapCoverage:      data.MapCoverage,
@@ -783,7 +773,7 @@ func (s *System) plan(ctx context.Context, query string, cfg askConfig, em *emit
 
 	pe := &planEntry{
 		query: query, spec: rep.Spec, problem: problem,
-		design: design, solution: solution, envFP: envFP,
+		design: design, solution: solution,
 	}
 	if key != "" {
 		// Lower the fresh plan while it enters the cache: compilation

@@ -54,7 +54,7 @@ func TestNewEnvironment(t *testing.T) {
 
 func TestInjectScenario(t *testing.T) {
 	env := testEnv(t, true)
-	sc := env.Scenario
+	sc := env.Scenario()
 	if sc == nil {
 		t.Fatal("no scenario")
 	}
@@ -235,8 +235,8 @@ func TestAskCS4ForensicVerdict(t *testing.T) {
 	if !v.CauseIsCableFailure {
 		t.Fatalf("causation not established: %+v", v)
 	}
-	if v.Cable != env.Scenario.TrueCable {
-		t.Errorf("identified %s, ground truth %s", v.Cable, env.Scenario.TrueCable)
+	if v.Cable != env.Scenario().TrueCable {
+		t.Errorf("identified %s, ground truth %s", v.Cable, env.Scenario().TrueCable)
 	}
 	if v.Confidence <= 0.5 {
 		t.Errorf("confidence %f too low", v.Confidence)

@@ -129,35 +129,17 @@ type Scenario struct {
 
 // Environment is the shared execution context capabilities close over:
 // the world, the cable catalog and cross-layer map, the Xaminer
-// analyzer, and optional scenario data for temporal/forensic analyses.
+// analyzer, and an epoch holding the optional scenario data for
+// temporal/forensic analyses.
 type Environment struct {
 	World    *netsim.World
 	Catalog  *nautilus.Catalog
 	CrossMap *nautilus.CrossLayerMap
 	Analyzer *xaminer.Analyzer
-	// Scenario is replaced, never mutated, by each
-	// InjectCableFailureScenario; callers outside the package read it
-	// only while no injection runs.
-	Scenario *Scenario
 	Now      time.Time
 
-	// fpID/fpEpoch back Fingerprint(): a process-unique instance
-	// identity plus a mutation epoch bumped by scenario injection.
-	// Both are atomic — fingerprints are read on every cached Ask while
-	// scenario injection bumps the epoch concurrently.
-	fpID    atomic.Uint64
-	fpEpoch atomic.Uint64
-
-	// fpStrs memoizes the rendered fingerprint strings for the current
-	// (fpID, fpEpoch) so warm Asks never re-render them. See
-	// fpStringsNow.
-	fpStrs atomic.Pointer[fpCached]
-
-	// scenarioMu orders InjectCableFailureScenario's replacement of
-	// Scenario against the package's own reads of it, which asks and
-	// subscriptions make while an injection may run; they read it
-	// through scenario().
-	scenarioMu sync.Mutex
+	// state is the current epoch (see envEpoch).
+	state atomic.Pointer[envEpoch]
 
 	// watchMu guards watchers, the change-notification seam standing
 	// queries (System.Subscribe) register with; every mutation pokes
@@ -166,13 +148,17 @@ type Environment struct {
 	watchers []chan<- struct{}
 }
 
-// envOf extracts the Environment from a registry call context.
-func envOf(v any) (*Environment, error) {
-	e, ok := v.(*Environment)
-	if !ok || e == nil {
-		return nil, fmt.Errorf("core: call environment is %T, want *Environment", v)
+// envOf extracts the environment a capability call runs against: the
+// epoch its run pinned, or the current epoch of a live *Environment
+// (tests and fleet workers pass one).
+func envOf(v any) (*envEpoch, error) {
+	if e, ok := v.(*Environment); ok && e != nil {
+		v = e.current()
 	}
-	return e, nil
+	if ep, ok := v.(*envEpoch); ok && ep != nil {
+		return ep, nil
+	}
+	return nil, fmt.Errorf("core: call environment is %T, want *Environment", v)
 }
 
 // DataCatalog summarizes what data the environment can serve; QueryMind
@@ -185,21 +171,24 @@ type DataCatalog struct {
 	WindowDays       int
 }
 
-// scenario returns the current Scenario, read under scenarioMu.
-func (e *Environment) scenario() *Scenario {
-	e.scenarioMu.Lock()
-	defer e.scenarioMu.Unlock()
-	return e.Scenario
-}
+// Scenario returns the current scenario, or nil before any injection.
+// An injection replaces the *Scenario, never mutates it.
+func (e *Environment) Scenario() *Scenario { return e.current().scenario }
 
-// Data returns the environment's data catalog.
-func (e *Environment) Data() DataCatalog {
+// Data returns the data catalog of the current epoch.
+func (e *Environment) Data() DataCatalog { return e.current().Data() }
+
+// Scenario returns the epoch's scenario, or nil.
+func (ep *envEpoch) Scenario() *Scenario { return ep.scenario }
+
+// Data returns the data catalog of the epoch.
+func (ep *envEpoch) Data() DataCatalog {
 	d := DataCatalog{}
-	if e.CrossMap != nil {
+	if ep.CrossMap != nil {
 		d.HasCrossLayerMap = true
-		d.MapCoverage = e.CrossMap.Coverage(e.World)
+		d.MapCoverage = ep.CrossMap.Coverage(ep.World)
 	}
-	if sc := e.scenario(); sc != nil {
+	if sc := ep.scenario; sc != nil {
 		d.HasTraceArchive = sc.Archive != nil
 		d.HasBGPStream = len(sc.Stream) > 0
 		d.WindowDays = int(sc.End.Sub(sc.Start).Hours() / 24)

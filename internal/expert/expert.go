@@ -110,10 +110,11 @@ func Cascade(env *core.Environment, regionA, regionB geo.Region) (*CascadeReport
 	stress := topo.PropagateStress(env.World, allFailed, 0.4, 16)
 
 	var bursts []bgp.Burst
-	if env.Scenario != nil {
-		bursts = bgp.DetectBursts(env.Scenario.Stream, time.Hour, 4)
+	sc := env.Scenario()
+	if sc != nil {
+		bursts = bgp.DetectBursts(sc.Stream, time.Hour, 4)
 	}
-	timeline := core.BuildTimeline(env, impact, core.CascadeBundle{Cable: cascade, Stress: stress}, bursts, nil)
+	timeline := core.BuildTimeline(sc, env.Now, impact, core.CascadeBundle{Cable: cascade, Stress: stress}, bursts, nil)
 	return &CascadeReport{
 		Corridor: ids, Impact: impact, Cascade: cascade, Stress: stress,
 		Bursts: bursts, Timeline: timeline,
@@ -136,14 +137,15 @@ func ForensicSteps() []string {
 // (the comparison is about workflow architecture, not detector
 // implementations).
 func Forensic(env *core.Environment) (core.Verdict, error) {
-	if env.Scenario == nil || env.Scenario.Archive == nil || len(env.Scenario.Stream) == 0 {
+	sc := env.Scenario()
+	if sc == nil || sc.Archive == nil || len(sc.Stream) == 0 {
 		return core.Verdict{}, fmt.Errorf("expert: forensic baseline needs scenario data")
 	}
-	finding := core.DetectLatencyShift(env.Scenario.Archive)
-	suspects := core.RankSuspectCables(env, finding, env.Scenario.Stream)
+	finding := core.DetectLatencyShift(sc.Archive)
+	suspects := core.RankSuspectCables(env, finding, sc.Stream)
 	correlation := 0.0
 	if finding.Detected {
-		correlation = bgp.CorrelateWindow(env.Scenario.Stream,
+		correlation = bgp.CorrelateWindow(sc.Stream,
 			finding.ShiftAt.Add(-2*time.Hour), finding.ShiftAt.Add(6*time.Hour))
 	}
 	return core.SynthesizeVerdict(finding, suspects, correlation), nil

@@ -203,8 +203,8 @@ func TestCS4AgentMatchesExpert(t *testing.T) {
 		t.Errorf("confidence gap %.2f too large", ag.ConfidenceGap)
 	}
 	// Both must match the injected ground truth.
-	if expertV.Cable != env.Scenario.TrueCable {
-		t.Errorf("expert itself missed ground truth: %s vs %s", expertV.Cable, env.Scenario.TrueCable)
+	if expertV.Cable != env.Scenario().TrueCable {
+		t.Errorf("expert itself missed ground truth: %s vs %s", expertV.Cable, env.Scenario().TrueCable)
 	}
 	if overlap := eval.FunctionalOverlap(rep.Design.Chosen, sys.Registry(), ForensicSteps()); overlap < 0.7 {
 		t.Errorf("functional overlap = %.2f", overlap)

@@ -436,9 +436,9 @@ func (sc *compileScratch) template(cp *CompiledPlan, i int) {
 //
 // Contract: the engine's envKeyer must be a pure function of the
 // capability and of the environment state its envFP identifies (true
-// of core's facet keyer, whose outputs are derived from the same
-// fingerprint counters). Two engines sharing a CompiledPlan must
-// observe the same environment.
+// of core's keyer, which reads the one environment epoch that envFP
+// names). Two engines sharing a CompiledPlan must observe the same
+// environment.
 func (cp *CompiledPlan) fingerprintsFor(e *Engine) []string {
 	if p := cp.fp.Load(); p != nil && p.envFP == e.envFP {
 		return p.fps

@@ -83,6 +83,75 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoresPromotions: two default asks promote a
+// composite, and a snapshot taken after it restores into a twin that
+// never curated. The twin registers the composite, reaches the donor's
+// registry generation, lists the promotion, and answers the repeated
+// query from cache exactly as the donor does.
+func TestSnapshotRestoresPromotions(t *testing.T) {
+	const (
+		q1 = "Identify the impact at a country level due to SeaMeWe-5 cable failure"
+		q2 = "Identify the impact at a country level due to SeaMeWe-4 cable failure"
+	)
+	donor, err := arachnet.New(arachnet.WithSmallWorld(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{q1, q2} {
+		if _, err := donor.Ask(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	promos := donor.Promotions()
+	if len(promos) == 0 {
+		t.Fatal("two asks promoted nothing")
+	}
+	warmRep, err := donor.Ask(ctx, q1, arachnet.AskWithoutCuration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := donor.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	twin, err := arachnet.New(arachnet.WithSmallWorld(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := twin.Registry().Generation(), donor.Registry().Generation(); got != want {
+		t.Errorf("twin registry generation %d, donor %d", got, want)
+	}
+	restored := twin.Promotions()
+	if len(restored) != len(promos) {
+		t.Fatalf("twin lists %d promotions, donor %d", len(restored), len(promos))
+	}
+	for i := range promos {
+		if restored[i].Capability.Name != promos[i].Capability.Name {
+			t.Errorf("promotion %d: twin %s, donor %s", i, restored[i].Capability.Name, promos[i].Capability.Name)
+		}
+	}
+	rep, err := twin.Ask(ctx, q1, arachnet.AskWithoutCuration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := twin.CacheStats().Plan.Hits; hits == 0 {
+		t.Error("twin's first ask missed the plan cache")
+	}
+	for _, st := range rep.Result.Steps {
+		if !st.Cached {
+			t.Errorf("twin step %s re-executed instead of hitting the snapshot", st.ID)
+		}
+	}
+	jw, jr := normalizedReport(t, warmRep), normalizedReport(t, rep)
+	if string(jw) != string(jr) {
+		t.Errorf("twin report differs from donor's warm report:\ndonor: %s\ntwin:  %s", jw, jr)
+	}
+}
+
 func TestSnapshotRejectsMismatches(t *testing.T) {
 	const cs1 = "Identify the impact at a country level due to SeaMeWe-5 cable failure"
 	donor := warmSystem(t, 42, cs1)
