@@ -424,10 +424,13 @@ func WithRegistry(r *Registry) Option {
 // distributed execution behind the same fleet seam. Workers must have
 // been started with the same -world/-seed derivation and
 // -shards=len(addrs); the registration handshake verifies it and
-// rejects mismatched workers. A dead, slow or rejected remote fails
-// over to running its shard's requests on the coordinator, which owns
-// the whole world, so results are byte-identical to inline execution
-// regardless of which workers are reachable.
+// rejects mismatched workers. A worker holds the world and no
+// scenario: steps that read the scenario run on the coordinator, so
+// WithScenario and later injections need nothing from the workers. A
+// dead, slow or rejected remote fails over to running its shard's
+// requests on the coordinator, which owns the whole world, so results
+// are byte-identical to inline execution regardless of which workers
+// are reachable.
 func WithRemoteFleet(addrs ...string) Option {
 	return func(o *options) { o.fleetRemote = addrs }
 }

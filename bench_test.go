@@ -275,23 +275,18 @@ func BenchmarkAskPlanMiss(b *testing.B) {
 }
 
 // BenchmarkAskFleet times uncached CS1 asks over the restricted CS1
-// registry, whose extract_ips → locate_ips chain scatters: inline, on
-// in-process fleets of 1 and 4, and on two fleetwire servers on
-// loopback (remote=2); then inline against an in-process fleet of 4 on
-// the default world at 15x density (10.7x its routers), built without
-// a scenario. AskNoCache makes every step execute, so a fleet row pays
-// its dispatch on every step it takes; each reports the steps it took
-// per op (scattered plus shard-local) as dispatched/op.
+// registry, whose extract_ips → locate_ips chain scatters: inline and
+// on fleets of 1, 2 and 4 fleetwire workers on loopback; then inline
+// against a fleet of 4 on the default world at 15x density (10.7x its
+// routers), built without a scenario. The workers run in the test
+// process, so their allocations count. AskNoCache makes every step
+// execute, so a fleet row pays its dispatch on every step it takes;
+// each reports the steps it took per op (scattered plus shard-local)
+// as dispatched/op.
 func BenchmarkAskFleet(b *testing.B) {
-	for _, n := range []int{0, 1, 4} {
+	for _, n := range []int{0, 1, 2, 4} {
 		b.Run(fleetRow(n), func(b *testing.B) { benchFleetAsk(b, cs1FleetSystem(b, 7, n)) })
 	}
-	b.Run("remote=2", func(b *testing.B) {
-		cfg := netsim.SmallConfig(7)
-		addr0, _ := startWireWorker(b, cfg, 2, 0)
-		addr1, _ := startWireWorker(b, cfg, 2, 1)
-		benchFleetAsk(b, cs1RemoteSystem(b, 7, []string{addr0, addr1}))
-	})
 	for _, n := range []int{0, 4} {
 		b.Run("scale=15/"+fleetRow(n), func(b *testing.B) {
 			env := denseWorld(b)

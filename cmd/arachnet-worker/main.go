@@ -20,11 +20,10 @@
 // gracefully; the coordinator then runs the shard's requests itself,
 // so in-flight asks complete either way.
 //
-// Pass -scenario when the coordinator injects the cable-failure
-// scenario: scenario-reading capabilities (e.g. the traceroute
-// archive-window scatter) then execute on the worker's own identical
-// scenario copy. Without it such requests are refused and run on the
-// coordinator — correct, just not remote.
+// A worker holds the world and no scenario: the fleet never scatters
+// a capability that reads the scenario, so a coordinator that injects
+// one (-scenario, or POST /v1/admin/scenario on arachnet-serve) runs
+// those steps itself, against its own scenario timeline.
 package main
 
 import (
@@ -46,13 +45,12 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":9100", "listen address")
-		world    = flag.String("world", "full", "world size: full|small (must match the coordinator)")
-		seed     = flag.Uint64("seed", 42, "world seed (must match the coordinator)")
-		shards   = flag.Int("shards", 1, "total shard count of the fleet (must match the coordinator's worker count)")
-		index    = flag.Int("index", 0, "which shard this worker owns (0-based)")
-		entries  = flag.Int("cache-entries", 512, "per-shard step cache size (0 disables caching)")
-		scenario = flag.Bool("scenario", false, "inject the cable-failure measurement scenario (must match the coordinator's -scenario)")
+		addr    = flag.String("addr", ":9100", "listen address")
+		world   = flag.String("world", "full", "world size: full|small (must match the coordinator)")
+		seed    = flag.Uint64("seed", 42, "world seed (must match the coordinator)")
+		shards  = flag.Int("shards", 1, "total shard count of the fleet (must match the coordinator's worker count)")
+		index   = flag.Int("index", 0, "which shard this worker owns (0-based)")
+		entries = flag.Int("cache-entries", 512, "per-shard step cache size (0 disables caching)")
 	)
 	flag.Parse()
 
@@ -68,11 +66,6 @@ func main() {
 	env, err := core.NewEnvironment(worldCfg)
 	if err != nil {
 		fatal(err)
-	}
-	if *scenario {
-		if err := env.InjectCableFailureScenario(core.ScenarioConfig{Seed: *seed}); err != nil {
-			fatal(err)
-		}
 	}
 	srv, err := fleetwire.NewServer(env, core.BuiltinRegistry(), *shards, *index, *entries)
 	if err != nil {

@@ -220,8 +220,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fleet: %d workers, %d scattered / %d shard-local / %d declined\n",
 				st.Fleet.Workers, st.Fleet.Scattered, st.Fleet.ShardLocal, st.Fleet.Declined)
 			for _, sh := range st.Fleet.Shards {
-				fmt.Fprintf(os.Stderr, "  worker %d: %d countries, %d routers, %d links; %d executed, %d cache hits, %d entries\n",
-					sh.Worker, sh.Countries, sh.Routers, sh.Links, sh.Executed, sh.CacheHits, sh.CacheEntries)
+				fmt.Fprintf(os.Stderr, "  worker %d: %d countries, %d routers, %d links\n",
+					sh.Worker, sh.Countries, sh.Routers, sh.Links)
 			}
 			if wire := st.Fleet.Wire; wire != nil {
 				fmt.Fprintf(os.Stderr, "  wire: %d remotes (%d registered, %d rejected); %d requests, %d retries, %d failovers, %d health failures, %dB sent / %dB received\n",

@@ -102,14 +102,18 @@ func TestCachedMatchesFresh(t *testing.T) {
 // every question of eval.Corpus: before any scenario and after
 // injections 5 and 6, each question asked cold and then warm on the
 // cached System must fail, or answer, exactly as AskNoCache does on the
-// fresh one. The fleet row runs only without -short.
+// fresh one. The fresh System always runs inline, so the fleet row
+// also holds inline ≡ fleet over the corpus: cached answers from four
+// loopback workers against fresh inline ones. It runs only without
+// -short.
 func TestCachedMatchesFreshCorpus(t *testing.T) {
 	for _, fleetN := range []int{0, 4} {
 		t.Run(fmt.Sprintf("fleet=%d", fleetN), func(t *testing.T) {
 			if fleetN > 0 && testing.Short() {
 				t.Skip("the fleet row runs without -short")
 			}
-			cached, fresh := pairedSystems(t, 42, fleetN)
+			cached, fresh := pairedSystems(t, 42, 0)
+			attachFleet(t, cached, fleetN)
 			for _, seed := range []uint64{0, 5, 6} {
 				if seed != 0 {
 					for _, sys := range []*arachnet.System{cached, fresh} {

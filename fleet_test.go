@@ -7,33 +7,69 @@ package arachnet_test
 // execution — for the fan-out CS1 workflow whose middle steps
 // actually scatter. A -race hammer then drives concurrent Asks
 // through a fleet while the environment epoch advances underneath.
+// Every fleet here is the production one: fleetwire workers on
+// loopback, reached over HTTP.
 
 import (
 	"encoding/json"
 	"fmt"
+	"net"
+	"net/http"
 	"regexp"
 	"slices"
 	"sync"
 	"testing"
 
 	"arachnet"
-	"arachnet/internal/fleet"
+	"arachnet/internal/core"
+	"arachnet/internal/fleetwire"
 )
 
-// attachFleet shards sys's world over an in-process fleet of n workers
-// (the stand-in for a remote fleet) and closes it when the test ends;
+// attachFleet shards sys's world over n fleetwire workers on loopback
+// and attaches the fleet; workers and fleet close when the test ends.
+// Like a worker process, each worker holds the world and no scenario:
+// its environment shares sys's world and nothing else. It returns the
+// worker servers, whose counters the coordinator's Stats do not carry.
 // n=0 leaves sys executing inline.
-func attachFleet(t testing.TB, sys *arachnet.System, n int) {
+func attachFleet(t testing.TB, sys *arachnet.System, n int) []*fleetwire.Server {
 	t.Helper()
 	if n == 0 {
-		return
+		return nil
 	}
-	f, err := fleet.New(sys.Environment().World, n)
+	src := sys.Environment()
+	servers := make([]*fleetwire.Server, n)
+	addrs := make([]string, n)
+	for i := range servers {
+		env := &core.Environment{World: src.World, Catalog: src.Catalog, CrossMap: src.CrossMap, Analyzer: src.Analyzer, Now: src.Now}
+		servers[i], addrs[i], _ = serveWorker(t, env, n, i)
+	}
+	f, err := fleetwire.NewFleet(src.World, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.SetFleet(f)
 	t.Cleanup(f.Close)
+	return servers
+}
+
+// serveWorker serves shard index of shards over env on a loopback
+// listener, with the handler cmd/arachnet-worker serves, and returns
+// the server, its address and a kill switch (also run when the test
+// ends).
+func serveWorker(t testing.TB, env *core.Environment, shards, index int) (*fleetwire.Server, string, func()) {
+	t.Helper()
+	ws, err := fleetwire.NewServer(env, core.BuiltinRegistry(), shards, index, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &http.Server{Handler: ws}
+	go hs.Serve(ln)
+	t.Cleanup(func() { hs.Close() })
+	return ws, ln.Addr().String(), func() { hs.Close() }
 }
 
 // cs1FleetSystem builds a system over the paper's restricted CS1
@@ -239,113 +275,14 @@ func TestFleetFullRegistryMatchesInline(t *testing.T) {
 	}
 }
 
-// TestFleetArchiveWindowMatchesInline exercises the scenario-reading
-// scatter path: traceroute.archive_window has no bound fan-out input —
-// its data lives in the injected scenario — so its Split shards the
-// archive's probes by source country and its Merge replays the
-// coordinator archive's measurement order over the gathered partials.
-// The scattered CS4 forensic report must match inline execution
-// exactly, and so must no-cache asks before and after a second
-// injection, with no worker cache hit.
-func TestFleetArchiveWindowMatchesInline(t *testing.T) {
-	const seed = 42
-	const query = "A sudden increase in latency was observed from European probes to Asian destinations starting three days ago. Determine if a submarine cable failure caused this, and if so, identify the specific cable."
-	build := func(n int) *arachnet.System {
-		sys, err := arachnet.New(
-			arachnet.WithSmallWorld(seed),
-			arachnet.WithScenario(arachnet.ScenarioConfig{Seed: 5}),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		attachFleet(t, sys, n)
-		return sys
-	}
-	sys0, sys4 := build(0), build(4)
-	rep0, err := sys0.Ask(ctx, query, arachnet.AskWithoutCuration())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep4, err := sys4.Ask(ctx, query, arachnet.AskWithoutCuration())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The archive-window step must actually have gone through the
-	// fleet, or this proves nothing about the scenario-reading spec.
-	archiveRemote := false
-	for _, s := range rep4.Result.Steps {
-		if s.Capability == "traceroute.archive_window" && s.Remote {
-			archiveRemote = true
-		}
-	}
-	if !archiveRemote {
-		t.Fatal("traceroute.archive_window did not execute remotely on the fleet")
-	}
-	if st := sys4.Fleet().Stats(); st.Scattered == 0 {
-		t.Fatalf("nothing scattered on the 4-shard fleet: %+v", st)
-	}
-
-	out0, err := json.Marshal(rep0.Result.Outputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out4, err := json.Marshal(rep4.Result.Outputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out0) != string(out4) {
-		t.Errorf("inline and fleet-4 forensic outputs differ:\ninline: %s\nfleet:  %s", out0, out4)
-	}
-	if len(rep0.Result.Steps) != len(rep4.Result.Steps) {
-		t.Errorf("step count differs: inline %d, fleet %d",
-			len(rep0.Result.Steps), len(rep4.Result.Steps))
-	}
-
-	// A no-cache ask must compute afresh on the workers too: before and
-	// after a second scenario injection, no worker may serve a cached
-	// partial and the fleet's values must match inline execution.
-	workerHits := func() (n uint64) {
-		for _, sh := range sys4.Fleet().Stats().Shards {
-			n += sh.CacheHits
-		}
-		return n
-	}
-	hitsBefore := workerHits()
-	for _, inject := range []bool{false, true} {
-		if inject {
-			for _, sys := range []*arachnet.System{sys0, sys4} {
-				if err := sys.Environment().InjectCableFailureScenario(arachnet.ScenarioConfig{Seed: 6}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		var vals [2][]byte
-		for i, sys := range []*arachnet.System{sys0, sys4} {
-			rep, err := sys.Ask(ctx, query, arachnet.AskWithoutCuration(), arachnet.AskNoCache())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if vals[i], err = json.Marshal(rep.Result.Values); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if string(vals[0]) != string(vals[1]) {
-			t.Errorf("no-cache values differ (second injection %v):\ninline: %s\nfleet:  %s", inject, vals[0], vals[1])
-		}
-	}
-	if hits := workerHits() - hitsBefore; hits != 0 {
-		t.Errorf("no-cache asks served %d worker cache hits", hits)
-	}
-}
-
 // TestFleetConcurrentAsks hammers a 4-shard fleet with concurrent
 // asks while the environment epoch advances underneath (scenario
 // injection mid-run) — the -race job's fleet workout. Results are
 // not compared across epochs; the test asserts only that every ask
 // succeeds and the fleet stays coherent.
 func TestFleetConcurrentAsks(t *testing.T) {
-	sys := cs1FleetSystem(t, 42, 4)
+	sys := cs1FleetSystem(t, 42, 0)
+	workers := attachFleet(t, sys, 4)
 	queries := []string{
 		"Identify the impact at a country level due to SeaMeWe-5 cable failure",
 		"Identify the impact at a country level due to SeaMeWe-4 cable failure",
@@ -393,8 +330,8 @@ func TestFleetConcurrentAsks(t *testing.T) {
 		t.Errorf("fleet handled no steps under concurrency: %+v", st)
 	}
 	var executed uint64
-	for _, sh := range st.Shards {
-		executed += sh.Executed
+	for _, w := range workers {
+		executed += w.Worker().Stats().Executed
 	}
 	if executed == 0 {
 		t.Error("no worker executed any step")

@@ -133,29 +133,7 @@ func registerTraceroute(r *registry.Registry) {
 			if sc == nil || sc.Archive == nil {
 				return fmt.Errorf("core: no traceroute archive available in this environment")
 			}
-			arch := sc.Archive
-			// Undeclared worker-side input: the fleet's scatter spec
-			// restricts a shard to the probes it owns. The filter
-			// preserves the archive's measurement order so the gather can
-			// replay it; planner-built steps never bind this input.
-			if pv, ok := c.In["probes"]; ok {
-				names, ok := pv.([]string)
-				if !ok {
-					return fmt.Errorf("core: probes input is %T", pv)
-				}
-				want := make(map[string]bool, len(names))
-				for _, n := range names {
-					want[n] = true
-				}
-				sub := &traceroute.Archive{}
-				for _, m := range arch.Measurements {
-					if want[m.Probe] {
-						sub.Measurements = append(sub.Measurements, m)
-					}
-				}
-				arch = sub
-			}
-			c.Out["archive"] = arch
+			c.Out["archive"] = sc.Archive
 			return nil
 		},
 	})

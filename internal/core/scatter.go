@@ -4,18 +4,18 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"strings"
 
 	"arachnet/internal/fleet"
 	"arachnet/internal/netsim"
-	"arachnet/internal/traceroute"
 	"arachnet/internal/xaminer"
 )
 
 // installScatterSpecs teaches a fleet how the builtin catalog's
 // fan-out capabilities partition and gather. Only capabilities whose
 // inputs have clear shard ownership get specs — everything else is
-// declined back to the coordinator, which is always correct.
+// declined back to the coordinator, which is always correct. No spec
+// may cover a capability that reads FacetScenario: a worker holds the
+// world and no scenario, and the coordinator owns the run's.
 //
 // The invariant every Merge here upholds: the gathered output is
 // byte-identical to running the capability unsharded, for any shard
@@ -29,7 +29,7 @@ func installScatterSpecs(f *fleet.Fleet) {
 	// exactly. Unknown link IDs are skipped, mirroring the
 	// capability's own behavior.
 	f.SetScatter("nautilus.extract_ips", fleet.Scatter{
-		Split: func(p *netsim.Partition, _ any, in map[string]any) (map[int]map[string]any, bool) {
+		Split: func(p *netsim.Partition, in map[string]any) (map[int]map[string]any, bool) {
 			links, ok := in["links"].([]netsim.LinkID)
 			if !ok {
 				return nil, false
@@ -49,7 +49,7 @@ func installScatterSpecs(f *fleet.Fleet) {
 			}
 			return parts, true
 		},
-		Merge: func(p *netsim.Partition, _ any, orig map[string]any, parts map[int]map[string]any) (map[string]any, error) {
+		Merge: func(p *netsim.Partition, orig map[string]any, parts map[int]map[string]any) (map[string]any, error) {
 			set := map[netip.Addr]bool{}
 			for shard, out := range parts {
 				ips, ok := out["ips"].([]netip.Addr)
@@ -82,7 +82,7 @@ func installScatterSpecs(f *fleet.Fleet) {
 	// scores are recomputed with xaminer.ScoreOf — the same arithmetic,
 	// in the same order, as the unsharded path.
 	f.SetScatter("xaminer.impact_from_links", fleet.Scatter{
-		Split: func(p *netsim.Partition, _ any, in map[string]any) (map[int]map[string]any, bool) {
+		Split: func(p *netsim.Partition, in map[string]any) (map[int]map[string]any, bool) {
 			links, ok := in["links"].([]netsim.LinkID)
 			if !ok {
 				return nil, false
@@ -102,7 +102,7 @@ func installScatterSpecs(f *fleet.Fleet) {
 			}
 			return parts, true
 		},
-		Merge: func(p *netsim.Partition, _ any, orig map[string]any, parts map[int]map[string]any) (map[string]any, error) {
+		Merge: func(p *netsim.Partition, orig map[string]any, parts map[int]map[string]any) (map[string]any, error) {
 			links, ok := orig["links"].([]netsim.LinkID)
 			if !ok {
 				return nil, fmt.Errorf("original links input is %T", orig["links"])
@@ -174,7 +174,7 @@ func installScatterSpecs(f *fleet.Fleet) {
 	// address. Unlocatable addresses are skipped at split time —
 	// exactly the rows the capability itself would drop.
 	f.SetScatter("geo.locate_ips", fleet.Scatter{
-		Split: func(p *netsim.Partition, _ any, in map[string]any) (map[int]map[string]any, bool) {
+		Split: func(p *netsim.Partition, in map[string]any) (map[int]map[string]any, bool) {
 			ips, ok := in["ips"].([]netip.Addr)
 			if !ok {
 				return nil, false
@@ -194,7 +194,7 @@ func installScatterSpecs(f *fleet.Fleet) {
 			}
 			return parts, true
 		},
-		Merge: func(p *netsim.Partition, _ any, orig map[string]any, parts map[int]map[string]any) (map[string]any, error) {
+		Merge: func(p *netsim.Partition, orig map[string]any, parts map[int]map[string]any) (map[string]any, error) {
 			ips, ok := orig["ips"].([]netip.Addr)
 			if !ok {
 				return nil, fmt.Errorf("original ips input is %T", orig["ips"])
@@ -233,104 +233,4 @@ func installScatterSpecs(f *fleet.Fleet) {
 			return map[string]any{"geo": merged}, nil
 		},
 	})
-
-	// traceroute.archive_window: the first environment-reading scatter.
-	// The capability has no bound inputs — its fan-out data is the
-	// injected scenario's probe archive — so Split partitions by probe
-	// instead: each probe is owned by the shard of its source country
-	// (the first component of the "SRC-DST-n" campaign probe name), and
-	// every shard receives a sorted probe-name subset as the undeclared
-	// "probes" input the capability's Impl honors as an order-preserving
-	// filter. Declines are shard-count-independent: no scenario/archive
-	// in the environment, or any probe whose source country the
-	// partition doesn't know. Merge replays the coordinator archive's
-	// full measurement order, pulling each measurement from its owning
-	// shard's (order-preserving) filtered archive with per-shard cursors
-	// and probe/time conflict checks — so the gathered archive is
-	// element-identical to the unsharded one for any shard count.
-	f.SetScatter("traceroute.archive_window", fleet.Scatter{
-		Split: func(p *netsim.Partition, env any, in map[string]any) (map[int]map[string]any, bool) {
-			arch := archiveOf(env)
-			if arch == nil {
-				return nil, false
-			}
-			byShard := map[int][]string{}
-			for _, probe := range arch.Probes() {
-				s := p.ShardOfCountry(probeSourceCountry(probe))
-				if s < 0 {
-					// A probe no shard owns: the whole step must run on
-					// the coordinator — dropping it would change the
-					// archive.
-					return nil, false
-				}
-				byShard[s] = append(byShard[s], probe)
-			}
-			parts := make(map[int]map[string]any, len(byShard))
-			for s, probes := range byShard {
-				sort.Strings(probes)
-				parts[s] = map[string]any{"probes": probes}
-			}
-			return parts, true
-		},
-		Merge: func(p *netsim.Partition, env any, orig map[string]any, parts map[int]map[string]any) (map[string]any, error) {
-			whole := archiveOf(env)
-			if whole == nil {
-				return nil, fmt.Errorf("environment lost its archive between split and merge")
-			}
-			full := whole.Measurements
-			archOf := make(map[int][]traceroute.Measurement, len(parts))
-			for shard, out := range parts {
-				arch, ok := out["archive"].(*traceroute.Archive)
-				if !ok {
-					return nil, fmt.Errorf("shard %d produced %T for archive", shard, out["archive"])
-				}
-				archOf[shard] = arch.Measurements
-			}
-			cursor := map[int]int{}
-			merged := &traceroute.Archive{Measurements: make([]traceroute.Measurement, 0, len(full))}
-			for _, m := range full {
-				s := p.ShardOfCountry(probeSourceCountry(m.Probe))
-				if s < 0 {
-					return nil, fmt.Errorf("probe %s lost its shard between split and merge", m.Probe)
-				}
-				ms := archOf[s]
-				i := cursor[s]
-				if i >= len(ms) {
-					return nil, fmt.Errorf("shard %d returned %d measurements, need more for %s", s, len(ms), m.Probe)
-				}
-				if ms[i].Probe != m.Probe || !ms[i].Time.Equal(m.Time) {
-					return nil, fmt.Errorf("shard %d measurement %d is %s@%s, want %s@%s (order conflict)",
-						s, i, ms[i].Probe, ms[i].Time, m.Probe, m.Time)
-				}
-				cursor[s] = i + 1
-				merged.Measurements = append(merged.Measurements, ms[i])
-			}
-			for s, ms := range archOf {
-				if cursor[s] != len(ms) {
-					return nil, fmt.Errorf("shard %d returned %d surplus measurements", s, len(ms)-cursor[s])
-				}
-			}
-			return map[string]any{"archive": merged}, nil
-		},
-	})
-}
-
-// probeSourceCountry extracts the source-country prefix from a campaign
-// probe name of the form "SRC-DST-n" ("" when the name has no dash).
-func probeSourceCountry(name string) string {
-	if i := strings.IndexByte(name, '-'); i > 0 {
-		return name[:i]
-	}
-	return ""
-}
-
-// archiveOf returns the trace archive of env's scenario, or nil when
-// env is not an environment or holds no archive.
-func archiveOf(env any) *traceroute.Archive {
-	if e, err := envOf(env); err == nil {
-		if sc := e.Scenario(); sc != nil {
-			return sc.Archive
-		}
-	}
-	return nil
 }

@@ -274,12 +274,14 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 	for _, st := range steps {
 		s.stepCache.Put(st.key, st.out, estimateSize(st.out))
 	}
-	// Re-plan the saved queries. The planning agents are deterministic
-	// and cheap relative to execution; a query that no longer plans
-	// (e.g. against a trimmed registry subset — already screened by the
-	// generation check, but belt and braces) just stays cold.
+	// Re-plan the saved queries into the plan cache, unprobed, so the
+	// restore counts no hit or miss. The planning agents are
+	// deterministic and cheap relative to execution; a query that no
+	// longer plans (e.g. against a trimmed registry subset — already
+	// screened by the generation check, but belt and braces) just stays
+	// cold.
 	for _, q := range f.Queries {
-		_, _, _ = s.plan(context.Background(), q, ep, askConfig{parallelism: 1}, &emitter{query: q}, &Report{Query: q})
+		_, _, _ = s.plan(context.Background(), q, ep, askConfig{parallelism: 1, restore: true}, &emitter{query: q}, &Report{Query: q})
 	}
 	return nil
 }

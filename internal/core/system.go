@@ -44,6 +44,9 @@ type askConfig struct {
 	timeout     time.Duration
 	parallelism int
 	noCache     bool
+	// restore plans to fill the plan cache without probing it, so a
+	// LoadSnapshot counts no miss that no request made.
+	restore bool
 }
 
 // AskOption configures one Ask, AskStream, AskBatch or Submit call.
@@ -232,7 +235,7 @@ func (s *System) SetCacheLimits(planEntries, stepEntries int, stepBytes int64) {
 
 // CacheStats snapshots hit/miss/eviction counters and current
 // footprint for the plan and step caches, plus — when a fleet is
-// attached — per-worker shard and cache counters.
+// attached — its dispatch, shard-inventory and wire counters.
 func (s *System) CacheStats() CacheStats {
 	st := CacheStats{
 		Plan: s.planCache.Counters(),
@@ -252,7 +255,7 @@ type CacheStats struct {
 	// Step counts execution-layer memoization (pure capability steps).
 	Step CacheCounters `json:"step"`
 	// Fleet, when the System serves over a worker fleet, snapshots
-	// dispatch counters and per-worker shard inventory/caches.
+	// dispatch counters, per-worker shard inventory and wire counters.
 	Fleet *fleet.Stats `json:"fleet,omitempty"`
 }
 
@@ -668,7 +671,11 @@ func (s *System) plan(ctx context.Context, query string, ep *envEpoch, cfg askCo
 		// on a miss, for Put. A warm hit allocates nothing here.
 		kb := planKeyPool.Get().(*[]byte)
 		buf := appendPlanKey((*kb)[:0], query, s.reg.Generation(), ep.full)
-		v, ok := s.planCache.Get(bytesKey(buf))
+		var v any
+		ok := false
+		if !cfg.restore {
+			v, ok = s.planCache.Get(bytesKey(buf))
+		}
 		if !ok {
 			key = string(buf)
 		}

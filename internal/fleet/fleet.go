@@ -1,9 +1,9 @@
 // Package fleet implements ArachNet's sharded worker fleet: the
 // DIMES-style execution tier where the netsim world is partitioned
 // into vantage-point shards (internal/netsim.PartitionWorld), each
-// owned by one Worker — a goroutine pool plus a local step cache —
-// and pure capability steps are routed to the shard that owns their
-// data instead of running on the coordinator.
+// owned by one Worker — a worker process holding the world and a
+// local step cache — and pure capability steps are routed to the
+// shard that owns their data instead of running on the coordinator.
 //
 // # Model
 //
@@ -27,21 +27,22 @@
 //
 // # Transport seam
 //
-// Workers are reached exclusively through the Transport interface.
-// The in-process implementation (NewLocalTransport, which New builds)
-// delivers requests over per-worker channels to goroutine pools in the
-// same address space; internal/fleetwire's HTTP transport implements
-// the same three methods against remote processes, each holding its
-// own shard and registry replica, and NewOver builds a Fleet over it
-// without touching the dispatcher or the engine. Requests carry the
-// capability name for exactly that reason — the in-process capability
-// pointer is a fast path, not part of the contract. The HTTP fleet is
-// the deployment (arachnet.WithRemoteFleet, -fleet-remote); New's
-// in-process fleet is its stand-in in tests and benchmarks.
+// Workers are reached exclusively through the Transport interface,
+// and a Request carries exactly what crosses a process boundary: the
+// capability name, the shard-local input and a cache key.
+// internal/fleetwire's HTTP Pool is the transport: each remote worker
+// process holds its own copy of the world, its shard and a registry
+// replica, and NewOver builds a Fleet over it without touching the
+// dispatcher or the engine (arachnet.WithRemoteFleet, -fleet-remote).
+// A worker holds the world and nothing else, so a scattered capability
+// must not read the scenario (see Scatter). When a worker cannot serve
+// a request, Send answers ErrUnavailable and DispatchStep runs that
+// shard's part on the coordinator with the run's own environment.
 package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -52,41 +53,30 @@ import (
 )
 
 // Scatter describes how one capability's steps scatter over shards
-// and gather back.
+// and gather back. A worker runs its part against its own environment,
+// which holds the world and no scenario, so a capability that reads
+// the scenario must not have a spec: its worker would answer from
+// whatever scenario that worker holds.
 type Scatter struct {
-	// Split partitions the step input by owning shard. It also receives
-	// the execution environment (opaque to this package), so
-	// environment-reading capabilities — e.g. ones whose fan-out data
-	// lives in the injected scenario rather than in a bound input — can
-	// scatter too. Returning ok=false declines the step (inputs
-	// missing, unpartitionable, or containing data no shard owns); the
-	// decline condition must not depend on the shard count, or
-	// differently-sized fleets would diverge. An empty part map also
-	// declines.
-	Split func(p *netsim.Partition, env any, in map[string]any) (parts map[int]map[string]any, ok bool)
+	// Split partitions the step input by owning shard. Returning
+	// ok=false declines the step (inputs missing, unpartitionable, or
+	// containing data no shard owns); the decline condition must not
+	// depend on the shard count, or differently-sized fleets would
+	// diverge. An empty part map also declines.
+	Split func(p *netsim.Partition, in map[string]any) (parts map[int]map[string]any, ok bool)
 	// Merge gathers per-shard outputs into the step's final output
-	// map. It receives the partition, the environment, and the original
-	// input map so order-sensitive capabilities can reconstruct input
-	// (or environment) order. The merged result must be identical to
-	// what the capability produces unsharded.
-	Merge func(p *netsim.Partition, env any, orig map[string]any, parts map[int]map[string]any) (map[string]any, error)
+	// map. It receives the partition and the original input map so
+	// order-sensitive capabilities can reconstruct input order. The
+	// merged result must be identical to what the capability produces
+	// unsharded.
+	Merge func(p *netsim.Partition, orig map[string]any, parts map[int]map[string]any) (map[string]any, error)
 }
-
-// In-process worker sizing: concurrent requests per worker, and the
-// entries of each worker's local step cache.
-const (
-	workerParallelism  = 2
-	workerCacheEntries = 512
-)
 
 // Fleet is a sharded worker pool implementing workflow.Dispatcher
 // over a partitioned world.
 type Fleet struct {
 	part      *netsim.Partition
 	transport Transport
-	// workers are the in-process workers New started (nil for NewOver),
-	// reported by Stats.
-	workers []*Worker
 
 	mu       sync.RWMutex
 	scatters map[string]Scatter
@@ -96,29 +86,6 @@ type Fleet struct {
 	declined   atomic.Uint64
 
 	closeOnce sync.Once
-}
-
-// New partitions the world into the given number of shards and starts
-// one in-process worker per shard. It is the in-process stand-in for a
-// remote fleet (internal/fleetwire.NewFleet): same partition, same
-// dispatch and the same fleet.Worker, with channels in place of the
-// wire, so tests and benchmarks can check and time sharded execution
-// without worker processes. Attach it with core.System.SetFleet.
-func New(w *netsim.World, workers int) (*Fleet, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("fleet: %d workers < 1", workers)
-	}
-	part, err := netsim.PartitionWorld(w, workers)
-	if err != nil {
-		return nil, err
-	}
-	ws := make([]*Worker, workers)
-	for i := range ws {
-		ws[i] = NewWorker(i, part.Shards[i], workerCacheEntries)
-	}
-	f := NewOver(part, NewLocalTransport(ws, workerParallelism))
-	f.workers = ws
-	return f, nil
 }
 
 // NewOver builds a Fleet that reaches shard i of part as worker i of
@@ -136,16 +103,13 @@ func (f *Fleet) SetScatter(capability string, s Scatter) {
 	f.scatters[capability] = s
 }
 
-// Partition exposes the fleet's world partition (for planners and
-// split functions).
-func (f *Fleet) Partition() *netsim.Partition { return f.part }
-
 // Workers returns the shard/worker count.
 func (f *Fleet) Workers() int { return len(f.part.Shards) }
 
 // DispatchStep implements workflow.Dispatcher: split the input by
 // shard ownership, fan sub-requests out over the transport, and
-// gather the partial outputs with the capability's Merge.
+// gather the partial outputs with the capability's Merge. A part whose
+// worker is unavailable runs here, with capb against env.
 func (f *Fleet) DispatchStep(ctx context.Context, capb *registry.Capability, in map[string]any, env any, fingerprint string) (map[string]any, bool, error) {
 	f.mu.RLock()
 	spec, ok := f.scatters[capb.Name]
@@ -154,7 +118,7 @@ func (f *Fleet) DispatchStep(ctx context.Context, capb *registry.Capability, in 
 		f.declined.Add(1)
 		return nil, false, nil
 	}
-	parts, ok := spec.Split(f.part, env, in)
+	parts, ok := spec.Split(f.part, in)
 	if !ok || len(parts) == 0 {
 		f.declined.Add(1)
 		return nil, false, nil
@@ -172,22 +136,18 @@ func (f *Fleet) DispatchStep(ctx context.Context, capb *registry.Capability, in 
 
 	type reply struct {
 		shard int
-		resp  Response
+		out   map[string]any
 		err   error
 	}
 	replies := make(chan reply, len(shards))
 	for _, s := range shards {
-		s := s
-		req := Request{
-			Cap:        capb.Name,
-			Capability: capb,
-			In:         parts[s],
-			Env:        env,
-			Key:        workerKey(fingerprint, s),
-		}
+		req := Request{Cap: capb.Name, In: parts[s], Key: workerKey(fingerprint, s)}
 		go func() {
 			resp, err := f.transport.Send(ctx, s, req)
-			replies <- reply{shard: s, resp: resp, err: err}
+			if errors.Is(err, ErrUnavailable) {
+				resp.Out, err = Call(ctx, capb, env, req.In)
+			}
+			replies <- reply{shard: s, out: resp.Out, err: err}
 		}()
 	}
 	outs := make(map[int]map[string]any, len(shards))
@@ -197,13 +157,13 @@ func (f *Fleet) DispatchStep(ctx context.Context, capb *registry.Capability, in 
 		if r.err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("fleet: worker %d: %w", r.shard, r.err)
 		}
-		outs[r.shard] = r.resp.Out
+		outs[r.shard] = r.out
 	}
 	if firstErr != nil {
 		return nil, true, firstErr
 	}
 
-	merged, err := spec.Merge(f.part, env, in, outs)
+	merged, err := spec.Merge(f.part, in, outs)
 	if err != nil {
 		return nil, true, fmt.Errorf("fleet: gather %s: %w", capb.Name, err)
 	}
@@ -228,8 +188,8 @@ func workerKey(fingerprint string, shard int) string {
 }
 
 // ShardStats describes one worker's shard inventory and counters. A
-// fleet over a network transport reports inventory only; its workers
-// count executions at their own stats endpoint.
+// Fleet reports inventory only; each worker counts its executions and
+// cache at its own stats endpoint (fleetwire's GET /v1/stats).
 type ShardStats struct {
 	Worker       int    `json:"worker"`
 	Countries    int    `json:"countries"`
@@ -241,10 +201,10 @@ type ShardStats struct {
 }
 
 // WireStats counts remote-transport activity: what a network transport
-// under the fleet did on the coordinator's behalf. The in-process
-// transport reports none; a wire transport (internal/fleetwire)
-// implements WireStatser and its numbers surface through Stats.Wire —
-// and from there through core.CacheStats.Fleet and /v1/stats.
+// under the fleet did on the coordinator's behalf. A wire transport
+// (internal/fleetwire) implements WireStatser and its numbers surface
+// through Stats.Wire — and from there through core.CacheStats.Fleet
+// and /v1/stats.
 type WireStats struct {
 	// Remotes is the configured remote worker count; Registered of
 	// them passed the handshake and are currently usable, Rejected
@@ -255,8 +215,8 @@ type WireStats struct {
 	Rejected   int `json:"rejected"`
 	// Requests counts requests answered over the wire; Retries counts
 	// re-sent attempts after transient failures; Failovers counts
-	// requests the coordinator ran itself after the remote was
-	// unusable or exhausted its retries.
+	// requests handed back to the coordinator (ErrUnavailable) because
+	// the remote was unusable, refused them or exhausted its retries.
 	Requests  uint64 `json:"requests"`
 	Retries   uint64 `json:"retries"`
 	Failovers uint64 `json:"failovers"`
@@ -285,7 +245,8 @@ type Stats struct {
 	Wire *WireStats `json:"wire,omitempty"`
 }
 
-// Stats snapshots dispatch counters and per-worker shard inventory.
+// Stats snapshots dispatch counters, per-worker shard inventory and,
+// over a network transport, the wire counters.
 func (f *Fleet) Stats() Stats {
 	st := Stats{
 		Workers:    f.Workers(),
@@ -295,11 +256,7 @@ func (f *Fleet) Stats() Stats {
 		Shards:     make([]ShardStats, f.Workers()),
 	}
 	for i, sh := range f.part.Shards {
-		if f.workers != nil {
-			st.Shards[i] = f.workers[i].Stats()
-		} else {
-			st.Shards[i] = shardInventory(i, sh)
-		}
+		st.Shards[i] = shardInventory(i, sh)
 	}
 	if ws, ok := f.transport.(WireStatser); ok {
 		w := ws.WireStats()

@@ -43,7 +43,7 @@ func countLinksCap(w *netsim.World) *registry.Capability {
 // and unions the code sets, sorted.
 func countLinksScatter() Scatter {
 	return Scatter{
-		Split: func(p *netsim.Partition, _ any, in map[string]any) (map[int]map[string]any, bool) {
+		Split: func(p *netsim.Partition, in map[string]any) (map[int]map[string]any, bool) {
 			links, ok := in["links"].([]netsim.LinkID)
 			if !ok {
 				return nil, false
@@ -63,7 +63,7 @@ func countLinksScatter() Scatter {
 			}
 			return parts, true
 		},
-		Merge: func(p *netsim.Partition, _ any, orig map[string]any, parts map[int]map[string]any) (map[string]any, error) {
+		Merge: func(p *netsim.Partition, orig map[string]any, parts map[int]map[string]any) (map[string]any, error) {
 			n := 0
 			codes := map[string]bool{}
 			for _, out := range parts {
@@ -91,6 +91,48 @@ func testWorld(t *testing.T) *netsim.World {
 	return w
 }
 
+// workerTransport is the in-test Transport: it runs each request on
+// one Worker per shard with the toy capability, in the caller's
+// goroutine, and counts the sends.
+type workerTransport struct {
+	capb    *registry.Capability
+	workers []*Worker
+	sends   atomic.Uint64
+	closed  atomic.Bool
+}
+
+func (t *workerTransport) Send(ctx context.Context, worker int, req Request) (Response, error) {
+	if t.closed.Load() {
+		return Response{}, ErrTransportClosed
+	}
+	if err := ctx.Err(); err != nil {
+		return Response{}, err
+	}
+	t.sends.Add(1)
+	return t.workers[worker].Execute(ctx, t.capb, nil, req)
+}
+
+func (t *workerTransport) Close() error {
+	t.closed.Store(true)
+	return nil
+}
+
+// testFleet partitions w into n shards and builds a fleet over one
+// Worker per shard, each caching up to cacheEntries results. Scatter
+// specs and Close are left to the test.
+func testFleet(t *testing.T, w *netsim.World, n, cacheEntries int) (*Fleet, *workerTransport) {
+	t.Helper()
+	part, err := netsim.PartitionWorld(w, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &workerTransport{capb: countLinksCap(w)}
+	for i, sh := range part.Shards {
+		tr.workers = append(tr.workers, NewWorker(i, sh, cacheEntries))
+	}
+	return NewOver(part, tr), tr
+}
+
 func allLinks(w *netsim.World) []netsim.LinkID {
 	ids := make([]netsim.LinkID, len(w.IPLinks))
 	for i := range w.IPLinks {
@@ -110,10 +152,7 @@ func TestScatterGatherMatchesLocal(t *testing.T) {
 	}
 
 	for _, n := range []int{1, 2, 4} {
-		f, err := New(w, n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f, _ := testFleet(t, w, n, 512)
 		defer f.Close()
 		f.SetScatter(capb.Name, countLinksScatter())
 
@@ -141,10 +180,7 @@ func TestScatterGatherMatchesLocal(t *testing.T) {
 
 func TestDeclineUnknownCapability(t *testing.T) {
 	w := testWorld(t)
-	f, err := New(w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _ := testFleet(t, w, 2, 512)
 	defer f.Close()
 	capb := countLinksCap(w)
 	_, handled, err := f.DispatchStep(context.Background(), capb, map[string]any{"links": allLinks(w)}, nil, "")
@@ -158,10 +194,7 @@ func TestDeclineUnknownCapability(t *testing.T) {
 
 func TestDeclineUnpartitionableInput(t *testing.T) {
 	w := testWorld(t)
-	f, err := New(w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _ := testFleet(t, w, 2, 512)
 	defer f.Close()
 	capb := countLinksCap(w)
 	f.SetScatter(capb.Name, countLinksScatter())
@@ -174,10 +207,7 @@ func TestDeclineUnpartitionableInput(t *testing.T) {
 
 func TestWorkerCacheHit(t *testing.T) {
 	w := testWorld(t)
-	f, err := New(w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, tr := testFleet(t, w, 2, 512)
 	defer f.Close()
 	capb := countLinksCap(w)
 	f.SetScatter(capb.Name, countLinksScatter())
@@ -188,72 +218,49 @@ func TestWorkerCacheHit(t *testing.T) {
 			t.Fatalf("round %d: handled=%v err=%v", i, handled, err)
 		}
 	}
-	st := f.Stats()
 	var executed, hits, entries uint64
-	for _, s := range st.Shards {
+	for _, wk := range tr.workers {
+		s := wk.Stats()
 		executed += s.Executed
 		hits += s.CacheHits
 		entries += uint64(s.CacheEntries)
 	}
 	if executed != 2 || hits != 2 || entries != 2 {
-		t.Fatalf("executed=%d hits=%d entries=%d, want 2/2/2 (%+v)", executed, hits, entries, st.Shards)
+		t.Fatalf("executed=%d hits=%d entries=%d, want 2/2/2", executed, hits, entries)
 	}
 
 	// An empty fingerprint must bypass worker caching entirely.
 	if _, handled, err := f.DispatchStep(context.Background(), capb, in, nil, ""); !handled || err != nil {
 		t.Fatalf("handled=%v err=%v", handled, err)
 	}
-	st = f.Stats()
 	var hits2 uint64
-	for _, s := range st.Shards {
-		hits2 += s.CacheHits
+	for _, wk := range tr.workers {
+		hits2 += wk.Stats().CacheHits
 	}
 	if hits2 != hits {
 		t.Fatalf("uncacheable dispatch hit the worker cache: %d → %d", hits, hits2)
 	}
 }
 
-// countingTransport proves the transport seam: a wrapper sees every
-// Send without the dispatcher knowing.
-type countingTransport struct {
-	Transport
-	sends atomic.Uint64
-}
-
-func (c *countingTransport) Send(ctx context.Context, worker int, req Request) (Response, error) {
-	c.sends.Add(1)
-	return c.Transport.Send(ctx, worker, req)
-}
-
+// TestTransportSeam: the dispatcher reaches workers only through the
+// Transport, one Send per owning shard.
 func TestTransportSeam(t *testing.T) {
 	w := testWorld(t)
-	part, err := netsim.PartitionWorld(w, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workers := make([]*Worker, len(part.Shards))
-	for i, sh := range part.Shards {
-		workers[i] = NewWorker(i, sh, 0)
-	}
-	ct := &countingTransport{Transport: NewLocalTransport(workers, 1)}
-	f := NewOver(part, ct)
+	f, tr := testFleet(t, w, 3, 0)
 	defer f.Close()
 	capb := countLinksCap(w)
 	f.SetScatter(capb.Name, countLinksScatter())
 	if _, handled, err := f.DispatchStep(context.Background(), capb, map[string]any{"links": allLinks(w)}, nil, ""); !handled || err != nil {
 		t.Fatalf("handled=%v err=%v", handled, err)
 	}
-	if got := ct.sends.Load(); got != 3 {
+	if got := tr.sends.Load(); got != 3 {
 		t.Fatalf("transport saw %d sends, want one per shard (3)", got)
 	}
 }
 
 func TestCloseFailsSends(t *testing.T) {
 	w := testWorld(t)
-	f, err := New(w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _ := testFleet(t, w, 2, 512)
 	capb := countLinksCap(w)
 	f.SetScatter(capb.Name, countLinksScatter())
 	f.Close()
@@ -266,10 +273,7 @@ func TestCloseFailsSends(t *testing.T) {
 
 func TestContextCancellation(t *testing.T) {
 	w := testWorld(t)
-	f, err := New(w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _ := testFleet(t, w, 2, 512)
 	defer f.Close()
 	capb := countLinksCap(w)
 	f.SetScatter(capb.Name, countLinksScatter())

@@ -12,8 +12,9 @@ import (
 )
 
 // Worker owns one world shard and executes shard-local capability
-// requests with a bounded local result cache. Workers are only
-// reached through a Transport.
+// requests with a bounded local result cache. A worker process
+// (internal/fleetwire.Server, cmd/arachnet-worker) owns one behind the
+// wire.
 type Worker struct {
 	index int
 	shard netsim.Shard
@@ -33,9 +34,7 @@ type workerEntry struct {
 }
 
 // NewWorker builds a worker over one shard with a local step cache of
-// cacheEntries results (<= 0 disables caching). New builds one per
-// shard of an in-process fleet; a remote worker process
-// (cmd/arachnet-worker) owns a single one behind a network transport.
+// cacheEntries results (<= 0 disables caching).
 func NewWorker(index int, shard netsim.Shard, cacheEntries int) *Worker {
 	w := &Worker{index: index, shard: shard, cacheCap: cacheEntries}
 	if cacheEntries > 0 {
@@ -45,22 +44,17 @@ func NewWorker(index int, shard netsim.Shard, cacheEntries int) *Worker {
 	return w
 }
 
-// Index returns the worker's shard index.
-func (w *Worker) Index() int { return w.index }
-
-// Shard returns the worker's shard inventory.
-func (w *Worker) Shard() netsim.Shard { return w.shard }
-
-// Execute runs one request: serve from the local cache when keyed,
-// otherwise Call the capability and remember the partial result.
-func (w *Worker) Execute(ctx context.Context, req Request) (Response, error) {
+// Execute runs req with capb, the worker's resolution of req.Cap,
+// against env: serve from the local cache when keyed, otherwise Call
+// the capability and remember the partial result.
+func (w *Worker) Execute(ctx context.Context, capb *registry.Capability, env any, req Request) (Response, error) {
 	if req.Key != "" {
 		if out, ok := w.cacheGet(req.Key); ok {
 			w.cacheHits.Add(1)
 			return Response{Out: out, CacheHit: true}, nil
 		}
 	}
-	out, err := Call(ctx, req)
+	out, err := Call(ctx, capb, env, req.In)
 	if err != nil {
 		return Response{}, err
 	}
@@ -71,21 +65,16 @@ func (w *Worker) Execute(ctx context.Context, req Request) (Response, error) {
 	return Response{Out: out}, nil
 }
 
-// Call runs req's capability once, uncached, and returns its output
-// map. The capability pointer must already be resolved
-// (req.Capability); transports that received the request over a wire
-// resolve req.Cap against their own registry first. Panics are
+// Call runs capb once over in against env, uncached, and returns its
+// output map. A worker calls it on its own environment; the fleet
+// calls it on the run's when a worker is unavailable. Panics are
 // contained and returned as errors.
-func Call(ctx context.Context, req Request) (map[string]any, error) {
-	capb := req.Capability
-	if capb == nil {
-		return nil, fmt.Errorf("capability %q not resolvable", req.Cap)
-	}
-	call := &registry.Call{In: req.In, Out: map[string]any{}, Env: req.Env, Ctx: ctx}
+func Call(ctx context.Context, capb *registry.Capability, env any, in map[string]any) (map[string]any, error) {
+	call := &registry.Call{In: in, Out: map[string]any{}, Env: env, Ctx: ctx}
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				err = fmt.Errorf("capability %q panicked: %v", req.Cap, r)
+				err = fmt.Errorf("capability %q panicked: %v", capb.Name, r)
 			}
 		}()
 		return capb.Impl(call)

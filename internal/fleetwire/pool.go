@@ -1,30 +1,34 @@
 // Package fleetwire puts a real wire under the fleet's Transport
 // seam: an HTTP/JSON transport that carries step input and output
 // values between OS processes as core's port-value envelopes, so the
-// same scatter-gather plans the in-process fleet runs (internal/fleet)
-// execute against remote worker processes (cmd/arachnet-worker) —
-// DIMES-style scale-out with reports byte-identical to in-process and
-// inline execution.
+// fleet's scatter-gather plans (internal/fleet) execute against remote
+// worker processes (cmd/arachnet-worker) — DIMES-style scale-out with
+// reports byte-identical to inline execution.
 //
 // # Topology
 //
 // A coordinator partitions its world into one shard per remote address
-// and builds its fleet over a Pool (NewFleet); it starts no in-process
-// workers. The Pool maps shard i to the i-th remote address. Each
+// and builds its fleet over a Pool (NewFleet); it starts no workers of
+// its own. The Pool maps shard i to the i-th remote address. Each
 // remote is a cmd/arachnet-worker process that derived the same world
 // from the same -world/-seed/-shards flags, so shard contents agree by
 // construction — and the registration handshake
 // (netsim.Partition.ShardFingerprint plus the builtin-catalog registry
-// generation) proves it before any request is routed there.
+// generation) proves it before any request is routed there. A worker
+// holds the world and no scenario; the fleet never scatters a
+// capability that reads one, so scenario injections on the
+// coordinator need nothing from the workers.
 //
 // # Failure semantics
 //
-// Correctness never depends on a remote. Every Send falls back to
-// running the request on the coordinator — the same capability call a
-// worker makes, uncached — when the remote is unregistered, rejected,
-// unhealthy, or exhausts its retries. The coordinator owns the whole
-// world, so the fallback result is exactly what the remote would have
-// produced, and a killed worker degrades an ask, never fails it.
+// Correctness never depends on a remote. Send answers an error
+// wrapping fleet.ErrUnavailable when the remote is unregistered,
+// rejected or unhealthy, refuses the request, answers a value that
+// does not decode, or exhausts its retries, and the fleet then runs
+// the request on the coordinator: the same capability call a worker
+// makes, uncached, against the run's environment. The coordinator owns
+// the whole world, so the result is exactly what the remote would
+// have produced, and a killed worker degrades an ask, never fails it.
 // Typed worker refusals (unknown capability, undecodable input or
 // output) fail over immediately without retrying; transport errors are
 // re-sent once, each attempt bounded by a 15 s timeout. A background
@@ -261,9 +265,8 @@ func (p *Pool) post(ctx context.Context, url string, body []byte) (int, []byte, 
 }
 
 // Send implements fleet.Transport: encode, route to the shard's
-// remote with retry, and fail over to the coordinator whenever the
-// remote cannot answer. The coordinator owns the whole world, so the
-// result is the same either way.
+// remote with retry, and hand the request back to the coordinator
+// (fleet.ErrUnavailable) whenever the remote cannot answer.
 func (p *Pool) Send(ctx context.Context, worker int, req fleet.Request) (fleet.Response, error) {
 	select {
 	case <-p.done:
@@ -272,17 +275,17 @@ func (p *Pool) Send(ctx context.Context, worker int, req fleet.Request) (fleet.R
 	}
 	r := p.remotes[worker]
 	if r.getState() != remoteHealthy {
-		return p.failover(ctx, req)
+		return p.unavailable(r)
 	}
 	in, err := core.EncodePortValues(req.In)
 	if err != nil {
 		// Un-encodable inputs are a coordinator-side condition; the
 		// coordinator takes the request by reference.
-		return p.failover(ctx, req)
+		return p.unavailable(r)
 	}
 	body, err := json.Marshal(executeRequest{Cap: req.Cap, Key: req.Key, In: in})
 	if err != nil {
-		return p.failover(ctx, req)
+		return p.unavailable(r)
 	}
 
 	for attempt := 0; attempt <= maxRetries; attempt++ {
@@ -306,15 +309,14 @@ func (p *Pool) Send(ctx context.Context, worker int, req fleet.Request) (fleet.R
 	// serving this shard right now. Mark it for the health loop and
 	// degrade to the coordinator.
 	r.setState(remoteUnhealthy)
-	return p.failover(ctx, req)
+	return p.unavailable(r)
 }
 
-// failover runs req on the coordinator: the capability call a worker
-// makes (fleet.Call), without the worker's cache.
-func (p *Pool) failover(ctx context.Context, req fleet.Request) (fleet.Response, error) {
+// unavailable counts a failover and returns the error that hands the
+// request back to the coordinator.
+func (p *Pool) unavailable(r *remote) (fleet.Response, error) {
 	p.failovers.Add(1)
-	out, err := fleet.Call(ctx, req)
-	return fleet.Response{Out: out}, err
+	return fleet.Response{}, fmt.Errorf("fleetwire: worker %d: %w", r.index, fleet.ErrUnavailable)
 }
 
 // sendOnce performs one execute attempt. retryable reports whether
@@ -348,9 +350,6 @@ func (p *Pool) sendOnce(ctx context.Context, r *remote, body []byte) (fleet.Resp
 	}
 	return fleet.Response{Out: out, CacheHit: wr.CacheHit}, false, nil
 }
-
-// Workers implements fleet.Transport.
-func (p *Pool) Workers() int { return len(p.remotes) }
 
 // Close stops the health loop.
 func (p *Pool) Close() error {

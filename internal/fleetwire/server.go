@@ -24,9 +24,11 @@ import (
 // The server derives its shard exactly the way the coordinator does —
 // netsim.PartitionWorld over the same generated world with the same
 // shard count — so shard contents agree by construction, and the
-// handshake fingerprint proves it. Execution reuses fleet.Worker,
-// including its per-shard LRU step cache keyed by the coordinator's
-// step fingerprints.
+// handshake fingerprint proves it. Capabilities run against the
+// server's environment, which needs the world and nothing else: the
+// fleet scatters no capability that reads the scenario. Execution
+// reuses fleet.Worker, including its per-shard LRU step cache keyed by
+// the coordinator's step fingerprints.
 type Server struct {
 	env    *core.Environment
 	reg    *registry.Registry
@@ -121,13 +123,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeBadInput, "capability %q: %v", req.Cap, err)
 		return
 	}
-	resp, err := s.worker.Execute(r.Context(), fleet.Request{
-		Cap:        req.Cap,
-		Capability: capb,
-		In:         in,
-		Env:        s.env,
-		Key:        req.Key,
-	})
+	resp, err := s.worker.Execute(r.Context(), capb, s.env, fleet.Request{Cap: req.Cap, In: in, Key: req.Key})
 	if err != nil {
 		writeError(w, CodeExecutionFailed, "%v", err)
 		return

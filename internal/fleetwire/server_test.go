@@ -76,7 +76,8 @@ func FuzzExecuteBody(f *testing.F) {
 	}
 	ipsIn, _ := json.Marshal(ipsOut.Out)
 	for _, body := range append([]string{
-		// One request per capability with a scatter spec.
+		// One request per capability with a scatter spec, and one for a
+		// capability that reads the scenario.
 		`{"cap":"nautilus.extract_ips","key":"k|0","in":` + links + `}`,
 		`{"cap":"xaminer.impact_from_links","in":` + links + `}`,
 		`{"cap":"geo.locate_ips","in":` + string(ipsIn) + `}`,

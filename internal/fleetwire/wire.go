@@ -57,11 +57,8 @@ func httpStatus(code string) int {
 	}
 }
 
-// executeRequest is the wire form of a fleet.Request: exactly the
-// fields the transport contract says cross a process boundary (see
-// fleet.Request's serialization-boundary doc). Capability and Env
-// deliberately have no wire representation. Values travel as core's
-// port-value envelopes.
+// executeRequest is the wire form of a fleet.Request, field for
+// field. Values travel as core's port-value envelopes.
 type executeRequest struct {
 	Cap string                    `json:"cap"`
 	Key string                    `json:"key,omitempty"`

@@ -1,32 +1,46 @@
 package serve
 
-// Fleet-aware stats: a tenant System with a worker fleet attached
-// must expose its counters in /v1/stats — total
-// scatter/shard-local/declined dispatches plus per-worker shard
-// inventory and cache activity. The fleet here is the in-process
-// stand-in for the remote fleet Config.FleetRemote attaches.
+// Fleet-aware stats: a tenant served over a remote fleet must expose
+// its counters in /v1/stats — total scatter/shard-local/declined
+// dispatches, per-worker shard inventory and the wire counters. The
+// fleet is the one Config.FleetRemote attaches, over two fleetwire
+// workers on loopback.
 
 import (
+	"net"
 	"net/http"
 	"testing"
 
 	"arachnet/internal/core"
 	"arachnet/internal/fleet"
+	"arachnet/internal/fleetwire"
 )
 
 func TestStatsExposeFleetCounters(t *testing.T) {
 	env := testEnv(t)
-	srv, ts := startServer(t, Config{
-		Env: env,
+	workers := make([]*fleetwire.Server, 2)
+	addrs := make([]string, len(workers))
+	for i := range workers {
+		ws, err := fleetwire.NewServer(env.Clone(), nil, len(workers), i, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := &http.Server{Handler: ws}
+		go hs.Serve(ln)
+		t.Cleanup(func() { hs.Close() })
+		workers[i], addrs[i] = ws, ln.Addr().String()
+	}
+	_, ts := startServer(t, Config{
+		Env:         env,
+		FleetRemote: addrs,
 		Tenants: []TenantConfig{{
 			Name: "default", Capabilities: core.CS1RegistryNames(),
 		}},
 	})
-	f, err := fleet.New(env.World, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Tenant("default").System().SetFleet(f)
 
 	// Serve the fan-out query so the fleet actually handles steps.
 	resp := postJSON(t, ts.URL+"/v1/ask", map[string]any{
@@ -70,10 +84,15 @@ func TestStatsExposeFleetCounters(t *testing.T) {
 	if len(fs.Shards) != 2 {
 		t.Fatalf("stats carry %d shard entries, want 2", len(fs.Shards))
 	}
+	if w := fs.Wire; w == nil || w.Registered != 2 || w.Requests == 0 || w.Failovers != 0 {
+		t.Errorf("wire block %+v, want 2 registered, requests and no failover", w)
+	}
 	var routers, executed uint64
 	for _, sh := range fs.Shards {
 		routers += uint64(sh.Routers)
-		executed += sh.Executed
+	}
+	for _, w := range workers {
+		executed += w.Worker().Stats().Executed
 	}
 	if routers == 0 {
 		t.Error("per-worker shard inventory reports zero routers")

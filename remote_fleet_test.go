@@ -1,18 +1,18 @@
 package arachnet_test
 
 // Remote fleet e2e: the HTTP wire under the fleet transport must be
-// invisible in the results. A scattered ask served by real worker
-// servers on loopback must be byte-identical to the in-process fleet;
+// invisible in the results. A scattered ask served by two workers on
+// loopback must be byte-identical to one served by a fleet of one;
 // killing a worker mid-run, or a worker answering a value no
 // capability can take, must degrade the ask to running the shard on
-// the coordinator (failover counter ticks), never fail it; and a
-// worker whose handshake disagrees must be rejected at registration
-// while asks keep succeeding.
+// the coordinator (failover counter ticks), never fail it; a worker
+// whose handshake disagrees must be rejected at registration while
+// asks keep succeeding; and what a worker holds beyond the world must
+// never reach an answer.
 
 import (
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -23,27 +23,21 @@ import (
 	"arachnet/internal/netsim"
 )
 
-// startWireWorker boots one real arachnet-worker server (the exact
-// handler cmd/arachnet-worker serves) on a loopback listener and
-// returns its address and a kill switch.
-func startWireWorker(t testing.TB, cfg netsim.Config, shards, index int) (string, func()) {
+// startWireWorker boots one worker over its own environment, generated
+// from cfg with scenarios injected in order, on a loopback listener
+// (see serveWorker).
+func startWireWorker(t testing.TB, cfg netsim.Config, shards, index int, scenarios ...core.ScenarioConfig) (*fleetwire.Server, string, func()) {
 	t.Helper()
 	env, err := core.NewEnvironment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := fleetwire.NewServer(env, core.BuiltinRegistry(), shards, index, 512)
-	if err != nil {
-		t.Fatal(err)
+	for _, sc := range scenarios {
+		if err := env.InjectCableFailureScenario(sc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &http.Server{Handler: ws}
-	go hs.Serve(ln)
-	t.Cleanup(func() { hs.Close() })
-	return ln.Addr().String(), func() { hs.Close() }
+	return serveWorker(t, env, shards, index)
 }
 
 // cs1RemoteSystem builds a CS1 system whose fleet routes shard i to
@@ -79,14 +73,10 @@ func wireStats(t *testing.T, sys *arachnet.System) arachnet.FleetWireStats {
 
 // TestRemoteFleetByteIdentical is the acceptance gate for the wire: a
 // CS1 ask scattered over two real HTTP workers must produce a report
-// byte-identical to the degenerate in-process fleet of one.
+// byte-identical to the degenerate fleet of one.
 func TestRemoteFleetByteIdentical(t *testing.T) {
 	const seed, query = 42, "Identify the impact at a country level due to SeaMeWe-5 cable failure"
-	cfg := netsim.SmallConfig(seed)
-	addr0, _ := startWireWorker(t, cfg, 2, 0)
-	addr1, _ := startWireWorker(t, cfg, 2, 1)
-
-	remoteSys := cs1RemoteSystem(t, seed, []string{addr0, addr1})
+	remoteSys := cs1FleetSystem(t, seed, 2)
 	localSys := cs1FleetSystem(t, seed, 1)
 
 	repRemote, err := remoteSys.Ask(ctx, query, arachnet.AskWithoutCuration())
@@ -118,7 +108,7 @@ func TestRemoteFleetByteIdentical(t *testing.T) {
 
 	jr, jl := normalizedReport(t, repRemote), normalizedReport(t, repLocal)
 	if string(jr) != string(jl) {
-		t.Errorf("remote and in-process reports differ:\nremote: %s\nlocal:  %s", jr, jl)
+		t.Errorf("fleet-2 and fleet-1 reports differ:\nfleet-2: %s\nfleet-1: %s", jr, jl)
 	}
 }
 
@@ -130,8 +120,8 @@ func TestRemoteFleetFailover(t *testing.T) {
 	const seed = 42
 	const query = "Identify the impact at a country level due to SeaMeWe-4 cable failure"
 	cfg := netsim.SmallConfig(seed)
-	addr0, kill0 := startWireWorker(t, cfg, 2, 0)
-	addr1, _ := startWireWorker(t, cfg, 2, 1)
+	_, addr0, kill0 := startWireWorker(t, cfg, 2, 0)
+	_, addr1, _ := startWireWorker(t, cfg, 2, 1)
 
 	remoteSys := cs1RemoteSystem(t, seed, []string{addr0, addr1})
 	if w := wireStats(t, remoteSys); w.Registered != 2 {
@@ -168,12 +158,12 @@ func TestRemoteFleetFailover(t *testing.T) {
 
 // TestRemoteFleetHandshakeMismatch points a one-shard coordinator at
 // a worker that owns shard 0 of two — the handshake must reject it
-// permanently, and asks must still succeed entirely in-process.
+// permanently, and asks must still succeed entirely on the coordinator.
 func TestRemoteFleetHandshakeMismatch(t *testing.T) {
 	const seed, query = 42, "Identify the impact at a country level due to SeaMeWe-5 cable failure"
 	cfg := netsim.SmallConfig(seed)
 	// Shard 0 of 2 ≠ shard 0 of 1: Shards and the fingerprint disagree.
-	addr, _ := startWireWorker(t, cfg, 2, 0)
+	_, addr, _ := startWireWorker(t, cfg, 2, 0)
 
 	remoteSys := cs1RemoteSystem(t, seed, []string{addr})
 	wire := wireStats(t, remoteSys)
@@ -261,5 +251,65 @@ func TestRemoteFleetNullOutputFailsOver(t *testing.T) {
 	}
 	if string(outR) != string(outI) {
 		t.Errorf("failover outputs differ from inline:\nfailover: %s\ninline:   %s", outR, outI)
+	}
+}
+
+// TestFleetIgnoresWorkerScenario: a worker holds the world, and nothing
+// else it holds may reach an answer. Two workers whose environments
+// carry scenario 5 serve a remote System; it and an inline twin inject
+// scenario 5 and then 6 on the coordinator. At each scenario, CS1
+// (which scatters) and CS4 (which reads the scenario) asked without
+// caches must give the inline values, over a wire that answered
+// requests and failed nothing over, and no worker may serve one from
+// its cache.
+func TestFleetIgnoresWorkerScenario(t *testing.T) {
+	const seed = 42
+	const (
+		cs1 = "Identify the impact at a country level due to SeaMeWe-5 cable failure"
+		cs4 = "A sudden increase in latency was observed from European probes to Asian destinations starting three days ago. Determine if a submarine cable failure caused this, and if so, identify the specific cable."
+	)
+	cfg := netsim.SmallConfig(seed)
+	held := core.ScenarioConfig{Seed: 5}
+	w0, addr0, _ := startWireWorker(t, cfg, 2, 0, held)
+	w1, addr1, _ := startWireWorker(t, cfg, 2, 1, held)
+	remoteSys, err := arachnet.New(arachnet.WithSmallWorld(seed), arachnet.WithRemoteFleet(addr0, addr1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(remoteSys.Fleet().Close)
+	inlineSys, err := arachnet.New(arachnet.WithSmallWorld(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := []*arachnet.System{remoteSys, inlineSys}
+	for _, sc := range []uint64{5, 6} {
+		for _, sys := range systems {
+			if err := sys.Environment().InjectCableFailureScenario(arachnet.ScenarioConfig{Seed: sc}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range []string{cs1, cs4} {
+			var vals [2][]byte
+			for i, sys := range systems {
+				rep, err := sys.Ask(ctx, q, arachnet.AskNoCache())
+				if err != nil {
+					t.Fatalf("scenario %d, %.40q: %v", sc, q, err)
+				}
+				if vals[i], err = json.Marshal(rep.Result.Values); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if string(vals[0]) != string(vals[1]) {
+				t.Errorf("scenario %d, %.40q: remote and inline values differ (%d and %d bytes)", sc, q, len(vals[0]), len(vals[1]))
+			}
+		}
+	}
+	if w := wireStats(t, remoteSys); w.Requests == 0 || w.Failovers != 0 {
+		t.Errorf("want requests over the wire and no failover: %+v", w)
+	}
+	for i, w := range []*fleetwire.Server{w0, w1} {
+		if hits := w.Worker().Stats().CacheHits; hits != 0 {
+			t.Errorf("worker %d served %d uncached requests from its cache", i, hits)
+		}
 	}
 }

@@ -60,17 +60,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The restored system's first ask of a snapshotted query must be
-	// fully warm: a plan-cache hit, every step a cache hit, and a
-	// report equal to the donor's warm replay.
+	// The load fills the plan cache without probing it, so it counts
+	// no hit or miss. The restored system's first ask of a snapshotted
+	// query must be fully warm: a plan-cache hit, every step a cache
+	// hit, and a report equal to the donor's warm replay.
 	before := restored.CacheStats()
+	if before.Plan.Hits != 0 || before.Plan.Misses != 0 {
+		t.Errorf("the load counted plan-cache probes: %+v", before.Plan)
+	}
 	rep, err := restored.Ask(ctx, cs1, arachnet.AskWithoutCuration())
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := restored.CacheStats()
-	if after.Plan.Hits <= before.Plan.Hits {
-		t.Errorf("restored first ask missed the plan cache: %+v → %+v", before.Plan, after.Plan)
+	if after.Plan.Hits != 1 || after.Plan.Misses != 0 {
+		t.Errorf("restored first ask: plan cache %+v, want 1 hit and 0 misses", after.Plan)
 	}
 	for _, st := range rep.Result.Steps {
 		if !st.Cached {
