@@ -189,7 +189,13 @@ type (
 	// FleetStats snapshots fleet dispatch counters and per-worker
 	// shard inventory (surfaced through CacheStats.Fleet).
 	FleetStats = fleet.Stats
-	// FleetShardStats describes one worker's shard and local cache.
+	// FleetShardInventory describes what one worker's shard holds, as
+	// FleetStats.Shards lists it. The coordinator counts nothing per
+	// worker.
+	FleetShardInventory = fleet.ShardInventory
+	// FleetShardStats is a worker's own view: its shard inventory plus
+	// its execution and cache counters, as the worker's GET /v1/stats
+	// reports them under "shard".
 	FleetShardStats = fleet.ShardStats
 	// FleetWireStats counts remote-transport activity when the fleet
 	// runs over real worker processes (see WithRemoteFleet); surfaced

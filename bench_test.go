@@ -8,6 +8,7 @@ package arachnet_test
 //	CS2  BenchmarkCaseStudy2          — multi-disaster impact, uncached
 //	CS3  BenchmarkCaseStudy3          — Europe–Asia cascade, uncached
 //	CS4  BenchmarkCaseStudy4          — forensic root cause, uncached
+//	     BenchmarkColdStart           — environment, injection and CS1–CS4 uncached, from nothing
 //	A1   BenchmarkRegistryCompactness — planning over compact vs bloated registries
 //	A3   BenchmarkCuratorMining       — pattern mining + promotion
 //
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"arachnet"
 	"arachnet/internal/core"
@@ -88,6 +90,45 @@ func BenchmarkCaseStudy3(b *testing.B) { benchCase(b, 3, true) }
 
 // BenchmarkCaseStudy4 measures the forensic investigation.
 func BenchmarkCaseStudy4(b *testing.B) { benchCase(b, 4, true) }
+
+// BenchmarkColdStart times what a fresh deployment pays before its
+// first warm answer, as servebench's set-up does: building the
+// environment of small world 7, injecting scenario 5, and asking the
+// four case studies uncached and uncurated on a new System. The
+// env-ms, inject-ms and asks-ms metrics split each iteration into
+// those three parts.
+func BenchmarkColdStart(b *testing.B) {
+	var env, inject, asks time.Duration
+	b.ReportAllocs()
+	for b.Loop() {
+		t0 := time.Now()
+		e, err := core.NewEnvironment(netsim.SmallConfig(7))
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		if err := e.InjectCableFailureScenario(core.ScenarioConfig{Seed: 5}); err != nil {
+			b.Fatal(err)
+		}
+		t2 := time.Now()
+		sys, err := core.NewSystem(e, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for n := 1; n <= 4; n++ {
+			if _, err := sys.Ask(ctx, benchQueries[n], arachnet.AskWithoutCuration(), arachnet.AskNoCache()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		env, inject, asks = env+t1.Sub(t0), inject+t2.Sub(t1), asks+time.Since(t2)
+	}
+	for _, m := range []struct {
+		d    time.Duration
+		unit string
+	}{{env, "env-ms"}, {inject, "inject-ms"}, {asks, "asks-ms"}} {
+		b.ReportMetric(float64(m.d.Microseconds())/1e3/float64(b.N), m.unit)
+	}
+}
 
 // BenchmarkRegistryCompactness is the A1 ablation: planning cost over
 // the compact builtin registry versus one bloated with irrelevant

@@ -1,7 +1,10 @@
 package bgp
 
 import (
-	"sort"
+	"cmp"
+	"net/netip"
+	"slices"
+	"strings"
 	"time"
 
 	"arachnet/internal/stats"
@@ -34,62 +37,109 @@ func DetectBursts(msgs []Message, bin time.Duration, threshold float64) []Burst 
 	if nBins < minBaselineBins+1 {
 		return nil
 	}
+	binOf := func(m *Message) int {
+		if i := int(m.Time.Sub(start) / bin); i >= 0 && i < nBins {
+			return i
+		}
+		return -1
+	}
 	counts := make([]float64, nBins)
 	withdrawals := make([]int, nBins)
-	prefixCount := make([]map[string]int, nBins)
-	for _, m := range msgs {
-		i := int(m.Time.Sub(start) / bin)
-		if i < 0 || i >= nBins {
-			continue
+	for i := range msgs {
+		if b := binOf(&msgs[i]); b >= 0 {
+			counts[b]++
+			if msgs[i].Type == Withdraw {
+				withdrawals[b]++
+			}
 		}
-		counts[i]++
-		if m.Type == Withdraw {
-			withdrawals[i]++
-		}
-		if prefixCount[i] == nil {
-			prefixCount[i] = make(map[string]int)
-		}
-		prefixCount[i][m.Prefix.String()]++
 	}
 
+	// Each bin is scored against every bin before it, a baseline that
+	// grows by one bin per step.
 	var out []Burst
+	var burstBins []int
+	base := stats.NewExpandingBaseline(nBins)
+	for i := range minBaselineBins {
+		base.Add(counts[i])
+	}
 	for i := minBaselineBins; i < nBins; i++ {
-		base, err := stats.FitBaseline(counts[:i])
-		if err != nil {
+		score, err := base.Score(counts[i])
+		base.Add(counts[i])
+		if err != nil || score < threshold {
 			continue
 		}
-		score := base.Score(counts[i])
-		if score < threshold {
-			continue
+		out = append(out, Burst{
+			Start:         start.Add(time.Duration(i) * bin),
+			Duration:      bin,
+			Messages:      int(counts[i]),
+			Withdrawals:   withdrawals[i],
+			Score:         score,
+			WithdrawHeavy: withdrawals[i]*2 > int(counts[i]),
+		})
+		burstBins = append(burstBins, i)
+	}
+	if len(out) == 0 {
+		return out
+	}
+
+	// Only the bursts' prefixes are counted, and only their top ones
+	// formatted.
+	burstOf := make([]int, nBins) // burst index + 1, or 0
+	prefixes := make([]map[netip.Prefix]int, len(out))
+	for k, b := range burstBins {
+		burstOf[b] = k + 1
+		prefixes[k] = map[netip.Prefix]int{}
+	}
+	for i := range msgs {
+		if b := binOf(&msgs[i]); b >= 0 && burstOf[b] > 0 {
+			prefixes[burstOf[b]-1][prefixKey(msgs[i].Prefix)]++
 		}
-		b := Burst{
-			Start:       start.Add(time.Duration(i) * bin),
-			Duration:    bin,
-			Messages:    int(counts[i]),
-			Withdrawals: withdrawals[i],
-			Score:       score,
-			TopPrefixes: topKeys(prefixCount[i], 5),
-		}
-		b.WithdrawHeavy = withdrawals[i]*2 > int(counts[i])
-		out = append(out, b)
+	}
+	for k := range out {
+		out[k].TopPrefixes = topPrefixes(prefixes[k], 5)
 	}
 	return out
 }
 
-func topKeys(m map[string]int, k int) []string {
+// prefixKey maps p to the key it is counted under. Every invalid prefix
+// prints as the same text, so they all count as the zero Prefix; valid
+// prefixes print distinctly.
+func prefixKey(p netip.Prefix) netip.Prefix {
+	if !p.IsValid() {
+		return netip.Prefix{}
+	}
+	return p
+}
+
+// topPrefixes returns the k most frequent prefixes of counts as text,
+// most frequent first and ties in text order. Only prefixes as frequent
+// as the k-th most frequent can make the cut, so only those are
+// formatted.
+func topPrefixes(counts map[netip.Prefix]int, k int) []string {
+	ns := make([]int, 0, len(counts))
+	for _, n := range counts {
+		ns = append(ns, n)
+	}
+	slices.Sort(ns)
+	cut := 0
+	if len(ns) > k {
+		cut = ns[len(ns)-k]
+	}
 	type kv struct {
 		key string
 		n   int
 	}
-	kvs := make([]kv, 0, len(m))
-	for key, n := range m {
-		kvs = append(kvs, kv{key, n})
-	}
-	sort.Slice(kvs, func(i, j int) bool {
-		if kvs[i].n != kvs[j].n {
-			return kvs[i].n > kvs[j].n
+	var kvs []kv
+	for p, n := range counts {
+		if n >= cut {
+			kvs = append(kvs, kv{p.String(), n})
 		}
-		return kvs[i].key < kvs[j].key
+	}
+	slices.SortFunc(kvs, func(a, b kv) int {
+		if a.n != b.n {
+			return cmp.Compare(b.n, a.n)
+		}
+		return strings.Compare(a.key, b.key)
 	})
 	if len(kvs) > k {
 		kvs = kvs[:k]

@@ -144,3 +144,60 @@ func TestTablesBuildEachSetOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateStreamKeepsTieOrder requires GenerateStream to order
+// messages of equal time as the reference's stable sort does: failure
+// messages before churn, churn in draw order. Windows of a few
+// nanoseconds put many churn draws on one instant, and events on those
+// instants; the test requires both kinds of tie to occur.
+func TestGenerateStreamKeepsTieOrder(t *testing.T) {
+	start := time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC)
+	var mixedTies, churnTies int
+	for i, w := range refWorlds(t, false) {
+		sets := randomFailures(w, rand.New(rand.NewPCG(uint64(i), 5)))
+		for _, window := range []time.Duration{1, 4, 9} {
+			var events []FailureEvent
+			for k, set := range sets[2:] {
+				var links []netsim.LinkID
+				for id := range set {
+					links = append(links, id)
+				}
+				slices.Sort(links)
+				events = append(events, FailureEvent{At: start.Add(time.Duration(k) * window / 3), Links: links, Label: "tie"})
+			}
+			cfg := StreamConfig{
+				Start: start, End: start.Add(window),
+				Collectors: []netsim.ASN{w.ASes[0].ASN, w.ASes[1].ASN},
+				// About 40 draws per nanosecond of window.
+				NoisePerHour: 40 * float64(time.Hour), Seed: uint64(window),
+			}
+			got, err := GenerateStream(NewTables(w), events, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := refGenerateStream(w, events, cfg)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("world %d, %v window: stream of %d messages differs from the reference's %d", i, window, len(got), len(want))
+			}
+			churn, _ := GenerateStream(NewTables(w), nil, cfg)
+			quiet := cfg
+			quiet.NoisePerHour = 0
+			failure, _ := GenerateStream(NewTables(w), events, quiet)
+			perInstant := map[time.Time]int{}
+			for _, m := range churn {
+				perInstant[m.Time]++
+			}
+			for at, n := range perInstant {
+				if n > 1 {
+					churnTies++
+				}
+				if slices.ContainsFunc(failure, func(m Message) bool { return m.Time.Equal(at) }) {
+					mixedTies++
+				}
+			}
+		}
+	}
+	if mixedTies == 0 || churnTies == 0 {
+		t.Errorf("%d instants hold failure and churn messages and %d several churn messages; want both", mixedTies, churnTies)
+	}
+}

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
@@ -156,6 +157,10 @@ func GenerateStream(tables *Tables, events []FailureEvent, cfg StreamConfig) ([]
 	hours := cfg.End.Sub(cfg.Start).Hours()
 	n := int(cfg.NoisePerHour * hours)
 	base := tables.Table(nil)
+	var churn []Message
+	if n > 0 && len(w.Prefixes) > 0 {
+		churn = make([]Message, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		at := cfg.Start.Add(time.Duration(rng.Float64() * float64(cfg.End.Sub(cfg.Start))))
 		c := cfg.Collectors[rng.IntN(len(cfg.Collectors))]
@@ -167,9 +172,34 @@ func GenerateStream(tables *Tables, events []FailureEvent, cfg StreamConfig) ([]
 		if !ok {
 			continue
 		}
-		out = append(out, Message{Time: at, Collector: c, Type: Announce, Prefix: p.CIDR, Path: clonePath(r.Path)})
+		churn = append(churn, Message{Time: at, Collector: c, Type: Announce, Prefix: p.CIDR, Path: clonePath(r.Path)})
 	}
+	return mergeByTime(out, churn), nil
+}
 
-	slices.SortStableFunc(out, func(a, b Message) int { return a.Time.Compare(b.Time) })
-	return out, nil
+// mergeByTime returns failure, already in time order, and churn, in
+// draw order, as one time-ordered stream: the order a stable sort of
+// failure followed by churn gives. Equal times keep failure messages
+// first and churn in draw order, so only churn is sorted, by time and
+// then draw index, and the two runs merge.
+func mergeByTime(failure, churn []Message) []Message {
+	order := make([]int32, len(churn))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := churn[a].Time.Compare(churn[b].Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	out := make([]Message, 0, len(failure)+len(churn))
+	f := 0
+	for _, i := range order {
+		for ; f < len(failure) && !failure[f].Time.After(churn[i].Time); f++ {
+			out = append(out, failure[f])
+		}
+		out = append(out, churn[i])
+	}
+	return append(out, failure[f:]...)
 }

@@ -477,12 +477,12 @@ func RankSuspectCables(e *Environment, f LatencyFinding, msgs []bgp.Message) []C
 		}
 	}
 	// Corridor inferred from the shifted probes' country endpoints.
-	corridor := map[geo.Region]bool{}
+	var corridor geo.RegionSet
 	for _, probe := range append(append([]string{}, f.Probes...), f.LostProbes...) {
 		parts := splitProbeName(probe)
 		for _, cc := range parts {
 			if r, ok := geo.RegionOf(cc); ok {
-				corridor[r] = true
+				corridor = corridor.With(r)
 			}
 		}
 	}
@@ -524,13 +524,8 @@ func RankSuspectCables(e *Environment, f LatencyFinding, msgs []bgp.Message) []C
 		}
 
 		// Corridor membership.
-		matches := 0
-		for _, r := range c.Regions() {
-			if corridor[r] {
-				matches++
-			}
-		}
-		s.CorridorMatch = matches >= 2 || (len(corridor) < 2 && matches >= 1)
+		matches := (e.Catalog.Regions(c.ID) & corridor).Len()
+		s.CorridorMatch = matches >= 2 || (corridor.Len() < 2 && matches >= 1)
 
 		corridorScore := 0.0
 		if s.CorridorMatch {

@@ -82,7 +82,7 @@ func TestInjectAllocCeiling(t *testing.T) {
 		}
 	})
 	t.Logf("scenario injection: %.0f allocs", avg)
-	const ceiling = 11000
+	const ceiling = 7000
 	if avg > ceiling {
 		t.Errorf("scenario injection allocates %.0f, budget %d", avg, ceiling)
 	}

@@ -187,14 +187,21 @@ func workerKey(fingerprint string, shard int) string {
 	return fmt.Sprintf("%s|%d", fingerprint, shard)
 }
 
-// ShardStats describes one worker's shard inventory and counters. A
-// Fleet reports inventory only; each worker counts its executions and
-// cache at its own stats endpoint (fleetwire's GET /v1/stats).
+// ShardInventory describes what one worker's shard holds. It is all a
+// Fleet knows of its workers; each worker counts its executions and
+// cache itself (ShardStats).
+type ShardInventory struct {
+	Worker    int `json:"worker"`
+	Countries int `json:"countries"`
+	Routers   int `json:"routers"`
+	Links     int `json:"links"`
+}
+
+// ShardStats is a worker's own view of its shard: the inventory and
+// the worker's counters, as Worker.Stats and fleetwire's GET /v1/stats
+// report them.
 type ShardStats struct {
-	Worker       int    `json:"worker"`
-	Countries    int    `json:"countries"`
-	Routers      int    `json:"routers"`
-	Links        int    `json:"links"`
+	ShardInventory
 	Executed     uint64 `json:"executed"`
 	CacheHits    uint64 `json:"cache_hits"`
 	CacheEntries int    `json:"cache_entries"`
@@ -235,11 +242,11 @@ type WireStatser interface {
 
 // Stats is a point-in-time snapshot of fleet activity.
 type Stats struct {
-	Workers    int          `json:"workers"`
-	Scattered  uint64       `json:"scattered"`
-	ShardLocal uint64       `json:"shard_local"`
-	Declined   uint64       `json:"declined"`
-	Shards     []ShardStats `json:"shards"`
+	Workers    int              `json:"workers"`
+	Scattered  uint64           `json:"scattered"`
+	ShardLocal uint64           `json:"shard_local"`
+	Declined   uint64           `json:"declined"`
+	Shards     []ShardInventory `json:"shards"`
 	// Wire is present when the fleet's transport moves requests over a
 	// network (see WireStatser).
 	Wire *WireStats `json:"wire,omitempty"`
@@ -253,7 +260,7 @@ func (f *Fleet) Stats() Stats {
 		Scattered:  f.scattered.Load(),
 		ShardLocal: f.shardLocal.Load(),
 		Declined:   f.declined.Load(),
-		Shards:     make([]ShardStats, f.Workers()),
+		Shards:     make([]ShardInventory, f.Workers()),
 	}
 	for i, sh := range f.part.Shards {
 		st.Shards[i] = shardInventory(i, sh)

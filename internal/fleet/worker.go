@@ -126,16 +126,17 @@ func (w *Worker) Stats() ShardStats {
 		entries = w.cacheOrder.Len()
 	}
 	w.cacheMu.Unlock()
-	st := shardInventory(w.index, w.shard)
-	st.Executed = w.executed.Load()
-	st.CacheHits = w.cacheHits.Load()
-	st.CacheEntries = entries
-	return st
+	return ShardStats{
+		ShardInventory: shardInventory(w.index, w.shard),
+		Executed:       w.executed.Load(),
+		CacheHits:      w.cacheHits.Load(),
+		CacheEntries:   entries,
+	}
 }
 
-// shardInventory is the counter-free ShardStats of shard index.
-func shardInventory(index int, shard netsim.Shard) ShardStats {
-	return ShardStats{
+// shardInventory is the inventory of shard index.
+func shardInventory(index int, shard netsim.Shard) ShardInventory {
+	return ShardInventory{
 		Worker:    index,
 		Countries: len(shard.Countries),
 		Routers:   shard.Routers,

@@ -12,6 +12,7 @@ package geo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -35,6 +36,41 @@ const (
 func AllRegions() []Region {
 	return []Region{Europe, Asia, NorthAmerica, SouthAmerica, Africa, MiddleEast, Oceania}
 }
+
+// RegionSet is a set of the regions AllRegions lists, one bit each.
+type RegionSet uint8
+
+// regionBit is r's bit in a RegionSet, or 0 for a name AllRegions
+// does not list.
+func regionBit(r Region) RegionSet {
+	switch r {
+	case Europe:
+		return 1 << 0
+	case Asia:
+		return 1 << 1
+	case NorthAmerica:
+		return 1 << 2
+	case SouthAmerica:
+		return 1 << 3
+	case Africa:
+		return 1 << 4
+	case MiddleEast:
+		return 1 << 5
+	case Oceania:
+		return 1 << 6
+	}
+	return 0
+}
+
+// With returns s with r added; a name AllRegions does not list adds
+// nothing.
+func (s RegionSet) With(r Region) RegionSet { return s | regionBit(r) }
+
+// Has reports whether r is in s.
+func (s RegionSet) Has(r Region) bool { return s&regionBit(r) != 0 }
+
+// Len returns the number of regions in s.
+func (s RegionSet) Len() int { return bits.OnesCount8(uint8(s)) }
 
 // Coord is a WGS84 latitude/longitude pair in decimal degrees.
 type Coord struct {
@@ -64,18 +100,59 @@ type Country struct {
 // earthRadiusKm is the mean Earth radius used for great-circle math.
 const earthRadiusKm = 6371.0
 
+const degToRad = math.Pi / 180
+
 // DistanceKm returns the great-circle distance between two coordinates in
 // kilometers using the haversine formula.
 func DistanceKm(a, b Coord) float64 {
-	const degToRad = math.Pi / 180
-	lat1 := a.Lat * degToRad
-	lat2 := b.Lat * degToRad
-	dLat := (b.Lat - a.Lat) * degToRad
-	dLng := (b.Lng - a.Lng) * degToRad
+	return ArcKm(Haversine(a, b, CosLat(a), CosLat(b)))
+}
 
-	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1)*math.Cos(lat2)*math.Sin(dLng/2)*math.Sin(dLng/2)
+// CosLat returns the cosine of c's latitude, the factor each end
+// contributes to Haversine. Callers that measure from one point many
+// times compute it once.
+func CosLat(c Coord) float64 { return math.Cos(c.Lat * degToRad) }
+
+// Haversine returns the haversine of the central angle between a and
+// b, given cosA = CosLat(a) and cosB = CosLat(b). ArcKm turns it into
+// kilometers; a smaller haversine is never a longer distance, so a
+// nearest-point search may compare haversines and convert only the
+// winner's.
+func Haversine(a, b Coord, cosA, cosB float64) float64 {
+	sinLat := math.Sin((b.Lat - a.Lat) * degToRad / 2)
+	sinLng := math.Sin((b.Lng - a.Lng) * degToRad / 2)
+	return sinLat*sinLat + cosA*cosB*sinLng*sinLng
+}
+
+// ArcKm returns the great-circle distance in kilometers of a central
+// angle whose haversine is h.
+func ArcKm(h float64) float64 {
 	return 2 * earthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
+}
+
+// HaversineBound returns the largest haversine whose ArcKm is at most
+// km: for every h, ArcKm(h) <= km exactly when h >= 0 && h <= bound,
+// so a radius test over many points computes the arcsine only here. It
+// is -1 when km is negative or NaN and +Inf when every arc fits.
+func HaversineBound(km float64) float64 {
+	if !(km >= 0) {
+		return -1
+	}
+	if ArcKm(1) <= km {
+		return math.Inf(1)
+	}
+	// ArcKm(lo) <= km < ArcKm(hi); the bit patterns of non-negative
+	// float64s order as their values do.
+	lo, hi := uint64(0), math.Float64bits(1)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if ArcKm(math.Float64frombits(mid)) <= km {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return math.Float64frombits(lo)
 }
 
 // PropagationDelayMs returns the one-way light propagation delay in
@@ -285,7 +362,6 @@ func RegionOf(code string) (Region, bool) {
 // Midpoint returns the geographic midpoint of two coordinates. It is a
 // simple spherical midpoint, good enough for cable way-pointing.
 func Midpoint(a, b Coord) Coord {
-	const degToRad = math.Pi / 180
 	lat1, lng1 := a.Lat*degToRad, a.Lng*degToRad
 	lat2, lng2 := b.Lat*degToRad, b.Lng*degToRad
 

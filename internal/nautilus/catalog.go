@@ -12,6 +12,7 @@ package nautilus
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -96,7 +97,7 @@ func (c Cable) Regions() []geo.Region {
 // Catalog is the queryable cable database.
 type Catalog struct {
 	cables    []Cable
-	byID      map[CableID]*Cable
+	byID      map[CableID]int // index in cables
 	byCountry map[string][]CableID
 	// names holds the NormalizeName forms of each cable, index-aligned
 	// with cables, so name matching normalizes only the text it is given.
@@ -104,6 +105,33 @@ type Catalog struct {
 	// forms is the automaton over those forms: pattern 3i+k is form k
 	// (name, ID, short name) of cables[i].
 	forms *textmatch.Matcher
+	// geom holds what BuildCatalog derives from each cable's landings,
+	// index-aligned with cables, so queries and the cross-layer mapping
+	// neither rebuild region sets nor recompute distances.
+	geom []cableGeom
+}
+
+// cableGeom is what a cable's landings determine once: the regions it
+// touches, the cosine of each landing's latitude (geo.CosLat) and the
+// length of each leg between consecutive landings. The slices of every
+// cable share one backing array.
+type cableGeom struct {
+	regions geo.RegionSet
+	cosLat  []float64 // cosLat[k] belongs to Landings[k]
+	legKm   []float64 // legKm[k] = geo.DistanceKm(Landings[k].Loc, Landings[k+1].Loc)
+}
+
+// segmentKm is Cable.SegmentKm over the stored legs: the same sum, in
+// the same order, of the same distances.
+func (g *cableGeom) segmentKm(i, j int) float64 {
+	if i > j {
+		i, j = j, i
+	}
+	var km float64
+	for _, leg := range g.legKm[i:j] {
+		km += leg
+	}
+	return km * 1.1
 }
 
 // maxCables bounds the catalog, so Mentioned keeps its marks on the
@@ -340,18 +368,39 @@ func BuildCatalog() *Catalog {
 	}
 	cat := &Catalog{
 		cables:    cables,
-		byID:      make(map[CableID]*Cable, len(cables)),
+		byID:      make(map[CableID]int, len(cables)),
 		byCountry: make(map[string][]CableID),
 		names:     make([]cableNames, len(cables)),
+		geom:      make([]cableGeom, len(cables)),
 	}
 	sort.Slice(cat.cables, func(i, j int) bool { return cat.cables[i].ID < cat.cables[j].ID })
+	// One cosine per landing and one length per leg, for every cable.
+	nFloats := 0
+	for _, c := range cables {
+		nFloats += len(c.Landings) + max(len(c.Landings)-1, 0)
+	}
+	floats := make([]float64, 0, nFloats)
 	forms := make([]string, 0, 3*len(cables))
 	for i := range cat.cables {
 		c := &cat.cables[i]
-		cat.byID[c.ID] = c
-		for _, cc := range c.Countries() {
-			cat.byCountry[cc] = append(cat.byCountry[cc], c.ID)
+		cat.byID[c.ID] = i
+		g, first := &cat.geom[i], len(floats)
+		for k, land := range c.Landings {
+			// Cable.Countries without its map: a country joins on its
+			// first landing.
+			if !slices.ContainsFunc(c.Landings[:k], func(prev LandingPoint) bool { return prev.Country == land.Country }) {
+				cat.byCountry[land.Country] = append(cat.byCountry[land.Country], c.ID)
+			}
+			if r, ok := geo.RegionOf(land.Country); ok {
+				g.regions = g.regions.With(r)
+			}
+			floats = append(floats, geo.CosLat(land.Loc))
 		}
+		legs := len(floats)
+		for k := 1; k < len(c.Landings); k++ {
+			floats = append(floats, geo.DistanceKm(c.Landings[k-1].Loc, c.Landings[k].Loc))
+		}
+		g.cosLat, g.legKm = floats[first:legs:legs], floats[legs:len(floats):len(floats)]
 		n := &cat.names[i]
 		n.name, n.id = NormalizeName(c.Name), NormalizeName(string(c.ID))
 		if j := strings.IndexByte(c.Name, '('); j > 0 {
@@ -375,11 +424,11 @@ func (cat *Catalog) Len() int { return len(cat.cables) }
 
 // ByID returns the cable with the given ID.
 func (cat *Catalog) ByID(id CableID) (Cable, bool) {
-	c, ok := cat.byID[id]
+	i, ok := cat.byID[id]
 	if !ok {
 		return Cable{}, false
 	}
-	return *c, true
+	return cat.cables[i], true
 }
 
 // ByName resolves a cable by (case-insensitive) name or ID. It also
@@ -460,18 +509,54 @@ func (cat *Catalog) LandingIn(country string) []CableID {
 // queries like "cables between Europe and Asia".
 func (cat *Catalog) Between(a, b geo.Region) []Cable {
 	var out []Cable
-	for _, c := range cat.cables {
-		hasA, hasB := false, false
-		for _, r := range c.Regions() {
-			if r == a {
-				hasA = true
-			}
-			if r == b {
-				hasB = true
-			}
+	for i, g := range cat.geom {
+		if g.regions.Has(a) && g.regions.Has(b) {
+			out = append(out, cat.cables[i])
 		}
-		if hasA && hasB {
-			out = append(out, c)
+	}
+	return out
+}
+
+// Regions returns the set of regions cable id touches, as
+// Cable.Regions lists them; it is empty for an unknown id.
+func (cat *Catalog) Regions(id CableID) geo.RegionSet {
+	i, ok := cat.byID[id]
+	if !ok {
+		return 0
+	}
+	return cat.geom[i].regions
+}
+
+// SharingRegions returns, in ID order, the cables other than id that
+// touch at least n of the regions id touches, or nil for an unknown
+// id.
+func (cat *Catalog) SharingRegions(id CableID, n int) []CableID {
+	j, ok := cat.byID[id]
+	if !ok {
+		return nil
+	}
+	regions := cat.geom[j].regions
+	var out []CableID
+	for i, g := range cat.geom {
+		if i != j && (g.regions&regions).Len() >= n {
+			out = append(out, cat.cables[i].ID)
+		}
+	}
+	return out
+}
+
+// LandingWithin returns, in ID order, the cables with a landing at
+// most radiusKm from center.
+func (cat *Catalog) LandingWithin(center geo.Coord, radiusKm float64) []CableID {
+	cosCenter, bound := geo.CosLat(center), geo.HaversineBound(radiusKm)
+	var out []CableID
+	for i := range cat.cables {
+		c, g := &cat.cables[i], &cat.geom[i]
+		for k, land := range c.Landings {
+			if h := geo.Haversine(land.Loc, center, g.cosLat[k], cosCenter); h >= 0 && h <= bound {
+				out = append(out, c.ID)
+				break
+			}
 		}
 	}
 	return out

@@ -60,16 +60,16 @@ func MapWorld(w *netsim.World, cat *Catalog) (*CrossLayerMap, error) {
 	// between two markets is provisioned over diverse systems.
 	const diversity = 3
 	seenPair := map[[2]string]int{}
-	cables := cat.Cables()
 	// landings holds each router's nearest landing on every cable,
 	// found the first time the router ends a submarine link.
 	landings := map[netsim.RouterID][]nearLanding{}
 	nearest := func(r netsim.Router) []nearLanding {
 		ls, ok := landings[r.ID]
 		if !ok {
-			ls = make([]nearLanding, len(cables))
-			for i := range cables {
-				ls[i].idx, ls[i].km = nearestLanding(cables[i], r.Loc)
+			ls = make([]nearLanding, len(cat.cables))
+			cosR := geo.CosLat(r.Loc)
+			for i := range cat.cables {
+				ls[i] = nearestLanding(&cat.cables[i], &cat.geom[i], r.Loc, cosR)
 			}
 			landings[r.ID] = ls
 		}
@@ -82,7 +82,7 @@ func MapWorld(w *netsim.World, cat *Catalog) (*CrossLayerMap, error) {
 		if !okA || !okB {
 			return nil, fmt.Errorf("nautilus: link %d has dangling router", l.ID)
 		}
-		scratch = candidatesFor(scratch[:0], cables, nearest(ra), nearest(rb), ra, rb, l.DistKm)
+		scratch = candidatesFor(scratch[:0], cat, nearest(ra), nearest(rb), ra, rb, l.DistKm)
 		if len(scratch) == 0 {
 			m.Unmapped = append(m.Unmapped, l.ID)
 			continue
@@ -117,14 +117,15 @@ type nearLanding struct {
 	km  float64
 }
 
-// candidatesFor appends to out the top candidates among the cables for
-// one link, given each end router's nearest landing on every cable,
-// best first. The score combines shore proximity (how close each
-// router is to a landing point) with path consistency (how well the
-// along-cable distance explains the link's fiber length), mirroring
-// Nautilus's geographic + latency validation stages.
-func candidatesFor(out []CableMatch, cables []Cable, nearA, nearB []nearLanding, ra, rb netsim.Router, linkKm float64) []CableMatch {
-	for i, c := range cables {
+// candidatesFor appends to out the top candidates among the catalog's
+// cables for one link, given each end router's nearest landing on
+// every cable, best first. The score combines shore proximity (how
+// close each router is to a landing point) with path consistency (how
+// well the along-cable distance explains the link's fiber length),
+// mirroring Nautilus's geographic + latency validation stages.
+func candidatesFor(out []CableMatch, cat *Catalog, nearA, nearB []nearLanding, ra, rb netsim.Router, linkKm float64) []CableMatch {
+	for i := range cat.cables {
+		c := &cat.cables[i]
 		ia, da := nearA[i].idx, nearA[i].km
 		ib, db := nearB[i].idx, nearB[i].km
 		if ia < 0 || ib < 0 || ia == ib {
@@ -133,7 +134,7 @@ func candidatesFor(out []CableMatch, cables []Cable, nearA, nearB []nearLanding,
 		if da > maxShoreDistanceKm || db > maxShoreDistanceKm {
 			continue
 		}
-		seg := c.SegmentKm(ia, ib)
+		seg := cat.geom[i].segmentKm(ia, ib)
 		if seg <= 0 {
 			continue
 		}
@@ -169,15 +170,25 @@ func candidatesFor(out []CableMatch, cables []Cable, nearA, nearB []nearLanding,
 	return out
 }
 
-func nearestLanding(c Cable, loc geo.Coord) (int, float64) {
-	best, bestD := -1, math.MaxFloat64
-	for i, lpt := range c.Landings {
-		d := geo.DistanceKm(lpt.Loc, loc)
-		if d < bestD {
-			best, bestD = i, d
+// nearestLanding returns the first of c's landings nearest to loc,
+// whose latitude's cosine is cosLoc, and its distance. A landing whose
+// haversine exceeds the best one's cannot be nearer, so only the others
+// pay for the arcsine that turns a haversine into kilometers; they are
+// compared in kilometers, as DistanceKm would, so the winner and its
+// distance are DistanceKm's.
+func nearestLanding(c *Cable, g *cableGeom, loc geo.Coord, cosLoc float64) nearLanding {
+	best := nearLanding{idx: -1, km: math.MaxFloat64}
+	bestH := math.Inf(1)
+	for i := range c.Landings {
+		h := geo.Haversine(c.Landings[i].Loc, loc, g.cosLat[i], cosLoc)
+		if h > bestH {
+			continue
+		}
+		if d := geo.ArcKm(h); d < best.km {
+			best, bestH = nearLanding{i, d}, h
 		}
 	}
-	return best, bestD
+	return best
 }
 
 // pathConsistency compares the IP link's fiber distance with the

@@ -1,9 +1,10 @@
 package nautilus
 
-// The reference cross-layer mapping: MapWorld and candidatesFor as
-// they were before MapWorld found each router's nearest landings once,
-// kept verbatim apart from their names. TestMapWorldMatchesReference
-// requires the package's maps to equal theirs.
+// The reference cross-layer mapping: MapWorld, candidatesFor and
+// nearestLanding as they were before MapWorld found each router's
+// nearest landings once, kept verbatim apart from their names.
+// TestMapWorldMatchesReference requires the package's maps to equal
+// theirs.
 
 import (
 	"bytes"
@@ -11,9 +12,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"arachnet/internal/geo"
 	"arachnet/internal/netsim"
 )
 
@@ -67,8 +70,8 @@ func refMapWorld(w *netsim.World, cat *Catalog) (*CrossLayerMap, error) {
 func refCandidatesFor(cat *Catalog, ra, rb netsim.Router, linkKm float64) []CableMatch {
 	var out []CableMatch
 	for _, c := range cat.Cables() {
-		ia, da := nearestLanding(c, ra.Loc)
-		ib, db := nearestLanding(c, rb.Loc)
+		ia, da := refNearestLanding(c, ra.Loc)
+		ib, db := refNearestLanding(c, rb.Loc)
 		if ia < 0 || ib < 0 || ia == ib {
 			continue
 		}
@@ -111,6 +114,17 @@ func refCandidatesFor(cat *Catalog, ra, rb netsim.Router, linkKm float64) []Cabl
 	return out
 }
 
+func refNearestLanding(c Cable, loc geo.Coord) (int, float64) {
+	best, bestD := -1, math.MaxFloat64
+	for i, lpt := range c.Landings {
+		d := geo.DistanceKm(lpt.Loc, loc)
+		if d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best, bestD
+}
+
 // TestMapWorldMatchesReference requires MapWorld to produce the
 // reference's map over six small and two full-size worlds, floats
 // compared bit for bit through their JSON encoding.
@@ -143,6 +157,74 @@ func TestMapWorldMatchesReference(t *testing.T) {
 		}
 		if !bytes.Equal(gb, wb) || !reflect.DeepEqual(got, want) {
 			t.Errorf("world %+v: map differs from the reference", cfg)
+		}
+	}
+}
+
+// refBetween is Between as it was before BuildCatalog derived each
+// cable's regions once, kept verbatim apart from its name.
+func refBetween(cat *Catalog, a, b geo.Region) []Cable {
+	var out []Cable
+	for _, c := range cat.cables {
+		hasA, hasB := false, false
+		for _, r := range c.Regions() {
+			if r == a {
+				hasA = true
+			}
+			if r == b {
+				hasB = true
+			}
+		}
+		if hasA && hasB {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestCatalogDerivationsMatchReference requires what BuildCatalog
+// derives once to answer as the per-call derivations did: Between for
+// every pair of regions, a region with itself and names that are no
+// region; LandingIn, built from Cable.Countries before, for every
+// country; each cable's regions; and every along-cable segment length,
+// bit for bit.
+func TestCatalogDerivationsMatchReference(t *testing.T) {
+	cat := BuildCatalog()
+	regions := append(geo.AllRegions(), "Atlantis", "")
+	for _, a := range regions {
+		for _, b := range regions {
+			if got, want := cat.Between(a, b), refBetween(cat, a, b); !reflect.DeepEqual(got, want) {
+				t.Errorf("Between(%q, %q) differs from the reference", a, b)
+			}
+		}
+	}
+	for _, country := range geo.Countries() {
+		var want []CableID
+		for _, c := range cat.cables {
+			for _, cc := range c.Countries() {
+				if cc == country.Code {
+					want = append(want, c.ID)
+				}
+			}
+		}
+		if got := cat.LandingIn(country.Code); !slices.Equal(got, want) {
+			t.Errorf("LandingIn(%s) = %v, want %v", country.Code, got, want)
+		}
+	}
+	for i, c := range cat.cables {
+		var want geo.RegionSet
+		for _, r := range c.Regions() {
+			want = want.With(r)
+		}
+		if got := cat.Regions(c.ID); got != want || got.Len() != len(c.Regions()) {
+			t.Errorf("%s: regions %07b, Cable.Regions %v", c.ID, got, c.Regions())
+		}
+		for a := range c.Landings {
+			for b := range c.Landings {
+				if got, want := cat.geom[i].segmentKm(a, b), c.SegmentKm(a, b); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: segment %d-%d is %v km, Cable.SegmentKm %v", c.ID, a, b, got, want)
+				}
+			}
 		}
 	}
 }

@@ -2,13 +2,17 @@ package serve
 
 // Fleet-aware stats: a tenant served over a remote fleet must expose
 // its counters in /v1/stats — total scatter/shard-local/declined
-// dispatches, per-worker shard inventory and the wire counters. The
-// fleet is the one Config.FleetRemote attaches, over two fleetwire
-// workers on loopback.
+// dispatches, per-worker shard inventory and the wire counters — and
+// no per-worker counter the coordinator cannot fill; each worker
+// reports those at its own /v1/stats. The fleet is the one
+// Config.FleetRemote attaches, over two fleetwire workers on loopback.
 
 import (
+	"encoding/json"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"arachnet/internal/core"
@@ -58,6 +62,11 @@ func TestStatsExposeFleetCounters(t *testing.T) {
 	if sresp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status %d", sresp.StatusCode)
 	}
+	body, err := io.ReadAll(sresp.Body)
+	sresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var stats struct {
 		Tenants map[string]struct {
 			Cache struct {
@@ -65,7 +74,9 @@ func TestStatsExposeFleetCounters(t *testing.T) {
 			} `json:"cache"`
 		} `json:"tenants"`
 	}
-	decodeBody(t, sresp, &stats)
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatal(err)
+	}
 
 	ten, ok := stats.Tenants["default"]
 	if !ok {
@@ -99,5 +110,43 @@ func TestStatsExposeFleetCounters(t *testing.T) {
 	}
 	if executed == 0 {
 		t.Error("no worker reports executed steps")
+	}
+
+	// The coordinator lists each worker's inventory and no counters it
+	// cannot fill; a worker's own stats carry its counters.
+	var raw struct {
+		Tenants map[string]struct {
+			Cache struct {
+				Fleet struct {
+					Shards []map[string]json.RawMessage `json:"shards"`
+				} `json:"fleet"`
+			} `json:"cache"`
+		} `json:"tenants"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	counters := []string{"executed", "cache_hits", "cache_entries"}
+	for _, sh := range raw.Tenants["default"].Cache.Fleet.Shards {
+		for _, k := range counters {
+			if _, ok := sh[k]; ok {
+				t.Errorf("coordinator shard entry carries %q: %v", k, sh)
+			}
+		}
+	}
+	for i, ws := range workers {
+		rec := httptest.NewRecorder()
+		ws.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		var own struct {
+			Shard map[string]json.RawMessage `json:"shard"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &own); err != nil {
+			t.Fatalf("worker %d stats: %v", i, err)
+		}
+		for _, k := range append([]string{"worker", "routers"}, counters...) {
+			if _, ok := own.Shard[k]; !ok {
+				t.Errorf("worker %d stats lack %q: %s", i, k, rec.Body.Bytes())
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -30,11 +31,13 @@ func Mean(xs []float64) float64 {
 }
 
 // Variance returns the unbiased sample variance (n-1 denominator).
-func Variance(xs []float64) float64 {
+func Variance(xs []float64) float64 { return varianceAround(xs, Mean(xs)) }
+
+// varianceAround is Variance(xs) given m = Mean(xs).
+func varianceAround(xs []float64, m float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
-	m := Mean(xs)
 	var s float64
 	for _, x := range xs {
 		d := x - m
@@ -65,15 +68,24 @@ func Percentile(xs []float64, p float64) float64 {
 	if p >= 100 {
 		return s[len(s)-1]
 	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := rankOf(p, len(s))
 	if lo == hi {
 		return s[lo]
 	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return lerp(s[lo], s[hi], frac)
 }
+
+// rankOf locates the p-th percentile (0 < p < 100) of n sorted values:
+// it lies frac of the way from the value at index lo to the one at hi.
+func rankOf(p float64, n int) (lo, hi int, frac float64) {
+	rank := p / 100 * float64(n-1)
+	lo = int(math.Floor(rank))
+	hi = int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// lerp returns the value frac of the way from x to y.
+func lerp(x, y, frac float64) float64 { return x*(1-frac) + y*frac }
 
 // MinMax returns the minimum and maximum of xs; zeros for empty input.
 func MinMax(xs []float64) (min, max float64) {
@@ -115,6 +127,77 @@ func FitBaseline(xs []float64) (Baseline, error) {
 	}
 	mad := Median(devs) * 1.4826
 	return Baseline{Median: med, MAD: mad, Mean: Mean(xs), Std: StdDev(xs), N: len(xs)}, nil
+}
+
+// ExpandingBaseline fits a baseline to a series that grows one sample
+// at a time: Score is FitBaseline over every sample added so far, then
+// Score, bit for bit, without copying or sorting those samples again.
+// Samples must not be NaN. The zero value is empty; NewExpandingBaseline
+// reserves room up front.
+type ExpandingBaseline struct {
+	xs     []float64 // in the order added
+	sorted []float64
+	sum    float64 // of xs, in the order added, as Mean sums
+}
+
+// NewExpandingBaseline returns an empty baseline with room for n
+// samples.
+func NewExpandingBaseline(n int) *ExpandingBaseline {
+	buf := make([]float64, 0, 2*n)
+	return &ExpandingBaseline{xs: buf[:0:n], sorted: buf[n:n]}
+}
+
+// Add appends x to the series.
+func (e *ExpandingBaseline) Add(x float64) {
+	e.xs = append(e.xs, x)
+	e.sum += x
+	i, _ := slices.BinarySearch(e.sorted, x)
+	e.sorted = slices.Insert(e.sorted, i, x)
+}
+
+// Score returns FitBaseline(samples).Score(x) over the samples added so
+// far, or ErrInsufficientData under three of them.
+func (e *ExpandingBaseline) Score(x float64) (float64, error) {
+	n := len(e.sorted)
+	if n < 3 {
+		return 0, ErrInsufficientData
+	}
+	lo, hi, frac := rankOf(50, n)
+	med := e.sorted[lo]
+	if lo != hi {
+		med = lerp(med, e.sorted[hi], frac)
+	}
+	// The absolute deviations from the median grow in two runs: leftward
+	// from the last sample below the median and rightward from the first
+	// one at or above it. Merging the runs visits the deviations in
+	// sorted order, up to the two Median reads.
+	right := sort.SearchFloat64s(e.sorted, med)
+	left := right - 1
+	var devLo, devHi float64
+	for k := 0; k <= hi; k++ {
+		var d float64
+		if right == n || left >= 0 && math.Abs(e.sorted[left]-med) <= math.Abs(e.sorted[right]-med) {
+			d = math.Abs(e.sorted[left] - med)
+			left--
+		} else {
+			d = math.Abs(e.sorted[right] - med)
+			right++
+		}
+		if k == lo {
+			devLo = d
+		}
+		devHi = d
+	}
+	mad := devLo
+	if lo != hi {
+		mad = lerp(devLo, devHi, frac)
+	}
+	b := Baseline{Median: med, MAD: mad * 1.4826, Mean: e.sum / float64(n), N: n}
+	if b.MAD == 0 {
+		// Score reads the standard deviation only for a zero MAD.
+		b.Std = math.Sqrt(varianceAround(e.xs, b.Mean))
+	}
+	return b.Score(x), nil
 }
 
 // Score returns the robust z-score of a value against the baseline. A
@@ -185,19 +268,28 @@ func DetectShift(xs []float64, minSeg int) (Changepoint, error) {
 		return Changepoint{}, ErrInsufficientData
 	}
 	best := Changepoint{TStat: -1}
+	// Mean sums in index order, so the left side's sum grows by one
+	// sample per split.
+	var sumLeft float64
+	for _, x := range xs[:minSeg-1] {
+		sumLeft += x
+	}
 	for i := minSeg; i <= len(xs)-minSeg; i++ {
-		t, df := welch(xs[:i], xs[i:])
+		sumLeft += xs[i-1]
+		a := moments{n: float64(i), mean: sumLeft / float64(i)}
+		a.variance = varianceAround(xs[:i], a.mean)
+		b := momentsOf(xs[i:])
+		t, df := a.welch(b)
 		at := math.Abs(t)
 		if at > best.TStat {
 			p := 2 * (1 - studentTCDF(at, df))
-			before, after := Mean(xs[:i]), Mean(xs[i:])
-			pooled := math.Sqrt((Variance(xs[:i]) + Variance(xs[i:])) / 2)
+			pooled := math.Sqrt((a.variance + b.variance) / 2)
 			mag := math.Inf(1)
 			if pooled > 0 {
-				mag = math.Abs(after-before) / pooled
+				mag = math.Abs(b.mean-a.mean) / pooled
 			}
 			best = Changepoint{
-				Index: i, Before: before, After: after, Shift: after - before,
+				Index: i, Before: a.mean, After: b.mean, Shift: b.mean - a.mean,
 				TStat: at, PValue: p, Signif: p < 0.01, Magnitude: mag,
 			}
 		}
@@ -208,19 +300,30 @@ func DetectShift(xs []float64, minSeg int) (Changepoint, error) {
 	return best, nil
 }
 
-// welch returns Welch's t statistic and degrees of freedom for two
-// samples.
-func welch(a, b []float64) (t, df float64) {
-	na, nb := float64(len(a)), float64(len(b))
-	va, vb := Variance(a), Variance(b)
+// moments are what Welch's test reads of one sample: its size, Mean
+// and Variance.
+type moments struct {
+	n, mean, variance float64
+}
+
+func momentsOf(xs []float64) moments {
+	m := Mean(xs)
+	return moments{n: float64(len(xs)), mean: m, variance: varianceAround(xs, m)}
+}
+
+// welch returns Welch's t statistic and degrees of freedom for the
+// samples a and b.
+func (a moments) welch(b moments) (t, df float64) {
+	na, nb := a.n, b.n
+	va, vb := a.variance, b.variance
 	se := math.Sqrt(va/na + vb/nb)
 	if se == 0 {
-		if Mean(a) == Mean(b) {
+		if a.mean == b.mean {
 			return 0, na + nb - 2
 		}
 		return math.Inf(1), na + nb - 2
 	}
-	t = (Mean(b) - Mean(a)) / se
+	t = (b.mean - a.mean) / se
 	num := math.Pow(va/na+vb/nb, 2)
 	den := math.Pow(va/na, 2)/(na-1) + math.Pow(vb/nb, 2)/(nb-1)
 	if den == 0 {
@@ -237,7 +340,7 @@ func WelchTTest(a, b []float64) (t, p float64, err error) {
 	if len(a) < 2 || len(b) < 2 {
 		return 0, 1, ErrInsufficientData
 	}
-	t, df := welch(a, b)
+	t, df := momentsOf(a).welch(momentsOf(b))
 	if math.IsInf(t, 0) {
 		return t, 0, nil
 	}

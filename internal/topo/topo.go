@@ -9,6 +9,7 @@
 package topo
 
 import (
+	"slices"
 	"sort"
 
 	"arachnet/internal/nautilus"
@@ -265,30 +266,7 @@ func CascadeCables(cat *nautilus.Catalog, m *nautilus.CrossLayerMap, initial []n
 // with the given cable — the systems traffic would realistically shift
 // onto.
 func parallelCables(cat *nautilus.Catalog, id nautilus.CableID, failed map[nautilus.CableID]bool) []nautilus.CableID {
-	c, ok := cat.ByID(id)
-	if !ok {
-		return nil
-	}
-	regions := c.Regions()
-	var out []nautilus.CableID
-	for _, other := range cat.Cables() {
-		if other.ID == id || failed[other.ID] {
-			continue
-		}
-		shared := 0
-		for _, r := range other.Regions() {
-			for _, r2 := range regions {
-				if r == r2 {
-					shared++
-				}
-			}
-		}
-		if shared >= 2 {
-			out = append(out, other.ID)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.DeleteFunc(cat.SharingRegions(id, 2), func(other nautilus.CableID) bool { return failed[other] })
 }
 
 func dedupeCables(ids []nautilus.CableID) []nautilus.CableID {

@@ -162,6 +162,43 @@ func TestTraceMatchesReference(t *testing.T) {
 	}
 }
 
+// TestTraceMatchesReferenceOnTies gives every intra-AS link of two
+// small worlds one length, so a walk inside an AS meets routers at
+// equal distances, and requires the reference's paths: the walk must
+// break those ties by router ID as the reference does.
+func TestTraceMatchesReferenceOnTies(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 16))
+	for _, seed := range []uint64{3, 7} {
+		w, err := netsim.Generate(netsim.SmallConfig(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range w.IPLinks {
+			if w.IPLinks[i].IntraAS {
+				w.IPLinks[i].DistKm = 100
+			}
+		}
+		failed := map[netsim.LinkID]bool{}
+		for _, id := range randomLinks(w, rng, 6) {
+			failed[id] = true
+		}
+		for _, f := range []map[netsim.LinkID]bool{nil, failed} {
+			table := bgp.ComputeTable(w, f)
+			p, ref := NewProber(w), &refProber{w: w}
+			for k := range 60 {
+				pr := randomProbe(w, rng, k)
+				got, err := p.Trace(table, f, pr.Src, pr.Dst, uint64(k))
+				want, refErr := ref.Trace(table, f, pr.Src, pr.Dst, uint64(k))
+				label := fmt.Sprintf("world %d, probe %+v", seed, pr)
+				if fmt.Sprint(err) != fmt.Sprint(refErr) {
+					t.Fatalf("%s: error %v, reference %v", label, err, refErr)
+				}
+				requireSamePath(t, label, got, want)
+			}
+		}
+	}
+}
+
 // TestCampaignMatchesReference runs campaigns with 37-minute, hourly
 // and two-hourly ticks and up to three events, before the window,
 // inside it (on a tick and between ticks) and after it, some isolating

@@ -10,10 +10,12 @@
 package traceroute
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -42,13 +44,75 @@ type Path struct {
 // perHopOverheadMs models queueing/processing per traversed router.
 const perHopOverheadMs = 0.15
 
-// Prober traces paths through a world.
+// Prober traces paths through a world. It indexes the world's IP
+// links once, so a hop reads only the links it can use: each router's
+// intra-AS links in link-ID order, the order the walk inside an AS
+// expands them in, and the inter-AS links joining each pair of ASes in
+// IP-link order, the order the exit choice prefers.
 type Prober struct {
 	w *netsim.World
+	// links holds positions in w.IPLinks, one group per router and one
+	// per AS pair; intra and exits locate the groups.
+	links []int32
+	intra map[netsim.RouterID]span
+	exits map[[2]netsim.ASN]span
+}
+
+// span is one group of Prober.links.
+type span struct{ lo, hi int32 }
+
+// asPair keys the inter-AS links joining a and b, in either direction.
+func asPair(a, b netsim.ASN) [2]netsim.ASN {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]netsim.ASN{a, b}
 }
 
 // NewProber returns a Prober over the given world.
-func NewProber(w *netsim.World) *Prober { return &Prober{w: w} }
+func NewProber(w *netsim.World) *Prober {
+	p := &Prober{w: w, intra: map[netsim.RouterID]span{}, exits: map[[2]netsim.ASN]span{}}
+	// Two passes over the links: the first counts each group; the
+	// second, once the groups are laid out in one slice, fills them in
+	// IP-link order.
+	grow := func(sp span, i int) span {
+		if p.links != nil { // second pass
+			p.links[sp.hi] = int32(i)
+		}
+		sp.hi++
+		return sp
+	}
+	fill := func() {
+		for i, l := range w.IPLinks {
+			if l.IntraAS {
+				p.intra[l.A] = grow(p.intra[l.A], i)
+				p.intra[l.B] = grow(p.intra[l.B], i)
+			} else {
+				k := asPair(l.ASLinkAB[0], l.ASLinkAB[1])
+				p.exits[k] = grow(p.exits[k], i)
+			}
+		}
+	}
+	fill()
+	var n int32
+	for r, sp := range p.intra {
+		p.intra[r] = span{n, n}
+		n += sp.hi
+	}
+	for k, sp := range p.exits {
+		p.exits[k] = span{n, n}
+		n += sp.hi
+	}
+	p.links = make([]int32, n)
+	fill()
+	for _, sp := range p.intra {
+		slices.SortFunc(p.group(sp), func(a, b int32) int { return cmp.Compare(w.IPLinks[a].ID, w.IPLinks[b].ID) })
+	}
+	return p
+}
+
+// group returns the IP-link positions of one group.
+func (p *Prober) group(sp span) []int32 { return p.links[sp.lo:sp.hi] }
 
 // jitterKey mixes a trace's jitter seed into the second word of its
 // PCG state.
@@ -65,11 +129,12 @@ func hopRTT(oneWayMs float64, n int, u float64) float64 {
 
 // route is a traced path before it is timed: the hops Trace reports,
 // with RTTms unset, and the one-way propagation delay from the source
-// to each hop.
+// to each hop. walk is the scratch of intraASWalk.
 type route struct {
 	hops    []Hop
 	oneWay  []float64
 	reached bool
+	walk    []walkState
 }
 
 func (r *route) add(rt netsim.Router, oneWayMs float64) {
@@ -152,13 +217,9 @@ func (p *Prober) route(r *route, table *bgp.Table, failed map[netsim.LinkID]bool
 // exitLink finds the alive inter-AS IP link joining two ASes,
 // preferring the lowest link ID for determinism.
 func (p *Prober) exitLink(from, to netsim.ASN, failed map[netsim.LinkID]bool) (netsim.IPLink, bool) {
-	for _, l := range p.w.IPLinks {
-		if l.IntraAS || failed[l.ID] {
-			continue
-		}
-		a, b := l.ASLinkAB[0], l.ASLinkAB[1]
-		if (a == from && b == to) || (a == to && b == from) {
-			return l, true
+	for _, i := range p.group(p.exits[asPair(from, to)]) {
+		if l := &p.w.IPLinks[i]; !failed[l.ID] {
+			return *l, true
 		}
 	}
 	return netsim.IPLink{}, false
@@ -173,6 +234,16 @@ func (p *Prober) orientLink(l netsim.IPLink, insideAS netsim.ASN) (netsim.Router
 	return l.B, l.A
 }
 
+// walkState is one router intraASWalk has reached: its best distance
+// from the walk's start so far, and the router and IP-link position
+// that distance arrives over.
+type walkState struct {
+	r, prev netsim.RouterID
+	via     int32
+	dist    float64
+	done    bool
+}
+
 // intraASWalk moves from router cur to router target over alive
 // intra-AS links of cur's AS, adding hops to r and accumulating one-way
 // delay. Returns false when the backbone is partitioned.
@@ -184,34 +255,30 @@ func (p *Prober) intraASWalk(r *route, cur netsim.Router, target netsim.RouterID
 	// links: IGP metrics track fiber latency, so geography decides the
 	// internal route — this is what makes backbone failures show up as
 	// latency shifts rather than invisible hop-count detours.
-	adj := map[netsim.RouterID][]netsim.IPLink{}
-	for _, l := range p.w.IPLinks {
-		if !l.IntraAS || l.ASLinkAB[0] != cur.ASN || failed[l.ID] {
-			continue
+	states := append(r.walk[:0], walkState{r: cur.ID})
+	defer func() { r.walk = states[:0] }()
+	find := func(id netsim.RouterID) int {
+		for i := range states {
+			if states[i].r == id {
+				return i
+			}
 		}
-		adj[l.A] = append(adj[l.A], l)
-		adj[l.B] = append(adj[l.B], l)
+		return -1
 	}
-	type state struct {
-		prev netsim.RouterID
-		via  netsim.LinkID
-		dist float64
-		done bool
-	}
-	states := map[netsim.RouterID]*state{cur.ID: {dist: 0}}
 	for {
 		// Extract the closest unfinished router (deterministic
 		// tie-break by ID). Router counts per AS are small, so the
 		// linear scan beats heap bookkeeping.
+		ui := -1
 		var u netsim.RouterID
 		bestDist := math.Inf(1)
-		for id, st := range states {
+		for i, st := range states {
 			if st.done {
 				continue
 			}
-			if st.dist < bestDist || (st.dist == bestDist && id < u) {
+			if st.dist < bestDist || (st.dist == bestDist && st.r < u) {
 				bestDist = st.dist
-				u = id
+				u, ui = st.r, i
 			}
 		}
 		if math.IsInf(bestDist, 1) {
@@ -220,41 +287,34 @@ func (p *Prober) intraASWalk(r *route, cur netsim.Router, target netsim.RouterID
 		if u == target {
 			break
 		}
-		states[u].done = true
-		links := adj[u]
-		sort.Slice(links, func(i, j int) bool { return links[i].ID < links[j].ID })
-		for _, l := range links {
+		states[ui].done = true
+		for _, li := range p.group(p.intra[u]) {
+			l := &p.w.IPLinks[li]
+			if l.ASLinkAB[0] != cur.ASN || failed[l.ID] {
+				continue
+			}
 			v := l.A
 			if v == u {
 				v = l.B
 			}
-			nd := states[u].dist + l.DistKm
-			st, seen := states[v]
-			if !seen {
-				states[v] = &state{prev: u, via: l.ID, dist: nd}
-			} else if !st.done && nd < st.dist {
-				st.prev, st.via, st.dist = u, l.ID, nd
+			nd := states[ui].dist + l.DistKm
+			if vi := find(v); vi < 0 {
+				states = append(states, walkState{r: v, prev: u, via: li, dist: nd})
+			} else if st := &states[vi]; !st.done && nd < st.dist {
+				st.prev, st.via, st.dist = u, li, nd
 			}
 		}
 	}
-	type hopState struct {
-		r    netsim.RouterID
-		prev netsim.RouterID
-		via  netsim.LinkID
+	// Reconstruct the chain backward, then replay it forward.
+	first := len(states)
+	for at := target; at != cur.ID; {
+		st := states[find(at)]
+		states = append(states, st)
+		at = st.prev
 	}
-	prev := map[netsim.RouterID]hopState{}
-	for id, st := range states {
-		prev[id] = hopState{r: id, prev: st.prev, via: st.via}
-	}
-	// Reconstruct and replay forward.
-	var chain []hopState
-	for at := target; at != cur.ID; at = prev[at].prev {
-		chain = append(chain, prev[at])
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		st := chain[i]
-		l, _ := p.w.LinkByID(st.via)
-		*oneWayMs += geo.PropagationDelayMs(l.DistKm)
+	for i := len(states) - 1; i >= first; i-- {
+		st := states[i]
+		*oneWayMs += geo.PropagationDelayMs(p.w.IPLinks[st.via].DistKm)
 		rt, _ := p.w.RouterByID(st.r)
 		r.add(rt, *oneWayMs)
 	}
@@ -428,7 +488,8 @@ func hashProbe(name string, at time.Time) uint64 {
 // Series extracts the (times, RTTs) series of one probe, skipping
 // unreached samples.
 func (a *Archive) Series(probe string) (times []time.Time, rtts []float64) {
-	for _, m := range a.Measurements {
+	for i := range a.Measurements {
+		m := &a.Measurements[i]
 		if m.Probe != probe || !m.Reached {
 			continue
 		}
@@ -441,8 +502,8 @@ func (a *Archive) Series(probe string) (times []time.Time, rtts []float64) {
 // Probes lists the distinct probe names in the archive, sorted.
 func (a *Archive) Probes() []string {
 	set := map[string]bool{}
-	for _, m := range a.Measurements {
-		set[m.Probe] = true
+	for i := range a.Measurements {
+		set[a.Measurements[i].Probe] = true
 	}
 	out := make([]string, 0, len(set))
 	for p := range set {
@@ -455,7 +516,8 @@ func (a *Archive) Probes() []string {
 // LossRate returns the fraction of unreached samples for one probe.
 func (a *Archive) LossRate(probe string) float64 {
 	var total, lost float64
-	for _, m := range a.Measurements {
+	for i := range a.Measurements {
+		m := &a.Measurements[i]
 		if m.Probe != probe {
 			continue
 		}

@@ -98,8 +98,9 @@ func (a *Analyzer) ProcessEvent(ev Event, failProb float64) (EventImpact, error)
 	out := EventImpact{Event: ev, FailProb: failProb}
 
 	atRiskRouters := map[netsim.RouterID]bool{}
-	for _, r := range a.w.Routers {
-		if geo.DistanceKm(r.Loc, ev.Epicenter) <= ev.RadiusKm {
+	cosEpicenter, bound := geo.CosLat(ev.Epicenter), geo.HaversineBound(ev.RadiusKm)
+	for i, r := range a.w.Routers {
+		if h := geo.Haversine(r.Loc, ev.Epicenter, a.routerCosLat[i], cosEpicenter); h >= 0 && h <= bound {
 			atRiskRouters[r.ID] = true
 			out.RoutersAtRisk = append(out.RoutersAtRisk, r.ID)
 		}
@@ -109,21 +110,9 @@ func (a *Analyzer) ProcessEvent(ev Event, failProb float64) (EventImpact, error)
 	// Cables whose landing points fall inside the radius: their carried
 	// links are at risk even when the endpoints are far away (a cable
 	// break mid-corridor kills the whole link).
-	cableRisk := map[nautilus.CableID]bool{}
 	if a.cat != nil {
-		for _, c := range a.cat.Cables() {
-			for _, lpt := range c.Landings {
-				if geo.DistanceKm(lpt.Loc, ev.Epicenter) <= ev.RadiusKm {
-					cableRisk[c.ID] = true
-					break
-				}
-			}
-		}
+		out.CablesAtRisk = a.cat.LandingWithin(ev.Epicenter, ev.RadiusKm)
 	}
-	for id := range cableRisk {
-		out.CablesAtRisk = append(out.CablesAtRisk, id)
-	}
-	sort.Slice(out.CablesAtRisk, func(i, j int) bool { return out.CablesAtRisk[i] < out.CablesAtRisk[j] })
 
 	linkRisk := map[netsim.LinkID]bool{}
 	for _, l := range a.w.IPLinks {
@@ -132,7 +121,7 @@ func (a *Analyzer) ProcessEvent(ev Event, failProb float64) (EventImpact, error)
 		}
 	}
 	if a.m != nil {
-		for cid := range cableRisk {
+		for _, cid := range out.CablesAtRisk {
 			for _, id := range a.m.LinksOn(cid) {
 				linkRisk[id] = true
 			}

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"arachnet/internal/bgp"
+	"arachnet/internal/geo"
 	"arachnet/internal/nautilus"
 	"arachnet/internal/netsim"
 )
@@ -120,6 +121,8 @@ type Analyzer struct {
 	ipsTotal     map[string]int
 	asesTotal    map[string]int
 	aslinksTotal map[string]int
+	// routerCosLat[i] is geo.CosLat of w.Routers[i], for radius tests.
+	routerCosLat []float64
 }
 
 // NewAnalyzer builds an analyzer. The catalog and map may be nil when
@@ -135,8 +138,10 @@ func NewAnalyzer(w *netsim.World, cat *nautilus.Catalog, m *nautilus.CrossLayerM
 		asesTotal:    map[string]int{},
 		aslinksTotal: map[string]int{},
 	}
-	for _, r := range w.Routers {
+	a.routerCosLat = make([]float64, len(w.Routers))
+	for i, r := range w.Routers {
 		a.ipsTotal[r.Country]++
+		a.routerCosLat[i] = geo.CosLat(r.Loc)
 	}
 	for _, l := range w.IPLinks {
 		ca, cb := w.LinkEndpoints(l)
