@@ -53,16 +53,18 @@
 // Every run executes on one engine, whose only input is a compiled
 // plan (capability pointers, dependency schedule, fingerprint
 // templates — see internal/workflow.CompiledPlan). A plan is compiled
-// once, when it first lands in the cache, so repeat servings skip
-// every per-run lookup and re-canonicalization; compilation shares the
-// plan cache's invalidation exactly. Plain, observed, streamed and
-// submitted asks share one memoized engine, and AskNoCache compiles
-// afresh on an uncached one. Warm state also survives restarts:
-// System.SaveSnapshot writes both caches and the curation promotions
-// to a versioned, fingerprint-validated document and
-// System.LoadSnapshot restores it into a freshly built equivalent
-// System (see the -snapshot flag on cmd/arachnet and
-// cmd/arachnet-serve).
+// where it is planned and cached with its compiled artifact, so repeat
+// servings skip every per-run lookup and re-canonicalization;
+// compilation shares the plan cache's invalidation exactly. Plain,
+// observed, streamed and submitted asks share one memoized engine, and
+// AskNoCache plans and compiles afresh and runs on an uncached one.
+// Warm state also survives restarts: System.SaveSnapshot writes both
+// caches and the curation promotions to a versioned,
+// fingerprint-validated document and System.LoadSnapshot restores it
+// into a freshly built equivalent System; SaveSnapshotFile and
+// LoadSnapshotFile do the same with a file, replacing it only once the
+// new snapshot is synced to disk (see the -snapshot flag on
+// cmd/arachnet and cmd/arachnet-serve).
 //
 // Continuous monitoring turns one-shot queries into standing ones:
 // Subscribe(ctx, query, ...AskOption) registers a query that

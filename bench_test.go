@@ -14,7 +14,8 @@ package arachnet_test
 //
 // The benchmarks after them time the serving paths: warm replays
 // (BenchmarkAskWarmCache, and BenchmarkAskObserved and
-// BenchmarkAskStreamDrain against it), plan misses over warm steps
+// BenchmarkAskStreamDrain against it), the default curated ask over a
+// saturated history (BenchmarkAskCurated), plan misses over warm steps
 // (BenchmarkAskPlanMiss), cache misses (BenchmarkAskColdCache), the
 // job queue (BenchmarkSubmitWait; BenchmarkAskBatch lives in
 // concurrency_test.go), fleets (BenchmarkAskFleet) and snapshots
@@ -199,6 +200,40 @@ func BenchmarkCuratorMining(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := sys.Ask(ctx, "Identify the impact at a country level due to SeaMeWe-4 cable failure"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// curatedSystem returns a System of small world 7 with scenario 5
+// whose observation history is saturated: 600 default (curated) asks
+// of the four case studies, so every later ask appends to a full
+// window and its curation pass mines all of it.
+func curatedSystem(tb testing.TB) *arachnet.System {
+	tb.Helper()
+	sys, err := arachnet.New(arachnet.WithSmallWorld(7), arachnet.WithScenario(arachnet.ScenarioConfig{Seed: 5}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		if _, err := sys.Ask(ctx, benchQueries[1+i%len(benchQueries)]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return sys
+}
+
+// BenchmarkAskCurated measures the default request in steady state: a
+// warm CS1 ask with curation on, over a saturated history. The plan
+// and every step replay from cache, so the time is mostly the
+// curation pass (ROADMAP item 3). Each iteration slides one more CS1
+// ask into the window, so compare runs of one fixed -benchtime Nx.
+func BenchmarkAskCurated(b *testing.B) {
+	sys := curatedSystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Ask(ctx, benchQueries[1]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"net/http"
 	"os"
@@ -188,44 +189,20 @@ func main() {
 // registry or scenario) leaves the tenant cold — snapshots accelerate,
 // they never gate serving.
 func loadSnapshot(sys *core.System, tenant, path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			log.Printf("arachnet-serve: snapshot %s (tenant %s): %v (starting cold)", path, tenant, err)
-		}
-		return
-	}
-	defer f.Close()
-	if err := sys.LoadSnapshot(f); err != nil {
+	err := sys.LoadSnapshotFile(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+	case err != nil:
 		log.Printf("arachnet-serve: snapshot %s (tenant %s) rejected: %v (starting cold)", path, tenant, err)
-		return
+	default:
+		log.Printf("arachnet-serve: snapshot %s (tenant %s) loaded", path, tenant)
 	}
-	log.Printf("arachnet-serve: snapshot %s (tenant %s) loaded", path, tenant)
 }
 
-// saveSnapshot writes one tenant's cache snapshot atomically (temp
-// file + rename), so a crash mid-write never corrupts the previous
-// snapshot.
+// saveSnapshot writes one tenant's cache snapshot; SaveSnapshotFile
+// replaces the previous snapshot only once the new one is on disk.
 func saveSnapshot(sys *core.System, tenant, path string) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		log.Printf("arachnet-serve: snapshot %s (tenant %s): %v", path, tenant, err)
-		return
-	}
-	if err := sys.SaveSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		log.Printf("arachnet-serve: snapshot %s (tenant %s): %v", path, tenant, err)
-		return
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		log.Printf("arachnet-serve: snapshot %s (tenant %s): %v", path, tenant, err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := sys.SaveSnapshotFile(path); err != nil {
 		log.Printf("arachnet-serve: snapshot %s (tenant %s): %v", path, tenant, err)
 		return
 	}

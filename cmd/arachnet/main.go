@@ -18,8 +18,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/signal"
 	"strings"
@@ -328,42 +330,15 @@ func renderValue(v any) string {
 // registry or scenario) is reported and the run proceeds cold —
 // snapshots are an accelerator, never a correctness dependency.
 func loadSnapshot(sys *arachnet.System, path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "arachnet: snapshot %s: %v (starting cold)\n", path, err)
-		}
-		return
-	}
-	defer f.Close()
-	if err := sys.LoadSnapshot(f); err != nil {
+	if err := sys.LoadSnapshotFile(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		fmt.Fprintf(os.Stderr, "arachnet: snapshot %s rejected: %v (starting cold)\n", path, err)
 	}
 }
 
-// saveSnapshot writes the system's warm cache state atomically
-// (temp file + rename) so a crash mid-write never corrupts the
-// previous snapshot.
+// saveSnapshot writes the system's warm cache state; SaveSnapshotFile
+// replaces the previous snapshot only once the new one is on disk.
 func saveSnapshot(sys *arachnet.System, path string) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "arachnet: snapshot %s: %v\n", path, err)
-		return
-	}
-	if err := sys.SaveSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		fmt.Fprintf(os.Stderr, "arachnet: snapshot %s: %v\n", path, err)
-		return
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		fmt.Fprintf(os.Stderr, "arachnet: snapshot %s: %v\n", path, err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := sys.SaveSnapshotFile(path); err != nil {
 		fmt.Fprintf(os.Stderr, "arachnet: snapshot %s: %v\n", path, err)
 	}
 }

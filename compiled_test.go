@@ -336,6 +336,28 @@ func TestServedAskAllocCeilings(t *testing.T) {
 	}
 }
 
+// TestCuratedAskAllocCeiling pins the allocation budget of the default
+// request in steady state, BenchmarkAskCurated's: a warm CS1 ask with
+// curation on, over a history saturated by 600 asks of the four case
+// studies. The plan and every step replay from cache, so nearly all of
+// it is the curation pass over the full window (ROADMAP item 3). The
+// ceiling carries ~2x headroom over the measured cost.
+func TestCuratedAskAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is unreliable under -short (race) runs")
+	}
+	sys := curatedSystem(t)
+	avg := allocsPerOp(t, 50, func() error {
+		_, err := sys.Ask(ctx, benchQueries[1])
+		return err
+	})
+	t.Logf("warm curated Ask over a saturated history: %.0f allocs/op", avg)
+	const ceiling = 10500
+	if avg > ceiling {
+		t.Errorf("warm curated Ask allocates %.0f/op, budget %d", avg, ceiling)
+	}
+}
+
 // TestPlanMissAllocCeiling pins the allocation budget of an Ask that
 // misses the plan cache while the step cache serves every step: what
 // a question never asked before costs once its steps are warm — the

@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"time"
 
@@ -274,14 +275,56 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 	for _, st := range steps {
 		s.stepCache.Put(st.key, st.out, estimateSize(st.out))
 	}
-	// Re-plan the saved queries into the plan cache, unprobed, so the
-	// restore counts no hit or miss. The planning agents are
-	// deterministic and cheap relative to execution; a query that no
-	// longer plans (e.g. against a trimmed registry subset — already
-	// screened by the generation check, but belt and braces) just stays
-	// cold.
+	// Re-plan the saved queries with the cache bypassed and store each
+	// entry under the key an ask would probe, so the restore counts no
+	// hit or miss. The generation is read before planning, as plan reads
+	// it. The planning agents are deterministic and cheap relative to
+	// execution; a query that no longer plans (e.g. against a trimmed
+	// registry subset — already screened by the generation check, but
+	// belt and braces) just stays cold.
 	for _, q := range f.Queries {
-		_, _, _ = s.plan(context.Background(), q, ep, askConfig{parallelism: 1, restore: true}, &emitter{query: q}, &Report{Query: q})
+		key := string(appendPlanKey(nil, q, s.reg.Generation(), ep.full))
+		if pe, _, err := s.plan(context.Background(), q, ep, true, &emitter{query: q}, &Report{Query: q}); err == nil {
+			s.putPlan(key, pe)
+		}
 	}
 	return nil
+}
+
+// SaveSnapshotFile writes the System's snapshot to path so that a crash
+// at any instant leaves the previous file or the new one whole: it
+// writes a temporary file beside path (path + ".tmp"), syncs it to
+// disk, then renames it over path. A failed save removes the temporary
+// file and leaves path as it was.
+func (s *System) SaveSnapshotFile(path string) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if err = s.SaveSnapshot(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// LoadSnapshotFile restores the snapshot at path with LoadSnapshot. A
+// missing file is an error matching fs.ErrNotExist — a first boot, for
+// callers that treat snapshots as an accelerator.
+func (s *System) LoadSnapshotFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return s.LoadSnapshot(f)
 }

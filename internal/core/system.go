@@ -44,9 +44,6 @@ type askConfig struct {
 	timeout     time.Duration
 	parallelism int
 	noCache     bool
-	// restore plans to fill the plan cache without probing it, so a
-	// LoadSnapshot counts no miss that no request made.
-	restore bool
 }
 
 // AskOption configures one Ask, AskStream, AskBatch or Submit call.
@@ -443,11 +440,10 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 	// One epoch for the whole run: the plan key, the step keys and every
 	// capability's view of the scenario come from this one load.
 	ep := s.env.current()
-	pe, hit, err := s.plan(ctx, query, ep, cfg, em, rep)
+	pe, hit, err := s.plan(ctx, query, ep, cfg.noCache, em, rep)
 	if err != nil {
 		return rep, err
 	}
-	solution, compiled := pe.solution, pe.compiled
 
 	// Execution over the parallel DAG engine. The step bridge surfaces
 	// per-step events; a veto there cancels the run mid-workflow. An
@@ -482,19 +478,15 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 	} else {
 		engine = s.engineFor(ep, cfg.parallelism, f)
 	}
-	if compiled == nil {
-		// Uncached plans, and cached ones whose workflow failed to
-		// compile, compile here; a failure is this stage's error.
-		compiled, err = workflow.Compile(solution.Workflow, s.reg)
-	}
+	// A plan that failed to compile fails here, at this stage.
 	var result *workflow.Result
-	if err == nil {
-		result, err = engine.RunCompiled(exCtx, compiled, obs)
+	if err = pe.compileErr; err == nil {
+		result, err = engine.RunCompiled(exCtx, pe.compiled, obs)
 	}
 	rep.Result = result
 	s.mu.Lock()
 	s.history = append(s.history, registrycurator.Observation{
-		Workflow: solution.Workflow, Result: result, Err: err,
+		Workflow: pe.solution.Workflow, Result: result, Err: err,
 	})
 	if len(s.history) > maxHistory+historySlack {
 		trimmed := len(s.history) - maxHistory
@@ -592,9 +584,10 @@ func (s *System) engineFor(ep *envEpoch, par int, f *fleet.Fleet) *workflow.Engi
 
 // planEntry is one memoized planning outcome: everything the three
 // planning agents produce for a query against one registry generation
-// and environment epoch, plus the plan compiled from it. Entries are
-// shared across runs and must be treated as immutable — the pipeline
-// only ever reads these artifacts after the planning stages complete.
+// and environment epoch, plus the plan compiled from it. The run that
+// plans an entry fills it stage by stage before anyone else can see
+// it; once cached, it is shared across runs and must be treated as
+// immutable.
 type planEntry struct {
 	query    string // original query text (snapshot replay re-plans it)
 	spec     nlq.Spec
@@ -602,9 +595,10 @@ type planEntry struct {
 	design   *workflowscout.Design
 	solution *solutionweaver.Solution
 	// compiled is the workflow lowered against the registry generation
-	// this entry is keyed by; nil when compilation failed, in which
-	// case every run recompiles and reports the failure.
-	compiled *workflow.CompiledPlan
+	// this entry is keyed by; when compilation failed it is nil and
+	// compileErr, which every run of the entry reports, says why.
+	compiled   *workflow.CompiledPlan
+	compileErr error
 	// memo holds bytes a serving tier derived from a fully cached
 	// replay of this entry (see ReplayMemo). The plan cache is bounded
 	// by entries only, so it carries no size charge.
@@ -655,145 +649,107 @@ func bytesKey(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// plan runs (or replays) the three planning stages — QueryMind,
-// WorkflowScout, SolutionWeaver — at epoch ep, filling rep and emitting
-// stage events either way, so observers and expert review behave
-// identically on hits and misses; cached replays mark their
-// StageCompleted events Cached. A veto or failure surfaces as a
-// *PipelineError at the corresponding stage. It returns the plan as an entry and whether it
-// came from the plan cache; a fresh entry has a compiled plan only for
-// cache-enabled calls whose workflow compiled.
-func (s *System) plan(ctx context.Context, query string, ep *envEpoch, cfg askConfig, em *emitter, rep *Report) (*planEntry, bool, error) {
+// plan runs the three planning stages — QueryMind, WorkflowScout,
+// SolutionWeaver — at epoch ep in one loop, for cached and fresh plans
+// alike. On a plan-cache hit each stage takes its artifact from the
+// cached entry; on a miss (or with noCache) it runs its agent and
+// stores the artifact in a new entry. Each stage fills its part of rep
+// just before its StageCompleted, which is marked Cached on a hit, so
+// observers and expert review see the same sequence either way and a
+// veto, cancellation or failure leaves the same partial Report; events
+// are built only when someone listens. A veto or failure surfaces as a
+// *PipelineError at its stage and caches nothing. A fresh entry is
+// compiled here, keeping any compile error for run to report, and
+// enters the cache unless noCache. plan returns the entry and whether
+// it came from the plan cache.
+func (s *System) plan(ctx context.Context, query string, ep *envEpoch, noCache bool, em *emitter, rep *Report) (*planEntry, bool, error) {
+	var pe *planEntry
+	hit := false
 	key := ""
-	if !cfg.noCache {
+	if !noCache {
 		// The key is assembled in a pooled buffer and probed through a
 		// no-copy string view; it is materialized as a real string only
 		// on a miss, for Put. A warm hit allocates nothing here.
 		kb := planKeyPool.Get().(*[]byte)
 		buf := appendPlanKey((*kb)[:0], query, s.reg.Generation(), ep.full)
 		var v any
-		ok := false
-		if !cfg.restore {
-			v, ok = s.planCache.Get(bytesKey(buf))
-		}
-		if !ok {
+		if v, hit = s.planCache.Get(bytesKey(buf)); hit {
+			pe = v.(*planEntry)
+		} else {
 			key = string(buf)
 		}
 		*kb = buf[:0]
 		planKeyPool.Put(kb)
-		if ok {
-			pe := v.(*planEntry)
-			if !em.active() {
-				// No observers, no sink: fill the report wholesale. The
-				// per-stage replay below exists only to give observers
-				// the same event sequence a fresh run produces.
-				if err := ctx.Err(); err != nil {
-					return nil, false, pipelineErr(StageProblem, query, err)
-				}
-				rep.Spec, rep.Problem = pe.spec, pe.problem
-				rep.Design = pe.design
-				rep.Solution = pe.solution
-				return pe, true, nil
+	}
+	if !hit {
+		pe = &planEntry{query: query}
+	}
+	active := em.active()
+	for _, stage := range [...]string{StageProblem, StageDesign, StageSolution} {
+		if err := ctx.Err(); err != nil {
+			return nil, false, pipelineErr(stage, query, err)
+		}
+		if active {
+			if err := em.emit(&StageStarted{Stage: stage}); err != nil {
+				return nil, false, pipelineErr(stage, query, err)
 			}
-			// Fill rep stage by stage, just before each StageCompleted,
-			// so a veto or cancellation mid-replay leaves the same
-			// partial Report shape a fresh run would have left.
-			for _, st := range []struct {
-				stage    string
-				artifact any
-				fill     func()
-			}{
-				{StageProblem, pe.problem, func() { rep.Spec, rep.Problem = pe.spec, pe.problem }},
-				{StageDesign, pe.design, func() { rep.Design = pe.design }},
-				{StageSolution, pe.solution, func() { rep.Solution = pe.solution }},
-			} {
-				if err := ctx.Err(); err != nil {
-					return nil, false, pipelineErr(st.stage, query, err)
-				}
-				if err := em.emit(&StageStarted{Stage: st.stage}); err != nil {
-					return nil, false, pipelineErr(st.stage, query, err)
-				}
-				st.fill()
-				if err := em.emit(&StageCompleted{Stage: st.stage, Artifact: st.artifact, Cached: true}); err != nil {
-					return nil, false, pipelineErr(st.stage, query, err)
-				}
+		}
+		// An agent returns no artifact with its error, so a failed stage
+		// leaves its part of rep empty; a QueryMind failure still
+		// reports the parse.
+		var artifact any
+		var err error
+		switch stage {
+		case StageProblem:
+			if !hit {
+				pe.spec = nlq.Parse(query, ep.Catalog)
+				data := ep.Data()
+				pe.problem, err = s.queryMind.Analyze(pe.spec, querymind.DataAvailability{
+					HasCrossLayerMap: data.HasCrossLayerMap,
+					MapCoverage:      data.MapCoverage,
+					HasTraceArchive:  data.HasTraceArchive,
+					HasBGPStream:     data.HasBGPStream,
+					WindowDays:       data.WindowDays,
+				})
 			}
-			return pe, true, nil
+			rep.Spec, rep.Problem, artifact = pe.spec, pe.problem, pe.problem
+		case StageDesign:
+			if !hit {
+				pe.design, err = s.scout.Design(pe.problem, s.reg)
+			}
+			rep.Design, artifact = pe.design, pe.design
+		case StageSolution:
+			if !hit {
+				pe.solution, err = s.weaver.Weave(pe.design.Chosen, s.reg)
+			}
+			rep.Solution, artifact = pe.solution, pe.solution
+		}
+		if err != nil {
+			return nil, false, pipelineErr(stage, query, err)
+		}
+		if active {
+			if err := em.emit(&StageCompleted{Stage: stage, Artifact: artifact, Cached: hit}); err != nil {
+				return nil, false, pipelineErr(stage, query, err)
+			}
 		}
 	}
+	if !hit {
+		// Lower the fresh plan where it is planned: compilation shares
+		// the plan's invalidation exactly (the key carries the registry
+		// generation and environment fingerprint it resolved against).
+		pe.compiled, pe.compileErr = workflow.Compile(pe.solution.Workflow, s.reg)
+		if key != "" {
+			s.putPlan(key, pe)
+		}
+	}
+	return pe, hit, nil
+}
 
-	// Language analysis + problem decomposition (QueryMind).
-	if err := ctx.Err(); err != nil {
-		return nil, false, pipelineErr(StageProblem, query, err)
-	}
-	if err := em.emit(&StageStarted{Stage: StageProblem}); err != nil {
-		return nil, false, pipelineErr(StageProblem, query, err)
-	}
-	rep.Spec = nlq.Parse(query, ep.Catalog)
-	data := ep.Data()
-	problem, err := s.queryMind.Analyze(rep.Spec, querymind.DataAvailability{
-		HasCrossLayerMap: data.HasCrossLayerMap,
-		MapCoverage:      data.MapCoverage,
-		HasTraceArchive:  data.HasTraceArchive,
-		HasBGPStream:     data.HasBGPStream,
-		WindowDays:       data.WindowDays,
-	})
-	if err != nil {
-		return nil, false, pipelineErr(StageProblem, query, err)
-	}
-	rep.Problem = problem
-	if err := em.emit(&StageCompleted{Stage: StageProblem, Artifact: problem}); err != nil {
-		return nil, false, pipelineErr(StageProblem, query, err)
-	}
-
-	// Solution space exploration (WorkflowScout).
-	if err := ctx.Err(); err != nil {
-		return nil, false, pipelineErr(StageDesign, query, err)
-	}
-	if err := em.emit(&StageStarted{Stage: StageDesign}); err != nil {
-		return nil, false, pipelineErr(StageDesign, query, err)
-	}
-	design, err := s.scout.Design(problem, s.reg)
-	if err != nil {
-		return nil, false, pipelineErr(StageDesign, query, err)
-	}
-	rep.Design = design
-	if err := em.emit(&StageCompleted{Stage: StageDesign, Artifact: design}); err != nil {
-		return nil, false, pipelineErr(StageDesign, query, err)
-	}
-
-	// Implementation (SolutionWeaver).
-	if err := ctx.Err(); err != nil {
-		return nil, false, pipelineErr(StageSolution, query, err)
-	}
-	if err := em.emit(&StageStarted{Stage: StageSolution}); err != nil {
-		return nil, false, pipelineErr(StageSolution, query, err)
-	}
-	solution, err := s.weaver.Weave(design.Chosen, s.reg)
-	if err != nil {
-		return nil, false, pipelineErr(StageSolution, query, err)
-	}
-	rep.Solution = solution
-	if err := em.emit(&StageCompleted{Stage: StageSolution, Artifact: solution}); err != nil {
-		return nil, false, pipelineErr(StageSolution, query, err)
-	}
-
-	pe := &planEntry{
-		query: query, spec: rep.Spec, problem: problem,
-		design: design, solution: solution,
-	}
-	if key != "" {
-		// Lower the fresh plan while it enters the cache: compilation
-		// shares the plan's invalidation exactly (the key carries the
-		// registry generation and environment fingerprint it resolved
-		// against). A workflow that fails to compile caches with a nil
-		// artifact; run recompiles it and fails at StageResult.
-		pe.compiled, _ = workflow.Compile(solution.Workflow, s.reg)
-		// Plans are metadata-sized; charge a token amount so a byte
-		// bound, if ever set, stays meaningful.
-		s.planCache.Put(key, pe, int64(len(query))+int64(len(solution.Code))+512)
-	}
-	return pe, false, nil
+// putPlan caches a fresh plan entry under key. Plans are
+// metadata-sized; the token charge keeps a byte bound, if ever set,
+// meaningful.
+func (s *System) putPlan(key string, pe *planEntry) {
+	s.planCache.Put(key, pe, int64(len(pe.query))+int64(len(pe.solution.Code))+512)
 }
 
 // AskBatch serves many queries from one System. Duplicate queries

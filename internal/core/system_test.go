@@ -246,16 +246,32 @@ func TestAskCS4ForensicVerdict(t *testing.T) {
 	}
 }
 
+// TestAskCS4WithoutDataInfeasible: a forensic question on an
+// environment with no scenario fails at QueryMind, its partial Report
+// still carries the parse and no problem, and the failed plan is not
+// cached, so asking again plans afresh.
 func TestAskCS4WithoutDataInfeasible(t *testing.T) {
 	env := testEnv(t, false) // no scenario
 	sys, err := NewSystem(env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sys.Ask(ctx, queryCS4)
-	var infeasible *querymind.ErrInfeasible
-	if !errors.As(err, &infeasible) {
-		t.Fatalf("err = %v, want ErrInfeasible", err)
+	for i := 0; i < 2; i++ {
+		rep, err := sys.Ask(ctx, queryCS4)
+		var infeasible *querymind.ErrInfeasible
+		if !errors.As(err, &infeasible) {
+			t.Fatalf("ask %d: err = %v, want ErrInfeasible", i, err)
+		}
+		var pe *PipelineError
+		if !errors.As(err, &pe) || pe.Stage != StageProblem {
+			t.Fatalf("ask %d: err = %v, want a *PipelineError at %s", i, err, StageProblem)
+		}
+		if rep.Spec.Intent != nlq.IntentForensic || rep.Problem != nil {
+			t.Errorf("ask %d: Spec.Intent = %q, Problem = %v; want %q and none", i, rep.Spec.Intent, rep.Problem, nlq.IntentForensic)
+		}
+	}
+	if st := sys.CacheStats().Plan; st.Entries != 0 || st.Hits != 0 {
+		t.Errorf("a failed plan reached the cache: %+v", st)
 	}
 }
 

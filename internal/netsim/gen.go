@@ -438,17 +438,23 @@ func (ia interfaceAlloc) next(p netip.Prefix) netip.Addr {
 	return hostAddr(p, n)
 }
 
+// asCountry keys a router or prefix by its AS and country.
+type asCountry struct {
+	asn     ASN
+	country string
+}
+
 func (g *generator) makeIPLinks() {
 	// Index routers by AS and by (AS, country).
 	byAS := make(map[ASN][]Router)
-	byASCountry := make(map[string]Router)
+	byASCountry := make(map[asCountry]Router)
 	for _, r := range g.w.Routers {
 		byAS[r.ASN] = append(byAS[r.ASN], r)
-		byASCountry[fmt.Sprintf("%d/%s", r.ASN, r.Country)] = r
+		byASCountry[asCountry{r.ASN, r.Country}] = r
 	}
-	prefixFor := make(map[string]netip.Prefix)
+	prefixFor := make(map[asCountry]netip.Prefix)
 	for _, p := range g.w.Prefixes {
-		prefixFor[fmt.Sprintf("%d/%s", p.Origin, p.Country)] = p.CIDR
+		prefixFor[asCountry{p.Origin, p.Country}] = p.CIDR
 	}
 	ifaces := make(interfaceAlloc)
 
@@ -461,8 +467,8 @@ func (g *generator) makeIPLinks() {
 		nextID++
 		g.w.IPLinks = append(g.w.IPLinks, IPLink{
 			ID: nextID, A: a.ID, B: b.ID,
-			SrcAddr:  ifaces.next(prefixFor[fmt.Sprintf("%d/%s", a.ASN, a.Country)]),
-			DstAddr:  ifaces.next(prefixFor[fmt.Sprintf("%d/%s", b.ASN, b.Country)]),
+			SrcAddr:  ifaces.next(prefixFor[asCountry{a.ASN, a.Country}]),
+			DstAddr:  ifaces.next(prefixFor[asCountry{b.ASN, b.Country}]),
 			Kind:     kind,
 			DistKm:   gc * pathStretch(kind),
 			IntraAS:  intraAS,
@@ -507,8 +513,7 @@ func (g *generator) makeIPLinks() {
 		ra, rb := byAS[l.A], byAS[l.B]
 		var common []string
 		for _, x := range ra {
-			if r, ok := byASCountry[fmt.Sprintf("%d/%s", l.B, x.Country)]; ok {
-				_ = r
+			if _, ok := byASCountry[asCountry{l.B, x.Country}]; ok {
 				common = append(common, x.Country)
 			}
 		}
@@ -519,7 +524,7 @@ func (g *generator) makeIPLinks() {
 				n = 2
 			}
 			for _, cc := range common[:n] {
-				addLink(byASCountry[fmt.Sprintf("%d/%s", l.A, cc)], byASCountry[fmt.Sprintf("%d/%s", l.B, cc)], false)
+				addLink(byASCountry[asCountry{l.A, cc}], byASCountry[asCountry{l.B, cc}], false)
 			}
 			continue
 		}

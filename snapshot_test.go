@@ -10,6 +10,10 @@ package arachnet_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -277,5 +281,67 @@ func TestSnapshotSkipsNoStep(t *testing.T) {
 		if f.Skipped != 0 || len(f.Steps) != cached || cached == 0 {
 			t.Errorf("%s: snapshot holds %d steps and skipped %d, of %d cached", label, len(f.Steps), f.Skipped, cached)
 		}
+	}
+}
+
+// TestSnapshotFileRoundTrip: SaveSnapshotFile writes a snapshot that
+// LoadSnapshotFile restores warm and leaves no temporary file behind;
+// loading a missing file is an fs.ErrNotExist error; and a save that
+// fails — here a directory sits where the temporary file would go —
+// leaves the previous snapshot as it was.
+func TestSnapshotFileRoundTrip(t *testing.T) {
+	const cs1 = "Identify the impact at a country level due to SeaMeWe-5 cable failure"
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cache.snap")
+	donor := warmSystem(t, 42, cs1)
+	if err := donor.SaveSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "cache.snap" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("directory after save holds %v, want only cache.snap", names)
+	}
+
+	restored := warmSystem(t, 42)
+	if err := restored.LoadSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.Ask(ctx, cs1, arachnet.AskWithoutCuration()); err != nil {
+		t.Fatal(err)
+	}
+	if st := restored.CacheStats().Plan; st.Hits != 1 || st.Misses != 0 {
+		t.Errorf("first ask after a file restore: plan cache %+v, want 1 hit and 0 misses", st)
+	}
+
+	if err := restored.LoadSnapshotFile(filepath.Join(dir, "missing.snap")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("loading a missing file: err = %v, want fs.ErrNotExist", err)
+	}
+
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := warmSystem(t, 42).SaveSnapshotFile(path); err == nil {
+		t.Fatal("a save over a directory at the temporary path succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("a failed save changed the previous snapshot")
+	}
+	if fi, err := os.Stat(path + ".tmp"); err != nil || !fi.IsDir() {
+		t.Errorf("a failed save removed what it did not create: %v", err)
 	}
 }
