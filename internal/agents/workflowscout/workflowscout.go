@@ -150,17 +150,20 @@ func scoreCandidate(c *Candidate, reg *registry.Registry, ps *querymind.ProblemS
 // ranked producers and whether each is a sink, the query's literals
 // and each type's producers. Its backward-chaining state is scratch
 // that every candidate reuses, and a finished candidate copies its
-// steps out. Designers are pooled, so the scratch, and the step IDs a
-// designer has formatted, outlive one call.
+// steps out. Designers are pooled, so the scratch, and the step IDs
+// and refs a designer has formatted, outlive one call.
 type designer struct {
 	reg   *registry.Registry
 	ps    *querymind.ProblemSpec
 	goals []goal
 	name  string          // the workflow name
 	lits  [numLits]any    // each literal boxed once, on first use
-	types []typeProducers // reg.Producing, once per type
-	ids   []string        // ids[k] is the ID of step k+1
-	refs  []formattedRef  // each ref formatted once
+	types []typeProducers // reg's producers, once per type
+	// prods holds the producer lists of goals and types, each a
+	// capped sub-slice.
+	prods []*registry.Capability
+	ids   []string    // ids[k] is the ID of step k+1
+	refs  [][]portRef // refs[k] holds the refs formatted for step k+1
 	// composites holds each composite producing a type the candidates
 	// asked for: the ones that may abbreviate a step they planned.
 	composites []*registry.Capability
@@ -213,10 +216,14 @@ type typeProducers struct {
 	caps []*registry.Capability
 }
 
-type formattedRef struct {
-	a   artifact
-	ref string
+// portRef is the ref "s<step>.<port>" of one step's port.
+type portRef struct {
+	port, ref string
 }
+
+// maxStepRefs bounds the refs a pooled designer keeps for one step
+// number; a list that reaches it starts over.
+const maxStepRefs = 32
 
 var designerPool = sync.Pool{New: func() any {
 	return &designer{have: map[registry.DataType]artifact{}}
@@ -250,13 +257,13 @@ func newDesigner(ps *querymind.ProblemSpec, reg *registry.Registry) *designer {
 func (d *designer) release() {
 	clear(d.goals[:cap(d.goals)])
 	clear(d.types[:cap(d.types)])
-	clear(d.refs[:cap(d.refs)])
+	clear(d.prods[:cap(d.prods)])
 	clear(d.steps[:cap(d.steps)])
 	clear(d.binds[:cap(d.binds)])
 	clear(d.undo[:cap(d.undo)])
 	clear(d.composites[:cap(d.composites)])
 	clear(d.have)
-	d.goals, d.types, d.refs, d.steps, d.binds, d.undo = d.goals[:0], d.types[:0], d.refs[:0], d.steps[:0], d.binds[:0], d.undo[:0]
+	d.goals, d.types, d.prods, d.steps, d.binds, d.undo = d.goals[:0], d.types[:0], d.prods[:0], d.steps[:0], d.binds[:0], d.undo[:0]
 	d.composites = d.composites[:0]
 	d.reg, d.ps, d.name, d.lits, d.force = nil, nil, "", [numLits]any{}, alternative{}
 	designerPool.Put(d)
@@ -377,7 +384,7 @@ func (d *designer) satisfy(gi int) (artifact, error) {
 // rankedProducers orders the primitive producers of the sub-problem's
 // type by tag affinity with it, then by cost, then by name.
 func (d *designer) rankedProducers(sp *querymind.SubProblem) []*registry.Capability {
-	producers := d.primitives(d.reg.Producing(sp.Produces)) // a copy, ours to sort
+	producers := d.primitives(sp.Produces) // a copy, ours to sort
 	affinity := func(c *registry.Capability) int {
 		aff := 0
 		for _, t := range sp.Tags {
@@ -407,20 +414,25 @@ func (d *designer) producing(t registry.DataType) []*registry.Capability {
 			return tp.caps
 		}
 	}
-	caps := d.primitives(d.reg.Producing(t))
+	caps := d.primitives(t)
 	d.types = append(d.types, typeProducers{t: t, caps: caps})
 	return caps
 }
 
-// primitives removes the composites from caps, a list the designer
-// owns, and notes them for abbreviate.
-func (d *designer) primitives(caps []*registry.Capability) []*registry.Capability {
-	return slices.DeleteFunc(caps, func(c *registry.Capability) bool {
+// primitives copies the producers of t into d.prods, in reg.Producing's
+// order, and returns the primitives among them as a list the designer
+// owns; it notes the composites for abbreviate.
+func (d *designer) primitives(t registry.DataType) []*registry.Capability {
+	start := len(d.prods)
+	d.prods = d.reg.AppendProducing(d.prods, t)
+	caps := slices.DeleteFunc(d.prods[start:], func(c *registry.Capability) bool {
 		if c.Composite && !slices.Contains(d.composites, c) {
 			d.composites = append(d.composites, c)
 		}
 		return c.Composite
 	})
+	d.prods = d.prods[:start+len(caps)]
+	return caps[:len(caps):len(caps)]
 }
 
 // abbreviate returns wf with each run of consecutive steps that spells
@@ -588,13 +600,20 @@ func (d *designer) id(step int) string {
 
 // ref returns a's "stepID.port" ref.
 func (d *designer) ref(a artifact) string {
-	for _, r := range d.refs {
-		if r.a == a {
+	for len(d.refs) < a.step {
+		d.refs = append(d.refs, nil)
+	}
+	refs := d.refs[a.step-1]
+	for _, r := range refs {
+		if r.port == a.port {
 			return r.ref
 		}
 	}
+	if len(refs) == maxStepRefs {
+		refs = refs[:0]
+	}
 	ref := d.id(a.step) + "." + a.port
-	d.refs = append(d.refs, formattedRef{a: a, ref: ref})
+	d.refs[a.step-1] = append(refs, portRef{port: a.port, ref: ref})
 	return ref
 }
 

@@ -307,6 +307,10 @@ func (s *System) History() []registrycurator.Observation {
 
 // Report is the full record of one pipeline run. The JSON tags keep
 // serialized keys stable and lowercase for the HTTP serving tier.
+// Its planning artifacts and Result are shared, read-only values: a
+// replay of a cached plan carries the entry's Problem, Design and
+// Solution, and a fully cached replay may carry the same Result as
+// earlier replays of that plan.
 type Report struct {
 	Query    string                   `json:"query"`
 	Spec     nlq.Spec                 `json:"spec,omitempty"`
@@ -456,11 +460,16 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 			return rep, pipelineErr(StageResult, query, err)
 		}
 	}
-	exCtx, cancelEx := context.WithCancel(ctx)
-	defer cancelEx()
+	// The bridge is the only canceller of the execution context, so an
+	// inactive run executes under ctx itself: RunCompiled returns only
+	// after every step it launched has reported back.
+	exCtx := ctx
 	var bridge *stepBridge
 	var obs workflow.Observer // stays a nil interface when inactive
 	if active {
+		var cancelEx context.CancelFunc
+		exCtx, cancelEx = context.WithCancel(ctx)
+		defer cancelEx()
 		bridge = &stepBridge{em: em, cancel: cancelEx}
 		obs = bridge
 	}
@@ -489,8 +498,12 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 		Workflow: pe.solution.Workflow, Result: result, Err: err,
 	})
 	if len(s.history) > maxHistory+historySlack {
+		// In place: History and curate copy the window out, so no one
+		// else holds this array.
 		trimmed := len(s.history) - maxHistory
-		s.history = append([]registrycurator.Observation(nil), s.history[trimmed:]...)
+		kept := copy(s.history, s.history[trimmed:])
+		clear(s.history[kept:])
+		s.history = s.history[:kept]
 		s.curatedThrough -= trimmed
 		if s.curatedThrough < 0 {
 			s.curatedThrough = 0

@@ -206,7 +206,7 @@ type Registry struct {
 	caps map[string]*Capability
 	// producers indexes caps by output type, each list in ascending
 	// (cost, name) order. A list is replaced, never modified, once
-	// stored, so Clone shares the lists and Producing copies one
+	// stored, so Clone shares the lists and AppendProducing copies one
 	// outside the lock.
 	producers map[DataType][]*Capability
 	// gen counts successful registrations. Downstream caches key on it
@@ -425,10 +425,16 @@ func (r *Registry) ByTag(tag string) []*Capability {
 // keeps in that order, and returns a fresh slice the caller may sort or
 // append to.
 func (r *Registry) Producing(t DataType) []*Capability {
+	return r.AppendProducing(nil, t)
+}
+
+// AppendProducing appends Producing(t) to dst and returns the extended
+// slice, so a caller can collect producer lists in a buffer it reuses.
+func (r *Registry) AppendProducing(dst []*Capability, t DataType) []*Capability {
 	r.mu.RLock()
 	list := r.producers[t]
 	r.mu.RUnlock()
-	return append([]*Capability(nil), list...)
+	return append(dst, list...)
 }
 
 // indexProducer adds c to the producer list of each type it outputs,

@@ -152,6 +152,16 @@ func TestQueries(t *testing.T) {
 	if got := r.Producing(TBool); got != nil {
 		t.Errorf("Producing(TBool) = %v, want nil", got)
 	}
+	// AppendProducing extends the caller's buffer and leaves what it
+	// held in place.
+	head := &Capability{Name: "head"}
+	buf := r.AppendProducing([]*Capability{head}, TImpact)
+	if len(buf) != 4 || buf[0] != head || buf[1].Name != "fw2.b" || buf[3].Name != "fw2.d" {
+		t.Errorf("AppendProducing(head, TImpact) = %v", buf)
+	}
+	if got := r.AppendProducing(buf[:1], TBool); len(got) != 1 || got[0] != head {
+		t.Errorf("AppendProducing(head, TBool) = %v, want head alone", got)
+	}
 	fws := r.Frameworks()
 	if len(fws) != 2 || fws[0] != "fw1" || fws[1] != "fw2" {
 		t.Errorf("Frameworks = %v", fws)

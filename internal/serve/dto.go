@@ -157,20 +157,30 @@ func jsonValue(v any) json.RawMessage {
 
 const hexDigits = "0123456789abcdef"
 
+// safeByte marks the bytes appendString copies as they are: ASCII
+// from the space up, except '"' and '\\'.
+var safeByte = func() (t [256]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\'
+	}
+	return t
+}()
+
 // appendString appends s as a JSON string the way encoding/json does
 // with HTML escaping off: \" and \\, the short escapes \b \f \n \r \t,
 // \u00XX for other control bytes, \ufffd for each invalid UTF-8 byte,
-// and \u2028 and \u2029 always.
+// and \u2028 and \u2029 always. Each run of safe bytes, and of valid
+// UTF-8 other than U+2028 and U+2029, is copied at once.
 func appendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
+		if safeByte[s[i]] {
+			i++
+			continue
+		}
 		b := s[i]
 		if b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' {
-				i++
-				continue
-			}
 			dst = append(dst, s[start:i]...)
 			switch b {
 			case '"', '\\':

@@ -499,6 +499,32 @@ func FuzzSummary(f *testing.F) {
 	})
 }
 
+// BenchmarkAppendString times the string encoder on the four case
+// studies' code listings, the bulk of every /v1/ask body.
+func BenchmarkAppendString(b *testing.B) {
+	sys := twinSystem(b, fixtureEnv(b))
+	var listings []string
+	size := 0
+	for _, q := range caseStudies {
+		rep, err := sys.Ask(ctx, q, core.AskWithoutCuration())
+		if err != nil {
+			b.Fatal(err)
+		}
+		listings = append(listings, rep.Solution.Code)
+		size += len(rep.Solution.Code)
+	}
+	buf := make([]byte, 0, 2*size)
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = buf[:0]
+		for _, l := range listings {
+			buf = appendString(buf, l)
+		}
+	}
+}
+
 // TestMemoizedSummaryAllocs pins the memoized encoding at zero
 // allocations: query, promotions and elapsed time are appended into
 // the caller's buffer around the stored bytes.

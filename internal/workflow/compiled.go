@@ -22,14 +22,19 @@ package workflow
 //     environment fingerprint on the CompiledPlan itself;
 //   - scheduler scratch (indegree copy, ready queue) comes from a
 //     sync.Pool, and per-step provenance/value-key strings that do not
-//     depend on timings are preformatted, so a fully cached replay
-//     allocates near-nothing. (Result, Values, Outputs and StepStats
-//     escape to the caller and are never pooled.)
+//     depend on timings are preformatted. (Result, Values, Outputs and
+//     StepStats escape to the caller and are never pooled.)
+//   - the Result of a fully cached run is memoized on the plan, with
+//     the output map the cache gave each step: a replay whose every
+//     step the cache still serves with that very map returns the same
+//     Result, so a repeated fully cached replay allocates nothing for
+//     its Result and re-runs no quality check.
 
 import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -67,11 +72,32 @@ type CompiledPlan struct {
 	// times.
 	fp   atomic.Pointer[compiledFPs]
 	fpMu sync.Mutex
+
+	// replay memoizes the Result of a fully cached run (see
+	// RunCompiled). cachedRun records that one such run has happened:
+	// the memo is stored from the second on, so a plan that runs once
+	// allocates nothing for it.
+	replay    atomic.Pointer[replayMemo]
+	cachedRun atomic.Bool
 }
 
 type compiledFPs struct {
 	envFP string
 	fps   []string
+}
+
+// replayMemo is the Result of a successful run, at environment
+// fingerprint envFP, in which the cache served every step; outs[i] is
+// the output map it served step i.
+type replayMemo struct {
+	envFP string
+	outs  []map[string]any
+	res   *Result
+}
+
+// sameMap reports whether a and b are one map, not merely equal ones.
+func sameMap(a, b map[string]any) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
 
 // compiledStep is one step with everything Run re-derives per
@@ -500,10 +526,12 @@ type stepDone struct {
 }
 
 // runScratch is the pooled per-run scheduler state: the working
-// indegree copy and the ready queue. Nothing in it escapes a run.
+// indegree copy, the ready queue and the output map the cache served
+// each step. Nothing in it escapes a run.
 type runScratch struct {
 	indegree []int
 	ready    []int
+	outs     []map[string]any
 }
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -514,6 +542,13 @@ var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 // step error stops new steps from launching, waits for in-flight ones,
 // and is returned as a *StepError; cancellation of ctx aborts the run
 // the same way with the context's error. Quality checks never abort.
+//
+// A run in which the cache serves every step returns the Result
+// memoized on the plan when, at the engine's environment fingerprint,
+// the cache served each step the very output map the memo was built
+// from and ctx is not done; obs sees the same calls either way. That
+// Result is shared with every such replay, so no caller may modify a
+// Result.
 func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, obs Observer) (*Result, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("workflow: nil compiled plan")
@@ -527,21 +562,17 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, obs Observer
 	sc := runScratchPool.Get().(*runScratch)
 	if cap(sc.indegree) < n {
 		sc.indegree = make([]int, n)
+		sc.outs = make([]map[string]any, n)
 	}
 	indegree := sc.indegree[:n]
 	copy(indegree, cp.indegree)
+	outs := sc.outs[:n]
 	ready := append(sc.ready[:0], cp.ready0...)
 	defer func() {
+		clear(outs)
 		sc.ready = ready[:0]
 		runScratchPool.Put(sc)
 	}()
-
-	res := &Result{
-		Values:     make(map[string]any, cp.nValues),
-		Outputs:    make(map[string]any, len(w.Outputs)),
-		Steps:      make([]StepStat, 0, n),
-		Provenance: make([]string, 0, n+len(w.Checks)),
-	}
 
 	// Fingerprints exist only for an engine with a cache: an uncached
 	// run neither reads nor writes any cache, its dispatcher's worker
@@ -549,6 +580,16 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, obs Observer
 	var fps []string
 	if e.cache != nil && cp.memoizable {
 		fps = cp.fingerprintsFor(e)
+	}
+	// While memo is set, every step settled so far was served the map
+	// memo holds for it, and res is not built: leaveMemo builds it
+	// when a step is not.
+	var memo *replayMemo
+	var res *Result
+	if m := cp.replay.Load(); fps != nil && m != nil && m.envFP == e.envFP {
+		memo = m
+	} else {
+		res = cp.newResult()
 	}
 	finished := func(stat StepStat) {
 		if obs != nil {
@@ -563,9 +604,12 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, obs Observer
 	var done chan stepDone
 	running := 0
 	head := 0
+	allCached := true
 	var firstErr error
 
-	settle := func(d stepDone) {
+	// record adds a settled step to res. It returns the stat to report
+	// and false when the step failed or broke its output contract.
+	record := func(d stepDone) (StepStat, bool) {
 		cs := &cp.steps[d.idx]
 		s := cs.step
 		res.Steps = append(res.Steps, d.stat)
@@ -575,26 +619,20 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, obs Observer
 			if firstErr == nil {
 				firstErr = &StepError{Step: s.ID, Capability: s.Capability, Err: d.stat.Err}
 			}
-			finished(d.stat)
-			return
+			return d.stat, false
 		}
-		var contractErr error
 		for oi, out := range cs.capb.Outputs {
 			v, ok := d.out[out.Name]
 			if !ok {
-				contractErr = fmt.Errorf("capability %q did not produce output %q", s.Capability, out.Name)
-				break
+				contractErr := fmt.Errorf("capability %q did not produce output %q", s.Capability, out.Name)
+				if firstErr == nil {
+					firstErr = &StepError{Step: s.ID, Capability: s.Capability, Err: contractErr}
+				}
+				notify := d.stat
+				notify.Err = contractErr
+				return notify, false
 			}
 			res.Values[cs.valueKeys[oi]] = v
-		}
-		if contractErr != nil {
-			if firstErr == nil {
-				firstErr = &StepError{Step: s.ID, Capability: s.Capability, Err: contractErr}
-			}
-			notify := d.stat
-			notify.Err = contractErr
-			finished(notify)
-			return
 		}
 		if d.stat.Cached {
 			res.Provenance = append(res.Provenance, cs.cachedProv)
@@ -605,6 +643,16 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, obs Observer
 			res.Provenance = append(res.Provenance,
 				fmt.Sprintf("step %s (%s): ok in %v", s.ID, s.Capability, d.stat.Duration.Round(time.Microsecond)))
 		}
+		return d.stat, true
+	}
+
+	settle := func(d stepDone) {
+		if memo == nil {
+			if stat, ok := record(d); !ok {
+				finished(stat)
+				return
+			}
+		}
 		finished(d.stat)
 		for _, j := range cp.dependents[d.idx] {
 			indegree[j]--
@@ -612,6 +660,16 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, obs Observer
 				ready = append(ready, j)
 			}
 		}
+	}
+
+	// leaveMemo builds res from the steps settled on the memo, in the
+	// order they settled, and stops following the memo.
+	leaveMemo := func(settled []int) {
+		res = cp.newResult()
+		for _, j := range settled {
+			record(stepDone{idx: j, stat: cp.steps[j].cachedStat(), out: memo.outs[j]})
+		}
+		memo = nil
 	}
 
 	launch := func(i int) {
@@ -623,13 +681,19 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, obs Observer
 		}
 		if fps != nil && fps[i] != "" {
 			if out, ok := e.cache.Get(fps[i]); ok {
-				settle(stepDone{
-					idx:  i,
-					stat: StepStat{ID: s.ID, Capability: s.Capability, Cached: true},
-					out:  out,
-				})
+				outs[i] = out
+				if memo != nil && !sameMap(out, memo.outs[i]) {
+					// Steps settle in launch order, so the ones before
+					// this step are the queue up to it.
+					leaveMemo(ready[:head-1])
+				}
+				settle(stepDone{idx: i, stat: cs.cachedStat(), out: out})
 				return
 			}
+		}
+		allCached = false
+		if memo != nil {
+			leaveMemo(ready[:head-1])
 		}
 		in := make(map[string]any, len(cs.refs)+len(cs.lits))
 		for _, r := range cs.refs {
@@ -647,7 +711,9 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, obs Observer
 		if fps != nil {
 			fp = fps[i]
 		}
-		go func() {
+		// done is passed, not captured, so a run that launches nothing
+		// keeps the variable off the heap.
+		go func(done chan<- stepDone) {
 			start := time.Now()
 			if dispatch {
 				out, handled, err := func() (out map[string]any, handled bool, err error) {
@@ -678,7 +744,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, obs Observer
 				stat: StepStat{ID: s.ID, Capability: s.Capability, Duration: time.Since(start), Err: err},
 				out:  call.Out,
 			}
-		}()
+		}(done)
 	}
 
 	for {
@@ -693,6 +759,13 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, obs Observer
 		d := <-done
 		running--
 		settle(d)
+	}
+
+	if memo != nil {
+		if ctx.Err() == nil {
+			return memo.res, nil
+		}
+		leaveMemo(ready[:head])
 	}
 
 	// slices.SortFunc rather than sort.Slice: same deterministic order
@@ -719,5 +792,28 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, obs Observer
 		res.Provenance = append(res.Provenance,
 			"check "+chk.Name+" ["+string(chk.Kind)+"]: "+status+" "+note)
 	}
+	if allCached && fps != nil {
+		// The first fully cached run of a plan only marks it.
+		if cp.cachedRun.Load() {
+			cp.replay.Store(&replayMemo{envFP: e.envFP, outs: slices.Clone(outs), res: res})
+		} else {
+			cp.cachedRun.Store(true)
+		}
+	}
 	return res, nil
+}
+
+// newResult returns an empty Result sized for one run of cp.
+func (cp *CompiledPlan) newResult() *Result {
+	return &Result{
+		Values:     make(map[string]any, cp.nValues),
+		Outputs:    make(map[string]any, len(cp.w.Outputs)),
+		Steps:      make([]StepStat, 0, len(cp.steps)),
+		Provenance: make([]string, 0, len(cp.steps)+len(cp.w.Checks)),
+	}
+}
+
+// cachedStat is the stat of the step served from the cache.
+func (cs *compiledStep) cachedStat() StepStat {
+	return StepStat{ID: cs.step.ID, Capability: cs.step.Capability, Cached: true}
 }

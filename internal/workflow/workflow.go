@@ -27,7 +27,9 @@
 // pure computation over the same environment, so the cached output map
 // may be served verbatim; impure steps (and anything downstream of
 // them) always execute. Cache hits still fire Observer callbacks, with
-// StepStat.Cached set.
+// StepStat.Cached set. A compiled plan whose every step the cache
+// served with the same output maps as before returns the Result it
+// memoized then, so a Result is shared and read-only.
 //
 // WithEnvKeyer turns this into incremental re-execution: when the
 // environment fingerprint is scoped per capability to the facets it
@@ -114,7 +116,10 @@ type QualityCheck struct {
 	Name string      `json:"name"`
 	Kind QualityKind `json:"kind"`
 	Ref  string      `json:"ref"` // "stepID.port" to inspect
-	// Assert is executable and never serialized.
+	// Assert is executable and never serialized. It must be a pure
+	// function of v: a replay that returns a plan's memoized Result
+	// (see Engine.RunCompiled) reports the outcome of an earlier call
+	// instead of calling it again.
 	Assert func(v any) (ok bool, note string) `json:"-"`
 }
 
@@ -316,7 +321,10 @@ type CheckResult struct {
 	Note   string      `json:"note,omitempty"`
 }
 
-// Result is the outcome of a workflow run.
+// Result is the outcome of a workflow run. It is read-only once
+// RunCompiled returns it: a fully cached replay may return the Result
+// of an earlier replay of the same compiled plan, so one Result can be
+// shared by many runs and callers.
 type Result struct {
 	// Values holds every produced "stepID.port" value.
 	Values map[string]any `json:"values,omitempty"`
