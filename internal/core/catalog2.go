@@ -170,23 +170,26 @@ func DetectLatencyShift(arch *traceroute.Archive) LatencyFinding {
 	f := LatencyFinding{}
 	var shiftTimes []time.Time
 	var befores, afters []float64
+	var lost []*probeSeries
 	minP := 1.0
 	total := 0
-	for _, probe := range arch.Probes() {
-		times, rtts := arch.Series(probe)
-		if lr := arch.LossRate(probe); lr > 0.2 {
-			f.LostProbes = append(f.LostProbes, probe)
+	probes := seriesByProbe(arch)
+	for i := range probes {
+		p := &probes[i]
+		if float64(p.lost)/float64(p.samples) > 0.2 {
+			f.LostProbes = append(f.LostProbes, p.name)
+			lost = append(lost, p)
 		}
-		if len(rtts) < 12 {
+		if len(p.rtts) < 12 {
 			continue
 		}
 		total++
-		cp, err := stats.DetectShift(rtts, 6)
+		cp, err := stats.DetectShift(p.rtts, 6)
 		if err != nil || !cp.Signif || cp.Shift <= 1.0 {
 			continue
 		}
-		f.Probes = append(f.Probes, probe)
-		shiftTimes = append(shiftTimes, times[cp.Index])
+		f.Probes = append(f.Probes, p.name)
+		shiftTimes = append(shiftTimes, p.times[cp.Index])
 		befores = append(befores, cp.Before)
 		afters = append(afters, cp.After)
 		if cp.PValue < minP {
@@ -197,7 +200,7 @@ func DetectLatencyShift(arch *traceroute.Archive) LatencyFinding {
 		// No latency shift — but probes going dark mid-window is an
 		// anomaly too (total loss instead of reroute).
 		if len(f.LostProbes) > 0 && total+len(f.LostProbes) > 0 {
-			if at, ok := firstLossTime(arch, f.LostProbes); ok {
+			if at, ok := firstLossTime(lost); ok {
 				f.Detected = true
 				f.ShiftAt = at
 				share := float64(len(f.LostProbes)) / float64(total+len(f.LostProbes))
@@ -222,36 +225,76 @@ func DetectLatencyShift(arch *traceroute.Archive) LatencyFinding {
 	return f
 }
 
+// probeSeries is one probe's measurements, read in archive order.
+type probeSeries struct {
+	name string
+	// times and rtts are the probe's reached samples.
+	times []time.Time
+	rtts  []float64
+	// samples counts the probe's measurements, lost the unreached ones.
+	samples, lost int
+	// reached is set once the probe has reached its destination; dark
+	// is set while it has not reached it since losing it at lostAt.
+	reached, dark bool
+	lostAt        time.Time
+}
+
+// seriesByProbe groups the archive's measurements by probe, sorted by
+// probe name. A first pass counts each probe's samples and losses, so
+// the second fills reached series of exactly their size, all in one
+// backing array each for times and RTTs.
+func seriesByProbe(arch *traceroute.Archive) []probeSeries {
+	ms := arch.Measurements
+	var out []probeSeries
+	index := map[string]int{}
+	lost := 0
+	for i := range ms {
+		k, ok := index[ms[i].Probe]
+		if !ok {
+			k = len(out)
+			index[ms[i].Probe] = k
+			out = append(out, probeSeries{name: ms[i].Probe})
+		}
+		out[k].samples++
+		if !ms[i].Reached {
+			out[k].lost++
+			lost++
+		}
+	}
+	times := make([]time.Time, len(ms)-lost)
+	rtts := make([]float64, len(ms)-lost)
+	off := 0
+	for i := range out {
+		end := off + out[i].samples - out[i].lost
+		out[i].times, out[i].rtts = times[off:off:end], rtts[off:off:end]
+		off = end
+	}
+	for i := range ms {
+		m := &ms[i]
+		p := &out[index[m.Probe]]
+		if m.Reached {
+			p.times = append(p.times, m.Time)
+			p.rtts = append(p.rtts, m.RTTms)
+			p.reached, p.dark = true, false
+		} else if p.reached && !p.dark {
+			p.dark, p.lostAt = true, m.Time
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
 // firstLossTime returns the median over lost probes of the first time
 // the probe stopped reaching its destination.
-func firstLossTime(arch *traceroute.Archive, lost []string) (time.Time, bool) {
-	lostSet := map[string]bool{}
-	for _, p := range lost {
-		lostSet[p] = true
-	}
-	firstLoss := map[string]time.Time{}
-	reachedBefore := map[string]bool{}
-	for _, m := range arch.Measurements {
-		if !lostSet[m.Probe] {
-			continue
-		}
-		if m.Reached {
-			reachedBefore[m.Probe] = true
-			delete(firstLoss, m.Probe)
-			continue
-		}
-		if reachedBefore[m.Probe] {
-			if _, ok := firstLoss[m.Probe]; !ok {
-				firstLoss[m.Probe] = m.Time
-			}
-		}
-	}
-	if len(firstLoss) == 0 {
-		return time.Time{}, false
-	}
+func firstLossTime(lost []*probeSeries) (time.Time, bool) {
 	var times []time.Time
-	for _, t := range firstLoss {
-		times = append(times, t)
+	for _, p := range lost {
+		if p.dark {
+			times = append(times, p.lostAt)
+		}
+	}
+	if len(times) == 0 {
+		return time.Time{}, false
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i].Before(times[j]) })
 	return times[len(times)/2], true

@@ -191,9 +191,10 @@ func (e *emitter) emit(ev Event) error {
 // events. An observer veto at a step event cancels the in-flight run;
 // the veto error then takes precedence over the engine's cancellation
 // error. The engine serializes observer calls per run, so no locking
-// is needed here.
+// is needed here. The bridge emits through its own copy of the run's
+// emitter, whose sequence the run takes back after execution.
 type stepBridge struct {
-	em     *emitter
+	em     emitter
 	cancel context.CancelFunc
 	veto   error
 }

@@ -48,8 +48,10 @@ type askConfig struct {
 
 // AskOption configures one Ask, AskStream, AskBatch or Submit call.
 // Options are per-call: a single shared System serves expert-reviewed,
-// curation-free, and deadline-bound requests side by side.
-type AskOption func(*askConfig)
+// curation-free, and deadline-bound requests side by side. An option
+// takes the configuration by value and returns it changed, so a call's
+// configuration stays on its stack.
+type AskOption func(askConfig) askConfig
 
 // AskExpert runs the call in expert mode: hook reviews the artifact
 // leaving each of the four pipeline stages (problem, design, solution,
@@ -58,7 +60,7 @@ type AskOption func(*askConfig)
 // stage-completion events.
 func AskExpert(hook ReviewHook) AskOption {
 	if hook == nil {
-		return func(*askConfig) {}
+		return func(c askConfig) askConfig { return c }
 	}
 	return AskObserver(expertReviewer(hook))
 }
@@ -70,17 +72,21 @@ func AskExpert(hook ReviewHook) AskOption {
 // pipeline's goroutine; an observer passed to AskBatch is shared by
 // the pool's workers and must be safe for concurrent use.
 func AskObserver(obs Observer) AskOption {
-	return func(c *askConfig) {
+	return func(c askConfig) askConfig {
 		if obs != nil {
 			c.observers = append(c.observers, obs)
 		}
+		return c
 	}
 }
 
 // AskWithoutCuration disables post-run registry evolution for this
 // call (curation is on by default).
 func AskWithoutCuration() AskOption {
-	return func(c *askConfig) { c.curate = false }
+	return func(c askConfig) askConfig {
+		c.curate = false
+		return c
+	}
 }
 
 // AskNoCache bypasses the System's memoization for this call: the
@@ -90,7 +96,10 @@ func AskWithoutCuration() AskOption {
 // capability outside the builtin catalog is registered Pure but the
 // caller knows its inputs don't capture everything that matters.
 func AskNoCache() AskOption {
-	return func(c *askConfig) { c.noCache = true }
+	return func(c askConfig) askConfig {
+		c.noCache = true
+		return c
+	}
 }
 
 // AskTimeout bounds the call's wall-clock time, on top of whatever
@@ -99,10 +108,11 @@ func AskNoCache() AskOption {
 // than arming an already-expired deadline. For Submit the budget
 // covers pipeline execution, not time spent queued.
 func AskTimeout(d time.Duration) AskOption {
-	return func(c *askConfig) {
+	return func(c askConfig) askConfig {
 		if d > 0 {
 			c.timeout = d
 		}
+		return c
 	}
 }
 
@@ -112,17 +122,18 @@ func AskTimeout(d time.Duration) AskOption {
 // GOMAXPROCS; values below 1 are explicitly ignored and the default
 // applies.
 func AskParallelism(n int) AskOption {
-	return func(c *askConfig) {
+	return func(c askConfig) askConfig {
 		if n > 0 {
 			c.parallelism = n
 		}
+		return c
 	}
 }
 
 func newAskConfig(opts []AskOption) askConfig {
 	cfg := askConfig{curate: true, parallelism: runtime.GOMAXPROCS(0)}
 	for _, opt := range opts {
-		opt(&cfg)
+		cfg = opt(cfg)
 	}
 	return cfg
 }
@@ -372,8 +383,8 @@ func (s *System) Ask(ctx context.Context, query string, opts ...AskOption) (*Rep
 		defer sc.release(cl)
 	}
 	cfg := newAskConfig(opts)
-	em := &emitter{query: query, observers: cfg.observers}
-	rep, err := s.run(ctx, query, cfg, em)
+	em := emitter{query: query, observers: cfg.observers}
+	rep, err := s.run(ctx, query, cfg, &em)
 	if em.active() {
 		em.emit(&Done{Report: rep, Err: err})
 	}
@@ -462,7 +473,10 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 	}
 	// The bridge is the only canceller of the execution context, so an
 	// inactive run executes under ctx itself: RunCompiled returns only
-	// after every step it launched has reported back.
+	// after every step it launched has reported back. The bridge emits
+	// through its own copy of em, which keeps the caller's emitter off
+	// the heap; its sequence numbers are taken back once RunCompiled
+	// returns.
 	exCtx := ctx
 	var bridge *stepBridge
 	var obs workflow.Observer // stays a nil interface when inactive
@@ -470,7 +484,7 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 		var cancelEx context.CancelFunc
 		exCtx, cancelEx = context.WithCancel(ctx)
 		defer cancelEx()
-		bridge = &stepBridge{em: em, cancel: cancelEx}
+		bridge = &stepBridge{em: *em, cancel: cancelEx}
 		obs = bridge
 	}
 	f := s.Fleet()
@@ -491,6 +505,9 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 	var result *workflow.Result
 	if err = pe.compileErr; err == nil {
 		result, err = engine.RunCompiled(exCtx, pe.compiled, obs)
+	}
+	if bridge != nil {
+		em.seq = bridge.em.seq
 	}
 	rep.Result = result
 	s.mu.Lock()

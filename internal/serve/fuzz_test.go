@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"arachnet/internal/core"
 )
@@ -57,7 +61,8 @@ func createdID(t *testing.T, rec *httptest.ResponseRecorder) uint64 {
 }
 
 // addAskSeeds seeds f with the case-study queries under each per-call
-// option, plus malformed bodies.
+// option, plus bodies at the edges of decodeAsk's fast path and
+// malformed bodies.
 func addAskSeeds(f *testing.F) {
 	for _, q := range caseStudies {
 		quoted, _ := json.Marshal(q)
@@ -65,9 +70,135 @@ func addAskSeeds(f *testing.F) {
 			f.Add([]byte(`{"query":` + string(quoted) + extra + `}`))
 		}
 	}
+	// json.Marshal writes PEACE's & as \u0026; Amitié's é stays raw.
+	peace, _ := json.Marshal(map[string]any{
+		"query":       "Identify the impact at a country level due to PEACE (Pakistan & East Africa Connecting Europe) cable failure",
+		"no_curation": true,
+	})
+	f.Add(peace)
+	f.Add([]byte(`{"query":"Identify the impact at a country level due to Amitié cable failure","no_curation":true}`))
+	f.Add([]byte(`{"query":"Identify the impact\tat a \"country\" level due to SeaMeWe\u002d5 cable failure \/ \\ \u00e9\n"}`))
+	cs1, _ := json.Marshal(queryCS1)
+	for _, body := range []string{
+		`{"Query":` + string(cs1) + `,"NO_CURATION":true}`,
+		`{"query":"x","query":` + string(cs1) + `,"no_curation":false,"no_curation":true}`,
+		`{"query":` + string(cs1) + `,"no_cache":null}`,
+		`{"query":null}`,
+		`{"query":` + string(cs1) + `,"timeout_ms":1.5}`,
+		`{"query":` + string(cs1) + `,"parallelism":1e2}`,
+		`{"query":` + string(cs1) + `,"parallelism":-3,"timeout_ms":0}`,
+		`{"query":` + string(cs1) + `,"no_curation":true} trailing`,
+		`{"query":` + string(cs1) + `}{"query":"second"}`,
+		"{\"qu\x01ery\":\"q\"}",
+		`{"query":"Identify \u00zz impact"}`,
+		`{"query":"Identify \ud800 impact"}`,
+		`{"query":"Identify \ud83d\ude00 impact"}`,
+		` { "query" : ` + string(cs1) + ` , "full" : false } `,
+		`{}`, `[]`, `"query"`, ``,
+	} {
+		f.Add([]byte(body))
+	}
 	f.Add([]byte(`{"query":"Identify the impact at a country`))
 	f.Add([]byte(`{"query":42}`))
 	f.Add([]byte("{\"query\":\"\xff\xfe impact\"}"))
+}
+
+// refDecodeAsk is decodeAsk before the fast path: one json.Decoder
+// over the bounded body. FuzzDecodeAsk holds decodeAsk to it.
+func refDecodeAsk(w http.ResponseWriter, r *http.Request) (askRequest, bool) {
+	var req askRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err := dec.Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return req, false
+	}
+	if strings.TrimSpace(req.Query) == "" {
+		httpError(w, http.StatusBadRequest, "query required")
+		return req, false
+	}
+	return req, true
+}
+
+// loggedBody is a request body that keeps a digest of every Read it
+// serves: the size asked for, the bytes returned and the error.
+type loggedBody struct {
+	r      io.Reader
+	reads  int
+	digest uint64
+}
+
+func (l *loggedBody) Read(p []byte) (int, error) {
+	n, err := l.r.Read(p)
+	l.reads++
+	l.mix(uint64(len(p)))
+	l.mix(uint64(n))
+	if err != nil {
+		for _, c := range []byte(err.Error()) {
+			l.mix(uint64(c))
+		}
+	}
+	return n, err
+}
+
+func (l *loggedBody) mix(v uint64) {
+	l.digest = (l.digest ^ v) * 1099511628211 // FNV-1a prime
+}
+
+func (*loggedBody) Close() error { return nil }
+
+// FuzzDecodeAsk holds the fast path to encoding/json on arbitrary
+// bodies. Where scanAsk accepts a body's first 1 MiB, its request is exactly the one
+// json.NewDecoder(http.MaxBytesReader(…, 1<<20)) decodes without
+// error; where it reads on, json.Decoder reaches the end of the body
+// without an error too. And with the body read whole, a byte at a
+// time, in halves, or with its last bytes and EOF together, decodeAsk
+// answers with refDecodeAsk's status, headers and body, and the body
+// sees the same reads (sizes asked, bytes returned, errors), so the
+// 1 MiB bound is hit and the rest left unread alike.
+func FuzzDecodeAsk(f *testing.F) {
+	addAskSeeds(f)
+	f.Add(append(append([]byte(`{"query":"`), bytes.Repeat([]byte("a"), 1<<20)...), `"}`...))
+	f.Add(append([]byte(`{"query":"q"}`), bytes.Repeat([]byte(" "), 1<<20)...))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want askRequest
+		bounded := http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), 1<<20)
+		wantErr := json.NewDecoder(bounded).Decode(&want)
+		head := body[:min(len(body), 1<<20)]
+		switch got, st := scanAsk(head); {
+		case st == scanDone && (wantErr != nil || got != want):
+			t.Fatalf("fast path decoded %+v; encoding/json: %+v, %v", got, want, wantErr)
+		case st == scanMore:
+			var req askRequest
+			if err := json.NewDecoder(bytes.NewReader(head)).Decode(&req); err != io.EOF && err != io.ErrUnexpectedEOF {
+				t.Fatalf("fast path reads on; json.Decoder stops with %v", err)
+			}
+		}
+		chunkings := map[string]func(io.Reader) io.Reader{
+			"whole":     func(r io.Reader) io.Reader { return r },
+			"one byte":  iotest.OneByteReader,
+			"halves":    iotest.HalfReader,
+			"EOF early": iotest.DataErrReader,
+		}
+		for name, chunk := range chunkings {
+			gotBody := &loggedBody{r: chunk(bytes.NewReader(body))}
+			wantBody := &loggedBody{r: chunk(bytes.NewReader(body))}
+			gotRec, wantRec := httptest.NewRecorder(), httptest.NewRecorder()
+			got, gotOK := decodeAsk(gotRec, httptest.NewRequest(http.MethodPost, "/v1/ask", gotBody))
+			want, wantOK := refDecodeAsk(wantRec, httptest.NewRequest(http.MethodPost, "/v1/ask", wantBody))
+			if gotOK != wantOK || gotOK && got != want {
+				t.Fatalf("%s: decodeAsk %+v, %v; reference %+v, %v", name, got, gotOK, want, wantOK)
+			}
+			if gotRec.Code != wantRec.Code || !bytes.Equal(gotRec.Body.Bytes(), wantRec.Body.Bytes()) ||
+				!reflect.DeepEqual(gotRec.Header(), wantRec.Header()) {
+				t.Fatalf("%s: decodeAsk answered %d %v %q; reference %d %v %q", name, gotRec.Code, gotRec.Header(),
+					gotRec.Body.Bytes(), wantRec.Code, wantRec.Header(), wantRec.Body.Bytes())
+			}
+			if gotBody.reads != wantBody.reads || gotBody.digest != wantBody.digest {
+				t.Fatalf("%s: decodeAsk read the body %d times (digest %x); reference %d times (digest %x)",
+					name, gotBody.reads, gotBody.digest, wantBody.reads, wantBody.digest)
+			}
+		}
+	})
 }
 
 // FuzzAskBody sends arbitrary POST /v1/ask bodies through the server

@@ -53,8 +53,13 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// jsonContentType is the Content-Type value every JSON response
+// shares: header values are only ever read or replaced, never written
+// in place.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -92,7 +97,7 @@ func writeSummary(w http.ResponseWriter, rep *core.Report, err error) {
 		b = append(b, "}\n"...)
 	}
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonContentType
 	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
 	_, _ = w.Write(b)
@@ -146,10 +151,11 @@ func (s *Server) tenant(w http.ResponseWriter, r *http.Request) (*Tenant, bool) 
 	return t, true
 }
 
-// askOptions maps a request onto per-call AskOptions, after the
-// server-wide CallOptions.
-func (s *Server) askOptions(req askRequest) []core.AskOption {
-	opts := append([]core.AskOption{}, s.cfg.CallOptions...)
+// askOptions appends a request's AskOptions to dst, after the
+// server-wide CallOptions. handleAsk passes it an array on its stack,
+// which stays there since Ask keeps no option.
+func (s *Server) askOptions(dst []core.AskOption, req askRequest) []core.AskOption {
+	opts := append(dst, s.cfg.CallOptions...)
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -170,21 +176,6 @@ func (s *Server) askOptions(req askRequest) []core.AskOption {
 		opts = append(opts, core.AskParallelism(req.Parallelism))
 	}
 	return opts
-}
-
-// decodeAsk parses and validates the shared request body.
-func decodeAsk(w http.ResponseWriter, r *http.Request) (askRequest, bool) {
-	var req askRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return req, false
-	}
-	if strings.TrimSpace(req.Query) == "" {
-		httpError(w, http.StatusBadRequest, "query required")
-		return req, false
-	}
-	return req, true
 }
 
 // submitError maps admission failures (Submit, or Ask on the shared
@@ -226,7 +217,8 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rep, err := t.sys.Ask(r.Context(), req.Query, s.askOptions(req)...)
+	var opts [4]core.AskOption
+	rep, err := t.sys.Ask(r.Context(), req.Query, s.askOptions(opts[:0], req)...)
 	if r.Context().Err() != nil {
 		// Client gone; the run was cancelled through its context and
 		// nobody is left to read a response.
@@ -255,7 +247,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j, err := t.sys.Submit(s.jobCtx, req.Query, s.askOptions(req)...)
+	j, err := t.sys.Submit(s.jobCtx, req.Query, s.askOptions(nil, req)...)
 	if err != nil {
 		submitError(w, err)
 		return

@@ -65,7 +65,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sub, err := t.sys.Subscribe(s.jobCtx, req.Query, s.askOptions(req)...)
+	sub, err := t.sys.Subscribe(s.jobCtx, req.Query, s.askOptions(nil, req)...)
 	if err != nil {
 		if errors.Is(err, core.ErrJobsClosed) {
 			httpError(w, http.StatusServiceUnavailable, "serving tier is shutting down")
