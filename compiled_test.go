@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"arachnet"
+	"arachnet/internal/agents/workflowscout"
 	"arachnet/internal/eval"
 )
 
@@ -365,10 +366,11 @@ func TestCuratedAskAllocCeiling(t *testing.T) {
 // a question never asked before costs once its steps are warm — the
 // parse, the three planning agents, Compile and a fully cached run.
 // With the plan cache disabled every ask plans afresh. Averaged over
-// the four case studies it measures about 87 allocs; the ceiling
-// carries ~50% headroom yet stays far below the ~290 that planning
-// each candidate from scratch, building QueryMind's tables per call
-// and laying out Compile's tables per step cost.
+// the four case studies it measures about 70 allocs (about 87 while
+// every planned step built a map of its inputs); the ceiling stays far
+// below the ~290 that planning each candidate from scratch, building
+// QueryMind's tables per call and laying out Compile's tables per step
+// cost.
 func TestPlanMissAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is unreliable under -short (race) runs")
@@ -399,6 +401,38 @@ func TestPlanMissAllocCeiling(t *testing.T) {
 	const ceiling = 130
 	if avg > ceiling {
 		t.Errorf("plan-miss Ask allocates %.0f/op, budget %d", avg, ceiling)
+	}
+}
+
+// TestDesignAllocCeiling pins the allocations of WorkflowScout.Design,
+// the planning stage of a plan miss, per case study on the builtin
+// registry: CS1–CS4 measure 10 / 12 / 27 / 32 (17 / 17 / 55 / 66 while
+// every planned step built a map of its inputs), and each ceiling is
+// about twice its figure. It runs only without -short.
+func TestDesignAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is unreliable under -short (race) runs")
+	}
+	sys, err := arachnet.New(arachnet.WithSmallWorld(42), arachnet.WithScenario(arachnet.ScenarioConfig{Seed: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scout := workflowscout.New()
+	for i, ceiling := range []float64{20, 24, 54, 64} {
+		n := i + 1
+		rep, err := sys.Ask(ctx, benchQueries[n], arachnet.AskWithoutCuration())
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := scout.Design(rep.Problem, sys.Registry()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("CS%d: Design %.0f allocs/op", n, allocs)
+		if allocs > ceiling {
+			t.Errorf("CS%d: Design allocates %.0f/op, budget %.0f", n, allocs, ceiling)
+		}
 	}
 }
 

@@ -248,8 +248,8 @@ func composite(chain []workflow.Step, reg *registry.Registry) (registry.Capabili
 			continue
 		}
 		steps[k].In = make(map[string]registry.ChainRef, len(s.Inputs))
-		for name, b := range s.Inputs {
-			steps[k].In[name] = registry.ChainRef{Step: chainIndex(chain[:k], b.Ref), Port: workflow.RefPort(b.Ref)}
+		for _, b := range s.Inputs {
+			steps[k].In[b.Name] = registry.ChainRef{Step: chainIndex(chain[:k], b.Ref), Port: workflow.RefPort(b.Ref)}
 		}
 	}
 

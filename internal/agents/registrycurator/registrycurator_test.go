@@ -64,9 +64,9 @@ func chainWorkflow(query string) *workflow.Workflow {
 		Name:  "wf",
 		Query: query,
 		Steps: []workflow.Step{
-			{ID: "s1", Capability: "t.a", Inputs: map[string]workflow.Binding{"seed": workflow.Lit("s")}, Phase: "load"},
-			{ID: "s2", Capability: "t.b", Inputs: map[string]workflow.Binding{"x": workflow.Ref("s1", "x")}, Phase: "auto"},
-			{ID: "s3", Capability: "t.c", Inputs: map[string]workflow.Binding{"y": workflow.Ref("s2", "y")}, Phase: "aggregate"},
+			{ID: "s1", Capability: "t.a", Inputs: workflow.Inputs{{Name: "seed", Binding: workflow.Lit("s")}}, Phase: "load"},
+			{ID: "s2", Capability: "t.b", Inputs: workflow.Inputs{{Name: "x", Binding: workflow.Ref("s1", "x")}}, Phase: "auto"},
+			{ID: "s3", Capability: "t.c", Inputs: workflow.Inputs{{Name: "y", Binding: workflow.Ref("s2", "y")}}, Phase: "aggregate"},
 		},
 		Outputs: map[string]string{"z": "s3.z"},
 	}
@@ -146,16 +146,13 @@ func TestCompositeExecutes(t *testing.T) {
 	comp := promos[0].Capability
 
 	// Execute the composite via a one-step workflow.
-	var inputs map[string]workflow.Binding
-	if len(comp.Inputs) > 0 {
-		inputs = map[string]workflow.Binding{}
-		for _, in := range comp.Inputs {
-			switch in.Type {
-			case registry.TString:
-				inputs[in.Name] = workflow.Lit("fresh")
-			case registry.TLinkSet:
-				inputs[in.Name] = workflow.Lit([]string{"fresh", "x"})
-			}
+	var inputs workflow.Inputs // the head's ports, in name order
+	for _, in := range comp.Inputs {
+		switch in.Type {
+		case registry.TString:
+			inputs = append(inputs, workflow.Input{Name: in.Name, Binding: workflow.Lit("fresh")})
+		case registry.TLinkSet:
+			inputs = append(inputs, workflow.Input{Name: in.Name, Binding: workflow.Lit([]string{"fresh", "x"})})
 		}
 	}
 	wf := &workflow.Workflow{
@@ -254,7 +251,7 @@ func TestChainIsLiftable(t *testing.T) {
 	// A window whose tail references outside is not liftable.
 	broken := []workflow.Step{
 		wf.Steps[0],
-		{ID: "s9", Capability: "t.c", Inputs: map[string]workflow.Binding{"y": workflow.Ref("outside", "y")}},
+		{ID: "s9", Capability: "t.c", Inputs: workflow.Inputs{{Name: "y", Binding: workflow.Ref("outside", "y")}}},
 	}
 	if liftable(broken) {
 		t.Error("external tail ref must not be liftable")
@@ -263,7 +260,7 @@ func TestChainIsLiftable(t *testing.T) {
 	// would have to store.
 	literal := []workflow.Step{
 		wf.Steps[0],
-		{ID: "s2", Capability: "t.b", Inputs: map[string]workflow.Binding{"x": workflow.Lit([]string{"frozen"})}},
+		{ID: "s2", Capability: "t.b", Inputs: workflow.Inputs{{Name: "x", Binding: workflow.Lit([]string{"frozen"})}}},
 	}
 	if liftable(literal) {
 		t.Error("a later step's literal must not be liftable")
@@ -278,7 +275,7 @@ func TestChainIsLiftable(t *testing.T) {
 	})
 	optional := []workflow.Step{
 		wf.Steps[0],
-		{ID: "s2", Capability: "t.d", Inputs: map[string]workflow.Binding{"x": workflow.Ref("s1", "x")}},
+		{ID: "s2", Capability: "t.d", Inputs: workflow.Inputs{{Name: "x", Binding: workflow.Ref("s1", "x")}}},
 	}
 	if liftable(optional) {
 		t.Error("a later step's unbound optional input must not be liftable")
@@ -286,10 +283,10 @@ func TestChainIsLiftable(t *testing.T) {
 	// Nor one holding a composite.
 	promote(t, reg)
 	nested := []workflow.Step{
-		{ID: "s1", Capability: "composite.a_to_c_3", Inputs: map[string]workflow.Binding{"seed": workflow.Lit("s")}},
+		{ID: "s1", Capability: "composite.a_to_c_3", Inputs: workflow.Inputs{{Name: "seed", Binding: workflow.Lit("s")}}},
 		wf.Steps[1],
 	}
-	nested[1].Inputs = map[string]workflow.Binding{"x": workflow.Ref("s1", "z")}
+	nested[1].Inputs = workflow.Inputs{{Name: "x", Binding: workflow.Ref("s1", "z")}}
 	if liftable(nested) {
 		t.Error("a window holding a composite must not be liftable")
 	}

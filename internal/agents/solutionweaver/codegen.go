@@ -50,7 +50,7 @@ type codegen struct {
 	reg   *registry.Registry
 	caps  []*registry.Capability // per step; nil when the registry lacks it
 	b     []byte
-	names []string // scratch for sorted map keys
+	names []string // scratch for the sorted output names
 }
 
 // str appends its parts verbatim; the Python they form uses % as its
@@ -66,10 +66,11 @@ func (g *codegen) ident(s string) { g.b = appendIdent(g.b, s) }
 // quoted appends prefix verbatim, then s as a quoted string literal.
 func (g *codegen) quoted(prefix, s string) { g.b = strconv.AppendQuote(append(g.b, prefix...), s) }
 
-// sortedKeys returns the keys of m in order, in g's scratch slice.
-func sortedKeys[V any](g *codegen, m map[string]V) []string {
+// outputNames returns the names of the workflow's outputs in order, in
+// g's scratch slice.
+func (g *codegen) outputNames() []string {
 	g.names = g.names[:0]
-	for k := range m {
+	for k := range g.wf.Outputs {
 		g.names = append(g.names, k)
 	}
 	slices.Sort(g.names)
@@ -255,14 +256,14 @@ func (g *codegen) imports() {
 	g.str("\n\n")
 }
 
-// params appends the step's input idents, comma-separated, in sorted
-// input order.
-func (g *codegen) params(names []string) {
-	for i, n := range names {
+// params appends the step's input idents, comma-separated, in input
+// (name) order.
+func (g *codegen) params(in workflow.Inputs) {
+	for i, x := range in {
 		if i > 0 {
 			g.str(", ")
 		}
-		g.ident(n)
+		g.ident(x.Name)
 	}
 }
 
@@ -270,31 +271,30 @@ func (g *codegen) stepFunction(s *workflow.Step, cap *registry.Capability) {
 	if cap == nil {
 		return
 	}
-	names := sortedKeys(g, s.Inputs)
 	g.str("def step_", s.ID, "(")
-	g.params(names)
+	g.params(s.Inputs)
 	g.str("):\n    \"\"\"", cap.Description, "\n\n    Capability: ", cap.Name, " (framework: ", cap.Framework, ")\n")
 	for _, con := range cap.Constraints {
 		g.str("    Constraint: ", con, "\n")
 	}
 	g.str("    \"\"\"\n")
 	// Input validation mirrors the typed ports.
-	for _, n := range names {
-		if port, ok := cap.InputPort(n); ok {
+	for _, x := range s.Inputs {
+		if port, ok := cap.InputPort(x.Name); ok {
 			g.str("    if ")
-			g.ident(n)
-			g.str(" is None:\n        raise ValueError(\"step ", s.ID, ": input ", n, " (", string(port.Type), ") is required\")\n")
+			g.ident(x.Name)
+			g.str(" is None:\n        raise ValueError(\"step ", s.ID, ": input ", x.Name, " (", string(port.Type), ") is required\")\n")
 		}
 	}
 	// Format translation notes for reference bindings (the paper's
 	// "translation layer" between heterogeneous tools).
-	for _, n := range names {
-		if ref := s.Inputs[n].Ref; ref != "" {
+	for _, x := range s.Inputs {
+		if x.Ref != "" {
 			var t registry.DataType
-			if p, ok := cap.InputPort(n); ok {
+			if p, ok := cap.InputPort(x.Name); ok {
 				t = p.Type
 			}
-			g.str("    # format: consumes ", ref, " produced upstream (", string(t), ")\n")
+			g.str("    # format: consumes ", x.Ref, " produced upstream (", string(t), ")\n")
 		}
 	}
 	g.str("    result = ")
@@ -302,7 +302,7 @@ func (g *codegen) stepFunction(s *workflow.Step, cap *registry.Capability) {
 	g.str(".")
 	g.ident(cap.Name[strings.IndexByte(cap.Name, '.')+1:]) // the verb of "framework.verb"
 	g.str("(")
-	g.params(names)
+	g.params(s.Inputs)
 	g.str(")\n    if result is None:\n        raise RuntimeError(\"step ", s.ID, ": ", cap.Name, " returned no data\")\n")
 	for _, out := range cap.Outputs {
 		g.str("    # produces: ", out.Name, " (", string(out.Type), ")\n")
@@ -332,11 +332,11 @@ func (g *codegen) mainFunction() {
 			continue
 		}
 		g.str("    out = step_", s.ID, "(")
-		for j, n := range sortedKeys(g, s.Inputs) {
+		for j, b := range s.Inputs {
 			if j > 0 {
 				g.str(", ")
 			}
-			if b := s.Inputs[n]; b.IsRef() {
+			if b.IsRef() {
 				g.quoted("artifacts[", b.Ref)
 				g.str("]")
 			} else {
@@ -351,7 +351,7 @@ func (g *codegen) mainFunction() {
 	if len(g.wf.Checks) > 0 {
 		g.str("    for finding in run_quality_checks(artifacts):\n        print(\"QA:\", finding, file=sys.stderr)\n")
 	}
-	for _, n := range sortedKeys(g, g.wf.Outputs) {
+	for _, n := range g.outputNames() {
 		g.quoted("    print(json.dumps({\"output\": ", n)
 		g.quoted(", \"value\": render(artifacts[", g.wf.Outputs[n])
 		g.str("])}))\n")

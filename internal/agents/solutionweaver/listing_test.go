@@ -2,6 +2,7 @@ package solutionweaver_test
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -238,7 +239,12 @@ func fuzzWorkflow(t *testing.T, query, id, framework, desc, constraint, lit stri
 	}
 	wf := &workflow.Workflow{Name: "fuzz", Query: query, Outputs: map[string]string{}}
 	have := map[registry.DataType]string{}
-	add := func(capName string, in map[string]workflow.Binding) {
+	add := func(capName string, bind map[string]workflow.Binding) {
+		var in workflow.Inputs
+		for name, b := range bind {
+			in = append(in, workflow.Input{Name: name, Binding: b})
+		}
+		slices.SortFunc(in, func(a, b workflow.Input) int { return strings.Compare(a.Name, b.Name) })
 		sid := prefix + strconv.Itoa(len(wf.Steps)+1)
 		wf.Steps = append(wf.Steps, workflow.Step{ID: sid, Capability: capName, Inputs: in})
 		c, _ := reg.Get(capName)

@@ -341,13 +341,13 @@ type boundParam struct {
 
 func orderedBindings(s workflow.Step) []boundParam {
 	names := make([]string, 0, len(s.Inputs))
-	for n := range s.Inputs {
-		names = append(names, n)
+	for _, in := range s.Inputs {
+		names = append(names, in.Name)
 	}
 	sort.Strings(names)
 	out := make([]boundParam, 0, len(names))
 	for _, n := range names {
-		b := s.Inputs[n]
+		b, _ := s.Inputs.Get(n)
 		if b.IsRef() {
 			out = append(out, boundParam{name: n, ref: b.Ref})
 		} else {

@@ -61,8 +61,8 @@ func design() *workflow.Workflow {
 		Name:  "test-design",
 		Query: "what is the impact of cable X",
 		Steps: []workflow.Step{
-			{ID: "s1", Capability: "t.links", Inputs: map[string]workflow.Binding{"name": workflow.Lit("cable-x")}},
-			{ID: "s2", Capability: "t.impact", Inputs: map[string]workflow.Binding{"links": workflow.Ref("s1", "links")}},
+			{ID: "s1", Capability: "t.links", Inputs: workflow.Inputs{{Name: "name", Binding: workflow.Lit("cable-x")}}},
+			{ID: "s2", Capability: "t.impact", Inputs: workflow.Inputs{{Name: "links", Binding: workflow.Ref("s1", "links")}}},
 		},
 		Outputs: map[string]string{"impact": "s2.report"},
 	}
@@ -142,7 +142,7 @@ func TestWeaveAnomalyUncertaintyCheck(t *testing.T) {
 func TestWeaveRejectsInvalidDesign(t *testing.T) {
 	reg := testRegistry(t)
 	bad := design()
-	bad.Steps[1].Inputs["links"] = workflow.Ref("zzz", "links")
+	bad.Steps[1].Inputs[0].Binding = workflow.Ref("zzz", "links")
 	if _, err := New().Weave(bad, reg); err == nil {
 		t.Error("invalid design accepted")
 	}

@@ -68,7 +68,8 @@ func TestCascadePlanSurvivesCompositePromotion(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %s: %v", step.ID, err)
 		}
-		for inName, b := range step.Inputs {
+		for _, b := range step.Inputs {
+			inName := b.Name
 			if !b.IsRef() {
 				continue
 			}

@@ -150,8 +150,9 @@ func scoreCandidate(c *Candidate, reg *registry.Registry, ps *querymind.ProblemS
 // ranked producers and whether each is a sink, the query's literals
 // and each type's producers. Its backward-chaining state is scratch
 // that every candidate reuses, and a finished candidate copies its
-// steps out. Designers are pooled, so the scratch, and the step IDs
-// and refs a designer has formatted, outlive one call.
+// steps and their inputs out. Designers are pooled, so the scratch,
+// and the step IDs and refs a designer has formatted, outlive one
+// call.
 type designer struct {
 	reg   *registry.Registry
 	ps    *querymind.ProblemSpec
@@ -168,11 +169,14 @@ type designer struct {
 	// asked for: the ones that may abbreviate a step they planned.
 	composites []*registry.Capability
 
-	// The candidate in progress.
+	// The candidate in progress. inputs holds the inputs of steps, step
+	// after step, so each step's Inputs are the next len(Inputs) of
+	// them; rollback truncates both together.
 	steps  []workflow.Step
+	inputs workflow.Inputs
 	have   map[registry.DataType]artifact // type → latest artifact
 	undo   []haveWrite                    // each write to have, oldest first
-	binds  []namedBinding                 // the bindings of the tryCapability calls in progress
+	binds  []workflow.Input               // the bindings of the tryCapability calls in progress
 	nextID int
 	force  alternative
 }
@@ -204,11 +208,6 @@ type artifact struct {
 type haveWrite struct {
 	t    registry.DataType
 	prev artifact
-}
-
-type namedBinding struct {
-	name string
-	b    workflow.Binding
 }
 
 type typeProducers struct {
@@ -259,12 +258,13 @@ func (d *designer) release() {
 	clear(d.types[:cap(d.types)])
 	clear(d.prods[:cap(d.prods)])
 	clear(d.steps[:cap(d.steps)])
+	clear(d.inputs[:cap(d.inputs)])
 	clear(d.binds[:cap(d.binds)])
 	clear(d.undo[:cap(d.undo)])
 	clear(d.composites[:cap(d.composites)])
 	clear(d.have)
 	d.goals, d.types, d.prods, d.steps, d.binds, d.undo = d.goals[:0], d.types[:0], d.prods[:0], d.steps[:0], d.binds[:0], d.undo[:0]
-	d.composites = d.composites[:0]
+	d.inputs, d.composites = d.inputs[:0], d.composites[:0]
 	d.reg, d.ps, d.name, d.lits, d.force = nil, nil, "", [numLits]any{}, alternative{}
 	designerPool.Put(d)
 }
@@ -318,7 +318,7 @@ func (d *designer) sameCapabilities(c Candidate) bool {
 // plan builds one candidate in the scratch state, forcing force.cap
 // for its goal when set.
 func (d *designer) plan(force alternative) error {
-	d.steps, d.undo, d.nextID, d.force = d.steps[:0], d.undo[:0], 0, force
+	d.steps, d.inputs, d.undo, d.nextID, d.force = d.steps[:0], d.inputs[:0], d.undo[:0], 0, force
 	clear(d.have)
 	for gi := range d.goals {
 		g := &d.goals[gi]
@@ -331,9 +331,9 @@ func (d *designer) plan(force alternative) error {
 	return nil
 }
 
-// finish copies the candidate in progress out into a workflow and
-// validates it. Only sink sub-problems (nothing depends on them)
-// become outputs.
+// finish copies the candidate in progress out into a workflow, its
+// steps' inputs into one backing array, and validates it. Only sink
+// sub-problems (nothing depends on them) become outputs.
 func (d *designer) finish() (*workflow.Workflow, error) {
 	sinks := 0
 	for _, g := range d.goals {
@@ -349,6 +349,11 @@ func (d *designer) finish() (*workflow.Workflow, error) {
 	}
 	steps := make([]workflow.Step, len(d.steps))
 	copy(steps, d.steps)
+	ins := slices.Clone(d.inputs)
+	for i := range steps {
+		n := len(steps[i].Inputs)
+		steps[i].Inputs, ins = ins[:n:n], ins[n:]
+	}
 	wf := &workflow.Workflow{
 		Name:    d.name,
 		Query:   d.ps.Query.Raw,
@@ -502,7 +507,7 @@ func spells(run []workflow.Step, chain []registry.ChainStep) bool {
 			return false
 		}
 		for name, r := range cs.In {
-			b := s.Inputs[name]
+			b, _ := s.Inputs.Get(name)
 			if workflow.RefStepID(b.Ref) != run[r.Step].ID || workflow.RefPort(b.Ref) != r.Port {
 				return false
 			}
@@ -519,21 +524,21 @@ const maxChainDepth = 4
 // tryCapability appends the steps needed to invoke cap as a step of
 // the given phase, recursively producing missing inputs, and returns
 // the last of its outputs of type produces. On failure the designer
-// state is rolled back: the steps it appended are dropped and its
-// writes to have undone.
+// state is rolled back: the steps it appended, and their inputs, are
+// dropped and its writes to have undone.
 func (d *designer) tryCapability(cap *registry.Capability, produces registry.DataType, phase string, depth int) (artifact, error) {
-	savedSteps, savedUndo, base := len(d.steps), len(d.undo), len(d.binds)
+	savedSteps, savedInputs, savedUndo, base := len(d.steps), len(d.inputs), len(d.undo), len(d.binds)
 
 	for _, in := range cap.Inputs {
 		// 1. Reuse an artifact already produced — but only when the
 		// provenance is semantically compatible (see refBindable).
 		if a, ok := d.have[in.Type]; ok && refBindable(in, a) {
-			d.binds = append(d.binds, namedBinding{in.Name, workflow.Binding{Ref: d.ref(a)}})
+			d.binds = append(d.binds, workflow.Input{Name: in.Name, Binding: workflow.Binding{Ref: d.ref(a)}})
 			continue
 		}
 		// 2. Bind a literal from the query context.
 		if lit, ok := d.literalFor(in); ok {
-			d.binds = append(d.binds, namedBinding{in.Name, workflow.Lit(lit)})
+			d.binds = append(d.binds, workflow.Input{Name: in.Name, Binding: workflow.Lit(lit)})
 			continue
 		}
 		if in.Optional {
@@ -543,21 +548,23 @@ func (d *designer) tryCapability(cap *registry.Capability, produces registry.Dat
 		a, err := d.produceType(in, depth+1)
 		if err != nil {
 			d.binds = d.binds[:base]
-			d.rollback(savedSteps, savedUndo)
+			d.rollback(savedSteps, savedInputs, savedUndo)
 			return artifact{}, &planError{kind: errInput, name: cap.Name, port: in, err: err}
 		}
-		d.binds = append(d.binds, namedBinding{in.Name, workflow.Binding{Ref: d.ref(a)}})
+		d.binds = append(d.binds, workflow.Input{Name: in.Name, Binding: workflow.Binding{Ref: d.ref(a)}})
 	}
-	bindings := make(map[string]workflow.Binding, len(d.binds)-base)
-	for _, nb := range d.binds[base:] {
-		bindings[nb.name] = nb.b
-	}
+	// The producers planned above appended their steps' inputs, so this
+	// step's follow theirs, in the name order workflow.Inputs keeps.
+	lo := len(d.inputs)
+	d.inputs = append(d.inputs, d.binds[base:]...)
 	d.binds = d.binds[:base]
+	in := d.inputs[lo:len(d.inputs):len(d.inputs)]
+	slices.SortFunc(in, func(a, b workflow.Input) int { return strings.Compare(a.Name, b.Name) })
 
 	d.nextID++
 	step := d.nextID
 	d.steps = append(d.steps, workflow.Step{
-		ID: d.id(step), Capability: cap.Name, Inputs: bindings, Phase: phase,
+		ID: d.id(step), Capability: cap.Name, Inputs: in, Phase: phase,
 	})
 	var out artifact
 	for _, port := range cap.Outputs {
@@ -569,17 +576,18 @@ func (d *designer) tryCapability(cap *registry.Capability, produces registry.Dat
 		}
 	}
 	if out.step == 0 {
-		d.rollback(savedSteps, savedUndo)
+		d.rollback(savedSteps, savedInputs, savedUndo)
 		return artifact{}, &planError{kind: errNoEmit, name: cap.Name, t: produces}
 	}
 	return out, nil
 }
 
-// rollback drops the steps appended since len(d.steps) was steps and
-// undoes, newest first, the writes to have logged since len(d.undo)
-// was undo. Step IDs stay consumed.
-func (d *designer) rollback(steps, undo int) {
-	d.steps = d.steps[:steps]
+// rollback drops the steps and inputs appended since len(d.steps) was
+// steps and len(d.inputs) was inputs, and undoes, newest first, the
+// writes to have logged since len(d.undo) was undo. Step IDs stay
+// consumed.
+func (d *designer) rollback(steps, inputs, undo int) {
+	d.steps, d.inputs = d.steps[:steps], d.inputs[:inputs]
 	for i := len(d.undo) - 1; i >= undo; i-- {
 		if w := d.undo[i]; w.prev.step != 0 {
 			d.have[w.t] = w.prev

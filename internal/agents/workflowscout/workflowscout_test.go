@@ -163,7 +163,7 @@ func TestLiteralGrounding(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := d.Chosen.Steps[0]
-	b, ok := src.Inputs["name"]
+	b, ok := src.Inputs.Get("name")
 	if !ok || b.IsRef() {
 		t.Fatalf("name binding = %+v", b)
 	}
@@ -278,9 +278,9 @@ func TestSpells(t *testing.T) {
 		{Capability: "src.load"},
 		{Capability: "big.impact", In: map[string]registry.ChainRef{"links": {Step: 0, Port: "links"}}},
 	}
-	run := func(impact map[string]workflow.Binding) []workflow.Step {
+	run := func(impact workflow.Inputs) []workflow.Step {
 		return []workflow.Step{
-			{ID: "s2", Capability: "src.load", Inputs: map[string]workflow.Binding{"name": workflow.Lit("x")}},
+			{ID: "s2", Capability: "src.load", Inputs: workflow.Inputs{{Name: "name", Binding: workflow.Lit("x")}}},
 			{ID: "s3", Capability: "big.impact", Inputs: impact},
 		}
 	}
@@ -288,14 +288,14 @@ func TestSpells(t *testing.T) {
 		run  []workflow.Step
 		want bool
 	}{
-		"the chain":        {run(map[string]workflow.Binding{"links": workflow.Ref("s2", "links")}), true},
-		"an outside ref":   {run(map[string]workflow.Binding{"links": workflow.Ref("s1", "links")}), false},
-		"another port":     {run(map[string]workflow.Binding{"links": workflow.Ref("s2", "name")}), false},
-		"a literal":        {run(map[string]workflow.Binding{"links": workflow.Lit([]string{"l"})}), false},
-		"an extra binding": {run(map[string]workflow.Binding{"links": workflow.Ref("s2", "links"), "k": workflow.Lit(1.0)}), false},
+		"the chain":        {run(workflow.Inputs{{Name: "links", Binding: workflow.Ref("s2", "links")}}), true},
+		"an outside ref":   {run(workflow.Inputs{{Name: "links", Binding: workflow.Ref("s1", "links")}}), false},
+		"another port":     {run(workflow.Inputs{{Name: "links", Binding: workflow.Ref("s2", "name")}}), false},
+		"a literal":        {run(workflow.Inputs{{Name: "links", Binding: workflow.Lit([]string{"l"})}}), false},
+		"an extra binding": {run(workflow.Inputs{{Name: "k", Binding: workflow.Lit(1.0)}, {Name: "links", Binding: workflow.Ref("s2", "links")}}), false},
 		"other capabilities": {[]workflow.Step{
 			{ID: "s2", Capability: "src.load"},
-			{ID: "s3", Capability: "mid.extract", Inputs: map[string]workflow.Binding{"links": workflow.Ref("s2", "links")}},
+			{ID: "s3", Capability: "mid.extract", Inputs: workflow.Inputs{{Name: "links", Binding: workflow.Ref("s2", "links")}}},
 		}, false},
 	} {
 		if got := spells(c.run, chain); got != c.want {
@@ -390,10 +390,10 @@ func TestFailedAttemptRollsBack(t *testing.T) {
 	if steps[1].ID != "s3" {
 		t.Errorf("second step is %s, want s3 (s2 went to the rolled-back geo.fresh)", steps[1].ID)
 	}
-	if b, ok := steps[1].Inputs["links"]; !ok || b.Ref != steps[0].ID+".links" {
+	if b, ok := steps[1].Inputs.Get("links"); !ok || b.Ref != steps[0].ID+".links" {
 		t.Errorf("good.impact links = %+v, want the ref %s.links", b, steps[0].ID)
 	}
-	if b, ok := steps[1].Inputs["geo"]; ok {
+	if b, ok := steps[1].Inputs.Get("geo"); ok {
 		t.Errorf("good.impact binds geo to %+v from the rolled-back step", b)
 	}
 }

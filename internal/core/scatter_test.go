@@ -42,11 +42,11 @@ func TestFleetDeclinesScenarioReaders(t *testing.T) {
 		}
 		for _, st := range rep.Solution.Workflow.Steps {
 			in := map[string]any{}
-			for name, b := range st.Inputs {
+			for _, b := range st.Inputs {
 				if b.IsRef() {
-					in[name] = rep.Result.Values[b.Ref]
+					in[b.Name] = rep.Result.Values[b.Ref]
 				} else {
-					in[name] = b.Literal
+					in[b.Name] = b.Literal
 				}
 			}
 			inputs[st.Capability] = in

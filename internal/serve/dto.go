@@ -11,9 +11,9 @@
 // and outputs only when non-empty); promotions only when the curator
 // promoted something. Each step carries id, capability and duration_us,
 // then cached only when true and error only when its text is not
-// empty. Output values are encoded with json.Marshal, falling back to a
-// quoted %v rendering for values JSON cannot represent, and appear
-// under their sorted names.
+// empty. Output values are encoded as json.Marshal encodes them,
+// falling back to a quoted %v rendering for values JSON cannot
+// represent, and appear under their sorted names.
 //
 // appendSummary writes it by hand, byte for byte what encoding/json
 // with HTML escaping off writes for that shape (the reference encoder
@@ -28,6 +28,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 
 	"arachnet/internal/core"
@@ -138,21 +139,45 @@ func appendReplayed(dst []byte, rep *core.Report) []byte {
 			}
 			dst = appendString(dst, name)
 			dst = append(dst, ':')
-			dst = append(dst, jsonValue(res.Outputs[name])...)
+			dst = appendValue(dst, res.Outputs[name])
 		}
 		dst = append(dst, '}')
 	}
 	return dst
 }
 
-// jsonValue encodes an arbitrary output value, falling back to a
-// quoted text rendering for values JSON cannot represent.
-func jsonValue(v any) json.RawMessage {
-	if data, err := json.Marshal(v); err == nil {
-		return data
+// valueEncoder is a json.Encoder that appends to buf. With HTML
+// escaping on, as NewEncoder leaves it, Encode writes json.Marshal's
+// bytes and a newline, and writes nothing when Marshal would fail.
+type valueEncoder struct {
+	buf []byte
+	enc *json.Encoder
+}
+
+func (e *valueEncoder) Write(p []byte) (int, error) {
+	e.buf = append(e.buf, p...)
+	return len(p), nil
+}
+
+var valueEncoders = sync.Pool{New: func() any {
+	e := new(valueEncoder)
+	e.enc = json.NewEncoder(e)
+	return e
+}}
+
+// appendValue appends an arbitrary output value as json.Marshal
+// encodes it, or, for a value JSON cannot represent, its %v text as a
+// JSON string, without the copy json.Marshal returns.
+func appendValue(dst []byte, v any) []byte {
+	e := valueEncoders.Get().(*valueEncoder)
+	e.buf = dst
+	if e.enc.Encode(v) != nil {
+		_ = e.enc.Encode(fmt.Sprintf("%v", v)) // a string always encodes
 	}
-	quoted, _ := json.Marshal(fmt.Sprintf("%v", v))
-	return quoted
+	dst = e.buf[:len(e.buf)-1] // the encoder's newline
+	e.buf = nil
+	valueEncoders.Put(e)
+	return dst
 }
 
 const hexDigits = "0123456789abcdef"

@@ -107,6 +107,17 @@ func summarizeReport(rep *core.Report) *reportJSON {
 	return out
 }
 
+// jsonValue is a summary output value as the reference encodes it:
+// json.Marshal's bytes, or the quoted %v text of a value JSON cannot
+// represent. appendValue must write the same.
+func jsonValue(v any) json.RawMessage {
+	if data, err := json.Marshal(v); err == nil {
+		return data
+	}
+	quoted, _ := json.Marshal(fmt.Sprintf("%v", v))
+	return quoted
+}
+
 // refEncode encodes v the way writeJSON does.
 func refEncode(t testing.TB, v any) []byte {
 	t.Helper()
@@ -667,8 +678,10 @@ func TestMemoizedSummaryAllocs(t *testing.T) {
 // request builder: a warm ask of each case study (request decoding,
 // scheduler admission, a fully cached replay and the memoized summary)
 // measures 6, and a plan-miss ask of a text never asked before, over
-// warm steps (the shape of servebench's novel), about 100 averaged
-// over the four case studies. Each ceiling carries about 2x headroom.
+// warm steps (the shape of servebench's novel), about 80 averaged
+// over the four case studies (about 100 while every planned step built
+// a map of its inputs and every output value was copied out of
+// json.Marshal). Each ceiling carries about 2x headroom.
 func TestWarmServedAskAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is unreliable under -short (race) runs")
@@ -701,7 +714,7 @@ func TestWarmServedAskAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("plan-miss POST /v1/ask %.1f allocs/op", allocs)
-	const missCeiling = 200
+	const missCeiling = 160
 	if allocs > missCeiling {
 		t.Errorf("plan-miss POST /v1/ask allocates %.1f/op, budget %d", allocs, missCeiling)
 	}

@@ -102,9 +102,10 @@ func memoWorkflow() *Workflow {
 	return &Workflow{
 		Name: "memo",
 		Steps: []Step{
-			{ID: "d", Capability: "memo.double", Inputs: map[string]Binding{"n": Lit(21)}},
-			{ID: "s", Capability: "memo.add", Inputs: map[string]Binding{
-				"a": Ref("d", "n"), "b": Lit(1),
+			{ID: "d", Capability: "memo.double", Inputs: Inputs{{"n", Lit(21)}}},
+			{ID: "s", Capability: "memo.add", Inputs: Inputs{
+				{"a", Ref("d", "n")},
+				{"b", Lit(1)},
 			}},
 		},
 		Outputs: map[string]string{"out": "s.n"},
@@ -163,7 +164,7 @@ func TestImpureStepAndDownstreamNeverMemoized(t *testing.T) {
 			{ID: "i", Capability: "memo.impure"},
 			// Pure, but downstream of an impure producer: its ref input
 			// has no deterministic fingerprint, so it must execute.
-			{ID: "d", Capability: "memo.double", Inputs: map[string]Binding{"n": Ref("i", "n")}},
+			{ID: "d", Capability: "memo.double", Inputs: Inputs{{"n", Ref("i", "n")}}},
 		},
 		Outputs: map[string]string{"out": "d.n"},
 	}
@@ -194,7 +195,7 @@ func TestFingerprintSeparatesLiteralsAndEnvironments(t *testing.T) {
 		wf := &Workflow{
 			Name: "lit",
 			Steps: []Step{
-				{ID: "d", Capability: "memo.double", Inputs: map[string]Binding{"n": Lit(lit)}},
+				{ID: "d", Capability: "memo.double", Inputs: Inputs{{"n", Lit(lit)}}},
 			},
 			Outputs: map[string]string{"out": "d.n"},
 		}
@@ -244,7 +245,7 @@ func TestUncanonicalizableLiteralDisablesMemoization(t *testing.T) {
 		Name: "opaque",
 		Steps: []Step{
 			// A function literal has no canonical encoding.
-			{ID: "s", Capability: "memo.sink", Inputs: map[string]Binding{"f": Lit(func() {})}},
+			{ID: "s", Capability: "memo.sink", Inputs: Inputs{{"f", Lit(func() {})}}},
 		},
 	}
 	for i := 0; i < 2; i++ {

@@ -250,21 +250,14 @@ func Compile(w *Workflow, reg *registry.Registry) (*CompiledPlan, error) {
 		}
 		cs.valueKeys = keys[k0:ki:ki]
 
-		// Inputs in the sorted order fingerprints use; the same order
-		// serves input-map assembly (map fill order is irrelevant).
-		sc.names = sc.names[:0]
-		for name := range s.Inputs {
-			sc.names = append(sc.names, name)
-		}
-		slices.Sort(sc.names)
+		// Inputs come in name order, the order fingerprints use.
 		r0, l0 := ri, li
-		for _, name := range sc.names {
-			b := s.Inputs[name]
+		for _, b := range s.Inputs {
 			if b.IsRef() {
-				refs[ri] = compiledRef{name: name, ref: b.Ref, up: index[RefStepID(b.Ref)]}
+				refs[ri] = compiledRef{name: b.Name, ref: b.Ref, up: index[RefStepID(b.Ref)]}
 				ri++
 			} else {
-				lits[li] = compiledLit{name: name, val: b.Literal}
+				lits[li] = compiledLit{name: b.Name, val: b.Literal}
 				li++
 			}
 		}
@@ -326,14 +319,20 @@ func Compile(w *Workflow, reg *registry.Registry) (*CompiledPlan, error) {
 // the steps before it are named "<id>_<k>", k counting from 1. Every
 // chain step inherits the step's Phase and Affinity.
 func expand(w *Workflow, caps []*registry.Capability) *Workflow {
-	n := 0
+	n, nIn := 0, 0
 	for _, c := range caps {
 		n += len(c.Chain)
+		for _, cs := range c.Chain {
+			nIn += len(cs.In)
+		}
 	}
 	if n == 0 {
 		return nil
 	}
 	steps := make([]Step, 0, len(w.Steps)+n)
+	// Every chain step's inputs are a sub-slice of ins, which is never
+	// appended to past its capacity, so none moves.
+	ins := make(Inputs, 0, nIn)
 	for i, s := range w.Steps {
 		chain := caps[i].Chain
 		if len(chain) == 0 {
@@ -349,10 +348,12 @@ func expand(w *Workflow, caps []*registry.Capability) *Workflow {
 		for k, cs := range chain {
 			st := Step{ID: id(k), Capability: cs.Capability, Inputs: s.Inputs, Phase: s.Phase, Affinity: s.Affinity}
 			if k > 0 {
-				st.Inputs = make(map[string]Binding, len(cs.In))
+				lo := len(ins)
 				for name, r := range cs.In {
-					st.Inputs[name] = Ref(id(r.Step), r.Port)
+					ins = append(ins, Input{Name: name, Binding: Ref(id(r.Step), r.Port)})
 				}
+				st.Inputs = ins[lo:len(ins):len(ins)]
+				slices.SortFunc(st.Inputs, func(a, b Input) int { return strings.Compare(a.Name, b.Name) })
 			}
 			steps = append(steps, st)
 		}
@@ -376,12 +377,11 @@ func firstRefTo(refs []compiledRef, k int) bool {
 // compileScratch is Compile's pooled working memory. Nothing in it
 // outlives a call.
 type compileScratch struct {
-	caps  []*registry.Capability // each step's capability, as validated
-	deg   []int                  // each step's number of dependents
-	names []string               // one step's input names, sorted
-	tmpl  []byte                 // the fingerprint templates, before their exact-size copy
-	segs  []fpSeg
-	lit   []byte // one literal's canonical encoding
+	caps []*registry.Capability // each step's capability, as validated
+	deg  []int                  // each step's number of dependents
+	tmpl []byte                 // the fingerprint templates, before their exact-size copy
+	segs []fpSeg
+	lit  []byte // one literal's canonical encoding
 }
 
 var compileScratchPool = sync.Pool{New: func() any { return new(compileScratch) }}
@@ -403,7 +403,6 @@ func (sc *compileScratch) reset(n int) {
 // returns it to the pool.
 func (sc *compileScratch) release() {
 	clear(sc.caps)
-	clear(sc.names[:cap(sc.names)])
 	compileScratchPool.Put(sc)
 }
 
@@ -416,8 +415,7 @@ func (sc *compileScratch) template(cp *CompiledPlan, i int) {
 	lo, segLo := len(sc.tmpl), len(sc.segs)
 	t := fpField(sc.tmpl, "cap", s.Capability, "env")
 	pre := len(t)
-	for _, name := range sc.names {
-		b := s.Inputs[name]
+	for _, b := range s.Inputs {
 		if b.IsRef() {
 			up := cp.index[RefStepID(b.Ref)]
 			if !cp.steps[up].fpOK {
@@ -427,7 +425,7 @@ func (sc *compileScratch) template(cp *CompiledPlan, i int) {
 			// field(buf, "r", name, up, port) with up always a raw
 			// 32-byte sha256 digest, so its length prefix is the
 			// static "32:".
-			t = fpField(t, "r", name)
+			t = fpField(t, "r", b.Name)
 			t = append(t, "32:"...)
 			sc.segs = append(sc.segs, fpSeg{end: len(t), upstream: up})
 			t = fpField(t, RefPort(b.Ref))
@@ -440,7 +438,7 @@ func (sc *compileScratch) template(cp *CompiledPlan, i int) {
 			return
 		}
 		// fpField(t, "l", name, lit), without lit becoming a string.
-		t = fpField(t, "l", name)
+		t = fpField(t, "l", b.Name)
 		t = strconv.AppendInt(t, int64(len(lit)), 10)
 		t = append(t, ':')
 		t = append(t, lit...)

@@ -41,7 +41,7 @@ func TestFingerprintGolden(t *testing.T) {
 			Name: "impure-chain",
 			Steps: []Step{
 				{ID: "i", Capability: "memo.impure"},
-				{ID: "d", Capability: "memo.double", Inputs: map[string]Binding{"n": Ref("i", "n")}},
+				{ID: "d", Capability: "memo.double", Inputs: Inputs{{"n", Ref("i", "n")}}},
 			},
 			Outputs: map[string]string{"out": "d.n"},
 		}, []string{"", ""}},
@@ -138,14 +138,14 @@ func TestCompiledWarmReplayAllocs(t *testing.T) {
 // chainWorkflow is n steps of the test registry, each reading the one
 // before: test.source, n-2 test.doubles and test.render.
 func chainWorkflow(n int) *Workflow {
-	w := &Workflow{Name: "chain", Steps: []Step{{ID: "s0", Capability: "test.source", Inputs: map[string]Binding{"value": Lit(21)}}}}
+	w := &Workflow{Name: "chain", Steps: []Step{{ID: "s0", Capability: "test.source", Inputs: Inputs{{"value", Lit(21)}}}}}
 	for i := 1; i < n; i++ {
 		capb, port := "test.double", "n"
 		if i == n-1 {
 			capb, port = "test.render", "text"
 		}
 		w.Steps = append(w.Steps, Step{ID: "s" + strconv.Itoa(i), Capability: capb,
-			Inputs: map[string]Binding{"n": Ref("s"+strconv.Itoa(i-1), "n")}})
+			Inputs: Inputs{{"n", Ref("s"+strconv.Itoa(i-1), "n")}}})
 		w.Outputs = map[string]string{"out": "s" + strconv.Itoa(i) + "." + port}
 	}
 	return w

@@ -56,8 +56,8 @@ func TestCompileExpandsComposites(t *testing.T) {
 	named := &Workflow{
 		Name: "named",
 		Steps: []Step{
-			{ID: "c", Capability: "composite.double_to_add_2", Inputs: map[string]Binding{"n": Lit(21)}, Phase: "p"},
-			{ID: "x", Capability: "memo.double", Inputs: map[string]Binding{"n": Ref("c", "n")}},
+			{ID: "c", Capability: "composite.double_to_add_2", Inputs: Inputs{{"n", Lit(21)}}, Phase: "p"},
+			{ID: "x", Capability: "memo.double", Inputs: Inputs{{"n", Ref("c", "n")}}},
 		},
 		Outputs: map[string]string{"out": "x.n", "mid": "c.n"},
 		Checks:  check,
@@ -65,9 +65,9 @@ func TestCompileExpandsComposites(t *testing.T) {
 	byHand := &Workflow{
 		Name: "by-hand",
 		Steps: []Step{
-			{ID: "c_1", Capability: "memo.double", Inputs: map[string]Binding{"n": Lit(21)}, Phase: "p"},
-			{ID: "c", Capability: "memo.add", Inputs: map[string]Binding{"a": Ref("c_1", "n"), "b": Ref("c_1", "n")}, Phase: "p"},
-			{ID: "x", Capability: "memo.double", Inputs: map[string]Binding{"n": Ref("c", "n")}},
+			{ID: "c_1", Capability: "memo.double", Inputs: Inputs{{"n", Lit(21)}}, Phase: "p"},
+			{ID: "c", Capability: "memo.add", Inputs: Inputs{{"a", Ref("c_1", "n")}, {"b", Ref("c_1", "n")}}, Phase: "p"},
+			{ID: "x", Capability: "memo.double", Inputs: Inputs{{"n", Ref("c", "n")}}},
 		},
 		Outputs: map[string]string{"out": "x.n", "mid": "c.n"},
 		Checks:  check,
@@ -119,8 +119,8 @@ func TestCompileExpandsComposites(t *testing.T) {
 
 	// An inner step ID that is already taken fails to compile.
 	clash := &Workflow{Name: "clash", Steps: []Step{
-		{ID: "c_1", Capability: "memo.double", Inputs: map[string]Binding{"n": Lit(1)}},
-		{ID: "c", Capability: "composite.double_to_add_2", Inputs: map[string]Binding{"n": Lit(2)}},
+		{ID: "c_1", Capability: "memo.double", Inputs: Inputs{{"n", Lit(1)}}},
+		{ID: "c", Capability: "composite.double_to_add_2", Inputs: Inputs{{"n", Lit(2)}}},
 	}}
 	if _, err := Compile(clash, reg); !errors.Is(err, ErrDuplicateStep) {
 		t.Errorf("compile = %v, want %v", err, ErrDuplicateStep)

@@ -79,8 +79,9 @@ func diamond() *Workflow {
 		Steps: []Step{
 			{ID: "l", Capability: "slow.left"},
 			{ID: "r", Capability: "slow.right"},
-			{ID: "s", Capability: "slow.sum", Inputs: map[string]Binding{
-				"a": Ref("l", "n"), "b": Ref("r", "n"),
+			{ID: "s", Capability: "slow.sum", Inputs: Inputs{
+				{"a", Ref("l", "n")},
+				{"b", Ref("r", "n")},
 			}},
 		},
 		Outputs: map[string]string{"sum": "s.n"},
@@ -189,7 +190,7 @@ func TestFailureStopsNewSteps(t *testing.T) {
 	})
 	w := &Workflow{Name: "failfast", Steps: []Step{
 		{ID: "a", Capability: "t.boom"},
-		{ID: "b", Capability: "t.after", Inputs: map[string]Binding{"n": Ref("a", "n")}},
+		{ID: "b", Capability: "t.after", Inputs: Inputs{{"n", Ref("a", "n")}}},
 	}}
 	res, err := NewEngine(r, nil).Run(context.Background(), w)
 	if err == nil {
@@ -214,7 +215,7 @@ func TestBindingValidateAmbiguous(t *testing.T) {
 	// And workflow validation must surface it.
 	reg := buildTestRegistry(t)
 	w := pipeline()
-	w.Steps[1].Inputs["n"] = Binding{Literal: 7, Ref: "src.n"}
+	w.Steps[1].Inputs[0].Binding = Binding{Literal: 7, Ref: "src.n"}
 	if err := w.Validate(reg); !errors.Is(err, ErrAmbiguousBinding) {
 		t.Errorf("workflow Validate = %v, want ErrAmbiguousBinding", err)
 	}

@@ -25,12 +25,14 @@ func keyerWorkflow() *Workflow {
 	return &Workflow{
 		Name: "keyer",
 		Steps: []Step{
-			{ID: "d", Capability: "memo.double", Inputs: map[string]Binding{"n": Lit(21)}},
-			{ID: "a", Capability: "memo.add", Inputs: map[string]Binding{
-				"a": Lit(1), "b": Lit(2),
+			{ID: "d", Capability: "memo.double", Inputs: Inputs{{"n", Lit(21)}}},
+			{ID: "a", Capability: "memo.add", Inputs: Inputs{
+				{"a", Lit(1)},
+				{"b", Lit(2)},
 			}},
-			{ID: "s", Capability: "memo.add", Inputs: map[string]Binding{
-				"a": Ref("d", "n"), "b": Ref("a", "n"),
+			{ID: "s", Capability: "memo.add", Inputs: Inputs{
+				{"a", Ref("d", "n")},
+				{"b", Ref("a", "n")},
 			}},
 		},
 		Outputs: map[string]string{"out": "s.n"},

@@ -43,10 +43,10 @@ func (rg *replayRig) workflow() *Workflow {
 	return &Workflow{
 		Name: "replay",
 		Steps: []Step{
-			{ID: "d1", Capability: "memo.double", Inputs: map[string]Binding{"n": Lit(21)}},
-			{ID: "d2", Capability: "memo.double", Inputs: map[string]Binding{"n": Lit(5)}},
-			{ID: "s", Capability: "memo.add", Inputs: map[string]Binding{"a": Ref("d1", "n"), "b": Ref("d2", "n")}},
-			{ID: "t", Capability: "memo.double", Inputs: map[string]Binding{"n": Ref("s", "n")}},
+			{ID: "d1", Capability: "memo.double", Inputs: Inputs{{"n", Lit(21)}}},
+			{ID: "d2", Capability: "memo.double", Inputs: Inputs{{"n", Lit(5)}}},
+			{ID: "s", Capability: "memo.add", Inputs: Inputs{{"a", Ref("d1", "n")}, {"b", Ref("d2", "n")}}},
+			{ID: "t", Capability: "memo.double", Inputs: Inputs{{"n", Ref("s", "n")}}},
 		},
 		Outputs: map[string]string{"out": "t.n"},
 		Checks: []QualityCheck{{

@@ -3,6 +3,7 @@ package workflow
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func refValidate(w *Workflow, reg *registry.Registry) error {
 			return fmt.Errorf("%w: step %q wants %q", ErrUnknownCap, s.ID, s.Capability)
 		}
 		for _, in := range capb.Inputs {
-			b, bound := s.Inputs[in.Name]
+			b, bound := s.Inputs.Get(in.Name)
 			if !bound {
 				if in.Optional {
 					continue
@@ -58,9 +59,9 @@ func refValidate(w *Workflow, reg *registry.Registry) error {
 			}
 		}
 		// Unknown extra bindings are an authoring bug.
-		for name := range s.Inputs {
-			if _, ok := capb.InputPort(name); !ok {
-				return fmt.Errorf("workflow: step %q binds unknown input %q of %q", s.ID, name, s.Capability)
+		for _, in := range s.Inputs {
+			if _, ok := capb.InputPort(in.Name); !ok {
+				return fmt.Errorf("workflow: step %q binds unknown input %q of %q", s.ID, in.Name, s.Capability)
 			}
 		}
 		for _, out := range capb.Outputs {
@@ -147,9 +148,12 @@ func (d *fuzzDecoder) workflow() *Workflow {
 	w := &Workflow{Name: "fuzz"}
 	for range d.next(7) {
 		s := Step{ID: fuzzIDs[d.next(len(fuzzIDs))], Capability: fuzzCaps[d.next(len(fuzzCaps))]}
-		if n := d.next(4); n > 0 || d.next(2) == 1 {
-			s.Inputs = map[string]Binding{}
-			for range n {
+		// k%4 inputs. Below 4 they are what a map of the same draws
+		// holds: a repeated name keeps its last binding, in name order.
+		// From 4 up they stay in the order drawn, repeats included.
+		if k := d.next(8); k%4 > 0 || d.next(2) == 1 {
+			s.Inputs = Inputs{}
+			for range k % 4 {
 				var b Binding
 				switch d.next(5) {
 				case 0:
@@ -161,7 +165,10 @@ func (d *fuzzDecoder) workflow() *Workflow {
 				default:
 					b = Binding{Ref: d.ref()}
 				}
-				s.Inputs[fuzzNames[d.next(len(fuzzNames))]] = b
+				s.Inputs = append(s.Inputs, Input{fuzzNames[d.next(len(fuzzNames))], b})
+			}
+			if k < 4 {
+				s.Inputs = mapOrder(s.Inputs)
 			}
 		}
 		w.Steps = append(w.Steps, s)
@@ -182,12 +189,40 @@ func (d *fuzzDecoder) workflow() *Workflow {
 	return w
 }
 
+// mapOrder returns the bindings a map[string]Binding filled from in
+// holds, in name order: a repeated name keeps its last binding.
+func mapOrder(in Inputs) Inputs {
+	m := map[string]Binding{}
+	for _, x := range in {
+		m[x.Name] = x.Binding
+	}
+	out := Inputs{}
+	for name, b := range m {
+		out = append(out, Input{name, b})
+	}
+	slices.SortFunc(out, func(a, b Input) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
+
+// namesIncrease reports whether every step's input names strictly
+// increase.
+func namesIncrease(w *Workflow) bool {
+	for _, s := range w.Steps {
+		for k := 1; k < len(s.Inputs); k++ {
+			if s.Inputs[k].Name <= s.Inputs[k-1].Name {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // errClass is the sentinel err wraps, or nil for the errors that wrap
 // none (an empty or dotted ID, an unknown binding, a check without an
 // assertion).
 func errClass(err error) error {
 	for _, class := range []error{ErrEmptyWorkflow, ErrUnknownCap, ErrBadRef, ErrTypeMismatch,
-		ErrUnboundInput, ErrDuplicateStep, ErrAmbiguousBinding} {
+		ErrUnboundInput, ErrDuplicateStep, ErrAmbiguousBinding, ErrInputOrder} {
 		if errors.Is(err, class) {
 			return class
 		}
@@ -196,35 +231,19 @@ func errClass(err error) error {
 }
 
 // orderDependent reports whether refValidate's text for err depends on
-// map order: it names one of two or more unknown bindings of a step, or
-// one of two or more unresolvable workflow outputs.
+// map order: it names one of two or more unresolvable workflow
+// outputs. (A step's inputs are a slice, which both read in order.)
 func orderDependent(w *Workflow, reg *registry.Registry, err error) bool {
-	text := err.Error()
-	switch {
-	case strings.Contains(text, " binds unknown input "):
-		for _, s := range w.Steps {
-			if !strings.HasPrefix(text, fmt.Sprintf("workflow: step %q binds", s.ID)) {
-				continue
-			}
-			capb, _ := reg.Get(s.Capability)
-			unknown := 0
-			for name := range s.Inputs {
-				if _, ok := capb.InputPort(name); !ok {
-					unknown++
-				}
-			}
-			return unknown > 1
-		}
-	case strings.Contains(text, ": workflow output "):
-		bad := 0
-		for _, ref := range w.Outputs {
-			if _, ok := refType(ref, len(w.Steps), stepIndex(w), stepCaps(w, reg)); !ok {
-				bad++
-			}
-		}
-		return bad > 1
+	if !strings.Contains(err.Error(), ": workflow output ") {
+		return false
 	}
-	return false
+	bad := 0
+	for _, ref := range w.Outputs {
+		if _, ok := refType(ref, len(w.Steps), stepIndex(w), stepCaps(w, reg)); !ok {
+			bad++
+		}
+	}
+	return bad > 1
 }
 
 func stepIndex(w *Workflow) map[string]int {
@@ -244,10 +263,13 @@ func stepCaps(w *Workflow, reg *registry.Registry) []*registry.Capability {
 }
 
 // FuzzValidate holds Validate to refValidate over workflows decoded
-// from fuzz bytes: the same verdict, the same sentinel and the same
-// text, except where refValidate's text depends on map order, where
-// the sentinel alone must agree. Compile, which validates through the
-// same code, must reject exactly what Validate rejects.
+// from fuzz bytes, their inputs in any order: Validate and Compile
+// must fail with ErrInputOrder exactly when some step's input names do
+// not strictly increase. Otherwise Validate must give refValidate's
+// verdict, sentinel and text, except where refValidate's text depends
+// on map order, where the sentinel alone must agree, and Compile,
+// which validates through the same code, must reject exactly what
+// Validate rejects.
 func FuzzValidate(f *testing.F) {
 	for _, seed := range []string{
 		"", // no steps
@@ -283,7 +305,17 @@ func FuzzValidate(f *testing.F) {
 	reg := fuzzRegistry(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := (&fuzzDecoder{data: data}).workflow()
-		got, want := w.Validate(reg), refValidate(w, reg)
+		got := w.Validate(reg)
+		if !namesIncrease(w) {
+			if !errors.Is(got, ErrInputOrder) {
+				t.Fatalf("Validate = %v, want %v\n%s", got, ErrInputOrder, w.Describe())
+			}
+			if _, err := Compile(w, reg); !errors.Is(err, ErrInputOrder) {
+				t.Fatalf("Compile = %v, want %v", err, ErrInputOrder)
+			}
+			return
+		}
+		want := refValidate(w, reg)
 		if (got == nil) != (want == nil) {
 			t.Fatalf("Validate = %v, reference %v\n%s", got, want, w.Describe())
 		}

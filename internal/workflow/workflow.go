@@ -11,6 +11,12 @@
 // of every step that names it, so the steps inside a composite are
 // cached, dispatched and observed like any other.
 //
+// A step's Inputs are a slice sorted by input name, each name once.
+// Validate rejects any other order with ErrInputOrder, so fingerprints,
+// Compile and anything else that reads the bindings in name order
+// reads the slice as it is; Inputs.Get looks one up. In JSON the
+// bindings are the object a map[string]Binding of them renders.
+//
 // # Step memoization
 //
 // An Engine built WithCache consults a Cache before executing each
@@ -40,6 +46,7 @@
 package workflow
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -79,11 +86,64 @@ func Lit(v any) Binding { return Binding{Literal: v} }
 // Ref makes a reference binding to step "id" output "port".
 func Ref(id, port string) Binding { return Binding{Ref: id + "." + port} }
 
+// Input binds the input port Name of a step.
+type Input struct {
+	Name string
+	Binding
+}
+
+// Inputs are a step's bindings sorted by name, each name once;
+// Validate rejects any other order with ErrInputOrder. Fingerprints,
+// Compile and the generated listing read them in this order, so none
+// of them sorts. Look a binding up with Get.
+type Inputs []Input
+
+// Get returns the binding of the input named name.
+func (in Inputs) Get(name string) (Binding, bool) {
+	for _, x := range in {
+		if x.Name == name {
+			return x.Binding, true
+		}
+	}
+	return Binding{}, false
+}
+
+// MarshalJSON writes in as encoding/json writes a map[string]Binding
+// of the same bindings: an object keyed by name in name order, or null
+// for nil Inputs. It escapes no HTML, so the encoder that calls it
+// applies its own setting, as it would to the map.
+func (in Inputs) MarshalJSON() ([]byte, error) {
+	if in == nil {
+		return []byte("null"), nil
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	buf.WriteByte('{')
+	for i := range in {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		// Encode ends each value with a newline, which is dropped.
+		if err := enc.Encode(in[i].Name); err != nil {
+			return nil, err
+		}
+		buf.Truncate(buf.Len() - 1)
+		buf.WriteByte(':')
+		if err := enc.Encode(in[i].Binding); err != nil {
+			return nil, err
+		}
+		buf.Truncate(buf.Len() - 1)
+	}
+	buf.WriteByte('}')
+	return buf.Bytes(), nil
+}
+
 // Step is one capability invocation inside a workflow.
 type Step struct {
-	ID         string             `json:"id"`
-	Capability string             `json:"capability"`
-	Inputs     map[string]Binding `json:"inputs,omitempty"`
+	ID         string `json:"id"`
+	Capability string `json:"capability"`
+	Inputs     Inputs `json:"inputs,omitempty"`
 	// Phase labels the step for reporting ("mapping", "impact",
 	// "temporal", "synthesis", ...).
 	Phase string `json:"phase,omitempty"`
@@ -169,6 +229,7 @@ var (
 	ErrUnboundInput     = errors.New("workflow: required input unbound")
 	ErrDuplicateStep    = errors.New("workflow: duplicate step id")
 	ErrAmbiguousBinding = errors.New("workflow: binding sets both literal and ref")
+	ErrInputOrder       = errors.New("workflow: inputs not in strictly increasing name order")
 )
 
 // StepError is the typed failure of one workflow step. It wraps the
@@ -186,10 +247,10 @@ func (e *StepError) Error() string {
 
 func (e *StepError) Unwrap() error { return e.Err }
 
-// Validate statically checks the workflow against a registry: step IDs
-// unique, capabilities known, every required input bound, references
-// resolving to earlier steps with matching port types, and declared
-// outputs resolvable.
+// Validate statically checks the workflow against a registry: every
+// step's inputs sorted by unique name, step IDs unique, capabilities
+// known, every required input bound, references resolving to earlier
+// steps with matching port types, and declared outputs resolvable.
 func (w *Workflow) Validate(reg *registry.Registry) error {
 	// Neither table outlives the call: at the usual plan sizes (up to 8
 	// steps) both live on the stack, and Validate allocates nothing.
@@ -209,6 +270,16 @@ func (w *Workflow) Validate(reg *registry.Registry) error {
 func (w *Workflow) validate(reg *registry.Registry, index map[string]int, caps []*registry.Capability) error {
 	if len(w.Steps) == 0 {
 		return ErrEmptyWorkflow
+	}
+	// The order is checked first, so that every check below, and
+	// Compile after it, may read the inputs in name order.
+	for i := range w.Steps {
+		s := &w.Steps[i]
+		for k := 1; k < len(s.Inputs); k++ {
+			if s.Inputs[k].Name <= s.Inputs[k-1].Name {
+				return fmt.Errorf("%w: step %q binds %q after %q", ErrInputOrder, s.ID, s.Inputs[k].Name, s.Inputs[k-1].Name)
+			}
+		}
 	}
 	for i := range w.Steps {
 		s := &w.Steps[i]
@@ -231,7 +302,7 @@ func (w *Workflow) validate(reg *registry.Registry, index map[string]int, caps [
 		caps[i] = capb
 		bound := 0
 		for _, in := range capb.Inputs {
-			b, ok := s.Inputs[in.Name]
+			b, ok := s.Inputs.Get(in.Name)
 			if !ok {
 				if in.Optional {
 					continue
@@ -257,9 +328,9 @@ func (w *Workflow) validate(reg *registry.Registry, index map[string]int, caps [
 		// unique, so there is one exactly when not every binding
 		// matched a port above.
 		if bound != len(s.Inputs) {
-			for name := range s.Inputs {
-				if _, ok := capb.InputPort(name); !ok {
-					return fmt.Errorf("workflow: step %q binds unknown input %q of %q", s.ID, name, s.Capability)
+			for _, x := range s.Inputs {
+				if _, ok := capb.InputPort(x.Name); !ok {
+					return fmt.Errorf("workflow: step %q binds unknown input %q of %q", s.ID, x.Name, s.Capability)
 				}
 			}
 		}
@@ -549,17 +620,11 @@ func (w *Workflow) Describe() string {
 			fmt.Fprintf(&b, "  phase=%s", s.Phase)
 		}
 		b.WriteByte('\n')
-		names := make([]string, 0, len(s.Inputs))
-		for n := range s.Inputs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			bd := s.Inputs[n]
-			if bd.IsRef() {
-				fmt.Fprintf(&b, "        %s ← %s\n", n, bd.Ref)
+		for _, x := range s.Inputs {
+			if x.IsRef() {
+				fmt.Fprintf(&b, "        %s ← %s\n", x.Name, x.Ref)
 			} else {
-				fmt.Fprintf(&b, "        %s = %v\n", n, bd.Literal)
+				fmt.Fprintf(&b, "        %s = %v\n", x.Name, x.Literal)
 			}
 		}
 	}

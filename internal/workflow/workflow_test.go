@@ -71,9 +71,9 @@ func pipeline() *Workflow {
 	return &Workflow{
 		Name: "test-pipeline",
 		Steps: []Step{
-			{ID: "src", Capability: "test.source", Inputs: map[string]Binding{"value": Lit(21)}},
-			{ID: "dbl", Capability: "test.double", Inputs: map[string]Binding{"n": Ref("src", "n")}},
-			{ID: "out", Capability: "test.render", Inputs: map[string]Binding{"n": Ref("dbl", "n")}},
+			{ID: "src", Capability: "test.source", Inputs: Inputs{{"value", Lit(21)}}},
+			{ID: "dbl", Capability: "test.double", Inputs: Inputs{{"n", Ref("src", "n")}}},
+			{ID: "out", Capability: "test.render", Inputs: Inputs{{"n", Ref("dbl", "n")}}},
 		},
 		Outputs: map[string]string{"text": "out.text"},
 	}
@@ -111,17 +111,29 @@ func TestValidateCatchesEverything(t *testing.T) {
 		{"empty", func(w *Workflow) { w.Steps = nil }, ErrEmptyWorkflow},
 		{"unknown cap", func(w *Workflow) { w.Steps[0].Capability = "test.zzz" }, ErrUnknownCap},
 		{"dup id", func(w *Workflow) { w.Steps[1].ID = "src" }, ErrDuplicateStep},
-		{"unbound", func(w *Workflow) { delete(w.Steps[1].Inputs, "n") }, ErrUnboundInput},
-		{"forward ref", func(w *Workflow) { w.Steps[1].Inputs["n"] = Ref("out", "text") }, ErrBadRef},
+		{"unbound", func(w *Workflow) { w.Steps[1].Inputs = nil }, ErrUnboundInput},
+		{"forward ref", func(w *Workflow) { w.Steps[1].Inputs[0].Binding = Ref("out", "text") }, ErrBadRef},
 		{"type mismatch", func(w *Workflow) {
-			w.Steps[2].Inputs["n"] = Ref("src", "n")
+			w.Steps[2].Inputs[0].Binding = Ref("src", "n")
 			w.Steps = append(w.Steps, Step{
 				ID: "bad", Capability: "test.double",
-				Inputs: map[string]Binding{"n": Ref("out", "text")},
+				Inputs: Inputs{{"n", Ref("out", "text")}},
 			})
 		}, ErrTypeMismatch},
-		{"self ref", func(w *Workflow) { w.Steps[1].Inputs["n"] = Ref("dbl", "n") }, ErrBadRef},
+		{"self ref", func(w *Workflow) { w.Steps[1].Inputs[0].Binding = Ref("dbl", "n") }, ErrBadRef},
 		{"bad output ref", func(w *Workflow) { w.Outputs["text"] = "nope.n" }, ErrBadRef},
+		{"inputs out of order", func(w *Workflow) {
+			w.Steps[0].Inputs = Inputs{{"value", Lit(21)}, {"mystery", Lit(1)}}
+		}, ErrInputOrder},
+		{"duplicate input", func(w *Workflow) {
+			w.Steps[0].Inputs = Inputs{{"value", Lit(21)}, {"value", Lit(1)}}
+		}, ErrInputOrder},
+		// The order is checked before anything else: a later step's
+		// order wins over an earlier step's empty ID.
+		{"order first", func(w *Workflow) {
+			w.Steps[0].ID = ""
+			w.Steps[2].Inputs = append(w.Steps[2].Inputs, Input{"m", Lit(1)})
+		}, ErrInputOrder},
 	}
 	for _, tc := range cases {
 		w := pipeline()
@@ -140,7 +152,7 @@ func TestValidateCatchesEverything(t *testing.T) {
 func TestValidateUnknownBinding(t *testing.T) {
 	reg := buildTestRegistry(t)
 	w := pipeline()
-	w.Steps[0].Inputs["mystery"] = Lit(1)
+	w.Steps[0].Inputs = append(Inputs{{"mystery", Lit(1)}}, w.Steps[0].Inputs...)
 	if err := w.Validate(reg); err == nil {
 		t.Error("unknown input binding must fail validation")
 	}

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -18,6 +19,7 @@ import (
 	"testing"
 
 	"arachnet"
+	"arachnet/internal/eval"
 )
 
 // warmSystem builds a small-world system with a scenario and warms it
@@ -88,6 +90,66 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	jw, jr := normalizedReport(t, warmRep), normalizedReport(t, rep)
 	if string(jw) != string(jr) {
 		t.Errorf("restored report differs from donor's warm report:\ndonor:    %s\nrestored: %s", jw, jr)
+	}
+}
+
+// TestSnapshotMatchesLiveCorpus is snapshot-restored ≡ live over every
+// question of eval.Corpus with curation off: a System on small world 7
+// that asked the whole corpus, curating as it went, saves a snapshot,
+// which restores into a fresh twin, re-planning every saved question.
+// Then, before any scenario and after injections 5 and 6, each
+// question must fail, or answer, on the twin exactly as on the live
+// System.
+func TestSnapshotMatchesLiveCorpus(t *testing.T) {
+	build := func() *arachnet.System {
+		sys, err := arachnet.New(arachnet.WithSmallWorld(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	live := build()
+	for _, q := range eval.Corpus() {
+		_, _ = live.Ask(ctx, q) // a question with no answer fails here as below
+	}
+	var buf bytes.Buffer
+	if err := live.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := build()
+	if err := restored.LoadSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if lg, rg := live.Registry().Generation(), restored.Registry().Generation(); lg != rg {
+		t.Fatalf("registry generation: live %d, restored %d", lg, rg)
+	}
+	for _, seed := range []uint64{0, 5, 6} {
+		if seed != 0 {
+			for _, sys := range []*arachnet.System{live, restored} {
+				if err := sys.Environment().InjectCableFailureScenario(arachnet.ScenarioConfig{Seed: seed}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, q := range eval.Corpus() {
+			repL, errL := live.Ask(ctx, q, arachnet.AskWithoutCuration())
+			repR, errR := restored.Ask(ctx, q, arachnet.AskWithoutCuration())
+			if fmt.Sprint(errL) != fmt.Sprint(errR) {
+				t.Errorf("scenario %d, %.60q: live and restored errors differ:\nlive:     %v\nrestored: %v", seed, q, errL, errR)
+				continue
+			}
+			if errL != nil {
+				continue
+			}
+			if jl, jr := answerJSON(t, repL), answerJSON(t, repR); string(jl) != string(jr) {
+				t.Errorf("scenario %d, %.60q: live and restored answers differ:\nlive:     %s\nrestored: %s", seed, q, jl, jr)
+			}
+		}
+		if seed == 0 {
+			if st := restored.CacheStats().Plan; st.Hits == 0 {
+				t.Errorf("no question was served from the restored plans: %+v", st)
+			}
+		}
 	}
 }
 
