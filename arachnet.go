@@ -93,7 +93,7 @@
 //	if err != nil { ... }
 //	report, err := sys.Ask(ctx, "Identify the impact at a country level due to SeaMeWe-5 cable failure")
 //	if err != nil { ... }
-//	fmt.Println(report.Solution.Code)   // the generated workflow program
+//	fmt.Println(report.Solution.Code()) // the generated workflow program, rendered on each call
 //	fmt.Println(report.Result.Outputs)  // the executed analysis results
 //
 // Streaming the same run instead:

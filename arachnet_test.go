@@ -44,7 +44,7 @@ func TestPublicQuickstart(t *testing.T) {
 	if !strings.Contains(rendered, "country") {
 		t.Errorf("rendered table: %q", rendered)
 	}
-	if rep.Solution.LoC == 0 || !strings.Contains(rep.Solution.Code, "python3") {
+	if rep.Solution.LoC() == 0 || !strings.Contains(rep.Solution.Code(), "python3") {
 		t.Error("no generated code via public API")
 	}
 }

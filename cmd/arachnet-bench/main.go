@@ -113,7 +113,7 @@ func case1(sys *arachnet.System, seed uint64) {
 	sim := arachnet.CompareImpact(agent, expert)
 	overlap := arachnet.FunctionalOverlap(rep, restricted, arachnet.ExpertCableImpactSteps())
 	fmt.Printf("agent pipeline: %s\n", strings.Join(rep.Design.Chosen.CapabilityNames(), " → "))
-	fmt.Printf("generated code: %d LoC (paper ≈%d)\n", rep.Solution.LoC, paperLoC[1])
+	fmt.Printf("generated code: %d LoC (paper ≈%d)\n", rep.Solution.LoC(), paperLoC[1])
 	fmt.Printf("functional overlap with expert architecture: %.2f\n", overlap)
 	fmt.Printf("output similarity: top-K Jaccard %.2f, Spearman %.2f, recall %.2f, MAE %.3f\n",
 		sim.TopKJaccard, sim.Spearman, sim.CountryRecall, sim.ScoreMAE)
@@ -132,7 +132,7 @@ func case2(sys *arachnet.System) {
 	fws := rep.Design.Chosen.Frameworks(sys.Registry())
 	fmt.Printf("agent pipeline: %s\n", strings.Join(rep.Design.Chosen.CapabilityNames(), " → "))
 	fmt.Printf("frameworks used: %v (restraint: single analysis framework)\n", fws)
-	fmt.Printf("generated code: %d LoC (paper ≈%d)\n", rep.Solution.LoC, paperLoC[2])
+	fmt.Printf("generated code: %d LoC (paper ≈%d)\n", rep.Solution.LoC(), paperLoC[2])
 	fmt.Printf("events processed: agent %d, expert %d\n", len(agent.Events), len(expert.Events))
 	fmt.Printf("expected links lost: agent %.1f, expert %.1f (identical=%v)\n",
 		agent.ExpectedLinksLost, expert.ExpectedLinksLost,
@@ -152,7 +152,7 @@ func case3(sys *arachnet.System) {
 	fws := rep.Design.Chosen.Frameworks(sys.Registry())
 	fmt.Printf("agent pipeline: %s\n", strings.Join(rep.Design.Chosen.CapabilityNames(), " → "))
 	fmt.Printf("frameworks integrated: %d (%v); paper reports 4\n", len(fws), fws)
-	fmt.Printf("generated code: %d LoC (paper ≈%d)\n", rep.Solution.LoC, paperLoC[3])
+	fmt.Printf("generated code: %d LoC (paper ≈%d)\n", rep.Solution.LoC(), paperLoC[3])
 	fmt.Printf("timeline layers: %v\n", tl.Layers())
 	fmt.Printf("cascade: agent %d cables/%d rounds, expert %d cables/%d rounds\n",
 		tl.CablesFailed, tl.CascadeRounds, len(expert.Cascade.Failed), len(expert.Cascade.Rounds))
@@ -170,7 +170,7 @@ func case4(sys *arachnet.System) {
 	}
 	truth := sys.Environment().Scenario().TrueCable
 	fmt.Printf("agent pipeline: %s\n", strings.Join(rep.Design.Chosen.CapabilityNames(), " → "))
-	fmt.Printf("generated code: %d LoC (paper ≈%d)\n", rep.Solution.LoC, paperLoC[4])
+	fmt.Printf("generated code: %d LoC (paper ≈%d)\n", rep.Solution.LoC(), paperLoC[4])
 	fmt.Printf("ground truth cable: %s\n", truth)
 	fmt.Printf("agent:  cause=%v cable=%s confidence=%.2f (stat=%.2f infra=%.2f routing=%.2f)\n",
 		agent.CauseIsCableFailure, agent.Cable, agent.Confidence,
@@ -191,7 +191,7 @@ func locTable(sys *arachnet.System) {
 		rep := ask(sys, queries[n-1])
 		fws := rep.Design.Chosen.Frameworks(sys.Registry())
 		fmt.Printf("CS%-5d ≈%-11d %-12d %d steps / %d frameworks\n",
-			n, paperLoC[n], rep.Solution.LoC, len(rep.Design.Chosen.Steps), len(fws))
+			n, paperLoC[n], rep.Solution.LoC(), len(rep.Design.Chosen.Steps), len(fws))
 	}
 	fmt.Println("(shape: sizes grow with integration complexity; absolute values differ by codegen dialect)")
 }

@@ -189,8 +189,8 @@ func main() {
 	}
 	if want("code") {
 		fmt.Printf("── SolutionWeaver (%d LoC, %d checks) ─────────────────\n",
-			rep.Solution.LoC, rep.Solution.ChecksAdded)
-		fmt.Println(rep.Solution.Code)
+			rep.Solution.LoC(), rep.Solution.ChecksAdded)
+		fmt.Println(rep.Solution.Code())
 	}
 	if want("result") {
 		fmt.Printf("── Execution ──────────────────────────────────────────\n")

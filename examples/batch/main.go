@@ -41,7 +41,7 @@ func main() {
 	for i, rep := range reports {
 		sequential += rep.Elapsed
 		fmt.Printf("query %d: %d steps, %d LoC, quality %.2f in %v\n",
-			i+1, len(rep.Design.Chosen.Steps), rep.Solution.LoC,
+			i+1, len(rep.Design.Chosen.Steps), rep.Solution.LoC(),
 			rep.Result.QualityScore(), rep.Elapsed.Round(time.Millisecond))
 		// Curation stays on across the batch, so the curator mines the
 		// accumulated history as runs land: Report.Promotions shows

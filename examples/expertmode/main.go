@@ -34,7 +34,7 @@ func main() {
 		case arachnet.StageSolution:
 			sol := artifact.(*arachnet.Solution)
 			fmt.Printf("[review:%s] %d LoC generated, %d quality checks\n",
-				stage, sol.LoC, sol.ChecksAdded)
+				stage, sol.LoC(), sol.ChecksAdded)
 			if sol.ChecksAdded == 0 {
 				return fmt.Errorf("solution carries no quality checks; rejected")
 			}

@@ -39,10 +39,10 @@ func main() {
 	}
 
 	fmt.Printf("\n[3] SolutionWeaver generated %d lines of %s with %d quality checks.\n",
-		rep.Solution.LoC, rep.Solution.Language, rep.Solution.ChecksAdded)
+		rep.Solution.LoC(), rep.Solution.Language, rep.Solution.ChecksAdded)
 	fmt.Println("    First lines of the generated program:")
 	printed := 0
-	for _, line := range splitLines(rep.Solution.Code) {
+	for _, line := range splitLines(rep.Solution.Code()) {
 		fmt.Println("    |", line)
 		printed++
 		if printed == 8 {

@@ -14,19 +14,22 @@ import (
 	"arachnet/internal/workflow"
 )
 
-// generateCode renders the woven workflow as a Python-style listing —
-// the artifact the paper's prototype hands to users ("ArachNet
-// generates executable Python code that users run"). The listing is a
-// faithful transliteration of the executable DAG: one function per
-// step with input validation and format translation, quality-check
-// functions, and a main() that wires the dataflow. It is appended into
-// one pooled buffer; the returned string is its only allocation that
-// outlives the call. loc is the listing's count of non-blank lines.
-func generateCode(wf *workflow.Workflow, reg *registry.Registry) (code string, loc int) {
-	bp := codeBufPool.Get().(*[]byte)
-	g := codegen{wf: wf, reg: reg, b: (*bp)[:0], caps: make([]*registry.Capability, len(wf.Steps))}
+// render appends sol's listing to dst: the Python-style program the
+// paper's prototype hands to users ("ArachNet generates executable
+// Python code that users run"). The listing is a faithful
+// transliteration of the executable DAG: one function per step with
+// input validation and format translation, quality-check functions,
+// and a main() that wires the dataflow. A Solution with no registry
+// has no listing.
+func (g *codegen) render(dst []byte, sol *Solution) []byte {
+	if sol.reg == nil {
+		return dst
+	}
+	wf := sol.Workflow
+	g.wf, g.b, g.caps = wf, dst, g.caps[:0]
 	for i := range wf.Steps {
-		g.caps[i], _ = reg.Get(wf.Steps[i].Capability) // nil leaves the step out of the listing
+		c, _ := sol.reg.Get(wf.Steps[i].Capability) // nil leaves the step out of the listing
+		g.caps = append(g.caps, c)
 	}
 	g.header()
 	g.imports()
@@ -36,21 +39,21 @@ func generateCode(wf *workflow.Workflow, reg *registry.Registry) (code string, l
 	g.checkFunctions()
 	g.renderers()
 	g.mainFunction()
-	code, loc = string(g.b), linesOfCode(g.b)
-	*bp = g.b[:0]
-	codeBufPool.Put(bp)
-	return code, loc
+	dst = g.b
+	g.wf, g.b = nil, nil
+	return dst
 }
 
-// codeBufPool's 8 KiB buffers hold each case study's listing (4–8 kB).
-var codeBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
+// codegens recycles renderers with their scratch, so a listing
+// rendered into a buffer with room allocates nothing.
+var codegens = sync.Pool{New: func() any { return new(codegen) }}
 
 type codegen struct {
-	wf    *workflow.Workflow
-	reg   *registry.Registry
-	caps  []*registry.Capability // per step; nil when the registry lacks it
-	b     []byte
-	names []string // scratch for the sorted output names
+	wf      *workflow.Workflow
+	caps    []*registry.Capability // per step; nil when the registry lacks it
+	b       []byte
+	names   []string // scratch for the sorted output names
+	scratch []byte   // the listing Code, LoC and MarshalJSON read
 }
 
 // str appends its parts verbatim; the Python they form uses % as its
@@ -246,9 +249,19 @@ func (g *codegen) header() {
 	g.str(" embedded quality checks.\n\"\"\"\n\n")
 }
 
+// imports imports each framework the listed steps use, once, in
+// name order.
 func (g *codegen) imports() {
 	g.str("import sys\nimport json\n")
-	for _, fw := range g.wf.Frameworks(g.reg) {
+	var buf [8]string
+	fws := buf[:0]
+	for _, c := range g.caps {
+		if c != nil && !slices.Contains(fws, c.Framework) {
+			fws = append(fws, c.Framework)
+		}
+	}
+	slices.Sort(fws)
+	for _, fw := range fws {
 		g.str("from measurement_registry import ")
 		g.ident(fw)
 		g.str("\n")

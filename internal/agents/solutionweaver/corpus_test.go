@@ -131,7 +131,7 @@ func TestPlanningGolden(t *testing.T) {
 				strconv.FormatFloat(c.Score, 'g', -1, 64), c.StepCount, c.FrameworkCount, c.TotalCost, c.Rationale)
 		}
 		sol := p.solution
-		fmt.Fprintf(h, "%d %d %s\x00", sol.LoC, sol.ChecksAdded, sol.Code)
+		fmt.Fprintf(h, "%d %d %s\x00", sol.LoC(), sol.ChecksAdded, sol.Code())
 		for _, chk := range sol.Workflow.Checks {
 			fmt.Fprintf(h, "check %s %s %s\n", chk.Name, chk.Kind, chk.Ref)
 		}

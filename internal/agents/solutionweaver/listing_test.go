@@ -48,9 +48,9 @@ func TestListingMatchesReference(t *testing.T) {
 // header docstring closes on its own line.
 func requireReference(t *testing.T, label string, sol *solutionweaver.Solution, reg *registry.Registry) {
 	t.Helper()
-	want := generateCode(sol.Workflow, reg)
-	if sol.Code != want {
-		got, ref := strings.Split(sol.Code, "\n"), strings.Split(want, "\n")
+	want, code := generateCode(sol.Workflow, reg), sol.Code()
+	if code != want {
+		got, ref := strings.Split(code, "\n"), strings.Split(want, "\n")
 		for i := 0; i < len(got) || i < len(ref); i++ {
 			var g, r string
 			if i < len(got) {
@@ -64,10 +64,10 @@ func requireReference(t *testing.T, label string, sol *solutionweaver.Solution, 
 			}
 		}
 	}
-	if n := countLoC(want); sol.LoC != n {
-		t.Fatalf("%s: LoC %d, reference %d", label, sol.LoC, n)
+	if n := countLoC(want); sol.LoC() != n {
+		t.Fatalf("%s: LoC %d, reference %d", label, sol.LoC(), n)
 	}
-	requireDocstringCloses(t, label, sol.Code, sol.Workflow.Query)
+	requireDocstringCloses(t, label, code, sol.Workflow.Query)
 }
 
 // requireDocstringCloses reads the listing's header docstring the way
@@ -119,8 +119,9 @@ func TestHeaderDocstringClosesOnItsOwnLine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
-		requireDocstringCloses(t, q, rep.Solution.Code, q)
-		if strings.Contains(rep.Solution.Code, "\n"+`"""`+"\nimport os") {
+		code := rep.Solution.Code()
+		requireDocstringCloses(t, q, code, q)
+		if strings.Contains(code, "\n"+`"""`+"\nimport os") {
 			t.Errorf("%q: the query's text left the docstring", q)
 		}
 	}
@@ -313,6 +314,21 @@ func BenchmarkWeave(b *testing.B) {
 			if _, err := weaver.Weave(p.design.Chosen, p.reg); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(plans)), "ns/plan")
+}
+
+// BenchmarkAppendCode renders the listing of every plan of the
+// planning corpus once per iteration into one buffer, what each read
+// of a Solution's listing costs, and reports the mean time per plan.
+func BenchmarkAppendCode(b *testing.B) {
+	plans := planCorpus(b)
+	var buf []byte
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, p := range plans {
+			buf = p.solution.AppendCode(buf[:0])
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(plans)), "ns/plan")

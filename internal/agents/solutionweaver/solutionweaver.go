@@ -8,25 +8,88 @@
 package solutionweaver
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 
 	"arachnet/internal/registry"
 	"arachnet/internal/workflow"
 )
 
-// Solution is SolutionWeaver's output artifact.
+// Solution is SolutionWeaver's output artifact. It is immutable once
+// woven, so a cached plan shares it between asks and goroutines.
 type Solution struct {
 	// Workflow is the executable plan with quality checks attached.
 	Workflow *workflow.Workflow
-	// Code is the generated, human-reviewable implementation listing
-	// (Python-style, mirroring the paper's prototype output).
-	Code string
-	// LoC is the number of non-empty lines in Code.
-	LoC int
 	// Language identifies the listing dialect.
 	Language string
 	// ChecksAdded counts the embedded quality checks.
 	ChecksAdded int
+	// reg is the registry the workflow was woven against. A registry
+	// only grows and a registered capability never changes, so a
+	// listing rendered from it later is the one Weave could have
+	// rendered. A Solution not made by Weave has none, and no listing.
+	reg *registry.Registry
+}
+
+// AppendCode appends the generated, human-reviewable implementation
+// listing (Python-style, mirroring the paper's prototype output) to
+// dst and returns the extended buffer. Every call renders it afresh
+// and, into a buffer with room, allocates nothing.
+func (s *Solution) AppendCode(dst []byte) []byte {
+	g := codegens.Get().(*codegen)
+	dst = g.render(dst, s)
+	codegens.Put(g)
+	return dst
+}
+
+// Code renders the listing AppendCode appends and returns it as a new
+// string.
+func (s *Solution) Code() string {
+	g, listing := s.listing()
+	code := string(listing)
+	codegens.Put(g)
+	return code
+}
+
+// LoC renders the listing and returns its number of non-empty lines,
+// the paper's per-case-study size metric.
+func (s *Solution) LoC() int {
+	g, listing := s.listing()
+	loc := linesOfCode(listing)
+	codegens.Put(g)
+	return loc
+}
+
+// listing renders s's listing into the scratch buffer of a pooled
+// codegen, which the caller puts back once done with the bytes.
+func (s *Solution) listing() (*codegen, []byte) {
+	g := codegens.Get().(*codegen)
+	g.scratch = g.render(g.scratch[:0], s)
+	return g, g.scratch
+}
+
+// MarshalJSON writes s as the object of its listing and fields: the
+// keys Workflow, Code, LoC, Language and ChecksAdded, the listing
+// rendered once. It escapes no HTML, so the encoder that calls it
+// applies its own setting.
+func (s *Solution) MarshalJSON() ([]byte, error) {
+	g, listing := s.listing()
+	v := struct {
+		Workflow    *workflow.Workflow
+		Code        string
+		LoC         int
+		Language    string
+		ChecksAdded int
+	}{s.Workflow, string(listing), linesOfCode(listing), s.Language, s.ChecksAdded}
+	codegens.Put(g)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(&v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes()[:buf.Len()-1], nil // Encode's newline
 }
 
 // Agent is the SolutionWeaver agent.
@@ -38,7 +101,8 @@ func New() *Agent { return &Agent{} }
 // Weave builds the executable solution from a designed workflow. The
 // design is validated once, here: weaving adds only checks on outputs
 // of steps that validation has already resolved, and the woven
-// workflow is validated again wherever it is compiled.
+// workflow is validated again wherever it is compiled. The listing is
+// not rendered here: the Solution renders it whenever it is read.
 func (a *Agent) Weave(wf *workflow.Workflow, reg *registry.Registry) (*Solution, error) {
 	if wf == nil {
 		return nil, fmt.Errorf("solutionweaver: nil workflow")
@@ -49,13 +113,11 @@ func (a *Agent) Weave(wf *workflow.Workflow, reg *registry.Registry) (*Solution,
 	// Work on a shallow copy so the design artifact stays pristine.
 	woven := *wf
 	a.weaveChecks(&woven, reg)
-	code, loc := generateCode(&woven, reg)
 	return &Solution{
 		Workflow:    &woven,
-		Code:        code,
-		LoC:         loc,
 		Language:    "python-style pseudocode",
 		ChecksAdded: len(woven.Checks) - len(wf.Checks),
+		reg:         reg,
 	}, nil
 }
 

@@ -157,7 +157,7 @@ func TestGeneratedCodeStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code := sol.Code
+	code := sol.Code()
 	for _, want := range []string{
 		"#!/usr/bin/env python3",
 		"Query: what is the impact of cable X",
@@ -176,8 +176,8 @@ func TestGeneratedCodeStructure(t *testing.T) {
 			t.Errorf("code missing %q", want)
 		}
 	}
-	if sol.LoC < 50 {
-		t.Errorf("LoC = %d, implausibly small", sol.LoC)
+	if sol.LoC() < 50 {
+		t.Errorf("LoC = %d, implausibly small", sol.LoC())
 	}
 	if sol.Language == "" {
 		t.Error("language not set")

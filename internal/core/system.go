@@ -776,10 +776,10 @@ func (s *System) plan(ctx context.Context, query string, ep *envEpoch, noCache b
 }
 
 // putPlan caches a fresh plan entry under key. Plans are
-// metadata-sized; the token charge keeps a byte bound, if ever set,
-// meaningful.
+// metadata-sized (a Solution holds no listing: it renders one when
+// read); the token charge keeps a byte bound, if ever set, meaningful.
 func (s *System) putPlan(key string, pe *planEntry) {
-	s.planCache.Put(key, pe, int64(len(pe.query))+int64(len(pe.solution.Code))+512)
+	s.planCache.Put(key, pe, int64(len(pe.query))+512)
 }
 
 // AskBatch serves many queries from one System. Duplicate queries

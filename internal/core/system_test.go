@@ -114,7 +114,7 @@ func TestAskCS1FullRegistry(t *testing.T) {
 	if rep.Design == nil || rep.Design.Chosen == nil {
 		t.Fatal("no design")
 	}
-	if rep.Solution == nil || rep.Solution.LoC == 0 {
+	if rep.Solution == nil || rep.Solution.LoC() == 0 {
 		t.Fatal("no generated code")
 	}
 	out, ok := rep.Result.Outputs["aggregation"]
@@ -485,14 +485,14 @@ func TestGeneratedCodeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code := rep.Solution.Code
+	code := rep.Solution.Code()
 	for _, want := range []string{"#!/usr/bin/env python3", "def step_", "def main():", "Query:"} {
 		if !strings.Contains(code, want) {
 			t.Errorf("generated code missing %q", want)
 		}
 	}
-	if rep.Solution.LoC < 40 {
-		t.Errorf("generated code suspiciously small: %d LoC", rep.Solution.LoC)
+	if rep.Solution.LoC() < 40 {
+		t.Errorf("generated code suspiciously small: %d LoC", rep.Solution.LoC())
 	}
 	if rep.Solution.ChecksAdded == 0 {
 		t.Error("no quality checks woven")
@@ -513,9 +513,9 @@ func TestGeneratedLoCShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		loc[name] = rep.Solution.LoC
+		loc[name] = rep.Solution.LoC()
 		// fmt's error verbs mark Python % formatting run through fmt.
-		for i, line := range strings.Split(rep.Solution.Code, "\n") {
+		for i, line := range strings.Split(rep.Solution.Code(), "\n") {
 			if strings.Contains(line, "%!") {
 				t.Errorf("%s: code line %d is corrupt: %s", name, i+1, line)
 			}
@@ -571,7 +571,7 @@ func TestPipelineStages(t *testing.T) {
 	if rep.Design == nil || rep.Design.Chosen == nil {
 		t.Error("stage 2 (WorkflowScout) artifact incomplete")
 	}
-	if rep.Solution == nil || rep.Solution.Code == "" {
+	if rep.Solution == nil || rep.Solution.Code() == "" {
 		t.Error("stage 3 (SolutionWeaver) artifact incomplete")
 	}
 	if rep.Result == nil || len(rep.Result.Provenance) == 0 {

@@ -31,6 +31,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"arachnet/internal/agents/solutionweaver"
 	"arachnet/internal/core"
 )
 
@@ -90,9 +91,8 @@ func appendReplayed(dst []byte, rep *core.Report) []byte {
 		dst = append(dst, `,"strategy":`...)
 		dst = appendString(dst, rep.Design.Strategy)
 	}
-	if rep.Solution != nil && rep.Solution.Code != "" {
-		dst = append(dst, `,"code":`...)
-		dst = appendString(dst, rep.Solution.Code)
+	if rep.Solution != nil {
+		dst = appendCode(dst, rep.Solution)
 	}
 	res := rep.Result
 	if res == nil {
@@ -127,7 +127,8 @@ func appendReplayed(dst []byte, rep *core.Report) []byte {
 	dst = append(dst, `,"quality_score":`...)
 	dst = appendFloat(dst, res.QualityScore())
 	if len(res.Outputs) > 0 {
-		names := make([]string, 0, len(res.Outputs))
+		var buf [8]string // a plan's outputs; more go to the heap
+		names := buf[:0]
 		for name := range res.Outputs {
 			names = append(names, name)
 		}
@@ -143,6 +144,20 @@ func appendReplayed(dst []byte, rep *core.Report) []byte {
 		}
 		dst = append(dst, '}')
 	}
+	return dst
+}
+
+// appendCode appends sol's listing as the "code" member, or nothing
+// when the listing is empty. The listing is rendered into a pooled
+// buffer and escaped from there.
+func appendCode(dst []byte, sol *solutionweaver.Solution) []byte {
+	bp := summaryBufs.Get().(*[]byte)
+	code := sol.AppendCode((*bp)[:0])
+	if len(code) > 0 {
+		dst = append(dst, `,"code":`...)
+		dst = appendString(dst, code)
+	}
+	putSummaryBuf(bp, code)
 	return dst
 }
 
@@ -191,12 +206,13 @@ var safeByte = func() (t [256]bool) {
 	return t
 }()
 
-// appendString appends s as a JSON string the way encoding/json does
-// with HTML escaping off: \" and \\, the short escapes \b \f \n \r \t,
-// \u00XX for other control bytes, \ufffd for each invalid UTF-8 byte,
-// and \u2028 and \u2029 always. Each run of safe bytes, and of valid
-// UTF-8 other than U+2028 and U+2029, is copied at once.
-func appendString(dst []byte, s string) []byte {
+// appendString appends s, text or bytes, as a JSON string the way
+// encoding/json does with HTML escaping off: \" and \\, the short
+// escapes \b \f \n \r \t, \u00XX for other control bytes, \ufffd for
+// each invalid UTF-8 byte, and \u2028 and \u2029 always. Each run of
+// safe bytes, and of valid UTF-8 other than U+2028 and U+2029, is
+// copied at once.
+func appendString[S string | []byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -227,7 +243,7 @@ func appendString(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		c, size := utf8.DecodeRuneInString(s[i:])
+		c, size := decodeRune(s[i:])
 		if c == utf8.RuneError && size == 1 {
 			dst = append(dst, s[start:i]...)
 			dst = append(dst, `\ufffd`...)
@@ -246,6 +262,12 @@ func appendString(dst []byte, s string) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
+}
+
+// decodeRune is utf8.DecodeRune for text or bytes.
+func decodeRune[S string | []byte](s S) (rune, int) {
+	var b [utf8.UTFMax]byte
+	return utf8.DecodeRune(b[:copy(b[:], s)])
 }
 
 // appendFloat appends f as encoding/json writes a float64: 'f' format,

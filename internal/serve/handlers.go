@@ -66,8 +66,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// summaryBufs recycles the buffers /v1/ask bodies are built in;
-// buffers grown past maxPooledSummary are left to the collector.
+// summaryBufs recycles the buffers /v1/ask bodies are built in and
+// those a summary renders its listing into (appendCode); buffers grown
+// past maxPooledSummary are left to the collector.
 var summaryBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 16<<10)
 	return &b
@@ -101,6 +102,12 @@ func writeSummary(w http.ResponseWriter, rep *core.Report, err error) {
 	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
 	_, _ = w.Write(b)
+	putSummaryBuf(bp, b)
+}
+
+// putSummaryBuf returns bp to summaryBufs holding b, the buffer it
+// grew into, unless b grew past maxPooledSummary.
+func putSummaryBuf(bp *[]byte, b []byte) {
 	if cap(b) <= maxPooledSummary {
 		*bp = b[:0]
 		summaryBufs.Put(bp)

@@ -107,7 +107,7 @@ func freezeReport(rep *arachnet.Report) *frozenReport {
 		}
 	}
 	if s := rep.Solution; s != nil {
-		f.Solution = &frozenSolution{Workflow: freezeWorkflow(s.Workflow), Code: s.Code, LoC: s.LoC, Language: s.Language, ChecksAdded: s.ChecksAdded}
+		f.Solution = &frozenSolution{Workflow: freezeWorkflow(s.Workflow), Code: s.Code(), LoC: s.LoC(), Language: s.Language, ChecksAdded: s.ChecksAdded}
 	}
 	return f
 }
